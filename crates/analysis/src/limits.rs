@@ -1,11 +1,10 @@
 //! Frame-size and clock-rate limits (paper equations 4 and 7–9).
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Errors from the limit computations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnalysisError {
     /// The configuration admits no buffer at all: `f_min − 1 − le ≤ 0`,
     /// i.e. the shortest frame is too short to leave room for the

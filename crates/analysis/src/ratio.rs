@@ -1,7 +1,6 @@
 //! The Figure 3 clock-ratio curve (paper eq. 10).
 
 use crate::limits::AnalysisError;
-use serde::{Deserialize, Serialize};
 
 /// Maximum admissible clock-rate *ratio* between the fastest and slowest
 /// clock in the system (paper eq. 10):
@@ -36,7 +35,7 @@ pub fn clock_ratio_limit(
 }
 
 /// One point of the Figure 3 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure3Point {
     /// Longest frame on the network (bits).
     pub max_frame_bits: u32,

@@ -1,11 +1,11 @@
 //! A minimal JSON value type with a deterministic writer and a strict
-//! parser — the wire format of the campaign service.
+//! parser — the wire format of the campaign service and the JSON form
+//! of every lint report.
 //!
-//! Hand-rolled for the same reason `CampaignJson` renders by hand: the
-//! offline build vendors inert `serde`/`serde_json` stubs, and the
-//! protocol needs **byte-stable** output (golden diffs, kill-and-resume
-//! equality) plus **exact** 64-bit integers (trial seeds use all 64
-//! bits, which a float-only JSON layer would silently round).
+//! Hand-rolled because the output must be **byte-stable** (golden
+//! diffs, kill-and-resume equality) and integers **exact** at 64 bits
+//! (trial seeds use all 64 bits, which a float-only JSON layer would
+//! silently round).
 //!
 //! Numbers are kept in three lanes: unsigned, signed and float. The
 //! writer renders floats with Rust's shortest-roundtrip `Display`, so
@@ -195,6 +195,15 @@ impl Json {
         }
         Ok(value)
     }
+}
+
+/// Escapes `text` as a JSON string literal, quotes included — the
+/// writer's own escaper, for output laid out by hand around it.
+#[must_use]
+pub fn json_string(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    escape_into(text, &mut out);
+    out
 }
 
 fn escape_into(s: &str, out: &mut String) {
@@ -492,6 +501,13 @@ mod tests {
         assert_eq!(v.get("d").and_then(Json::as_u64), None);
         assert_eq!(v.get("d").and_then(Json::as_f64), Some(-7.0));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn json_string_escapes_quotes_and_control_characters() {
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_string("x\ny\t\r\u{1}"), "\"x\\ny\\t\\r\\u0001\"");
     }
 
     #[test]

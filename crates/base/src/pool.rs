@@ -1,10 +1,12 @@
-//! Work-stealing chunk scheduler shared by the parallel explorers.
+//! The ordered work-stealing pool: the workspace's one scoped-thread
+//! pool for deterministic work.
 //!
-//! Both the frontier-parallel BFS ([`crate::parallel::ParallelExplorer`])
-//! and the chunked `FairGraph` builder in `tta-liveness` split a layer
-//! of work into **fixed-size chunks** and let a small pool of scoped
-//! threads *steal* chunks off a single atomic counter. Two properties
-//! make this the right shape for deterministic exploration:
+//! The frontier-parallel BFS in `tta-modelcheck`, the chunked
+//! `FairGraph` builder in `tta-liveness`, both linters' per-target runs,
+//! the fuzzer's batch evaluation and the simulator's campaign trials all
+//! split their work into **fixed-size chunks** and let a small pool of
+//! scoped threads *steal* chunks off a single atomic counter. Two
+//! properties make this the right shape for deterministic work:
 //!
 //! * **Chunk boundaries depend only on the item list**, never on the
 //!   thread count, and every chunk's output is adopted in chunk-index
@@ -23,6 +25,15 @@
 //! `tests/loom_merge.rs`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The default worker count: the host's available parallelism, or 1
+/// when it cannot be determined. The workspace's only read of the
+/// thread environment — every pool size defaults through here.
+#[must_use]
+pub fn default_threads() -> usize {
+    // detlint: allow(DL03) reason=pool sizing only; every pool reassembles results in input order, so output is identical at any worker count
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
 
 /// Runs `worker` over `items` split into `chunk_size`-sized chunks on up
 /// to `threads` scoped threads, returning the outputs **in chunk-index
@@ -136,5 +147,10 @@ mod tests {
         let items = [1u32, 2, 3];
         let out = map_chunks(&items, 1, 64, &|_, chunk: &[u32]| chunk[0] * 10);
         assert_eq!(out, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn default_threads_is_positive() {
+        assert!(default_threads() >= 1);
     }
 }

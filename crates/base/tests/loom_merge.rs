@@ -1,7 +1,8 @@
 //! Loom model of the work-stealing chunk-claim handshake.
 //!
-//! `map_chunks` (src/chunks.rs) is the only concurrency in the parallel
-//! explorer and the chunked `FairGraph` builder: workers claim chunk
+//! `map_chunks` (src/pool.rs) is the only concurrency in the parallel
+//! explorer, the chunked `FairGraph` builder, the linters, the fuzzer's
+//! batch evaluation and the simulator's campaigns: workers claim chunk
 //! indices off one `AtomicUsize` with `fetch_add`, stash each chunk's
 //! output tagged with its index, and the caller adopts the outputs in
 //! chunk-index order after the scope joins. Everything downstream
@@ -16,7 +17,7 @@
 //!   in index order yields the same sequence no matter which worker
 //!   claimed which chunk or in which order they ran.
 //!
-//! Build with `RUSTFLAGS="--cfg loom" cargo test -p tta-modelcheck
+//! Build with `RUSTFLAGS="--cfg loom" cargo test -p tta-base
 //! --test loom_merge`. Under the vendored offline stub this runs once
 //! on plain threads; with the real loom it explores all interleavings.
 #![cfg(loom)]

@@ -243,11 +243,9 @@ fn scenario_mode(paths: &[PathBuf], artifacts: Option<&Path>) -> ! {
 
 /// Records `BENCH_liveness.json`: for the two headline S4 configs, the
 /// sequential fair-graph build time, the per-node SCC check time, and
-/// the threaded builds with their speedups. The stub `serde_json`
-/// cannot serialize maps, so the JSON is written by hand.
+/// the threaded builds with their speedups, written as JSON by hand.
 fn bench_snapshot(path: &str, max_threads: Option<usize>) {
-    // detlint: allow(DL03) reason=bench sizing and host reporting only; measured worker counts are fixed in the sweep
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let host_cpus = tta_base::default_threads();
     heading("liveness hot-path snapshot (fair-graph build + SCC checks)");
     println!("host CPUs: {host_cpus}");
 

@@ -168,14 +168,12 @@ fn json_run(seconds: f64, states: u64) -> String {
     )
 }
 
-/// Records `BENCH_modelcheck.json`. The stub `serde_json` the offline
-/// build patches in cannot serialize maps, so the JSON is written by
-/// hand — it is a handful of flat fields.
+/// Records `BENCH_modelcheck.json`, written by hand — it is a handful
+/// of flat fields.
 fn bench_snapshot(path: &str, max_threads: Option<usize>) {
     const RUNS: usize = 3;
     let config = ClusterConfig::paper(CouplerAuthority::SmallShifting);
-    // detlint: allow(DL03) reason=bench sizing and host reporting only; measured worker counts are fixed in the sweep
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let host_cpus = tta_base::default_threads();
     heading("model-checking throughput snapshot (paper config, small shifting)");
     println!("host CPUs: {host_cpus}");
 

@@ -53,8 +53,7 @@ fn verdict_word(verdict: Verdict) -> &'static str {
     }
 }
 
-/// One row as a hand-written JSON object (the stub `serde_json` the
-/// offline build patches in cannot serialize maps).
+/// One row as a hand-written JSON object.
 fn json_row(authority: CouplerAuthority, report: &VerificationReport, seconds: f64) -> String {
     let stats = &report.stats;
     format!(

@@ -89,12 +89,12 @@ fn main() {
 
     let run = lint(&paths, &opts);
     if json {
-        print!("{}", run.report.render_json(&gate));
+        print!("{}", run.render_json(&gate));
         for ev in &run.evidence {
             println!("{}", ev.render_json());
         }
     } else {
-        print!("{}", run.report.render(&gate));
+        print!("{}", run.render(&gate));
         if evidence {
             for ev in &run.evidence {
                 println!("evidence: {}", ev.render_json());

@@ -350,8 +350,7 @@ fn bench(rest: &[String]) {
         }
     }
 
-    // detlint: allow(DL03) reason=bench sizing and reporting only; worker counts under test are fixed explicitly below
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    let host_cpus = tta_base::default_threads();
     let spec = bench_spec();
     let scratch = std::env::temp_dir().join(format!("campaignd-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);

@@ -35,13 +35,7 @@
 //! * `seed=S`    — the injection seed (decimal or 0x hex).
 
 use crate::spec::SpecError;
-
-/// SplitMix64 finalizer — same decorrelator as trial-seed derivation.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use tta_base::hash::mix;
 
 /// A parsed chaos specification. `ChaosPlan::default()` injects
 /// nothing.

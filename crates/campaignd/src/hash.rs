@@ -1,22 +1,13 @@
 //! Content hashing for job identity and the per-trial result cache.
 //!
-//! FNV-1a over canonical byte strings: not cryptographic, but stable
-//! across platforms and processes (unlike `std`'s randomized hasher),
-//! which is what journal file names and cache keys need. Collisions
+//! FNV-1a ([`tta_base::hash::fnv1a64`]) over canonical byte strings:
+//! not cryptographic, but stable across platforms and processes, which
+//! is what journal file names and cache keys need. Collisions
 //! would only ever conflate two *byte-identical renderings*' worth of
 //! campaign work at 64-bit odds — acceptable for a result cache whose
 //! entries are also self-describing.
 
-/// FNV-1a over a byte string.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+pub use tta_base::hash::fnv1a64;
 
 /// Fixed-width lowercase hex of a 64-bit hash (journal file names, job
 /// ids on the wire).
@@ -37,14 +28,6 @@ pub fn from_hex(text: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn known_vectors() {
-        // FNV-1a reference values.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn hex_round_trips() {

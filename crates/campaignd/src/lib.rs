@@ -28,9 +28,11 @@ pub mod chaos;
 pub mod client;
 pub mod hash;
 pub mod journal;
-pub mod json;
 pub mod protocol;
 pub mod runner;
 pub mod server;
 pub mod spec;
 pub mod table;
+
+/// The JSON codec, re-exported from `tta-base` under its historical path.
+pub use tta_base::json;

@@ -74,8 +74,7 @@ impl ServerConfig {
         ServerConfig {
             socket: state_dir.join("daemon.sock"),
             state_dir: state_dir.to_path_buf(),
-            // detlint: allow(DL03) reason=default worker count only sizes the pool; trial output is bit-identical at any worker count
-            workers: std::thread::available_parallelism().map_or(1, usize::from),
+            workers: tta_base::default_threads(),
             base_dir: std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")),
             crash: CrashPlan::default(),
             supervision: Supervision::default(),

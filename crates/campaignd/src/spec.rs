@@ -24,6 +24,7 @@ use crate::runner::{QuarantineReason, QuarantinedTrial, TrialVerdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use tta_base::hash::mix;
 use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
 use tta_sim::{
@@ -372,14 +373,6 @@ pub enum TrialExec {
         /// Trial count.
         trials: u32,
     },
-}
-
-/// SplitMix64 finalizer — the same decorrelator the campaign layer
-/// derives trial seeds with.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Scenario-tag for file-scenario seed derivation: one past the last

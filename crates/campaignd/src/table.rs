@@ -8,6 +8,7 @@
 //! copy lives here and `tta-bench` re-exports it.
 
 use std::path::{Path, PathBuf};
+use tta_base::json::json_string;
 
 /// One cell of a campaign JSON table: a scenario × configuration
 /// combination with its outcome counts and derived metrics.
@@ -46,8 +47,8 @@ pub struct CampaignJson {
 impl CampaignJson {
     /// Renders the table as deterministic, line-oriented JSON: one cell
     /// per line, floats fixed to four decimals, keys in declaration
-    /// order. Hand-rolled so the output is byte-stable for golden-file
-    /// comparison (and because the vendored serde stubs don't serialize).
+    /// order. Laid out by hand (one cell per line) so golden diffs stay
+    /// cell-granular; strings go through the codec's escaper.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -90,22 +91,6 @@ impl CampaignJson {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Line-diffs rendered campaign JSON against a golden fixture. Returns
@@ -290,12 +275,5 @@ mod tests {
         truncated.cells.pop();
         let err = diff_campaign_json(&golden, &truncated.render()).unwrap_err();
         assert!(err.contains("line"), "{err}");
-    }
-
-    #[test]
-    fn json_strings_escape_quotes_and_control_characters() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
     }
 }

@@ -2,8 +2,7 @@
 //! verification reports, compared line-by-line against checked-in
 //! fixtures so the paper's counterexamples cannot drift silently.
 //!
-//! The vendored `serde` stub does not serialize, so fixtures are plain
-//! text built from the crate's `Display` impls. The renderings are
+//! Fixtures are plain text built from the crate's `Display` impls. The renderings are
 //! deterministic because `verify_cluster` uses sequential BFS, which
 //! always finds the same shortest counterexample.
 //!

@@ -1,9 +1,8 @@
 //! A hand-rolled parser for the TOML subset the scenario DSL uses.
 //!
-//! The build environment is fully offline and the vendored `serde` stub
-//! does not serialize (see `third_party/README.md`), so scenarios are
-//! parsed with this ~200-line recursive-descent parser instead of a
-//! `toml` crate. Supported: `[table]` and `[[array-of-table]]` headers,
+//! The build environment is fully offline (see `third_party/README.md`),
+//! so scenarios are parsed with this ~200-line recursive-descent parser
+//! instead of a `toml` crate. Supported: `[table]` and `[[array-of-table]]` headers,
 //! bare keys, strings, integers (with `_` separators), floats, booleans,
 //! single-line arrays, and `#` comments. That is the whole DSL; anything
 //! else is a parse error with a line number.

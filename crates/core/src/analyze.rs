@@ -9,13 +9,12 @@
 use crate::config::ClusterConfig;
 use crate::model::ClusterModel;
 use crate::state::ClusterState;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use tta_modelcheck::hashing::FxHashSet;
 
 /// Aggregate facts about the reachable state space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachableSummary {
     /// Distinct reachable global states (within the budget).
     pub states: u64,

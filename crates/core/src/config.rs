@@ -1,6 +1,5 @@
 //! Cluster model configuration.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_guardian::CouplerAuthority;
 use tta_protocol::HostChoices;
@@ -8,9 +7,7 @@ use tta_protocol::HostChoices;
 /// How many out-of-slot (replay) errors the faulty coupler may commit
 /// along one execution — the constraint the paper adds to shape its
 /// counterexample traces.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum FaultBudget {
     /// Unlimited replays (the paper's first run: the shortest trace then
     /// contains four out-of-slot errors).
@@ -42,7 +39,7 @@ impl fmt::Display for FaultBudget {
 }
 
 /// Configuration of the Section 4 cluster model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClusterConfig {
     /// Number of nodes (the paper models four, the Byzantine minimum).
     pub nodes: usize,

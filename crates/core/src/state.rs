@@ -1,6 +1,5 @@
 //! The packed global state of the cluster model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_guardian::BufferedFrame;
 use tta_protocol::Controller;
@@ -13,7 +12,7 @@ use tta_types::NodeId;
 /// States are hashed billions of times during exploration; all components
 /// are small `Copy`-friendly values and semantically-unused fields are
 /// canonicalized by `tta-protocol`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ClusterState {
     nodes: Vec<Controller>,
     coupler_buffers: [BufferedFrame; 2],

@@ -8,48 +8,9 @@
 //! meaning or disappears, so `--deny`/`--allow` lists, annotation
 //! sites, and the checked-in baseline stay valid across releases.
 
-use crate::diag::Severity;
+pub use tta_base::diag::LintCode;
 
-/// One registered lint: stable id, human slug, default severity and a
-/// one-line summary (the table in DESIGN.md mirrors this).
-#[derive(Debug)]
-pub struct LintCode {
-    /// Stable short id, e.g. `DL01`.
-    pub id: &'static str,
-    /// Human-readable slug, e.g. `hash-iteration-order`.
-    pub slug: &'static str,
-    /// Default severity.
-    pub default_severity: Severity,
-    /// One-line description.
-    pub summary: &'static str,
-}
-
-impl LintCode {
-    /// `id-slug`, the form rendered in brackets:
-    /// `DL01-hash-iteration-order`.
-    #[must_use]
-    pub fn full_name(&self) -> String {
-        format!("{}-{}", self.id, self.slug)
-    }
-}
-
-macro_rules! codes {
-    ($($name:ident = $id:literal, $slug:literal, $sev:ident, $summary:literal;)*) => {
-        $(
-            #[doc = $summary]
-            pub static $name: &LintCode = &LintCode {
-                id: $id,
-                slug: $slug,
-                default_severity: Severity::$sev,
-                summary: $summary,
-            };
-        )*
-        /// Every registered lint, id order.
-        pub static CATALOG: &[&LintCode] = &[$($name),*];
-    };
-}
-
-codes! {
+tta_base::codes! {
     // ── nondeterminism sources ─────────────────────────────────────
     DL01 = "DL01", "hash-iteration-order", Warning,
         "iteration over a HashMap/HashSet with no deterministic sink (sort, BTree collect, order-insensitive reduction): the visit order varies per process and can leak into output, cache keys, or goldens";
@@ -76,17 +37,6 @@ codes! {
     // ── baseline bookkeeping ───────────────────────────────────────
     DL30 = "DL30", "baseline-drift", Note,
         "the allow-annotation inventory drifted from the checked-in baseline (new or removed allows); regenerate with --write-baseline after review";
-}
-
-/// Looks up a code by id (`DL01`), slug (`hash-iteration-order`) or
-/// full name, case-insensitively.
-#[must_use]
-pub fn find(name: &str) -> Option<&'static LintCode> {
-    CATALOG.iter().copied().find(|c| {
-        c.id.eq_ignore_ascii_case(name)
-            || c.slug.eq_ignore_ascii_case(name)
-            || c.full_name().eq_ignore_ascii_case(name)
-    })
 }
 
 #[cfg(test)]

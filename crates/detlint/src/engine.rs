@@ -1,5 +1,6 @@
 //! The lint engine: file discovery, per-file rule runs with allow
-//! merging, a deterministic thread pool, and baseline comparison.
+//! merging on the ordered pool ([`tta_base::map_chunks`]), and baseline
+//! comparison.
 //!
 //! Determinism contract (the linter holds itself to the invariant it
 //! checks): discovered files are sorted, each file is linted
@@ -9,13 +10,12 @@
 
 use crate::annot::{self, AllowSite};
 use crate::catalog;
-use crate::diag::{Diagnostic, LintReport};
 use crate::lex;
 use crate::rules;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use tta_base::diag::{Diagnostic, Gate, LintReport, Tool};
+use tta_base::{default_threads, map_chunks};
 
 /// Directory names never descended into: build output, vendored stubs
 /// (not first-party code), and the linter's own deliberately-dirty
@@ -147,70 +147,71 @@ fn lint_text(path: &str, text: &str) -> FileOutcome {
     out
 }
 
-/// Clamps a requested worker count to something sensible for the number
-/// of files. `0` means "pick for me".
-#[must_use]
-pub fn effective_threads(requested: usize, files: usize) -> usize {
-    if files <= 1 {
-        return 1;
-    }
-    let cap = if requested == 0 {
-        // detlint: allow(DL03) reason=worker count only sets pool size; results are reassembled in file order
-        std::thread::available_parallelism().map_or(4, usize::from)
-    } else {
-        requested
-    };
-    cap.clamp(1, files)
+/// How `tta-detlint` reports render: `detlint summary: …`, targets
+/// under the JSON key `"file"`, plus the count of allows in effect.
+const TOOL: Tool = Tool {
+    label: "detlint",
+    target_key: "file",
+};
+
+/// The result of an audit run: the diagnostics in deterministic (file,
+/// line, code) order, plus the audit inventory of allow sites.
+#[derive(Debug, Clone, Default)]
+pub struct Audit {
+    /// All findings.
+    pub report: LintReport,
+    /// Every allow annotation that suppressed a finding, in (file,
+    /// line) order — the audit trail the baseline is built from.
+    pub allows_used: Vec<AllowSite>,
 }
 
-/// Runs every rule over every file in `files`, on `threads` workers,
-/// returning diagnostics in deterministic (file, line, code) order.
-#[must_use]
-pub fn run(files: &[String], threads: usize) -> LintReport {
-    let threads = effective_threads(threads, files.len());
-    let outcomes: Vec<FileOutcome> = if threads <= 1 {
-        files.iter().map(|f| lint_file(f)).collect()
-    } else {
-        // The modellint scheduler: a shared claim index hands files to
-        // workers; each slot is written exactly once, then the vector
-        // is drained in file order — worker identity never shows.
-        let next = AtomicUsize::new(0); // Relaxed claim counter: fetch_add is the sole sync needed; results go through the Mutex.
-        let slots: Mutex<Vec<Option<FileOutcome>>> =
-            Mutex::new((0..files.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= files.len() {
-                        break;
-                    }
-                    let outcome = lint_file(&files[idx]);
-                    slots.lock().expect("detlint worker panicked")[idx] = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("detlint worker panicked")
-            .into_iter()
-            .map(|slot| slot.expect("every file slot filled"))
-            .collect()
-    };
-
-    let mut report = LintReport::default();
-    for outcome in outcomes {
-        report.diagnostics.extend(outcome.diagnostics);
-        report.allows_used.extend(outcome.allows_used);
+impl Audit {
+    /// Renders every diagnostic rustc-style plus a one-line summary.
+    #[must_use]
+    pub fn render(&self, gate: &Gate) -> String {
+        self.report
+            .render(gate, &TOOL, Some(self.allows_used.len()))
     }
-    report.diagnostics.sort_by(|a, b| {
-        (a.file.as_str(), a.line.unwrap_or(0), a.code.id).cmp(&(
-            b.file.as_str(),
-            b.line.unwrap_or(0),
-            b.code.id,
-        ))
+
+    /// Renders the audit as line-oriented JSON.
+    #[must_use]
+    pub fn render_json(&self, gate: &Gate) -> String {
+        self.report
+            .render_json(gate, &TOOL, Some(self.allows_used.len()))
+    }
+
+    fn sort_diagnostics(&mut self) {
+        self.report.diagnostics.sort_by(|a, b| {
+            (a.target.as_str(), a.line.unwrap_or(0), a.code.id).cmp(&(
+                b.target.as_str(),
+                b.line.unwrap_or(0),
+                b.code.id,
+            ))
+        });
+    }
+}
+
+/// Runs every rule over every file in `files`, on `threads` workers
+/// (`0` = the host's available parallelism), returning diagnostics in
+/// deterministic (file, line, code) order.
+#[must_use]
+pub fn run(files: &[String], threads: usize) -> Audit {
+    let threads = match threads {
+        0 => default_threads(),
+        n => n,
+    };
+    let outcomes = map_chunks(files, 1, threads, &|_, chunk: &[String]| {
+        lint_file(&chunk[0])
     });
-    report.allows_used.sort();
-    report
+
+    let mut audit = Audit::default();
+    for outcome in outcomes {
+        audit.report.diagnostics.extend(outcome.diagnostics);
+        audit.allows_used.extend(outcome.allows_used);
+    }
+    audit.sort_diagnostics();
+    audit.allows_used.sort();
+    audit
 }
 
 fn lint_file(path: &str) -> FileOutcome {
@@ -227,11 +228,11 @@ fn lint_file(path: &str) -> FileOutcome {
     }
 }
 
-/// Compares the report's in-effect allows against a baseline text,
+/// Compares the audit's in-effect allows against a baseline text,
 /// appending a [`catalog::DL30`] note per drifted entry.
-pub fn check_baseline(report: &mut LintReport, baseline_text: &str, baseline_path: &str) {
+pub fn check_baseline(audit: &mut Audit, baseline_text: &str, baseline_path: &str) {
     let current: Vec<(String, String, String)> = {
-        let mut v: Vec<_> = report
+        let mut v: Vec<_> = audit
             .allows_used
             .iter()
             .map(|a| (a.code.clone(), a.file.clone(), a.reason.clone()))
@@ -244,7 +245,7 @@ pub fn check_baseline(report: &mut LintReport, baseline_text: &str, baseline_pat
 
     for entry in &current {
         if !recorded.contains(entry) {
-            report.diagnostics.push(
+            audit.report.diagnostics.push(
                 Diagnostic::new(
                     catalog::DL30,
                     entry.1.clone(),
@@ -260,7 +261,7 @@ pub fn check_baseline(report: &mut LintReport, baseline_text: &str, baseline_pat
     }
     for entry in &recorded {
         if !current.contains(entry) {
-            report.diagnostics.push(
+            audit.report.diagnostics.push(
                 Diagnostic::new(
                     catalog::DL30,
                     entry.1.clone(),
@@ -274,13 +275,7 @@ pub fn check_baseline(report: &mut LintReport, baseline_text: &str, baseline_pat
             );
         }
     }
-    report.diagnostics.sort_by(|a, b| {
-        (a.file.as_str(), a.line.unwrap_or(0), a.code.id).cmp(&(
-            b.file.as_str(),
-            b.line.unwrap_or(0),
-            b.code.id,
-        ))
-    });
+    audit.sort_diagnostics();
 }
 
 #[cfg(test)]
@@ -329,15 +324,15 @@ mod tests {
 
     #[test]
     fn baseline_drift_fires_both_ways() {
-        let mut report = LintReport::default();
-        report.allows_used.push(AllowSite {
+        let mut audit = Audit::default();
+        audit.allows_used.push(AllowSite {
             file: "a.rs".into(),
             line: 1,
             code: "DL02".into(),
             reason: "new".into(),
         });
-        check_baseline(&mut report, "DL03\tb.rs\tgone\n", "base.tsv");
-        let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code.id).collect();
+        check_baseline(&mut audit, "DL03\tb.rs\tgone\n", "base.tsv");
+        let codes: Vec<&str> = audit.report.diagnostics.iter().map(|d| d.code.id).collect();
         assert_eq!(codes, vec!["DL30", "DL30"]);
     }
 
@@ -358,7 +353,7 @@ mod tests {
         // must be byte-identical.
         let files = discover(&["src".into()]);
         assert!(!files.is_empty());
-        let gate = crate::diag::Gate::default();
+        let gate = Gate::default();
         let a = run(&files, 1).render_json(&gate);
         let b = run(&files, 4).render_json(&gate);
         assert_eq!(a, b);

@@ -5,7 +5,8 @@
 //! bit-identical for a given seed at any worker count, interrupted or
 //! not. `tta-modellint` audits the *scenarios* fed into that stack;
 //! this crate audits the *code* — a token-level static analysis (no
-//! rustc plumbing, no dependencies, per workspace policy) that walks
+//! rustc plumbing; its only dependency is the dependency-free
+//! `tta-base`, whose diagnostics core it shares with `tta-modellint`) that walks
 //! every first-party `.rs` file and reports the constructs that
 //! historically break that promise:
 //!
@@ -27,12 +28,11 @@
 
 pub mod annot;
 pub mod catalog;
-pub mod diag;
 pub mod engine;
 pub mod lex;
 pub mod rules;
 
 pub use annot::{render_baseline, AllowSite};
 pub use catalog::{find as find_code, LintCode, CATALOG};
-pub use diag::{Diagnostic, Gate, LintReport, Severity};
-pub use engine::{check_baseline, discover, run};
+pub use engine::{check_baseline, discover, run, Audit};
+pub use tta_base::diag::{Diagnostic, Gate, LintReport, Severity};

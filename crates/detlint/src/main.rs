@@ -107,18 +107,18 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut report = run(&files, threads);
+    let mut audit = run(&files, threads);
 
     if let Some(path) = &write_baseline {
-        let text = tta_detlint::render_baseline(&report.allows_used);
+        let text = tta_detlint::render_baseline(&audit.allows_used);
         if let Err(err) = std::fs::write(path, text) {
             eprintln!("tta-detlint: cannot write baseline {path}: {err}");
             return ExitCode::from(2);
         }
         eprintln!(
             "tta-detlint: wrote {} allow entr{} to {path}",
-            report.allows_used.len(),
-            if report.allows_used.len() == 1 {
+            audit.allows_used.len(),
+            if audit.allows_used.len() == 1 {
                 "y"
             } else {
                 "ies"
@@ -128,7 +128,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = &baseline {
         match std::fs::read_to_string(path) {
-            Ok(text) => check_baseline(&mut report, &text, path),
+            Ok(text) => check_baseline(&mut audit, &text, path),
             Err(err) => {
                 eprintln!("tta-detlint: cannot read baseline {path}: {err}");
                 return ExitCode::from(2);
@@ -137,15 +137,15 @@ fn main() -> ExitCode {
     }
 
     let output = if json {
-        report.render_json(&gate)
+        audit.render_json(&gate)
     } else {
-        report.render(&gate)
+        audit.render(&gate)
     };
-    if !quiet || report.denied(&gate).next().is_some() {
+    if !quiet || audit.report.denied(&gate).next().is_some() {
         print!("{output}");
     }
 
-    if report.denied(&gate).next().is_some() {
+    if audit.report.denied(&gate).next().is_some() {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS

@@ -11,8 +11,8 @@
 //! scaffolding, not protocol.
 
 use crate::catalog;
-use crate::diag::Diagnostic;
 use crate::lex::{find_word, word_at, Line, SourceFile};
+use tta_base::diag::Diagnostic;
 
 /// Runs every DL rule over `file`, returning raw findings (allow
 /// filtering happens in the engine).

@@ -69,7 +69,12 @@ fn dirty_fixture_matches_golden_json() {
 #[test]
 fn dirty_fixture_fires_every_rule_family() {
     let report = run(&["tests/fixtures/dirty.rs".into()], 1);
-    let fired: Vec<&str> = report.diagnostics.iter().map(|d| d.code.id).collect();
+    let fired: Vec<&str> = report
+        .report
+        .diagnostics
+        .iter()
+        .map(|d| d.code.id)
+        .collect();
     for code in [
         "DL01", "DL02", "DL03", "DL04", "DL10", "DL11", "DL12", "DL22",
     ] {
@@ -131,7 +136,11 @@ fn workspace_targets() -> Vec<String> {
 fn workspace_lints_clean_under_deny_warnings() {
     let report = run(&discover(&workspace_targets()), 0);
     let gate = deny_warnings();
-    let denied: Vec<String> = report.denied(&gate).map(Diagnostic::render).collect();
+    let denied: Vec<String> = report
+        .report
+        .denied(&gate)
+        .map(Diagnostic::render)
+        .collect();
     assert!(
         denied.is_empty(),
         "first-party sources must lint clean under --deny warnings:\n{}",

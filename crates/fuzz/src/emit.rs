@@ -13,6 +13,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use tta_base::hash::fnv1a64;
 use tta_core::{verify_cluster, Verdict};
 use tta_guardian::CouplerAuthority;
 use tta_modellint::{lint_scenario, AnalysisOptions, Severity};
@@ -21,7 +22,6 @@ use tta_sim::{FaultPersistence, NodeFaultKind, RecoveryOutcome, Topology};
 
 use crate::eval::EvalContext;
 use crate::input::{coupler_mode_name, FuzzEventKind, FuzzInput};
-use crate::rng::fnv1a;
 
 /// What the emitter needs to know about a find.
 #[derive(Debug)]
@@ -67,7 +67,7 @@ pub fn authority_token(authority: CouplerAuthority) -> &'static str {
 /// lints dirty — those finds are dropped, not written).
 pub fn emit_scenario(req: &EmitRequest<'_>) -> Result<Emitted, String> {
     let tag = format!("{}\n{}", req.input.render(), authority_token(req.authority));
-    let hash = fnv1a(tag.as_bytes()) as u32;
+    let hash = fnv1a64(tag.as_bytes()) as u32;
     let name = format!(
         "fuzzed-{}-{}-{hash:08x}",
         req.kind_word,

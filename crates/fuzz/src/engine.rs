@@ -5,9 +5,9 @@
 //!
 //! The engine reuses the campaign layer's recipe: every candidate in
 //! round `r` at batch index `i` gets its own RNG seeded by
-//! `mix(seed ^ mix(r << 32 | i))`, candidates are *executed* on a
-//! scoped worker pool in contiguous index chunks, and results are
-//! *merged* single-threadedly in index order. The journal, the corpus,
+//! `mix(seed ^ mix(r << 32 | i))`, candidates are *executed* on the
+//! ordered pool ([`tta_base::map_chunks`]), and results are *merged*
+//! single-threadedly in index order. The journal, the corpus,
 //! and every emitted scenario are therefore byte-identical for every
 //! `--threads` value — the differential tests pin exactly that. The
 //! journal carries no timestamps; a wall-clock budget only decides how
@@ -30,6 +30,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use tta_base::hash::mix;
+use tta_base::{default_threads, map_chunks};
 use tta_core::ClusterConfig;
 use tta_guardian::CouplerAuthority;
 use tta_modellint::{config_coverage, AnalysisOptions};
@@ -40,7 +42,7 @@ use crate::emit::{authority_token, emit_scenario, EmitRequest, Emitted};
 use crate::eval::{evaluate_under, EvalContext, EvalSet, Evaluator, LocalEvaluator};
 use crate::input::FuzzInput;
 use crate::mutate::Mutator;
-use crate::rng::{mix, FuzzRng};
+use crate::rng::FuzzRng;
 use crate::shrink::shrink;
 
 /// Everything a fuzzing run is parameterized by.
@@ -437,38 +439,21 @@ pub fn describe(kind: &FindKind) -> String {
     }
 }
 
-/// Evaluates a batch on a scoped worker pool, returning results in
-/// input order: inputs are split into contiguous chunks, each worker
-/// owns a chunk, and chunk results are concatenated in chunk order.
+/// Evaluates a batch on the ordered pool, one candidate per stolen
+/// chunk, returning results in input order (`threads == 0` = the host's
+/// available parallelism).
 fn evaluate_batch(
     inputs: &[FuzzInput],
     ctx: &EvalContext,
     threads: usize,
     evaluator: &dyn Evaluator,
 ) -> Vec<EvalSet> {
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    // detlint: allow(DL03) reason=default worker count; picks a schedule only, exploration results are identical at any thread count
-    let available = std::thread::available_parallelism().map_or(1, usize::from);
-    let workers = if threads == 0 { available } else { threads }.clamp(1, inputs.len());
-    let chunk = inputs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(chunk)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|i| evaluator.evaluate(i, ctx))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("evaluation worker panicked"))
-            .collect()
+    let threads = match threads {
+        0 => default_threads(),
+        n => n,
+    };
+    map_chunks(inputs, 1, threads, &|_, chunk: &[FuzzInput]| {
+        evaluator.evaluate(&chunk[0], ctx)
     })
 }
 

@@ -9,12 +9,12 @@
 //! interventions. Buckets, not raw floats, so the corpus saturates
 //! instead of admitting every availability wiggle.
 
+use tta_base::hash::fnv1a64;
 use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
 use tta_sim::{RecoveryOutcome, SimBuilder, Topology};
 
 use crate::input::FuzzInput;
-use crate::rng::fnv1a;
 
 /// The fixed cluster every candidate runs against.
 #[derive(Debug, Clone, Copy)]
@@ -90,7 +90,7 @@ impl EvalSet {
             bytes.push(log2_bucket(eval.restarts));
             bytes.push(log2_bucket(eval.interventions));
         }
-        fnv1a(&bytes)
+        fnv1a64(&bytes)
     }
 }
 

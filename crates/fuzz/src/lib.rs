@@ -63,6 +63,6 @@ pub use eval::{
 };
 pub use input::{coupler_mode_name, node_kind_token, FuzzEvent, FuzzEventKind, FuzzInput};
 pub use mutate::Mutator;
-pub use rng::{fnv1a, mix, FuzzRng};
+pub use rng::FuzzRng;
 pub use shrink::{is_one_minimal, shrink};
 pub use synth::{candidate_policies, synthesize, worst_availability, SynthOutcome};

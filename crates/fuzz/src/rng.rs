@@ -2,10 +2,12 @@
 //!
 //! The engine derives one [`FuzzRng`] per candidate from `(seed, round,
 //! index)` through the same SplitMix64 finalizer the campaign layer
-//! uses, so mutation decisions never depend on thread scheduling or
+//! uses ([`tta_base::hash::mix`]), so mutation decisions never depend on thread scheduling or
 //! global RNG state — a candidate's content is a pure function of its
 //! coordinates. No external RNG crate is involved: determinism across
 //! platforms and toolchains is the whole point.
+
+use tta_base::hash::mix;
 
 /// SplitMix64: tiny, fast, and statistically fine for fuzzing choices.
 #[derive(Debug, Clone)]
@@ -45,27 +47,6 @@ impl FuzzRng {
     }
 }
 
-/// The SplitMix64 finalizer (also used by the campaign layer): a full
-/// avalanche, so neighboring inputs yield unrelated outputs.
-#[must_use]
-pub fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte string: the stable content hash behind corpus
-/// dedup keys and emitted scenario names.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,11 +66,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(rng.gen_range(13) < 13);
         }
-    }
-
-    #[test]
-    fn fnv_is_content_stable() {
-        assert_eq!(fnv1a(b"tta"), fnv1a(b"tta"));
-        assert_ne!(fnv1a(b"tta"), fnv1a(b"ttb"));
     }
 }

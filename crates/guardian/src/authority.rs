@@ -1,7 +1,6 @@
 //! Star-coupler authority levels (paper Section 4.1).
 
 use crate::CouplerFaultMode;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How much centralized authority a star coupler has been given.
@@ -9,9 +8,7 @@ use std::fmt;
 /// Each level strictly includes the capabilities of the previous one; each
 /// capability enlarges the set of fault modes the coupler can exhibit
 /// when *it* fails — the tradeoff the paper quantifies.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum CouplerAuthority {
     /// Does not stop frames and does not shift frames in time — a plain
     /// signal distributor.

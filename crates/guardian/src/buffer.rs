@@ -10,11 +10,10 @@
 //! occupancy, which the test suite and benches compare against the closed
 //! form in `tta-analysis`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Result of forwarding one frame through a rate-mismatched guardian.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForwardingReport {
     /// Peak number of bits simultaneously held in the buffer.
     pub peak_occupancy_bits: u32,

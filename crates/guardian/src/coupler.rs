@@ -7,7 +7,6 @@
 //! is what a faulty coupler can replay out of slot.
 
 use crate::{CouplerAuthority, CouplerFaultMode};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_protocol::ChannelObservation;
 use tta_types::FrameKind;
@@ -15,9 +14,7 @@ use tta_types::FrameKind;
 /// The frame a full-shifting coupler holds in its buffer: the paper's
 /// `buffered_id` and `buffered_frame` state variables, initialized to
 /// `(0, none)`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BufferedFrame {
     /// Id of the last frame observed on the channel (0 = none yet).
     pub id: u16,
@@ -81,7 +78,7 @@ impl fmt::Display for BufferedFrame {
 /// let replay = coupler.relay(ChannelObservation::silence(), CouplerFaultMode::OutOfSlot);
 /// assert_eq!(replay, cold_start);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StarCoupler {
     authority: CouplerAuthority,
     buffer: BufferedFrame,

@@ -20,7 +20,6 @@
 //! useful configuration of either service.
 
 use crate::CouplerFaultMode;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use tta_types::{Frame, NodeId};
@@ -49,7 +48,7 @@ pub trait BufferedFunction {
 
 /// A stale-value mailbox service: the guardian remembers each sender's
 /// last complete frame and can serve it when the live slot is corrupted.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MailboxService {
     boxes: HashMap<u8, Frame>,
     longest_seen_bits: u32,
@@ -99,7 +98,7 @@ impl BufferedFunction for MailboxService {
 
 /// A CAN-style prioritized relay: frames wait in the guardian, lowest
 /// arbitration id first, to be transmitted in a reserved time slice.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PriorityRelay {
     queue: Vec<(u32, Frame)>,
 }
@@ -143,7 +142,7 @@ impl BufferedFunction for PriorityRelay {
 }
 
 /// Summary row for design reviews: function, buffer need, bound, verdict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionAudit {
     /// Function name.
     pub function: String,

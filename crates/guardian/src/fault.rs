@@ -1,6 +1,5 @@
 //! Coupler fault modes (paper Section 4.4).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The error state of one star coupler during one TDMA slot.
@@ -8,9 +7,7 @@ use std::fmt;
 /// The fault hypothesis requires that at most one of the two redundant
 /// couplers is faulty at a time (`couplerA.fault = none ∨
 /// couplerB.fault = none`); the cluster model enforces that constraint.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum CouplerFaultMode {
     /// Error-free operation.
     #[default]

@@ -9,14 +9,11 @@
 //! whole channel (the asymmetry the paper examines).
 
 use crate::window::{TimeWindow, WindowVerdict};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_types::{NodeId, SlotIndex};
 
 /// Fault modes of a local guardian.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum LocalGuardianFault {
     /// Working correctly.
     #[default]
@@ -38,7 +35,7 @@ impl fmt::Display for LocalGuardianFault {
 }
 
 /// A per-node bus guardian.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalBusGuardian {
     node: NodeId,
     slot: SlotIndex,

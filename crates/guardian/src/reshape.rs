@@ -16,12 +16,11 @@
 
 use crate::sos::{SosDefect, SosDomain};
 use crate::CouplerAuthority;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_types::{Frame, FrameClass, NodeId, SlotIndex};
 
 /// What a central guardian did with a frame that passed through it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GuardianAction {
     /// Forwarded unchanged.
     Forwarded,
@@ -70,7 +69,7 @@ impl fmt::Display for GuardianAction {
 /// The protective filter of a central guardian, parameterized by the
 /// coupler's authority: only authorities that can block may block; only
 /// authorities that can shift may reshape time-domain defects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SemanticFilter {
     authority: CouplerAuthority,
 }

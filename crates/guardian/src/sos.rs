@@ -15,11 +15,10 @@
 //! tolerance exceeds `m`. This captures the paper's mechanism (receivers
 //! *systematically* disagree) without random per-frame coin flips.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// In which domain a frame is slightly off specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SosDomain {
     /// Frame timing is marginally outside its slot window.
     Time,
@@ -41,7 +40,7 @@ impl fmt::Display for SosDomain {
 /// `magnitude` is normalized to `[0, 1]`: 0 is perfectly in spec, 1 is
 /// fully out of spec (rejected by every receiver). Values strictly
 /// between those extremes are the SOS region where receivers disagree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SosDefect {
     domain: SosDomain,
     magnitude: f64,
@@ -95,7 +94,7 @@ impl fmt::Display for SosDefect {
 /// A receiver's hardware tolerance: the largest defect magnitude it still
 /// accepts, per domain. Manufacturing variation makes these differ
 /// slightly between nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReceiverTolerance {
     time: f64,
     value: f64,

@@ -6,12 +6,11 @@
 //! guard margin around the nominal slot so that correct frames with
 //! benign jitter pass while off-slot transmissions are blocked.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open time window `[open, close)` in microticks, with a tolerance
 /// margin for judging near-boundary transmissions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeWindow {
     open: f64,
     close: f64,
@@ -103,7 +102,7 @@ impl fmt::Display for TimeWindow {
 }
 
 /// Verdict of a window check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowVerdict {
     /// Fully inside the nominal window.
     Inside,

@@ -28,8 +28,9 @@
 use crate::fairness::{FairAction, MAX_FAIR_ACTIONS};
 use std::fmt;
 use std::time::{Duration, Instant};
+use tta_base::map_chunks;
 use tta_modelcheck::hashing::fx_hash;
-use tta_modelcheck::{map_chunks, Interned, StateArena, StateCodec, TransitionSystem, NO_PARENT};
+use tta_modelcheck::{Interned, StateArena, StateCodec, TransitionSystem, NO_PARENT};
 
 /// Arena ids per stolen chunk in [`FairGraph::build_with_threads`].
 /// Graph construction decodes, expands and re-encodes per state — far

@@ -7,12 +7,11 @@
 //! `transitions`, `map`, `Display`) so downstream narration code treats
 //! both the same way.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A counterexample to a liveness property: after the `stem`, the
 /// system repeats the `cycle` forever.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lasso<S> {
     stem: Vec<S>,
     cycle: Vec<S>,

@@ -10,11 +10,10 @@ use crate::counterexample::Trace;
 use crate::hashing::FxHashMap;
 use crate::stats::ExploreStats;
 use crate::system::{Invariant, TransitionSystem};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Verdict of a bounded check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundedVerdict {
     /// No violation exists on any path of length ≤ k.
     HoldsUpToBound,

@@ -1,6 +1,5 @@
 //! Counterexample traces.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A path from an initial state to a property violation.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Produced by the breadth-first [`crate::Explorer`], the trace is the
 /// *shortest* such path — the same guarantee SMV gives and the paper
 /// relies on ("SMV produces the shortest possible trace").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace<S> {
     states: Vec<S>,
 }

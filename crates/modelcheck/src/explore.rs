@@ -23,7 +23,6 @@ use crate::hashing::fx_hash;
 use crate::intern::{StateArena, Visited, NO_PARENT};
 use crate::stats::ExploreStats;
 use crate::system::{Invariant, TransitionSystem};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Default cap on distinct states, shared by [`Explorer`] and
@@ -32,7 +31,7 @@ use std::time::Instant;
 pub const DEFAULT_MAX_STATES: u64 = 1 << 26;
 
 /// Outcome of a check: `AG p` over all reachable states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The invariant holds on every reachable state.
     Holds,

@@ -13,9 +13,9 @@
 //!   like SMV, it returns the **shortest** counterexample trace when the
 //!   property fails;
 //! * [`BoundedChecker`] — depth-bounded search (a BMC-style ablation);
-//! * [`parallel::ParallelExplorer`] — frontier-parallel BFS: workers
-//!   steal fixed-size frontier chunks off an atomic counter and the
-//!   results merge in chunk order, so every thread count reproduces the
+//! * [`parallel::ParallelExplorer`] — frontier-parallel BFS on
+//!   [`tta_base::map_chunks`]: workers steal fixed-size frontier chunks
+//!   off an atomic counter and the results merge in chunk order, so every thread count reproduces the
 //!   sequential exploration bit for bit;
 //! * [`StateCodec`] / [`StateArena`] — compact state interning: visited
 //!   sets store fixed-size encodings once, and parent links are `u32`
@@ -49,7 +49,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod bounded;
-pub mod chunks;
 pub mod codec;
 mod counterexample;
 pub mod delta;
@@ -62,7 +61,6 @@ mod stats;
 mod system;
 
 pub use bounded::{BoundedChecker, BoundedOutcome, BoundedVerdict};
-pub use chunks::map_chunks;
 pub use codec::{IdentityCodec, StateCodec};
 pub use counterexample::Trace;
 pub use delta::{DeltaArena, WordEncoded, KEY_INTERVAL, MAX_WORDS};

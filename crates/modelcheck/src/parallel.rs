@@ -2,7 +2,7 @@
 //! chunks.
 //!
 //! Layer-synchronous BFS with a two-phase layer step built on
-//! [`crate::chunks::map_chunks`]:
+//! [`tta_base::map_chunks`]:
 //!
 //! 1. **Expand** — the current layer is split into fixed-size chunks
 //!    ([`ParallelExplorer::chunk_states`] states each) that workers
@@ -28,9 +28,8 @@
 //! atomic budget claims and per-shard hash sets made the parallel
 //! explorer *slower* than the sequential one at every thread count: the
 //! only cross-thread state left is one chunk-claim counter per layer
-//! (modeled under loom in `tests/loom_merge.rs`).
+//! (modeled under loom in `tta-base`'s `tests/loom_merge.rs`).
 
-use crate::chunks::map_chunks;
 use crate::codec::{IdentityCodec, StateCodec};
 use crate::delta::{DeltaArena, WordEncoded};
 use crate::explore::{
@@ -41,6 +40,7 @@ use crate::intern::{StateArena, Visited};
 use crate::stats::ExploreStats;
 use crate::system::{Invariant, TransitionSystem};
 use std::time::Instant;
+use tta_base::{default_threads, map_chunks};
 
 /// Default states per work-stealing chunk: small enough to balance
 /// skewed successor costs, large enough that one claim (one atomic op)
@@ -80,10 +80,8 @@ impl ParallelExplorer {
     /// the same default budgets as the sequential [`crate::Explorer`].
     #[must_use]
     pub fn new() -> Self {
-        // detlint: allow(DL03) reason=default worker count; picks a schedule only, exploration results are identical at any thread count
-        let threads = std::thread::available_parallelism().map_or(4, usize::from);
         ParallelExplorer {
-            threads: threads.max(1),
+            threads: default_threads(),
             chunk_states: DEFAULT_CHUNK_STATES,
             max_states: DEFAULT_MAX_STATES,
             max_depth: u64::MAX,

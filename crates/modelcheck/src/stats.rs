@@ -1,11 +1,10 @@
 //! Exploration statistics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
 /// Statistics collected during one exploration run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExploreStats {
     /// Distinct states visited.
     pub states_explored: u64,

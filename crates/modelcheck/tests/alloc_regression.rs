@@ -10,22 +10,38 @@
 //!
 //! (The library forbids `unsafe`; a `GlobalAlloc` impl needs it, which
 //! is exactly why this lives in an integration test.)
+//!
+//! The count is per thread: the test harness runs these tests
+//! concurrently, and a shared counter would charge one test's
+//! allocations to another's measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use tta_modelcheck::{parallel::ParallelExplorer, Explorer, StateCodec, TransitionSystem, Verdict};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized and drop-free: bumping it never allocates and
+    // never registers a destructor, so the allocator cannot reenter.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread.
+fn bump() {
+    // `try_with` only fails during thread teardown, when there is no
+    // measurement window left to charge.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method delegates verbatim to the `System` allocator
-// (which upholds the `GlobalAlloc` contract) after bumping a Relaxed
-// counter; the counter itself never allocates, so no reentrancy.
+// (which upholds the `GlobalAlloc` contract) after bumping a
+// thread-local counter; the counter itself never allocates, so no
+// reentrancy.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: caller contract forwarded unchanged to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         // SAFETY: same `layout`, same contract as our own caller's.
         unsafe { System.alloc(layout) }
     }
@@ -39,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: caller contract forwarded unchanged to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         // SAFETY: `ptr`/`layout` originate from `System` via our
         // `alloc`; `new_size` is passed through untouched.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -49,8 +65,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A grid whose state is heap-free; successors write into the reused

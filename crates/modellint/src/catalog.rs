@@ -6,48 +6,9 @@
 //! changes meaning or disappears, so `--deny`/`--allow` lists and CI
 //! configurations stay valid across releases.
 
-use crate::diag::Severity;
+pub use tta_base::diag::LintCode;
 
-/// One registered lint: stable id, human slug, default severity and a
-/// one-line summary (the table in DESIGN.md is generated from this).
-#[derive(Debug)]
-pub struct LintCode {
-    /// Stable short id, e.g. `ML01`.
-    pub id: &'static str,
-    /// Human-readable slug, e.g. `vacuous-property`.
-    pub slug: &'static str,
-    /// Severity unless the analysis overrides it (e.g. downgraded to
-    /// [`Severity::Note`] when the state budget truncated the search).
-    pub default_severity: Severity,
-    /// One-line description.
-    pub summary: &'static str,
-}
-
-impl LintCode {
-    /// `id-slug`, the form rendered in brackets: `ML01-vacuous-property`.
-    #[must_use]
-    pub fn full_name(&self) -> String {
-        format!("{}-{}", self.id, self.slug)
-    }
-}
-
-macro_rules! codes {
-    ($($name:ident = $id:literal, $slug:literal, $sev:ident, $summary:literal;)*) => {
-        $(
-            #[doc = $summary]
-            pub static $name: &LintCode = &LintCode {
-                id: $id,
-                slug: $slug,
-                default_severity: Severity::$sev,
-                summary: $summary,
-            };
-        )*
-        /// Every registered lint, id order.
-        pub static CATALOG: &[&LintCode] = &[$($name),*];
-    };
-}
-
-codes! {
+tta_base::codes! {
     // ── property analysis ──────────────────────────────────────────
     ML01 = "ML01", "vacuous-property", Warning,
         "a leads-to antecedent (or invariant guard) is satisfied by zero reachable states: the property holds without constraining anything";
@@ -80,17 +41,6 @@ codes! {
         "an expect key can never be checked given the declared authority, topology or verdict";
     ML34 = "ML34", "unreachable-expect-predicate", Warning,
         "a predicate underlying expect.liveness/expect.recovery is satisfied by zero reachable states";
-}
-
-/// Looks up a code by id (`ML01`) or slug (`vacuous-property`) or full
-/// name (`ML01-vacuous-property`), case-insensitively.
-#[must_use]
-pub fn find(name: &str) -> Option<&'static LintCode> {
-    CATALOG.iter().copied().find(|c| {
-        c.id.eq_ignore_ascii_case(name)
-            || c.slug.eq_ignore_ascii_case(name)
-            || c.full_name().eq_ignore_ascii_case(name)
-    })
 }
 
 #[cfg(test)]

@@ -1,19 +1,18 @@
 //! The lint engine: expands targets, runs the analysis families, and
 //! assembles a deterministic [`LintReport`].
 //!
-//! Targets run in parallel (one worker per thread, atomic work index),
-//! but every diagnostic is produced single-threadedly *within* its
-//! target and the final report concatenates per-target results in
-//! target order — so the output is byte-identical for every `--threads`
+//! Targets run in parallel (one target per chunk of
+//! [`tta_base::map_chunks`]), but every diagnostic is produced
+//! single-threadedly *within* its target and the final report
+//! concatenates per-target results in target order — so the output is byte-identical for every `--threads`
 //! value. A proptest in `tests/` pins that claim.
 
-use crate::diag::{Diagnostic, LintReport};
+use crate::catalog;
 use crate::model_analysis::{analyze_config, AnalysisOptions, TargetEvidence};
 use crate::plan_lints::lint_plan;
-use crate::{catalog, diag::Severity};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use tta_base::diag::{Diagnostic, Gate, LintReport, Severity, Tool};
+use tta_base::{default_threads, map_chunks};
 use tta_conformance::toml::{Document, ParseErrorKind};
 use tta_conformance::{Expectations, ExpectedVerdict, Scenario};
 use tta_core::ClusterConfig;
@@ -24,8 +23,7 @@ use tta_guardian::CouplerAuthority;
 pub struct LintOptions {
     /// Reachable-space analysis tunables.
     pub analysis: AnalysisOptions,
-    /// Worker threads (0 = one per target, capped at the host's
-    /// available parallelism).
+    /// Worker threads (0 = the host's available parallelism).
     pub threads: usize,
     /// Also lint the built-in S4 property set: the per-node
     /// integration-liveness and recovery properties across all four
@@ -40,6 +38,27 @@ pub struct LintRun {
     pub report: LintReport,
     /// Reachable-space evidence per analyzed target, in target order.
     pub evidence: Vec<TargetEvidence>,
+}
+
+/// How `tta_lint` reports render: `lint summary: …`, targets under
+/// the JSON key `"target"`.
+const TOOL: Tool = Tool {
+    label: "lint",
+    target_key: "target",
+};
+
+impl LintRun {
+    /// Renders every diagnostic rustc-style plus a one-line summary.
+    #[must_use]
+    pub fn render(&self, gate: &Gate) -> String {
+        self.report.render(gate, &TOOL, None)
+    }
+
+    /// Renders the report as line-oriented JSON.
+    #[must_use]
+    pub fn render_json(&self, gate: &Gate) -> String {
+        self.report.render_json(gate, &TOOL, None)
+    }
 }
 
 /// What linting one target yields: its diagnostics plus, when the
@@ -113,44 +132,16 @@ pub fn lint(paths: &[PathBuf], opts: &LintOptions) -> LintRun {
     run
 }
 
-/// Runs the targets on a small worker pool and returns per-target
-/// results **in target order** regardless of completion order.
+/// Runs the targets on the ordered pool and returns per-target results
+/// **in target order** regardless of completion order.
 fn run_targets(targets: &[Target], opts: &LintOptions) -> Vec<TargetOutcome> {
-    let threads = effective_threads(opts.threads, targets.len());
-    // Relaxed claim counter: only fetch_add uniqueness matters; results
-    // are published through the Mutex-guarded slot vector.
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<TargetOutcome>>> =
-        Mutex::new((0..targets.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(target) = targets.get(index) else {
-                    return;
-                };
-                let outcome = run_target(target, opts);
-                results.lock().expect("no poisoned worker")[index] = Some(outcome);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|slot| slot.expect("every target processed"))
-        .collect()
-}
-
-fn effective_threads(requested: usize, targets: usize) -> usize {
-    // detlint: allow(DL03) reason=pool sizing only; per-target results are reassembled in target order
-    let available = std::thread::available_parallelism().map_or(1, usize::from);
-    let threads = if requested == 0 {
-        targets.min(available)
-    } else {
-        requested
+    let threads = match opts.threads {
+        0 => default_threads(),
+        n => n,
     };
-    threads.clamp(1, targets.max(1))
+    map_chunks(targets, 1, threads, &|_, chunk: &[Target]| {
+        run_target(&chunk[0], opts)
+    })
 }
 
 fn run_target(target: &Target, opts: &LintOptions) -> TargetOutcome {
@@ -295,13 +286,5 @@ mod tests {
         for (_, count, depth) in &evidence.antecedents {
             assert_eq!(depth.is_some(), *count > 0);
         }
-    }
-
-    #[test]
-    fn effective_threads_is_clamped() {
-        assert_eq!(effective_threads(8, 2), 2);
-        assert_eq!(effective_threads(1, 5), 1);
-        assert_eq!(effective_threads(0, 0), 1);
-        assert!(effective_threads(0, 3) >= 1);
     }
 }

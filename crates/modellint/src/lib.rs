@@ -38,16 +38,15 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod catalog;
-mod diag;
 mod engine;
 mod model_analysis;
 mod plan_lints;
 pub mod predicates;
 
 pub use catalog::LintCode;
-pub use diag::{Diagnostic, Gate, LintReport, Severity};
 pub use engine::{
     config_coverage, has_errors, lint, lint_scenario, lint_scenario_file, LintOptions, LintRun,
 };
 pub use model_analysis::{analyze_config, AnalysisOptions, TargetEvidence};
 pub use plan_lints::lint_plan;
+pub use tta_base::diag::{Diagnostic, Gate, LintReport, Severity};

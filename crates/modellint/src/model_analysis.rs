@@ -23,8 +23,9 @@
 //!   restrained-authority "Holds" row.
 
 use crate::catalog;
-use crate::diag::{Diagnostic, Severity};
 use crate::predicates;
+use tta_base::diag::{Diagnostic, Severity};
+use tta_base::json::Json;
 use tta_conformance::{Expectations, PropertyKind, PropertySpec};
 use tta_core::{cluster_startup_fairness, ClusterCodec, ClusterConfig, ClusterModel, FaultBudget};
 use tta_guardian::CouplerFaultMode;
@@ -74,34 +75,36 @@ impl TargetEvidence {
     /// Renders the evidence as one deterministic JSON line.
     #[must_use]
     pub fn render_json(&self) -> String {
-        let mut out = format!(
-            "{{\"evidence\":{{\"target\":\"{}\",\"states\":{},\"edges\":{},\"truncated\":{}",
-            self.target, self.states, self.edges, self.truncated
-        );
-        out.push_str(",\"antecedents\":[");
-        for (i, (name, count, depth)) in self.antecedents.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"name\":\"{name}\",\"satisfied\":{count}"));
-            match depth {
-                Some(d) => out.push_str(&format!(",\"first_witness_depth\":{d}}}")),
-                None => out.push_str(",\"first_witness_depth\":null}"),
-            }
-        }
-        out.push_str("],\"fault_steps\":{");
-        for (i, (mode, count)) in CouplerFaultMode::all()
+        let field = |key: &str, value: Json| (key.to_string(), value);
+        let count = |n: u64| Json::UInt(n);
+        let antecedents = self
+            .antecedents
+            .iter()
+            .map(|(name, satisfied, depth)| {
+                Json::Obj(vec![
+                    field("name", Json::str(name)),
+                    field("satisfied", count(*satisfied)),
+                    field(
+                        "first_witness_depth",
+                        depth.map_or(Json::Null, |d| count(d as u64)),
+                    ),
+                ])
+            })
+            .collect();
+        let fault_steps = CouplerFaultMode::all()
             .iter()
             .zip(self.fault_steps)
-            .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{count}", mode_key(*mode)));
-        }
-        out.push_str("}}}");
-        out
+            .map(|(mode, steps)| field(mode_key(*mode), count(steps)))
+            .collect();
+        let evidence = Json::Obj(vec![
+            field("target", Json::str(&self.target)),
+            field("states", count(self.states as u64)),
+            field("edges", count(self.edges as u64)),
+            field("truncated", Json::Bool(self.truncated)),
+            field("antecedents", Json::Arr(antecedents)),
+            field("fault_steps", Json::Obj(fault_steps)),
+        ]);
+        Json::Obj(vec![field("evidence", evidence)]).render()
     }
 }
 

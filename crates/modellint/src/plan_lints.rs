@@ -11,7 +11,7 @@
 //! precise as the simulator, intermittent duty cycles and all.
 
 use crate::catalog;
-use crate::diag::Diagnostic;
+use tta_base::diag::{Diagnostic, Severity};
 use tta_conformance::Scenario;
 use tta_sim::FaultPersistence;
 
@@ -101,7 +101,7 @@ pub fn lint_plan(target: &str, scenario: &Scenario) -> Vec<Diagnostic> {
                         event.from_slot, event.to_slot, event.to_slot
                     ),
                 )
-                .severity(crate::diag::Severity::Note),
+                .severity(Severity::Note),
             );
         }
 
@@ -273,7 +273,7 @@ mod tests {
         );
         let diags = lint_plan("t", &s);
         let ml30 = diags.iter().find(|d| d.code.id == "ML30").unwrap();
-        assert_eq!(ml30.severity, crate::diag::Severity::Note);
+        assert_eq!(ml30.severity, Severity::Note);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
+use tta_base::json::Json;
 use tta_conformance::compare_golden;
 use tta_modellint::{lint, AnalysisOptions, Gate, LintOptions};
 
@@ -35,7 +36,7 @@ fn deny_warnings() -> Gate {
 /// `$REPO` so the output is machine-independent.
 fn render_run(paths: &[PathBuf], opts: &LintOptions, gate: &Gate) -> String {
     let run = lint(paths, opts);
-    let mut out = run.report.render_json(gate);
+    let mut out = run.render_json(gate);
     for evidence in &run.evidence {
         out.push_str(&evidence.render_json());
         out.push('\n');
@@ -75,6 +76,41 @@ fn vacuous_fixture_is_denied_with_a_witness_backed_ml01() {
     // a proof of vacuity, not a budget artifact.
     let evidence = &run.evidence[0];
     assert!(!evidence.truncated, "fixture space must explore fully");
+}
+
+#[test]
+fn json_lines_stay_valid_when_the_target_path_needs_escaping() {
+    // The target path is spliced into every diagnostic and evidence
+    // line; a `"` or `\` in it must come out escaped, never as a broken
+    // line.
+    let root = std::env::temp_dir().join(format!("modellint-escape-{}", std::process::id()));
+    let dir = root.join("a \"quoted\" \\ dir");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let copy = dir.join("vacuous.toml");
+    std::fs::copy(
+        repo_root().join("scenarios/lint_fixtures/vacuous.toml"),
+        &copy,
+    )
+    .expect("copy fixture");
+    let rendered = render_run(
+        std::slice::from_ref(&copy),
+        &LintOptions::default(),
+        &deny_warnings(),
+    );
+    let _ = std::fs::remove_dir_all(&root);
+
+    let target = copy.display().to_string();
+    let mut anchored = 0;
+    for line in rendered.lines() {
+        let value = Json::parse(line).unwrap_or_else(|e| panic!("invalid JSON ({e}): {line}"));
+        let object = value.get("evidence").unwrap_or(&value);
+        if let Some(t) = object.get("target") {
+            assert_eq!(t.as_str(), Some(target.as_str()), "{line}");
+            anchored += 1;
+        }
+    }
+    // Three diagnostics (as in the golden) plus the evidence line.
+    assert_eq!(anchored, 4, "{rendered}");
 }
 
 #[test]

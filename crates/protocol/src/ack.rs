@@ -19,12 +19,11 @@
 //! sender-side state machine a downstream user would expect in a TTP/C
 //! library.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_types::{MembershipVector, NodeId};
 
 /// Verdict of the acknowledgment algorithm for one sent frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AckOutcome {
     /// The first successor saw the frame correctly.
     Acknowledged,
@@ -55,7 +54,7 @@ impl fmt::Display for AckOutcome {
 
 /// One successor observation: whether a valid frame arrived in the
 /// successor's slot and, if so, the membership it carried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuccessorFrame {
     /// No valid frame in the successor's slot.
     Missing,
@@ -77,7 +76,7 @@ pub enum SuccessorFrame {
 /// let sees_me = MembershipVector::with_members([0, 1, 2]);
 /// assert_eq!(tracker.observe(SuccessorFrame::Valid(sees_me)), Some(AckOutcome::Acknowledged));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckTracker {
     me: NodeId,
     first_verdict: Option<bool>,

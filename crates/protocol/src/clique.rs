@@ -9,7 +9,6 @@
 //! against healthy nodes.
 
 use crate::Judgment;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Saturating per-round frame counters (the paper's
@@ -17,9 +16,7 @@ use std::fmt;
 ///
 /// Counters saturate at 15, far above any per-round count in the modeled
 /// clusters, keeping the packed state small for the model checker.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CliqueCounters {
     agreed: u8,
     failed: u8,
@@ -135,7 +132,7 @@ impl fmt::Display for CliqueCounters {
 }
 
 /// Outcome of a clique-avoidance test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CliqueVerdict {
     /// No (other) traffic was observed; keep waiting / keep cold-starting.
     NoTraffic,

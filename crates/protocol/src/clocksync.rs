@@ -9,7 +9,6 @@
 //! analysis; the formal model abstracts it away (one transition = one
 //! slot).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Accumulates arrival-time deviation measurements over one round and
@@ -31,7 +30,7 @@ use std::fmt;
 /// // 100 and -90 are discarded as the single largest/smallest outliers.
 /// assert_eq!(sync.correction(), Some(1)); // avg(4, -2, 3) rounded toward zero
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockSync {
     discard: usize,
     deviations: Vec<i32>,
@@ -98,7 +97,7 @@ impl fmt::Display for ClockSync {
 
 /// A drifting local clock, parameterized by a rate deviation in parts per
 /// million. Used by the simulator to model the ρ of Section 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftingClock {
     rate_ppm: f64,
     local_microticks: f64,

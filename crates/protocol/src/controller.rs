@@ -38,13 +38,12 @@ use crate::clique::{CliqueCounters, CliqueVerdict};
 use crate::host::{HostChoices, HostPolicy};
 use crate::observation::ChannelView;
 use crate::state::ProtocolState;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_types::{NodeId, SlotIndex};
 
 /// What a node puts on the bus during the current slot, as a function of
 /// its current state (the paper's `frame_sent`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SendIntent {
     /// The node does not transmit.
     Silent,
@@ -70,7 +69,7 @@ impl SendIntent {
 
 /// Why a transition happened: forced by the protocol rules, or chosen by
 /// the (modeled) host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransitionCause {
     /// The protocol rules force this transition (deterministic
     /// consequences of the channel observation).
@@ -81,7 +80,7 @@ pub enum TransitionCause {
 }
 
 /// One enumerated successor of a controller.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Transition {
     /// The successor state.
     pub next: Controller,
@@ -92,7 +91,7 @@ pub struct Transition {
 /// Noteworthy things that happened during one transition, derived by
 /// comparing predecessor and successor. Used by trace narration and the
 /// simulator's logs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolEvent {
     /// The node left `init` and started listening.
     StartedListening,
@@ -131,7 +130,7 @@ pub enum ProtocolEvent {
 /// millions of them. Fields that are meaningless in the current protocol
 /// state are kept at canonical values so that semantically identical
 /// states collide in the visited set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Controller {
     node_id: NodeId,
     slots_per_round: u16,

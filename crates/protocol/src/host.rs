@@ -8,11 +8,10 @@
 //! time for simulation.
 
 use crate::controller::{Controller, Transition, TransitionCause};
-use serde::{Deserialize, Serialize};
 use tta_types::NodeId;
 
 /// Which nondeterministic host behaviors the transition relation includes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HostChoices {
     /// Nodes may linger in `freeze` and `init` arbitrarily long, creating
     /// the staggered startups the paper's traces rely on.

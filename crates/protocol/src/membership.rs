@@ -9,7 +9,6 @@
 //! abstracts membership into the slot-position check.
 
 use crate::Judgment;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_types::{MembershipVector, NodeId};
 
@@ -17,7 +16,7 @@ use tta_types::{MembershipVector, NodeId};
 ///
 /// A sender is (re)admitted on a correct frame and expelled after
 /// `expel_after` consecutive failed slots of its own.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MembershipService {
     members: MembershipVector,
     consecutive_failures: Vec<u8>,

@@ -1,15 +1,12 @@
 //! What a node sees on the two channels during one TDMA slot.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_types::FrameKind;
 
 /// The content of one channel during one slot, as abstracted by the
 /// paper's model: a frame kind plus the slot id the frame claims
 /// (`id_on_bus`). Silence and bad frames claim no id (0).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChannelObservation {
     /// Frame kind on the channel.
     pub kind: FrameKind,
@@ -88,7 +85,7 @@ impl fmt::Display for ChannelObservation {
 /// TTP/C distinguishes *null* (silence: neither invalid nor incorrect),
 /// *invalid* (coding violations, collisions), *incorrect* (valid but
 /// C-state/position disagrees with the receiver) and *correct* frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Judgment {
     /// No activity — does not affect the clique counters.
     Null,
@@ -109,9 +106,7 @@ impl Judgment {
 }
 
 /// Observations on both redundant channels during one slot.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChannelView {
     /// Channel 0 and channel 1 observations.
     pub channels: [ChannelObservation; 2],

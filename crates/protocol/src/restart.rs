@@ -19,11 +19,10 @@
 //! during cold start — there is nothing to restart before the node has
 //! started once.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// When (if ever) a host restarts its frozen controller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RestartPolicy {
     /// Never restart: `freeze` is absorbing, the paper's semantics and
     /// the default.

@@ -1,6 +1,5 @@
 //! The nine protocol states of a TTP/C controller.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The TTP/C controller state machine states (TTP/C High-Level
@@ -10,9 +9,7 @@ use std::fmt;
 /// `listen`, `cold_start`, `active` and `passive`; `await`, `test` and
 /// `download` are reachable only by explicit host command and are inert in
 /// the model (as in the paper, which leaves them unconstrained).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ProtocolState {
     /// Controller halted; requires host intervention to restart. Initial
     /// state of every node, and the state entered on a clique error.

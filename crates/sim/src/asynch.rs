@@ -16,7 +16,6 @@
 //! whoever hears the replay — masquerading without any TDMA, slot, or
 //! clock in sight.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 
@@ -25,7 +24,7 @@ pub type ClientId = u8;
 
 /// Messages carry only identification — the async analogue of the
 /// C-state/round-slot identity in TTP/C frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Message {
     /// "Client `id` is alive."
     Announce(ClientId),
@@ -98,7 +97,7 @@ impl Roster {
 }
 
 /// Configuration of the asynchronous masquerade demonstration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsyncMasqueradeDemo {
     /// Number of clients.
     pub clients: usize,
@@ -255,7 +254,7 @@ impl AsyncMasqueradeDemo {
 }
 
 /// Result of the asynchronous demonstration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsyncOutcome {
     /// Each client's final roster of live peers (including itself).
     pub rosters: Vec<BTreeSet<ClientId>>,

@@ -13,15 +13,16 @@ use crate::sim::SimBuilder;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use tta_base::hash::mix;
+use tta_base::{default_threads, map_chunks};
 use tta_guardian::sos::SosDomain;
 use tta_guardian::{CouplerAuthority, CouplerFaultMode};
 use tta_protocol::RestartPolicy;
 use tta_types::NodeId;
 
 /// The fault scenario a campaign injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// No fault at all (golden runs; calibrates the harness).
     FaultFree,
@@ -86,7 +87,7 @@ impl fmt::Display for Scenario {
 }
 
 /// Classification of one trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
     /// The fault did not affect any healthy node: the cluster started and
     /// nobody healthy froze.
@@ -116,7 +117,7 @@ impl Outcome {
 /// binary propagated/contained verdict of [`Outcome`] stops, this asks
 /// what the cluster looked like *after* the fault and the restart policy
 /// had fought it out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryOutcome {
     /// No healthy node ever froze and the cluster ended fully up.
     Contained,
@@ -167,7 +168,7 @@ impl fmt::Display for RecoveryOutcome {
 }
 
 /// Aggregated results of one campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Scenario injected.
     pub scenario: Scenario,
@@ -223,7 +224,7 @@ impl fmt::Display for CampaignReport {
 }
 
 /// Aggregated results of one recovery-aware campaign (experiment E10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
     /// Scenario injected.
     pub scenario: Scenario,
@@ -463,14 +464,6 @@ pub struct Campaign {
     fault_duration: Option<u64>,
 }
 
-/// SplitMix64 finalizer: decorrelates the per-trial seeds derived from
-/// `(campaign seed, scenario, trial index)`.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Campaign {
     /// Creates a campaign over `nodes` nodes with the given topology and
     /// (for star) guardian authority.
@@ -488,8 +481,7 @@ impl Campaign {
             trials: 50,
             slots: 400,
             seed: 0xDB5_2004,
-            // detlint: allow(DL03) reason=default worker count; picks a schedule only, exploration results are identical at any thread count
-            threads: std::thread::available_parallelism().map_or(1, usize::from),
+            threads: default_threads(),
             restart_policy: RestartPolicy::Never,
             fault_duration: None,
         }
@@ -620,8 +612,10 @@ impl Campaign {
         if !self.applicable(scenario) {
             return Vec::new();
         }
-        self.dispatch(|range: std::ops::Range<u32>| -> Vec<TrialResult> {
-            range.map(|index| self.run_trial(scenario, index)).collect()
+        // One trial per stolen chunk; results come back in trial order.
+        let indices: Vec<u32> = (0..self.trials).collect();
+        map_chunks(&indices, 1, self.threads, &|_, chunk: &[u32]| {
+            self.run_trial(scenario, chunk[0])
         })
     }
 
@@ -655,32 +649,6 @@ impl Campaign {
             self.restart_policy,
             &agg,
         )
-    }
-
-    /// Runs `run_range` over all trial indices, across the configured
-    /// worker threads, preserving trial order in the result.
-    fn dispatch<T: Send>(
-        &self,
-        run_range: impl Fn(std::ops::Range<u32>) -> Vec<T> + Sync,
-    ) -> Vec<T> {
-        let threads = self.threads.min(self.trials.max(1) as usize);
-        if threads <= 1 {
-            return run_range(0..self.trials);
-        }
-        let chunk = self.trials.div_ceil(threads as u32);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.trials)
-                .step_by(chunk as usize)
-                .map(|start| {
-                    let range = start..(start + chunk).min(self.trials);
-                    scope.spawn(|| run_range(range))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        })
     }
 
     fn trial(&self, scenario: Scenario, rng: &mut StdRng) -> SimReport {

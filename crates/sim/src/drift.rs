@@ -17,12 +17,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_protocol::clocksync::{ClockSync, DriftingClock};
 
 /// Configuration of a drift experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftExperiment {
     /// Number of clocks (nodes).
     pub clocks: usize,
@@ -138,7 +137,7 @@ fn healthy_spread(clocks: &[DriftingClock], byzantine: Option<usize>) -> f64 {
 }
 
 /// Result of a drift experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftReport {
     /// Largest pairwise offset between healthy clocks ever observed.
     pub max_offset_microticks: f64,

@@ -1,6 +1,5 @@
 //! Fault plans: what to inject, where, and when.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_guardian::local::LocalGuardianFault;
 use tta_guardian::sos::SosDomain;
@@ -9,7 +8,7 @@ use tta_types::NodeId;
 
 /// The misbehavior classes of a faulty *node* (transmitter-side faults;
 /// the protocol controller itself keeps running).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeFaultKind {
     /// Transmissions carry a slightly-off-specification defect of the
     /// given magnitude in the given domain (Ademaj's SOS fault).
@@ -58,7 +57,7 @@ impl fmt::Display for NodeFaultKind {
 
 /// How long an injected fault persists relative to its
 /// `[from_slot, to_slot)` window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FaultPersistence {
     /// Active throughout the window, then gone for good — the default,
     /// so every pre-existing plan literal behaves exactly as before.
@@ -133,7 +132,7 @@ impl fmt::Display for FaultPersistence {
 }
 
 /// A node fault active during `[from_slot, to_slot)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFault {
     /// The faulty node.
     pub node: NodeId,
@@ -145,7 +144,6 @@ pub struct NodeFault {
     /// [`FaultPersistence::Permanent`]).
     pub to_slot: u64,
     /// How the fault persists over the window.
-    #[serde(default)]
     pub persistence: FaultPersistence,
 }
 
@@ -158,7 +156,7 @@ impl NodeFault {
 }
 
 /// A coupler fault active during `[from_slot, to_slot)` on one channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CouplerFaultEvent {
     /// Affected channel (0 or 1).
     pub channel: usize,
@@ -170,7 +168,6 @@ pub struct CouplerFaultEvent {
     /// [`FaultPersistence::Permanent`]).
     pub to_slot: u64,
     /// How the fault persists over the window.
-    #[serde(default)]
     pub persistence: FaultPersistence,
 }
 
@@ -189,7 +186,7 @@ impl CouplerFaultEvent {
 }
 
 /// A local-guardian fault (bus topology only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardianFaultEvent {
     /// Node whose guardian fails.
     pub node: NodeId,
@@ -201,7 +198,6 @@ pub struct GuardianFaultEvent {
     /// [`FaultPersistence::Permanent`]).
     pub to_slot: u64,
     /// How the fault persists over the window.
-    #[serde(default)]
     pub persistence: FaultPersistence,
 }
 
@@ -214,7 +210,7 @@ impl GuardianFaultEvent {
 }
 
 /// Everything the simulator injects during one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     node_faults: Vec<NodeFault>,
     coupler_faults: Vec<CouplerFaultEvent>,

@@ -1,12 +1,11 @@
 //! Per-slot event logging.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_protocol::ProtocolState;
 use tta_types::NodeId;
 
 /// A noteworthy event during one simulated slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SlotEvent {
     /// A node changed protocol state.
     StateChange {
@@ -91,7 +90,7 @@ impl fmt::Display for SlotEvent {
 }
 
 /// The log of one simulation run: events grouped by absolute slot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotLog {
     entries: Vec<(u64, SlotEvent)>,
 }

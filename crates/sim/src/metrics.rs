@@ -7,7 +7,6 @@
 //! conditions, without requiring the simulator to snapshot every slot.
 
 use crate::log::{SlotEvent, SlotLog};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_protocol::ProtocolState;
 
@@ -37,7 +36,7 @@ impl fmt::Display for TimeSeriesError {
 impl std::error::Error for TimeSeriesError {}
 
 /// Per-slot series reconstructed from a run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeSeries {
     integrated: Vec<u32>,
     frozen_events: Vec<u64>,

@@ -2,7 +2,6 @@
 
 use crate::log::SlotLog;
 use crate::metrics::TimeSeries;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tta_protocol::{ProtocolState, RestartPolicy};
 use tta_types::NodeId;
@@ -13,7 +12,7 @@ use tta_types::NodeId;
 ///
 /// Episodes are only recorded for freezes *after* the node first left
 /// `freeze`; the initial cold-start dwell is not a recovery episode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryEpisode {
     /// The node that froze.
     pub node: NodeId,
@@ -41,7 +40,7 @@ impl RecoveryEpisode {
 
 /// Where the cluster settled by the end of the run, counting only
 /// healthy (non-fault-injected) nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SteadyState {
     /// Every healthy node ended the run integrated.
     FullyUp,
@@ -67,7 +66,7 @@ impl fmt::Display for SteadyState {
 }
 
 /// Everything a finished simulation reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
     slots_run: u64,
     final_states: Vec<ProtocolState>,

@@ -1,10 +1,9 @@
 //! Cluster interconnect topologies.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How nodes are interconnected and where the bus guardians sit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Topology {
     /// Replicated buses with one local guardian per node (Figure 1 of the
     /// paper). Guardians gate only *when* their node may transmit; they

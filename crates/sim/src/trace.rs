@@ -6,7 +6,6 @@
 //! and the healthy-freeze monitor — is captured here at slot boundaries
 //! by [`crate::Simulation::run_traced`].
 
-use serde::{Deserialize, Serialize};
 use tta_guardian::BufferedFrame;
 use tta_protocol::Controller;
 use tta_types::NodeId;
@@ -18,7 +17,7 @@ use tta_types::NodeId;
 /// state; the richer simulator state (membership vectors, receiver
 /// tolerances, start-delay counters) is deliberately absent — the model
 /// abstracts it away, so a conformance oracle must too.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSnapshot {
     /// Absolute slot this snapshot precedes (snapshot `k` is the state
     /// *before* slot `k` executes; the final snapshot of a run follows

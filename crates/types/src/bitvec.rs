@@ -6,7 +6,6 @@
 //! fill and drain a bit buffer) the codec layer works on an explicit bit
 //! vector rather than on bytes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A compact, growable vector of bits with MSB-first field packing.
@@ -26,7 +25,7 @@ use std::fmt;
 /// assert_eq!(bits.read_bits(0, 3), 0b101);
 /// assert_eq!(bits.read_bits(3, 4), 0xF);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct BitVec {
     words: Vec<u64>,
     len: usize,

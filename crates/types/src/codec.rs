@@ -19,7 +19,6 @@
 //! ([`crate::constants`]) rather than sizes derived from this codec.
 
 use crate::{BitVec, CState, Crc24, Frame, FrameClass, MembershipVector, NodeId};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -35,7 +34,7 @@ const TAG_X: u64 = 0b011;
 const TAG_COLD_START: u64 = 0b100;
 
 /// Errors produced while building, encoding or decoding frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
     /// An I-, X- or cold-start frame was built without a C-state.
     MissingCState(FrameClass),

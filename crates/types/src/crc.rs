@@ -9,7 +9,6 @@
 //! authority the paper scrutinizes.
 
 use crate::BitVec;
-use serde::{Deserialize, Serialize};
 
 /// Width of the CRC in bits.
 pub const CRC_BITS: u32 = 24;
@@ -39,7 +38,7 @@ const MASK: u32 = 0x00FF_FFFF;
 /// };
 /// assert_ne!(crc, altered);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Crc24 {
     state: u32,
 }

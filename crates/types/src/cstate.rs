@@ -10,13 +10,10 @@
 //! ones: the latter have no C-state of their own to compare against.
 
 use crate::{Crc24, GlobalTime, MembershipVector, RoundSlot};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cluster operating mode, carried in the C-state (3 bits in this model).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClusterMode(u8);
 
 impl ClusterMode {
@@ -52,9 +49,7 @@ impl ClusterMode {
 /// let replayed = mine.stale_copy();
 /// assert!(!mine.matches(&replayed)); // a replay is always detectably stale
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct CState {
     global_time: GlobalTime,
     round_slot: RoundSlot,

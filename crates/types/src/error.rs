@@ -1,12 +1,11 @@
 //! Crate-level error types.
 
 use crate::{NodeId, SlotIndex};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Errors constructing or consulting a MEDL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MedlError {
     /// The schedule has no slots at all.
     EmptySchedule,
@@ -56,7 +55,7 @@ impl fmt::Display for MedlError {
 impl Error for MedlError {}
 
 /// General validation errors for value types in this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeError {
     /// A field value exceeded its wire width.
     FieldOverflow {

@@ -9,15 +9,12 @@
 
 use crate::codec;
 use crate::{BitVec, CState, CodecError, MembershipVector, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The channel alphabet of the paper's formal model (Section 4.3).
 ///
 /// One value of this enum is "on" each channel in every TDMA slot.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum FrameKind {
     /// Silence: no activity observed during the slot (`none`). A silent
     /// slot is *null* — neither invalid nor incorrect.
@@ -83,7 +80,7 @@ impl fmt::Display for FrameKind {
 }
 
 /// The four TTP/C frame classes of the Bus-Compatibility Specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FrameClass {
     /// N-frame: application data with *implicit* C-state (the C-state is
     /// mixed into the CRC but not transmitted).
@@ -147,7 +144,7 @@ impl fmt::Display for FrameClass {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
     class: FrameClass,
     sender: NodeId,

@@ -9,11 +9,10 @@
 
 use crate::constants::N_FRAME_MIN_BITS;
 use crate::{FrameClass, MedlError, NodeId, SlotIndex};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Description of a single TDMA slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotDescriptor {
     sender: NodeId,
     frame_class: FrameClass,
@@ -79,7 +78,7 @@ impl SlotDescriptor {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Medl {
     slots: Vec<SlotDescriptor>,
 }

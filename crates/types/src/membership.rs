@@ -7,7 +7,6 @@
 //! between receivers, triggering clique avoidance.
 
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A set of nodes considered operational, one bit per node.
@@ -23,9 +22,7 @@ use std::fmt;
 /// members.insert(NodeId::new(1));
 /// assert_eq!(members.len(), 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MembershipVector(u64);
 
 impl MembershipVector {

@@ -10,15 +10,12 @@
 //! central guardian must not corrupt.
 
 use crate::{ClusterMode, Medl, MedlError};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// The decoded meaning of a frame's 4-bit MCR field: 0 requests nothing,
 /// value `k + 1` requests a switch to cluster mode `k`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ModeChangeRequest(u8);
 
 impl ModeChangeRequest {
@@ -78,7 +75,7 @@ impl fmt::Display for ModeChangeRequest {
 }
 
 /// Errors from mode management.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModeError {
     /// The requested mode has no schedule.
     UnknownMode {
@@ -138,7 +135,7 @@ impl Error for ModeError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModeManager {
     schedule: ClusterSchedule,
     active: u8,
@@ -211,7 +208,7 @@ impl ModeManager {
 }
 
 /// The set of per-mode schedules a cluster is configured with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSchedule {
     medls: Vec<Medl>,
 }

@@ -1,6 +1,5 @@
 //! Node identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a TTP/C node (controller + host) within a cluster.
@@ -18,9 +17,7 @@ use std::fmt;
 /// assert_eq!(b.letter(), 'B');
 /// assert_eq!(b.to_string(), "B");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(u8);
 
 impl NodeId {

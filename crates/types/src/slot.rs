@@ -6,7 +6,6 @@
 //! time base of everything above this crate.
 
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One-based index of a slot within a TDMA round.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(last.next(4), SlotIndex::new(1));
 /// assert_eq!(SlotIndex::new(2).next(4), SlotIndex::new(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SlotIndex(u16);
 
 impl SlotIndex {
@@ -113,9 +112,7 @@ impl fmt::Display for SlotIndex {
 /// Round-slot position: the monotone slot counter spanning rounds that
 /// cold-start frames carry (9 bits on the wire, per the TTP/C
 /// Bus-Compatibility Specification).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RoundSlot(u16);
 
 impl RoundSlot {
@@ -161,9 +158,7 @@ impl fmt::Display for RoundSlot {
 /// The formal model counts global time in whole TDMA slots; the simulator
 /// keeps the same convention so that model and simulation states are
 /// directly comparable.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GlobalTime(u16);
 
 impl GlobalTime {
