@@ -20,8 +20,8 @@
 //!   written to `DIR` (one `.lasso.txt` per scenario).
 //! * `exp_liveness --bench-json [PATH] [--threads N]` — record a
 //!   machine-readable snapshot of the liveness hot path (fair-graph
-//!   build sequential vs. threaded, plus the SCC check pass) to `PATH`
-//!   (default `BENCH_liveness.json`). `--threads` caps the threaded
+//!   build sequential vs. threaded, the graph's bytes per state, plus
+//!   the SCC check pass) to `PATH` (default `BENCH_liveness.json`). `--threads` caps the threaded
 //!   sweep. Threaded entries carry the same `comparable` /
 //!   `speedup_vs_sequential` fields as `BENCH_modelcheck.json`.
 
@@ -242,8 +242,9 @@ fn scenario_mode(paths: &[PathBuf], artifacts: Option<&Path>) -> ! {
 }
 
 /// Records `BENCH_liveness.json`: for the two headline S4 configs, the
-/// sequential fair-graph build time, the per-node SCC check time, and
-/// the threaded builds with their speedups, written as JSON by hand.
+/// sequential fair-graph build time and footprint per state, the
+/// per-node SCC check time, and the threaded builds with their
+/// speedups, written as JSON by hand.
 fn bench_snapshot(path: &str, max_threads: Option<usize>) {
     let host_cpus = tta_base::default_threads();
     heading("liveness hot-path snapshot (fair-graph build + SCC checks)");
@@ -275,8 +276,9 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
         }
         let graph = graph.expect("ran at least once");
         let states = graph.state_count();
+        let bytes_per_state = graph.approx_bytes() as f64 / states as f64;
         println!(
-            "{label}: {states} states, {} edges, built in {}",
+            "{label}: {states} states, {} edges, built in {}, {bytes_per_state:.1} B/state",
             graph.edge_count(),
             fmt_duration(std::time::Duration::from_secs_f64(build_secs))
         );
@@ -340,7 +342,8 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
 
         run_blocks.push(format!(
             "    {{\n      \"config\": \"{label}\",\n      \"verdict\": \"{verdict:?}\",\n      \
-             \"states\": {states},\n      \"edges\": {},\n      \"sccs_examined\": {sccs_examined},\n      \
+             \"states\": {states},\n      \"edges\": {},\n      \"graph_bytes_per_state\": {bytes_per_state:.1},\n      \
+             \"sccs_examined\": {sccs_examined},\n      \
              \"build\": {{\"seconds\": {build_secs:.6}, \"states_per_second\": {:.0}}},\n      \
              \"check_seconds\": {check_secs:.6},\n      \"threaded_build\": [\n{}\n      ]\n    }}",
             graph.edge_count(),

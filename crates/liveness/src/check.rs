@@ -294,14 +294,16 @@ impl<C: StateCodec> FairGraph<'_, C> {
         let (offsets, targets) = self.csr();
         let scc = tarjan_csr(offsets, targets, Some(&active));
         let sccs_examined = scc.count as u64;
-        let groups = scc.groups();
+        let (members, starts) = scc.grouped();
+        let component_members = |c: usize| &members[starts[c]..starts[c + 1]];
         let all = self.all_actions();
 
         // 3. Weak-fairness support test per component; pick the fair
         //    component whose entry (minimal member id) is shallowest in
         //    BFS order, for short stems and determinism.
         let mut chosen: Option<(u32, usize)> = None;
-        for (cid, members) in groups.iter().enumerate() {
+        for cid in 0..scc.count {
+            let members = component_members(cid);
             let mut has_self_loop = false;
             let mut internal_taken = 0u32;
             let mut disabled_somewhere = 0u32;
@@ -327,7 +329,7 @@ impl<C: StateCodec> FairGraph<'_, C> {
         };
 
         // 4. Stitch a fair closed walk through the component.
-        let cycle_ids = self.fair_walk(&active, &scc, cid, entry, &groups[cid]);
+        let cycle_ids = self.fair_walk(&active, &scc, cid, entry, component_members(cid));
 
         // 5. Assemble the stem.
         let stem_ids = match sources {

@@ -4,10 +4,12 @@
 //!
 //! Liveness analysis needs the *whole* reachable graph (cycles live
 //! anywhere), not just a frontier, so memory discipline matters even
-//! more than in the BFS checker. The builder reuses PR 1's interning
-//! stack — [`StateCodec`] encodings stored exactly once in a
+//! more than in the BFS checker. Graph construction reuses the safety
+//! checker's interning stack — [`StateCodec`] encodings stored once in a
 //! [`StateArena`], BFS parents as `u32` indices — and adds a CSR
-//! adjacency with one `u32` action-label bitmask per edge.
+//! adjacency with one `u32` action-label bitmask per edge. States are
+//! scanned in id order, so each state's edges are appended as its CSR
+//! row directly: no edge list, no sort.
 //!
 //! Two details keep later verdicts sound:
 //!
@@ -119,69 +121,39 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
     {
         // detlint: allow(DL02) reason=elapsed-time stats only; reported out-of-band, never part of the verification result
         let start = Instant::now();
-        let (max_states, mut arena, initial, mut truncated) =
-            Self::seed(system, codec, fairness, max_states);
-        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        let mut enabled: Vec<u32> = Vec::new();
-        let mut deadlock: Vec<bool> = Vec::new();
-        let mut edges_generated = 0u64;
+        let (max_states, mut graph) = Self::seed(system, codec, fairness, max_states);
 
         // Arena ids are assigned in insertion order, so scanning them in
         // order with new states appended at the tail is exactly BFS, and
         // arena parents give shortest stems.
         let mut succs: Vec<C::State> = Vec::new();
         let mut cursor = 0u32;
-        while (cursor as usize) < arena.len() {
+        while (cursor as usize) < graph.arena.len() {
             let id = cursor;
             cursor += 1;
-            let state = codec.decode(arena.get(id));
+            let state = codec.decode(graph.arena.get(id));
             succs.clear();
             system.successors(&state, &mut succs);
-            let mut mask = 0u32;
             if succs.is_empty() {
                 // Stutter extension: synthetic self-loop, no labels.
-                edges.push((id, id, 0));
-                enabled.push(0);
-                deadlock.push(true);
+                graph.push_edge(id, 0);
+                graph.end_row(0, true);
                 continue;
             }
+            let mut mask = 0u32;
             for succ in &succs {
-                edges_generated += 1;
+                graph.edges_generated += 1;
                 let label = edge_label(fairness, &state, succ);
                 // Enabledness counts every generated edge, kept or not.
                 mask |= label;
                 let encoded = codec.encode(succ);
-                let hash = fx_hash(&encoded);
-                let target = match arena.lookup_hashed(hash, &encoded) {
-                    Some(t) => Some(t),
-                    None if (arena.len() as u64) < max_states => {
-                        Some(arena.insert_new_hashed(hash, encoded, id))
-                    }
-                    None => {
-                        truncated = true;
-                        None
-                    }
-                };
-                if let Some(t) = target {
-                    edges.push((id, t, label));
+                if let Some(t) = graph.resolve(fx_hash(&encoded), encoded, id, max_states) {
+                    graph.push_edge(t, label);
                 }
             }
-            enabled.push(mask);
-            deadlock.push(false);
+            graph.end_row(mask, false);
         }
-
-        Self::assemble(
-            codec,
-            arena,
-            &edges,
-            enabled,
-            deadlock,
-            initial,
-            fairness,
-            truncated,
-            edges_generated,
-            start,
-        )
+        graph.finish(start)
     }
 
     /// [`Self::build`] with `threads` worker threads expanding each BFS
@@ -220,19 +192,14 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
         }
         // detlint: allow(DL02) reason=elapsed-time stats only; reported out-of-band, never part of the verification result
         let start = Instant::now();
-        let (max_states, mut arena, initial, mut truncated) =
-            Self::seed(system, codec, fairness, max_states);
-        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        let mut enabled: Vec<u32> = Vec::new();
-        let mut deadlock: Vec<bool> = Vec::new();
-        let mut edges_generated = 0u64;
+        let (max_states, mut graph) = Self::seed(system, codec, fairness, max_states);
 
         let mut wave_start = 0u32;
-        while (wave_start as usize) < arena.len() {
-            let wave_end = arena.len() as u32;
+        while (wave_start as usize) < graph.arena.len() {
+            let wave_end = graph.arena.len() as u32;
             let wave: Vec<u32> = (wave_start..wave_end).collect();
             let expansions = {
-                let shared: &StateArena<C::Encoded> = &arena;
+                let shared: &StateArena<C::Encoded> = &graph.arena;
                 map_chunks(&wave, BUILD_CHUNK_STATES, threads, &|_, ids: &[u32]| {
                     expand_wave_chunk(system, codec, shared, fairness, ids)
                 })
@@ -241,61 +208,39 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
             wave_start = wave_end;
             for node in expansions.into_iter().flatten() {
                 if node.deadlock {
-                    edges.push((id, id, 0));
-                    enabled.push(0);
-                    deadlock.push(true);
+                    graph.push_edge(id, 0);
+                    graph.end_row(0, true);
                     id += 1;
                     continue;
                 }
-                edges_generated += node.generated;
+                graph.edges_generated += node.generated;
                 for (target, label) in node.edges {
                     let resolved = match target {
                         EdgeTarget::Existing(t) => Some(t),
                         EdgeTarget::Proposal { hash, encoded } => {
-                            match arena.lookup_hashed(hash, &encoded) {
-                                Some(t) => Some(t),
-                                None if (arena.len() as u64) < max_states => {
-                                    Some(arena.insert_new_hashed(hash, encoded, id))
-                                }
-                                None => {
-                                    truncated = true;
-                                    None
-                                }
-                            }
+                            graph.resolve(hash, encoded, id, max_states)
                         }
                     };
                     if let Some(t) = resolved {
-                        edges.push((id, t, label));
+                        graph.push_edge(t, label);
                     }
                 }
-                enabled.push(node.mask);
-                deadlock.push(false);
+                graph.end_row(node.mask, false);
                 id += 1;
             }
         }
-
-        Self::assemble(
-            codec,
-            arena,
-            &edges,
-            enabled,
-            deadlock,
-            initial,
-            fairness,
-            truncated,
-            edges_generated,
-            start,
-        )
+        graph.finish(start)
     }
 
     /// Shared prologue: validate the fairness set, clamp the budget to
-    /// `u32` addressing and intern the initial states.
+    /// `u32` addressing, intern the initial states and open the CSR
+    /// with its leading 0 offset.
     fn seed<T>(
         system: &T,
-        codec: &C,
+        codec: &'c C,
         fairness: &[FairAction<C::State>],
         max_states: u64,
-    ) -> (u64, StateArena<C::Encoded>, Vec<u32>, bool)
+    ) -> (u64, Self)
     where
         T: TransitionSystem<State = C::State>,
     {
@@ -305,73 +250,86 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
             fairness.len()
         );
         let max_states = max_states.min(u64::from(u32::MAX - 1));
-        let mut arena: StateArena<C::Encoded> = StateArena::new();
-        let mut initial: Vec<u32> = Vec::new();
-        let mut truncated = false;
-        for init in system.initial_states() {
-            if (arena.len() as u64) >= max_states {
-                truncated = true;
-                break;
-            }
-            if let Interned::New(id) = arena.insert_if_absent(codec.encode(&init), NO_PARENT) {
-                initial.push(id);
-            }
-        }
-        (max_states, arena, initial, truncated)
-    }
-
-    /// Shared epilogue: counting-sort the edge list into CSR (labels
-    /// carried alongside) and assemble the graph.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        codec: &'c C,
-        arena: StateArena<C::Encoded>,
-        edges: &[(u32, u32, u32)],
-        enabled: Vec<u32>,
-        deadlock: Vec<bool>,
-        initial: Vec<u32>,
-        fairness: &[FairAction<C::State>],
-        truncated: bool,
-        edges_generated: u64,
-        start: Instant,
-    ) -> Self {
-        let n = arena.len();
-        let mut offsets = vec![0usize; n + 1];
-        for &(from, _, _) in edges {
-            offsets[from as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut fill = offsets.clone();
-        let mut targets = vec![0u32; edges.len()];
-        let mut labels = vec![0u32; edges.len()];
-        for &(from, to, label) in edges {
-            let slot = fill[from as usize];
-            targets[slot] = to;
-            labels[slot] = label;
-            fill[from as usize] += 1;
-        }
-
-        FairGraph {
+        let mut graph = FairGraph {
             codec,
-            arena,
-            offsets,
-            targets,
-            labels,
-            enabled,
-            deadlock,
-            initial,
+            arena: StateArena::new(),
+            offsets: vec![0],
+            targets: Vec::new(),
+            labels: Vec::new(),
+            enabled: Vec::new(),
+            deadlock: Vec::new(),
+            initial: Vec::new(),
             action_names: fairness.iter().map(|a| a.name().to_string()).collect(),
             action_mask: if fairness.is_empty() {
                 0
             } else {
                 u32::MAX >> (32 - fairness.len())
             },
-            truncated,
-            edges_generated,
-            build_time: start.elapsed(),
+            truncated: false,
+            edges_generated: 0,
+            build_time: Duration::ZERO,
+        };
+        for init in system.initial_states() {
+            if (graph.arena.len() as u64) >= max_states {
+                graph.truncated = true;
+                break;
+            }
+            if let Interned::New(id) = graph.arena.insert_if_absent(codec.encode(&init), NO_PARENT)
+            {
+                graph.initial.push(id);
+            }
         }
+        (max_states, graph)
+    }
+
+    /// The id of an edge target: found in the arena, or interned as a
+    /// child of `parent` while the budget lasts. A target the budget
+    /// drops resolves to `None` and marks the graph truncated.
+    fn resolve(
+        &mut self,
+        hash: u64,
+        encoded: C::Encoded,
+        parent: u32,
+        max_states: u64,
+    ) -> Option<u32> {
+        match self.arena.lookup_hashed(hash, &encoded) {
+            Some(t) => Some(t),
+            None if (self.arena.len() as u64) < max_states => {
+                Some(self.arena.insert_new_hashed(hash, encoded, parent))
+            }
+            None => {
+                self.truncated = true;
+                None
+            }
+        }
+    }
+
+    /// Appends an edge to the CSR row of the state being scanned.
+    fn push_edge(&mut self, target: u32, label: u32) {
+        self.targets.push(target);
+        self.labels.push(label);
+    }
+
+    /// Closes the scanned state's CSR row with its enabledness mask. A
+    /// truncation-frontier state, whose every successor the budget
+    /// dropped, closes an empty row.
+    fn end_row(&mut self, mask: u32, deadlock: bool) {
+        self.offsets.push(self.targets.len());
+        self.enabled.push(mask);
+        self.deadlock.push(deadlock);
+    }
+
+    /// Shared epilogue: trim the scan-grown vectors to their length, so
+    /// [`Self::approx_bytes`] counts what is resident, and stamp the
+    /// build time.
+    fn finish(mut self, start: Instant) -> Self {
+        self.offsets.shrink_to_fit();
+        self.targets.shrink_to_fit();
+        self.labels.shrink_to_fit();
+        self.enabled.shrink_to_fit();
+        self.deadlock.shrink_to_fit();
+        self.build_time = start.elapsed();
+        self
     }
 
     /// Number of distinct reachable states kept.
@@ -434,8 +392,8 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
         self.build_time
     }
 
-    /// Approximate resident bytes: the interned arena plus the CSR
-    /// arrays.
+    /// Approximate resident bytes: the interned arena plus the CSR and
+    /// per-state arrays (trimmed to length when the build finishes).
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         self.arena.approx_bytes()

@@ -29,17 +29,35 @@ pub struct SccDecomposition {
 }
 
 impl SccDecomposition {
-    /// The members of every component, grouped: `groups()[c]` lists the
-    /// node ids of component `c` in ascending order.
+    /// The members of every component, grouped by one counting sort
+    /// into a flat `(members, starts)` pair: component `c`'s node ids,
+    /// ascending, are `members[starts[c]..starts[c + 1]]`.
     #[must_use]
-    pub fn groups(&self) -> Vec<Vec<u32>> {
-        let mut groups = vec![Vec::new(); self.count];
-        for (node, &c) in self.component.iter().enumerate() {
+    pub fn grouped(&self) -> (Vec<u32>, Vec<usize>) {
+        // Count each component's size into its own slot, then turn the
+        // counts into running ends (the extra last slot ends at the
+        // total).
+        let mut starts = vec![0usize; self.count + 1];
+        for &c in &self.component {
             if c != NO_COMPONENT {
-                groups[c as usize].push(node as u32);
+                starts[c as usize] += 1;
             }
         }
-        groups
+        let mut end = 0;
+        for slot in &mut starts {
+            end += *slot;
+            *slot = end;
+        }
+        // Fill each group back to front from the highest node id down:
+        // every slot ends at its component's start, members ascending.
+        let mut members = vec![0u32; end];
+        for (node, &c) in self.component.iter().enumerate().rev() {
+            if c != NO_COMPONENT {
+                starts[c as usize] -= 1;
+                members[starts[c as usize]] = node as u32;
+            }
+        }
+        (members, starts)
     }
 }
 
@@ -166,7 +184,11 @@ fn tarjan_impl<A: ActiveSet>(offsets: &[usize], targets: &[u32], active: &A) -> 
 #[must_use]
 pub fn strongly_connected_components(node_count: usize, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
     let (offsets, targets) = csr_from_edges(node_count, edges);
-    tarjan_csr(&offsets, &targets, None).groups()
+    let (members, starts) = tarjan_csr(&offsets, &targets, None).grouped();
+    starts
+        .windows(2)
+        .map(|range| members[range[0]..range[1]].to_vec())
+        .collect()
 }
 
 /// Builds a CSR adjacency from an edge list (counting sort by source).
@@ -244,6 +266,24 @@ mod tests {
         let comps = strongly_connected_components(n as usize, &edges);
         assert_eq!(comps.len(), 1);
         assert_eq!(comps[0].len(), n as usize);
+    }
+
+    #[test]
+    fn grouping_skips_inactive_nodes_and_sorts_members() {
+        // 0 ⇄ 2 ⇄ 4 and 1 ⇄ 3, with node 5 masked out.
+        let (offsets, targets) =
+            csr_from_edges(6, &[(4, 2), (2, 4), (2, 0), (0, 2), (3, 1), (1, 3), (5, 5)]);
+        let scc = tarjan_csr(
+            &offsets,
+            &targets,
+            Some(&[true, true, true, true, true, false]),
+        );
+        let (members, starts) = scc.grouped();
+        assert_eq!(starts.len(), scc.count + 1);
+        assert_eq!(members.len(), 5);
+        let mut groups: Vec<&[u32]> = starts.windows(2).map(|r| &members[r[0]..r[1]]).collect();
+        groups.sort();
+        assert_eq!(groups, [&[0, 2, 4][..], &[1, 3][..]]);
     }
 
     #[test]

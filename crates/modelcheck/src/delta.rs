@@ -14,8 +14,8 @@
 //! Keyframes bound reconstruction cost: every [`KEY_INTERVAL`]-th state
 //! along any parent chain (and every root) is stored at full width, so
 //! reconstruction walks at most `KEY_INTERVAL - 1` parent links, each
-//! applying a sparse xor. Lookups hit this path once per hash-bucket
-//! candidate — i.e. essentially once per *duplicate* successor — which
+//! applying a sparse xor. Lookups hit this path once per index tag
+//! match — i.e. essentially once per *duplicate* successor — which
 //! trades a short xor replay for a 3–4× smaller visited set on the
 //! paper's models.
 //!
@@ -24,8 +24,8 @@
 //! same code path: verdicts, ids, parents and traces are bit-identical
 //! between the two storage schemes — footprint is the only difference.
 
-use crate::hashing::FxHashMap;
-use crate::intern::{Bucket, Visited, NO_PARENT};
+use crate::index::VisitedIndex;
+use crate::intern::{Visited, NO_PARENT};
 use std::hash::Hash;
 use std::marker::PhantomData;
 
@@ -90,8 +90,7 @@ pub struct DeltaArena<E> {
     slots: Vec<Slot>,
     parents: Vec<u32>,
     payload: Vec<u64>,
-    index: FxHashMap<u64, Bucket>,
-    collision_slots: usize,
+    index: VisitedIndex,
     /// Memo of the last parent reconstructed on the insert path:
     /// successive successors of one state share a parent, so the replay
     /// runs once per expanded state instead of once per insert.
@@ -117,8 +116,7 @@ impl<E: WordEncoded> DeltaArena<E> {
             slots: Vec::new(),
             parents: Vec::new(),
             payload: Vec::new(),
-            index: FxHashMap::default(),
-            collision_slots: 0,
+            index: VisitedIndex::default(),
             memo_id: NO_PARENT,
             memo_words: [0; MAX_WORDS],
             _encoding: PhantomData,
@@ -191,10 +189,7 @@ impl<E: WordEncoded> DeltaArena<E> {
     pub fn lookup_hashed(&self, hash: u64, encoded: &E) -> Option<u32> {
         let mut probe = [0u64; MAX_WORDS];
         encoded.write_words(&mut probe[..E::WORDS]);
-        match self.index.get(&hash)? {
-            Bucket::One(id) => self.matches(*id, &probe).then_some(*id),
-            Bucket::Many(ids) => ids.iter().copied().find(|&id| self.matches(id, &probe)),
-        }
+        self.index.find(hash, |id| self.matches(id, &probe))
     }
 
     /// Interns an encoded state the caller has just confirmed absent via
@@ -204,28 +199,18 @@ impl<E: WordEncoded> DeltaArena<E> {
     /// full-width keyframes; everything else as a sparse xor-delta
     /// against its parent (a delta touching every word is promoted to a
     /// keyframe — same size, shorter replay chains below it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena already holds `u32::MAX` states (ids are
+    /// `u32`, and [`NO_PARENT`] is reserved) or its payload outgrows
+    /// `u32` word offsets.
     pub fn insert_new_hashed(&mut self, hash: u64, encoded: &E, parent: u32) -> u32 {
-        let next_id = u32::try_from(self.slots.len()).expect("arena exceeds u32 addressing");
-        match self.index.entry(hash) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Bucket::One(next_id));
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => match slot.get_mut() {
-                Bucket::One(existing) => {
-                    let existing = *existing;
-                    self.collision_slots += 2;
-                    *slot.get_mut() = Bucket::Many(vec![existing, next_id]);
-                }
-                Bucket::Many(ids) => {
-                    self.collision_slots += 1;
-                    ids.push(next_id);
-                }
-            },
-        }
+        let start = u32::try_from(self.payload.len()).expect("payload exceeds u32 words");
+        let next_id = self.index.insert(hash, self.slots.len());
 
         let mut words = [0u64; MAX_WORDS];
         encoded.write_words(&mut words[..E::WORDS]);
-        let start = u32::try_from(self.payload.len()).expect("payload exceeds u32 words");
         let key_dist = if parent == NO_PARENT {
             0
         } else {
@@ -287,10 +272,7 @@ impl<E: WordEncoded> DeltaArena<E> {
         let payload_bytes = self.payload.capacity() * std::mem::size_of::<u64>();
         let slot_bytes = self.slots.capacity() * std::mem::size_of::<Slot>();
         let parent_bytes = self.parents.capacity() * std::mem::size_of::<u32>();
-        let index_bytes =
-            self.index.capacity() * (std::mem::size_of::<u64>() + std::mem::size_of::<Bucket>());
-        let bucket_bytes = self.collision_slots * std::mem::size_of::<u32>();
-        (payload_bytes + slot_bytes + parent_bytes + index_bytes + bucket_bytes) as u64
+        (payload_bytes + slot_bytes + parent_bytes + self.index.approx_bytes()) as u64
     }
 }
 
@@ -436,6 +418,47 @@ mod tests {
             arena.payload.len(),
             full_width
         );
+    }
+
+    /// Force every key into one hash: equal encodings must still dedup,
+    /// confirmed by delta reconstruction, and distinct ones must all be
+    /// retained.
+    #[test]
+    fn hash_collisions_are_resolved_by_equality() {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        struct Collide(Quad);
+        impl std::hash::Hash for Collide {
+            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+                0u64.hash(state);
+            }
+        }
+        impl WordEncoded for Collide {
+            const WORDS: usize = 4;
+            fn write_words(&self, out: &mut [u64]) {
+                self.0.write_words(out);
+            }
+            fn from_words(words: &[u64]) -> Self {
+                Collide(Quad::from_words(words))
+            }
+        }
+        // One parent chain past a keyframe interval, so candidates are
+        // told apart by replaying deltas as well as by keyframes.
+        let state = |i: u64| Collide(Quad([i, 1, 2, i / 3]));
+        let mut arena: DeltaArena<Collide> = DeltaArena::new();
+        let mut parent = NO_PARENT;
+        for i in 0..20u64 {
+            let hash = fx_hash(&state(i));
+            assert_eq!(arena.lookup_hashed(hash, &state(i)), None);
+            parent = arena.insert_new_hashed(hash, &state(i), parent);
+            assert_eq!(parent, i as u32);
+        }
+        for i in 0..20u64 {
+            assert_eq!(
+                arena.lookup_hashed(fx_hash(&state(i)), &state(i)),
+                Some(i as u32)
+            );
+        }
+        assert_eq!(arena.len(), 20);
     }
 
     /// The delta arena and the plain arena must agree on every id for

@@ -65,8 +65,8 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Hashes one value with [`FxHasher`] (the hash the visited-set arena
-/// and the parallel shard router both key on).
+/// Hashes one value with [`FxHasher`] (the hash both visited-set arenas
+/// key on; their index keeps its top 32 bits as a tag).
 #[inline]
 #[must_use]
 pub fn fx_hash<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {

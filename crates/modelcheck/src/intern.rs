@@ -3,16 +3,17 @@
 //! A [`StateArena`] stores each distinct encoded state **exactly once**
 //! in a flat vector, with the BFS parent recorded as a `u32` arena
 //! index instead of an `Option<State>` clone. Deduplication goes
-//! through a hash → bucket index keyed on the 64-bit Fx hash of the
-//! encoding, so the hash table never duplicates the encoded bytes the
-//! arena already owns (the classic interning layout; the old design
-//! stored every state twice — map key plus parent clone).
+//! through a compact hash index of 8 bytes per slot (a 32-bit tag of
+//! the encoding's Fx hash plus the state id), so the index never
+//! duplicates the encoded bytes the arena already owns, and a tag match
+//! is confirmed by comparing the stored state. The delta arena
+//! ([`crate::delta::DeltaArena`]) shares the same index.
 //!
-//! Parent indices are opaque to the arena: the sequential explorer
-//! stores its own arena ids, the parallel explorer stores *global*
-//! `(local << shard_bits) | shard` ids. [`NO_PARENT`] marks roots.
+//! Parent indices are opaque to the arena: both explorers store arena
+//! ids, and [`NO_PARENT`] marks roots.
 
-use crate::hashing::{fx_hash, FxHashMap};
+use crate::hashing::fx_hash;
+use crate::index::VisitedIndex;
 use std::hash::Hash;
 
 /// Parent marker for initial states (no predecessor).
@@ -25,15 +26,6 @@ pub enum Interned {
     New(u32),
     /// The state was already interned at this index.
     Present(u32),
-}
-
-/// Hash-bucket entry: almost every hash maps to a single state, so the
-/// common case stays allocation-free. Shared with the delta arena
-/// ([`crate::delta::DeltaArena`]), which keys the same way.
-#[derive(Debug, Clone)]
-pub(crate) enum Bucket {
-    One(u32),
-    Many(Vec<u32>),
 }
 
 /// The visited-set interface both explorers drive, implemented by the
@@ -77,8 +69,7 @@ pub trait Visited<E> {
 pub struct StateArena<E> {
     states: Vec<E>,
     parents: Vec<u32>,
-    index: FxHashMap<u64, Bucket>,
-    collision_slots: usize,
+    index: VisitedIndex,
 }
 
 impl<E: Eq + Hash> StateArena<E> {
@@ -88,8 +79,7 @@ impl<E: Eq + Hash> StateArena<E> {
         StateArena {
             states: Vec::new(),
             parents: Vec::new(),
-            index: FxHashMap::default(),
-            collision_slots: 0,
+            index: VisitedIndex::default(),
         }
     }
 
@@ -131,71 +121,32 @@ impl<E: Eq + Hash> StateArena<E> {
     /// hash each encoding once across dedup and insert.
     #[must_use]
     pub fn lookup_hashed(&self, hash: u64, encoded: &E) -> Option<u32> {
-        match self.index.get(&hash)? {
-            Bucket::One(id) => (self.states[*id as usize] == *encoded).then_some(*id),
-            Bucket::Many(ids) => ids
-                .iter()
-                .copied()
-                .find(|&id| self.states[id as usize] == *encoded),
-        }
+        self.index
+            .find(hash, |id| self.states[id as usize] == *encoded)
     }
 
     /// Interns an encoded state the caller has just confirmed absent via
-    /// [`Self::lookup_hashed`] with the same `hash`, skipping the
-    /// equality re-scan [`Self::insert_if_absent`] would do.
+    /// [`Self::lookup_hashed`] with the same `hash`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena already holds `u32::MAX` states: ids are
+    /// `u32`, and [`NO_PARENT`] is reserved.
     pub fn insert_new_hashed(&mut self, hash: u64, encoded: E, parent: u32) -> u32 {
-        let next_id = self.states.len() as u32;
-        match self.index.entry(hash) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Bucket::One(next_id));
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => match slot.get_mut() {
-                Bucket::One(existing) => {
-                    let existing = *existing;
-                    self.collision_slots += 2;
-                    *slot.get_mut() = Bucket::Many(vec![existing, next_id]);
-                }
-                Bucket::Many(ids) => {
-                    self.collision_slots += 1;
-                    ids.push(next_id);
-                }
-            },
-        }
+        let id = self.index.insert(hash, self.states.len());
         self.states.push(encoded);
         self.parents.push(parent);
-        next_id
+        id
     }
 
     /// Interns `encoded` with the given parent index unless it is
     /// already present.
     pub fn insert_if_absent(&mut self, encoded: E, parent: u32) -> Interned {
         let hash = fx_hash(&encoded);
-        let next_id = self.states.len() as u32;
-        match self.index.entry(hash) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Bucket::One(next_id));
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => match slot.get_mut() {
-                Bucket::One(id) => {
-                    if self.states[*id as usize] == encoded {
-                        return Interned::Present(*id);
-                    }
-                    let existing = *id;
-                    self.collision_slots += 2;
-                    *slot.get_mut() = Bucket::Many(vec![existing, next_id]);
-                }
-                Bucket::Many(ids) => {
-                    if let Some(&id) = ids.iter().find(|&&id| self.states[id as usize] == encoded) {
-                        return Interned::Present(id);
-                    }
-                    self.collision_slots += 1;
-                    ids.push(next_id);
-                }
-            },
+        match self.lookup_hashed(hash, &encoded) {
+            Some(id) => Interned::Present(id),
+            None => Interned::New(self.insert_new_hashed(hash, encoded, parent)),
         }
-        self.states.push(encoded);
-        self.parents.push(parent);
-        Interned::New(next_id)
     }
 
     /// Approximate resident bytes of the visited set: the interned
@@ -204,10 +155,7 @@ impl<E: Eq + Hash> StateArena<E> {
     pub fn approx_bytes(&self) -> u64 {
         let state_bytes = self.states.capacity() * std::mem::size_of::<E>();
         let parent_bytes = self.parents.capacity() * std::mem::size_of::<u32>();
-        let index_bytes =
-            self.index.capacity() * (std::mem::size_of::<u64>() + std::mem::size_of::<Bucket>());
-        let bucket_bytes = self.collision_slots * std::mem::size_of::<u32>();
-        (state_bytes + parent_bytes + index_bytes + bucket_bytes) as u64
+        (state_bytes + parent_bytes + self.index.approx_bytes()) as u64
     }
 }
 

@@ -55,6 +55,7 @@ pub mod delta;
 mod explore;
 pub mod graph;
 pub mod hashing;
+mod index;
 pub mod intern;
 pub mod parallel;
 mod stats;
