@@ -135,6 +135,44 @@ impl Json {
         out
     }
 
+    /// Renders the value over several lines, each object field and
+    /// array item on its own line indented by two spaces per level, for
+    /// files people read (the BENCH snapshots). Scalars render as in
+    /// [`Self::render`], and so does every empty container.
+    #[must_use]
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_pretty_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn render_pretty_into(&self, out: &mut String, depth: usize) {
+        let (open, close, len) = match self {
+            Json::Arr(items) if !items.is_empty() => ('[', ']', items.len()),
+            Json::Obj(fields) if !fields.is_empty() => ('{', '}', fields.len()),
+            _ => return self.render_into(out),
+        };
+        out.push(open);
+        for i in 0..len {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&"  ".repeat(depth + 1));
+            let value = match self {
+                Json::Arr(items) => &items[i],
+                Json::Obj(fields) => {
+                    escape_into(&fields[i].0, out);
+                    out.push_str(": ");
+                    &fields[i].1
+                }
+                _ => unreachable!("only containers reach here"),
+            };
+            value.render_pretty_into(out, depth + 1);
+        }
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+        out.push(close);
+    }
+
     fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -466,6 +504,28 @@ mod tests {
             let parsed = Json::parse(&rendered).unwrap();
             assert_eq!(parsed.as_f64(), Some(x), "{rendered}");
         }
+    }
+
+    #[test]
+    fn pretty_rendering_indents_and_parses_back() {
+        let value = Json::Obj(vec![
+            ("name".into(), Json::str("bench")),
+            ("empty".into(), Json::Arr(Vec::new())),
+            (
+                "runs".into(),
+                Json::Arr(vec![Json::Obj(vec![
+                    ("threads".into(), Json::UInt(2)),
+                    ("seconds".into(), Json::Float(0.25)),
+                ])]),
+            ),
+        ]);
+        let text = value.render_pretty();
+        assert_eq!(
+            text,
+            "{\n  \"name\": \"bench\",\n  \"empty\": [],\n  \"runs\": [\n    {\n      \
+             \"threads\": 2,\n      \"seconds\": 0.25\n    }\n  ]\n}\n"
+        );
+        assert_eq!(Json::parse(&text), Ok(value));
     }
 
     #[test]

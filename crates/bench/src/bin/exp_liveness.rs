@@ -20,22 +20,27 @@
 //!   written to `DIR` (one `.lasso.txt` per scenario).
 //! * `exp_liveness --bench-json [PATH] [--threads N]` — record a
 //!   machine-readable snapshot of the liveness hot path (fair-graph
-//!   build sequential vs. threaded, the graph's bytes per state, plus
-//!   the SCC check pass) to `PATH` (default `BENCH_liveness.json`). `--threads` caps the threaded
-//!   sweep. Threaded entries carry the same `comparable` /
+//!   build and per-node check phase, each sequential vs. threaded, plus
+//!   the graph's bytes per state) to `PATH` (default
+//!   `BENCH_liveness.json`). `--threads` caps the threaded sweeps.
+//!   Threaded entries carry the same `comparable` /
 //!   `speedup_vs_sequential` fields as `BENCH_modelcheck.json`.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_bench::{fmt_duration, heading};
+use tta_base::json::Json;
+use tta_bench::{
+    fmt_duration, fmt_secs, heading, json_obj, json_rounded, json_throughput, write_snapshot,
+    SNAPSHOT_NOTE,
+};
 use tta_conformance::{ExpectedVerdict, Scenario};
 use tta_core::{
     cluster_startup_fairness, narrate_lasso, node_integration_property, verify_cluster_liveness,
-    ClusterCodec, ClusterConfig, ClusterModel, LivenessReport, Verdict,
+    ClusterCodec, ClusterConfig, ClusterModel, ClusterState, LivenessReport, Verdict,
 };
 use tta_guardian::CouplerAuthority;
-use tta_liveness::FairGraph;
+use tta_liveness::{FairAction, FairGraph, LivenessOutcome, Property};
 use tta_modelcheck::DEFAULT_MAX_STATES;
 
 fn main() {
@@ -243,17 +248,17 @@ fn scenario_mode(paths: &[PathBuf], artifacts: Option<&Path>) -> ! {
 
 /// Records `BENCH_liveness.json`: for the two headline S4 configs, the
 /// sequential fair-graph build time and footprint per state, the
-/// per-node SCC check time, and the threaded builds with their
-/// speedups, written as JSON by hand.
+/// 1-thread check phase over every node's property, and the threaded
+/// builds and check phases with their speedups.
 fn bench_snapshot(path: &str, max_threads: Option<usize>) {
     let host_cpus = tta_base::default_threads();
-    heading("liveness hot-path snapshot (fair-graph build + SCC checks)");
+    heading("liveness hot-path snapshot (fair-graph build + per-node checks)");
     println!("host CPUs: {host_cpus}");
 
     let cap = max_threads.unwrap_or(4);
     let sweep: Vec<usize> = [2usize, 4].into_iter().filter(|&t| t <= cap).collect();
 
-    let mut run_blocks = Vec::new();
+    let mut runs_json = Vec::new();
     // Full shifting explores ~90× the states of small shifting; one
     // timed repetition keeps the snapshot affordable there.
     for (label, authority, runs) in [
@@ -264,35 +269,20 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
         let model = ClusterModel::new(config);
         let codec = ClusterCodec::new(&config);
         let fairness = cluster_startup_fairness(config.nodes);
+        let properties: Vec<Property<ClusterState>> =
+            (0..config.nodes).map(node_integration_property).collect();
 
-        let mut graph = None;
-        let mut build_secs = f64::INFINITY;
-        for _ in 0..runs {
-            // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-            let started = Instant::now();
-            let g = FairGraph::build(&model, &codec, &fairness, DEFAULT_MAX_STATES);
-            build_secs = build_secs.min(started.elapsed().as_secs_f64());
-            graph = Some(g);
-        }
-        let graph = graph.expect("ran at least once");
+        let (graph, outcomes, build_secs, check_secs) =
+            timed_runs(runs, 1, &model, &codec, &fairness, &properties);
         let states = graph.state_count();
         let bytes_per_state = graph.approx_bytes() as f64 / states as f64;
         println!(
             "{label}: {states} states, {} edges, built in {}, {bytes_per_state:.1} B/state",
             graph.edge_count(),
-            fmt_duration(std::time::Duration::from_secs_f64(build_secs))
+            fmt_secs(build_secs)
         );
-
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let check_started = Instant::now();
-        let mut sccs_examined = 0u64;
-        let mut verdicts = Vec::with_capacity(config.nodes);
-        for node in 0..config.nodes {
-            let outcome = graph.check(&node_integration_property(node));
-            sccs_examined += outcome.stats.sccs_examined;
-            verdicts.push(outcome.verdict);
-        }
-        let check_secs = check_started.elapsed().as_secs_f64();
+        let sccs_examined: u64 = outcomes.iter().map(|o| o.stats.sccs_examined).sum();
+        let verdicts: Vec<Verdict> = outcomes.iter().map(|o| o.verdict).collect();
         let verdict = if verdicts.contains(&Verdict::Violated) {
             Verdict::Violated
         } else if verdicts.contains(&Verdict::BudgetExhausted) {
@@ -303,64 +293,123 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
         println!(
             "  {} per-node checks: {verdict:?}, {sccs_examined} SCCs in {}",
             config.nodes,
-            fmt_duration(std::time::Duration::from_secs_f64(check_secs))
+            fmt_secs(check_secs)
         );
 
-        let mut threaded_entries = Vec::new();
+        let mut threaded_build = Vec::new();
+        let mut threaded_check = Vec::new();
         for &threads in &sweep {
-            let mut secs = f64::INFINITY;
-            for _ in 0..runs {
-                // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-                let started = Instant::now();
-                let g = FairGraph::build_with_threads(
-                    &model,
-                    &codec,
-                    &fairness,
-                    DEFAULT_MAX_STATES,
-                    threads,
-                );
-                secs = secs.min(started.elapsed().as_secs_f64());
-                assert_eq!(g.state_count(), states, "threaded build must agree");
-                assert_eq!(
-                    g.edge_count(),
-                    graph.edge_count(),
-                    "threaded build must agree"
-                );
-            }
-            let comparable = threads <= host_cpus;
-            let speedup = build_secs / secs;
-            println!(
-                "  threaded build, {threads} thread(s): {} ({speedup:.2}x sequential{})",
-                fmt_duration(std::time::Duration::from_secs_f64(secs)),
-                if comparable { "" } else { ", not comparable" }
+            let (threaded, threaded_outcomes, build, check) =
+                timed_runs(runs, threads, &model, &codec, &fairness, &properties);
+            assert_eq!(threaded.state_count(), states, "threaded build must agree");
+            assert_eq!(
+                threaded.edge_count(),
+                graph.edge_count(),
+                "threaded build must agree"
             );
-            threaded_entries.push(format!(
-                "        {{\"threads\": {threads}, \"seconds\": {secs:.6}, \
-                 \"speedup_vs_sequential\": {speedup:.3}, \"comparable\": {comparable}}}"
+            assert!(
+                same_outcomes(&threaded_outcomes, &outcomes),
+                "threaded checks must agree at {threads} threads"
+            );
+            drop(threaded);
+            threaded_build.push(threaded_entry(
+                "build", threads, build, build_secs, host_cpus,
+            ));
+            threaded_check.push(threaded_entry(
+                "check", threads, check, check_secs, host_cpus,
             ));
         }
 
-        run_blocks.push(format!(
-            "    {{\n      \"config\": \"{label}\",\n      \"verdict\": \"{verdict:?}\",\n      \
-             \"states\": {states},\n      \"edges\": {},\n      \"graph_bytes_per_state\": {bytes_per_state:.1},\n      \
-             \"sccs_examined\": {sccs_examined},\n      \
-             \"build\": {{\"seconds\": {build_secs:.6}, \"states_per_second\": {:.0}}},\n      \
-             \"check_seconds\": {check_secs:.6},\n      \"threaded_build\": [\n{}\n      ]\n    }}",
-            graph.edge_count(),
-            states as f64 / build_secs,
-            threaded_entries.join(",\n"),
-        ));
+        runs_json.push(json_obj([
+            ("config", Json::str(label)),
+            ("verdict", Json::str(format!("{verdict:?}"))),
+            ("states", Json::UInt(states as u64)),
+            ("edges", Json::UInt(graph.edge_count() as u64)),
+            ("graph_bytes_per_state", json_rounded(bytes_per_state, 1)),
+            ("sccs_examined", Json::UInt(sccs_examined)),
+            ("build", json_throughput(build_secs, states as u64)),
+            ("check_seconds", json_rounded(check_secs, 6)),
+            ("threaded_build", Json::Arr(threaded_build)),
+            ("threaded_check", Json::Arr(threaded_check)),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"snapshot\": \"liveness_throughput\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"note\": \"entries with comparable=false used more threads than host CPUs and only time-slice one core; judge scaling on comparable entries\",\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        run_blocks.join(",\n"),
+    let snapshot = json_obj([
+        ("snapshot", Json::str("liveness_throughput")),
+        ("host_cpus", Json::UInt(host_cpus as u64)),
+        ("note", Json::str(SNAPSHOT_NOTE)),
+        ("runs", Json::Arr(runs_json)),
+    ]);
+    write_snapshot(path, &snapshot);
+}
+
+/// `runs` repetitions at `threads` threads of the fair-graph build and
+/// the check phase over `properties`: the last repetition's graph and
+/// outcomes, then the fastest build and check times in seconds
+/// (snapshots should not be inflated by a cold first run).
+fn timed_runs<'c>(
+    runs: usize,
+    threads: usize,
+    model: &ClusterModel,
+    codec: &'c ClusterCodec,
+    fairness: &[FairAction<ClusterState>],
+    properties: &[Property<ClusterState>],
+) -> (
+    FairGraph<'c, ClusterCodec>,
+    Vec<LivenessOutcome<ClusterState>>,
+    f64,
+    f64,
+) {
+    let (mut build_secs, mut check_secs) = (f64::INFINITY, f64::INFINITY);
+    let mut last = None;
+    for _ in 0..runs {
+        // Free the previous repetition's graph before building the next.
+        drop(last.take());
+        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
+        let started = Instant::now();
+        let graph =
+            FairGraph::build_with_threads(model, codec, fairness, DEFAULT_MAX_STATES, threads);
+        build_secs = build_secs.min(started.elapsed().as_secs_f64());
+        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
+        let started = Instant::now();
+        let outcomes = graph.check_all(properties, threads);
+        check_secs = check_secs.min(started.elapsed().as_secs_f64());
+        last = Some((graph, outcomes));
+    }
+    let (graph, outcomes) = last.expect("at least one run");
+    (graph, outcomes, build_secs, check_secs)
+}
+
+/// Whether two check phases agree on every verdict, lasso and SCC count.
+fn same_outcomes(a: &[LivenessOutcome<ClusterState>], b: &[LivenessOutcome<ClusterState>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.verdict == y.verdict
+                && x.lasso == y.lasso
+                && x.stats.sccs_examined == y.stats.sccs_examined
+        })
+}
+
+/// A threaded snapshot entry with its speedup over the 1-thread time;
+/// `comparable` when it used no more threads than the host has CPUs.
+fn threaded_entry(
+    phase: &str,
+    threads: usize,
+    secs: f64,
+    sequential_secs: f64,
+    host_cpus: usize,
+) -> Json {
+    let comparable = threads <= host_cpus;
+    let speedup = sequential_secs / secs;
+    println!(
+        "  threaded {phase}, {threads} thread(s): {} ({speedup:.2}x sequential{})",
+        fmt_secs(secs),
+        if comparable { "" } else { ", not comparable" }
     );
-    std::fs::write(path, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote {path}");
+    json_obj([
+        ("threads", Json::UInt(threads as u64)),
+        ("seconds", json_rounded(secs, 6)),
+        ("speedup_vs_sequential", json_rounded(speedup, 3)),
+        ("comparable", Json::Bool(comparable)),
+    ])
 }

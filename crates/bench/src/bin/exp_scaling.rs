@@ -22,7 +22,11 @@
 
 use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_bench::{fmt_duration, heading, seed_style_bfs};
+use tta_base::json::Json;
+use tta_bench::{
+    fmt_duration, fmt_secs, heading, json_obj, json_rounded, json_throughput, seed_style_bfs,
+    write_snapshot, SNAPSHOT_NOTE,
+};
 use tta_core::{
     verify_cluster_with, CheckStrategy, ClusterConfig, ClusterModel, FaultBudget, Verdict,
 };
@@ -161,15 +165,7 @@ fn time_min<F: FnMut() -> u64>(runs: usize, mut f: F) -> (f64, u64) {
     (best, states)
 }
 
-fn json_run(seconds: f64, states: u64) -> String {
-    format!(
-        "{{\"seconds\": {seconds:.6}, \"states_per_second\": {:.0}}}",
-        states as f64 / seconds
-    )
-}
-
-/// Records `BENCH_modelcheck.json`, written by hand — it is a handful
-/// of flat fields.
+/// Records `BENCH_modelcheck.json`.
 fn bench_snapshot(path: &str, max_threads: Option<usize>) {
     const RUNS: usize = 3;
     let config = ClusterConfig::paper(CouplerAuthority::SmallShifting);
@@ -180,7 +176,7 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
     let (seed_secs, seed_states) = time_min(RUNS, || seed_style_bfs(&ClusterModel::new(config)));
     println!(
         "seed-style visited set: {seed_states} states in {}",
-        fmt_duration_secs(seed_secs)
+        fmt_secs(seed_secs)
     );
 
     let mut sequential = None;
@@ -197,7 +193,7 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
     );
     println!(
         "arena + compact codec:  {seq_states} states in {}",
-        fmt_duration_secs(seq_secs)
+        fmt_secs(seq_secs)
     );
 
     let cap = max_threads.unwrap_or(8);
@@ -219,32 +215,38 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
         let speedup = seq_secs / secs;
         println!(
             "parallel, {threads} thread(s): {states} states in {} ({speedup:.2}x sequential{})",
-            fmt_duration_secs(secs),
+            fmt_secs(secs),
             if comparable { "" } else { ", not comparable" }
         );
-        parallel_entries.push(format!(
-            "    {{\"threads\": {threads}, \"seconds\": {secs:.6}, \"states_per_second\": {:.0}, \
-             \"speedup_vs_sequential\": {speedup:.3}, \"comparable\": {comparable}}}",
-            states as f64 / secs
-        ));
+        parallel_entries.push(json_obj([
+            ("threads", Json::UInt(threads as u64)),
+            ("seconds", json_rounded(secs, 6)),
+            (
+                "states_per_second",
+                Json::UInt((states as f64 / secs) as u64),
+            ),
+            ("speedup_vs_sequential", json_rounded(speedup, 3)),
+            ("comparable", Json::Bool(comparable)),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"snapshot\": \"model_checking_throughput\",\n  \"config\": \"paper/small-shifting\",\n  \"host_cpus\": {host_cpus},\n  \"note\": \"entries with comparable=false used more threads than host CPUs and only time-slice one core; judge scaling on comparable entries\",\n  \"states\": {},\n  \"visited_bytes\": {},\n  \"bytes_per_state\": {:.1},\n  \"seed_style_visited_set\": {},\n  \"sequential_arena\": {},\n  \"parallel_arena\": [\n{}\n  ]\n}}\n",
-        seq_states,
-        sequential.stats.visited_bytes,
-        sequential.stats.bytes_per_state(),
-        json_run(seed_secs, seed_states),
-        json_run(seq_secs, seq_states),
-        parallel_entries.join(",\n"),
-    );
-    std::fs::write(path, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("\nwrote {path}");
-}
-
-fn fmt_duration_secs(secs: f64) -> String {
-    fmt_duration(std::time::Duration::from_secs_f64(secs))
+    let snapshot = json_obj([
+        ("snapshot", Json::str("model_checking_throughput")),
+        ("config", Json::str("paper/small-shifting")),
+        ("host_cpus", Json::UInt(host_cpus as u64)),
+        ("note", Json::str(SNAPSHOT_NOTE)),
+        ("states", Json::UInt(seq_states)),
+        ("visited_bytes", Json::UInt(sequential.stats.visited_bytes)),
+        (
+            "bytes_per_state",
+            json_rounded(sequential.stats.bytes_per_state(), 1),
+        ),
+        (
+            "seed_style_visited_set",
+            json_throughput(seed_secs, seed_states),
+        ),
+        ("sequential_arena", json_throughput(seq_secs, seq_states)),
+        ("parallel_arena", Json::Arr(parallel_entries)),
+    ]);
+    write_snapshot(path, &snapshot);
 }

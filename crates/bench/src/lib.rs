@@ -27,6 +27,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Duration;
+use tta_base::json::Json;
 use tta_core::{ClusterModel, ClusterState};
 use tta_modelcheck::hashing::fx_hash;
 use tta_modelcheck::TransitionSystem;
@@ -187,11 +188,57 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// [`fmt_duration`] of a time in seconds.
+#[must_use]
+pub fn fmt_secs(secs: f64) -> String {
+    fmt_duration(Duration::from_secs_f64(secs))
+}
+
 /// Formats a ratio as a percentage with two decimals (the paper's style:
 /// "30.26%").
 #[must_use]
 pub fn fmt_percent(ratio: f64) -> String {
     format!("{:.2}%", ratio * 100.0)
+}
+
+/// What a BENCH snapshot says about entries run with more threads than
+/// the host has CPUs.
+pub const SNAPSHOT_NOTE: &str = "entries with comparable=false used more threads than host CPUs \
+     and only time-slice one core; judge scaling on comparable entries";
+
+/// A JSON object with `fields` in order.
+#[must_use]
+pub fn json_obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+/// `x` rounded to `decimals` places, as a JSON number.
+#[must_use]
+pub fn json_rounded(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Float((x * scale).round() / scale)
+}
+
+/// A timed snapshot entry: wall seconds and the states per second they
+/// give.
+#[must_use]
+pub fn json_throughput(seconds: f64, states: u64) -> Json {
+    json_obj([
+        ("seconds", json_rounded(seconds, 6)),
+        (
+            "states_per_second",
+            Json::UInt((states as f64 / seconds) as u64),
+        ),
+    ])
+}
+
+/// Writes a snapshot, exiting with an error line if it cannot.
+pub fn write_snapshot(path: &str, snapshot: &Json) {
+    std::fs::write(path, snapshot.render_pretty()).unwrap_or_else(|e| {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    });
+    println!("\nwrote {path}");
 }
 
 #[cfg(test)]

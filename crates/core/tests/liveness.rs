@@ -4,10 +4,11 @@
 
 use tta_core::{
     cluster_startup_fairness, node_integration_property, node_recovery_property,
-    verify_cluster_liveness, verify_cluster_recovery, ClusterConfig, ClusterModel, Verdict,
+    verify_cluster_liveness, verify_cluster_liveness_threaded, verify_cluster_recovery,
+    ClusterConfig, ClusterModel, Verdict,
 };
 use tta_guardian::CouplerAuthority;
-use tta_modelcheck::TransitionSystem;
+use tta_modelcheck::{TransitionSystem, DEFAULT_MAX_STATES};
 
 /// S4 rows 1–3: the three restrained authorities integrate every node.
 #[test]
@@ -56,6 +57,29 @@ fn full_shifting_replay_denies_integration_forever() {
         model.initial_states().first(),
         "lasso stem must start at the initial state"
     );
+}
+
+/// The threaded build and the threaded per-node searches reproduce the
+/// sequential report exactly: verdicts, the violating node, the lasso
+/// (stem 14 + cycle 1) and every graph and SCC count.
+#[test]
+fn threaded_report_is_identical_at_any_thread_count() {
+    let config = ClusterConfig::paper_trace_cold_start();
+    let sequential = verify_cluster_liveness(&config);
+    let lasso = sequential.lasso.as_ref().expect("violated");
+    assert_eq!((lasso.stem_len(), lasso.cycle_len()), (14, 1));
+    for threads in [2, 4] {
+        let threaded = verify_cluster_liveness_threaded(&config, DEFAULT_MAX_STATES, threads);
+        assert_eq!(threaded.per_node, sequential.per_node, "{threads} threads");
+        assert_eq!(threaded.violating_node, sequential.violating_node);
+        assert_eq!(threaded.lasso, sequential.lasso, "{threads} threads");
+        let (t, s) = (&threaded.stats, &sequential.stats);
+        assert_eq!(
+            (t.states, t.edges, t.deadlock_states, t.sccs_examined),
+            (s.states, s.edges, s.deadlock_states, s.sccs_examined),
+            "{threads} threads"
+        );
+    }
 }
 
 /// Recovery (`frozen(i) ~> integrated(i)` under restart fairness) holds

@@ -24,15 +24,30 @@
 //! because the component is strongly connected. (This is exactly why
 //! the engine restricts itself to weak fairness: under strong fairness
 //! the SCC test loses completeness and needs recursive decomposition.)
+//!
+//! Checking runs in three steps ([`FairGraph::check_all`]). A *label
+//! pass* on the calling thread decodes each kept state once and records
+//! every atom of every property as one bit per state. The per-property
+//! *searches* then share nothing but the read-only graph topology and
+//! those bits, so they run on worker threads in any order. Last, the
+//! calling thread adopts their id witnesses in property order and
+//! decodes the lassos. Each search is a pure function of the graph and
+//! its property's bits, so every verdict, lasso and SCC count is the
+//! same at any thread count.
 
+use crate::bits::Bits;
 use crate::fairness::FairAction;
-use crate::graph::FairGraph;
+use crate::graph::{FairGraph, Topology};
 use crate::lasso::Lasso;
 use crate::property::{Property, StatePredicate};
-use crate::scc::{tarjan_csr, SccDecomposition};
+use crate::scc::{tarjan_in, NO_COMPONENT};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
+use tta_base::map_chunks;
 use tta_modelcheck::{StateCodec, TransitionSystem, Verdict, DEFAULT_MAX_STATES};
+
+/// Marks an unset parent link in the searches' scratch arrays.
+const UNSET: u32 = u32::MAX;
 
 /// Statistics from one liveness check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +64,10 @@ pub struct LivenessStats {
     pub truncated: bool,
     /// Wall-clock time to build the graph (shared across checks).
     pub build_time: Duration,
-    /// Wall-clock time for this property's analysis.
+    /// Wall-clock time of the check phase that examined this property:
+    /// label pass, search and lasso decoding. The properties of one
+    /// [`FairGraph::check_all`] call share one phase, so they report
+    /// the same time.
     pub check_time: Duration,
 }
 
@@ -68,7 +86,7 @@ pub struct LivenessOutcome<S> {
 
 /// One-call liveness checking: build the fair graph, check one
 /// property. For several properties over one system, build a
-/// [`FairGraph`] once and call [`FairGraph::check`] repeatedly.
+/// [`FairGraph`] once and call [`FairGraph::check_all`].
 #[derive(Debug, Clone, Copy)]
 pub struct LivenessChecker {
     max_states: u64,
@@ -114,6 +132,36 @@ impl LivenessChecker {
     }
 }
 
+/// One property's search, over atom indices into the label pass's
+/// bits: plain data, so it can cross to a worker thread while the
+/// predicates stay on the calling one.
+#[derive(Debug, Clone, Copy)]
+enum Search {
+    Always(usize),
+    Eventually(usize),
+    LeadsTo(usize, usize),
+    AlwaysEventually(usize),
+}
+
+impl Search {
+    /// The search for `property`, appending its atoms to `atoms`.
+    fn of<'p, S>(property: &'p Property<S>, atoms: &mut Vec<&'p StatePredicate<S>>) -> Search {
+        let mut atom = |p: &'p StatePredicate<S>| {
+            atoms.push(p);
+            atoms.len() - 1
+        };
+        match property {
+            Property::Always(p) => Search::Always(atom(p)),
+            Property::Eventually(p) => Search::Eventually(atom(p)),
+            Property::LeadsTo(p, q) => {
+                let p = atom(p);
+                Search::LeadsTo(p, atom(q))
+            }
+            Property::AlwaysEventually(p) => Search::AlwaysEventually(atom(p)),
+        }
+    }
+}
+
 /// Where the fair-cycle search starts and how the stem is built.
 enum Sources {
     /// Search within the restriction from these states; the stem is the
@@ -135,84 +183,142 @@ struct CycleWitness {
 }
 
 impl<C: StateCodec> FairGraph<'_, C> {
-    /// Checks `property` over this graph's fair executions.
+    /// Checks `property` over this graph's fair executions: the
+    /// one-property case of [`Self::check_all`], on the calling thread.
     #[must_use]
     pub fn check(&self, property: &Property<C::State>) -> LivenessOutcome<C::State> {
-        // detlint: allow(DL02) reason=elapsed-time stats only; reported out-of-band, never part of the verification result
-        let start = Instant::now();
-        let (witness, sccs_examined) = match property {
-            Property::Always(p) => {
-                let holds = self.eval(p);
-                (self.safety_witness(&holds), 0)
-            }
-            Property::Eventually(p) => {
-                let holds = self.eval(p);
-                let keep: Vec<bool> = holds.iter().map(|h| !h).collect();
-                let sources: Vec<u32> = self
-                    .initial()
-                    .iter()
-                    .copied()
-                    .filter(|&s| keep[s as usize])
-                    .collect();
-                self.find_fair_cycle(&keep, &Sources::Restricted(sources))
-            }
-            Property::LeadsTo(p, q) => {
-                let p_holds = self.eval(p);
-                let keep: Vec<bool> = self.eval(q).iter().map(|h| !h).collect();
-                let sources: Vec<u32> = (0..self.state_count() as u32)
-                    .filter(|&v| p_holds[v as usize] && keep[v as usize])
-                    .collect();
-                self.find_fair_cycle(&keep, &Sources::Restricted(sources))
-            }
-            Property::AlwaysEventually(p) => {
-                let keep: Vec<bool> = self.eval(p).iter().map(|h| !h).collect();
-                self.find_fair_cycle(&keep, &Sources::Anywhere)
-            }
-        };
-
-        let lasso = witness.map(|w| {
-            // A single-state cycle is synthetic stutter when the graph
-            // stores no real self-loop there: deadlock states carry the
-            // marked stutter loop, truncation-frontier states store no
-            // outgoing edge at all.
-            let entry = w.cycle_ids[0];
-            let stutter = w.cycle_ids.len() == 1
-                && (self.is_deadlock(entry) || !self.neighbors(entry).any(|(t, _)| t == entry));
-            Lasso::new(
-                w.stem_ids.iter().map(|&v| self.state(v)).collect(),
-                w.cycle_ids.iter().map(|&v| self.state(v)).collect(),
-                stutter,
-            )
-        });
-        let verdict = if lasso.is_some() {
-            Verdict::Violated
-        } else if self.is_truncated() {
-            Verdict::BudgetExhausted
-        } else {
-            Verdict::Holds
-        };
-        LivenessOutcome {
-            verdict,
-            lasso,
-            stats: LivenessStats {
-                states: self.state_count() as u64,
-                edges: self.edge_count() as u64,
-                deadlock_states: (0..self.state_count() as u32)
-                    .filter(|&v| self.is_deadlock(v))
-                    .count() as u64,
-                sccs_examined,
-                truncated: self.is_truncated(),
-                build_time: self.build_time(),
-                check_time: start.elapsed(),
-            },
-        }
+        let mut outcomes = self.check_all(std::slice::from_ref(property), 1);
+        outcomes.pop().expect("one outcome per property")
     }
 
-    /// Evaluates a predicate over every kept state, by id.
-    fn eval(&self, pred: &StatePredicate<C::State>) -> Vec<bool> {
-        (0..self.state_count() as u32)
-            .map(|v| pred.holds(&self.state(v)))
+    /// Checks every property over this graph's fair executions, running
+    /// the per-property searches on up to `threads` worker threads.
+    /// Outcomes come back in property order and are identical at every
+    /// thread count.
+    ///
+    /// A label pass on the calling thread decodes each kept state once
+    /// and records every atom of every property as one bit per state,
+    /// so predicates never leave this thread. The searches — restriction
+    /// BFS, SCC decomposition, weak-fairness test and fair walk — run on
+    /// [`map_chunks`] workers that read only the graph's topology and
+    /// those bits. Their id witnesses are adopted in property order and
+    /// the lassos decoded afterwards, again on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
+    #[must_use]
+    pub fn check_all(
+        &self,
+        properties: &[Property<C::State>],
+        threads: usize,
+    ) -> Vec<LivenessOutcome<C::State>> {
+        assert!(threads >= 1, "at least one worker thread is required");
+        // detlint: allow(DL02) reason=elapsed-time stats only; reported out-of-band, never part of the verification result
+        let start = Instant::now();
+        let mut atoms = Vec::new();
+        let searches: Vec<Search> = properties
+            .iter()
+            .map(|p| Search::of(p, &mut atoms))
+            .collect();
+        let labels = self.label(&atoms);
+        let topology = self.topology();
+        let found = map_chunks(&searches, 1, threads, &|_, search: &[Search]| {
+            topology.search(&labels, search[0])
+        });
+        let found: Vec<(Option<Lasso<C::State>>, u64)> = found
+            .into_iter()
+            .map(|(witness, sccs)| (witness.map(|w| self.lasso(&w)), sccs))
+            .collect();
+        let check_time = start.elapsed();
+
+        let deadlock_states = (0..self.state_count() as u32)
+            .filter(|&v| self.is_deadlock(v))
+            .count() as u64;
+        found
+            .into_iter()
+            .map(|(lasso, sccs_examined)| LivenessOutcome {
+                verdict: if lasso.is_some() {
+                    Verdict::Violated
+                } else if self.is_truncated() {
+                    Verdict::BudgetExhausted
+                } else {
+                    Verdict::Holds
+                },
+                lasso,
+                stats: LivenessStats {
+                    states: self.state_count() as u64,
+                    edges: self.edge_count() as u64,
+                    deadlock_states,
+                    sccs_examined,
+                    truncated: self.is_truncated(),
+                    build_time: self.build_time(),
+                    check_time,
+                },
+            })
             .collect()
+    }
+
+    /// The label pass: `labels[a]` holds the states where atom `a`
+    /// holds. Each kept state is decoded once, whatever the number of
+    /// atoms.
+    fn label(&self, atoms: &[&StatePredicate<C::State>]) -> Vec<Bits> {
+        let n = self.state_count();
+        let mut labels: Vec<Bits> = atoms.iter().map(|_| Bits::new(n)).collect();
+        if atoms.is_empty() {
+            return labels;
+        }
+        for v in 0..n as u32 {
+            let state = self.state(v);
+            for (atom, bits) in atoms.iter().zip(&mut labels) {
+                if atom.holds(&state) {
+                    bits.insert(v);
+                }
+            }
+        }
+        labels
+    }
+
+    /// Decodes an id witness into a lasso.
+    fn lasso(&self, w: &CycleWitness) -> Lasso<C::State> {
+        // A single-state cycle is synthetic stutter when the graph
+        // stores no real self-loop there: deadlock states carry the
+        // marked stutter loop, truncation-frontier states store no
+        // outgoing edge at all.
+        let entry = w.cycle_ids[0];
+        let stutter = w.cycle_ids.len() == 1
+            && (self.is_deadlock(entry) || !self.neighbors(entry).any(|(t, _)| t == entry));
+        Lasso::new(
+            w.stem_ids.iter().map(|&v| self.state(v)).collect(),
+            w.cycle_ids.iter().map(|&v| self.state(v)).collect(),
+            stutter,
+        )
+    }
+}
+
+impl Topology<'_> {
+    /// One property's search: the id witness of a violation, if any,
+    /// and the number of strongly connected components examined.
+    fn search(&self, labels: &[Bits], search: Search) -> (Option<CycleWitness>, u64) {
+        match search {
+            Search::Always(p) => (self.safety_witness(&labels[p]), 0),
+            Search::Eventually(p) => {
+                let sources = self
+                    .initial
+                    .iter()
+                    .copied()
+                    .filter(|&s| !labels[p].contains(s))
+                    .collect();
+                self.find_fair_cycle(&labels[p], &Sources::Restricted(sources))
+            }
+            Search::LeadsTo(p, q) => {
+                let sources = (0..self.state_count() as u32)
+                    .filter(|&v| labels[p].contains(v) && !labels[q].contains(v))
+                    .collect();
+                self.find_fair_cycle(&labels[q], &Sources::Restricted(sources))
+            }
+            Search::AlwaysEventually(p) => self.find_fair_cycle(&labels[p], &Sources::Anywhere),
+        }
     }
 
     /// Safety violation in lasso form: the shortest path to a `¬p`
@@ -221,12 +327,12 @@ impl<C: StateCodec> FairGraph<'_, C> {
     /// states carry a stutter loop, so only budget-dropped successors
     /// can leave a state without a stored edge). Any extension violates
     /// `G p`; no fairness analysis is needed.
-    fn safety_witness(&self, holds: &[bool]) -> Option<CycleWitness> {
-        let bad = (0..self.state_count() as u32).find(|&v| !holds[v as usize])?;
+    fn safety_witness(&self, holds: &Bits) -> Option<CycleWitness> {
+        let bad = (0..self.state_count() as u32).find(|&v| !holds.contains(v))?;
         let mut path = self.stem_ids_to(bad);
-        let mut position = vec![usize::MAX; self.state_count()];
+        let mut position = vec![UNSET; self.state_count()];
         for (i, &v) in path.iter().enumerate() {
-            position[v as usize] = i;
+            position[v as usize] = i as u32;
         }
         loop {
             let cur = *path.last().expect("path starts non-empty");
@@ -242,47 +348,47 @@ impl<C: StateCodec> FairGraph<'_, C> {
                     cycle_ids: vec![entry],
                 });
             };
-            if position[next as usize] != usize::MAX {
-                let at = position[next as usize];
+            if position[next as usize] != UNSET {
+                let at = position[next as usize] as usize;
                 let cycle_ids = path.split_off(at);
                 return Some(CycleWitness {
                     stem_ids: path,
                     cycle_ids,
                 });
             }
-            position[next as usize] = path.len();
+            position[next as usize] = path.len() as u32;
             path.push(next);
         }
     }
 
-    /// Finds a weakly-fair cycle within the `keep` restriction,
+    /// Finds a weakly-fair cycle among the states outside `avoid`,
     /// reachable as `sources` prescribes, and assembles the full
     /// stem/cycle id witness. The second element counts the strongly
     /// connected components examined, witness or not.
-    fn find_fair_cycle(&self, keep: &[bool], sources: &Sources) -> (Option<CycleWitness>, u64) {
+    fn find_fair_cycle(&self, avoid: &Bits, sources: &Sources) -> (Option<CycleWitness>, u64) {
         let n = self.state_count();
-        const UNSET: u32 = u32::MAX;
 
         // 1. The active node set, plus restricted-BFS parents when the
         //    search is anchored at sources.
-        let mut restricted_parent = vec![UNSET; n];
-        let active: Vec<bool> = match sources {
-            Sources::Anywhere => keep.to_vec(),
+        let mut restricted_parent = Vec::new();
+        let active = match sources {
+            Sources::Anywhere => Bits::complement(avoid, n),
             Sources::Restricted(srcs) => {
-                let mut seen = vec![false; n];
-                let mut queue = VecDeque::new();
+                restricted_parent = vec![UNSET; n];
+                let mut seen = Bits::new(n);
+                let mut queue = Vec::new();
                 for &s in srcs {
-                    if keep[s as usize] && !seen[s as usize] {
-                        seen[s as usize] = true;
-                        queue.push_back(s);
+                    if !avoid.contains(s) && seen.insert(s) {
+                        queue.push(s);
                     }
                 }
-                while let Some(v) = queue.pop_front() {
+                let mut head = 0;
+                while let Some(&v) = queue.get(head) {
+                    head += 1;
                     for (w, _) in self.neighbors(v) {
-                        if keep[w as usize] && !seen[w as usize] {
-                            seen[w as usize] = true;
+                        if !avoid.contains(w) && seen.insert(w) {
                             restricted_parent[w as usize] = v;
-                            queue.push_back(w);
+                            queue.push(w);
                         }
                     }
                 }
@@ -291,47 +397,53 @@ impl<C: StateCodec> FairGraph<'_, C> {
         };
 
         // 2. SCCs of the active subgraph.
-        let (offsets, targets) = self.csr();
-        let scc = tarjan_csr(offsets, targets, Some(&active));
+        let scc = tarjan_in(self.offsets, self.targets, &active);
         let sccs_examined = scc.count as u64;
-        let (members, starts) = scc.grouped();
-        let component_members = |c: usize| &members[starts[c]..starts[c + 1]];
-        let all = self.all_actions();
+        let component = &scc.component;
 
-        // 3. Weak-fairness support test per component; pick the fair
-        //    component whose entry (minimal member id) is shallowest in
-        //    BFS order, for short stems and determinism.
-        let mut chosen: Option<(u32, usize)> = None;
-        for cid in 0..scc.count {
-            let members = component_members(cid);
-            let mut has_self_loop = false;
-            let mut internal_taken = 0u32;
-            let mut disabled_somewhere = 0u32;
-            for &v in members {
-                disabled_somewhere |= !self.enabled_mask(v) & all;
-                for (w, label) in self.neighbors(v) {
-                    if active[w as usize] && scc.component[w as usize] == cid as u32 {
-                        internal_taken |= label;
-                        has_self_loop |= w == v;
-                    }
-                }
+        // 3. Weak-fairness support per component, in one pass over the
+        //    active states and their edges: the actions some member
+        //    disables, the actions some internal edge takes, and
+        //    whether the component has an internal edge at all — a
+        //    cycle, since the component is strongly connected.
+        let all = self.all_actions;
+        let mut disabled = vec![0u32; scc.count];
+        let mut taken = vec![0u32; scc.count];
+        let mut cyclic = Bits::new(scc.count);
+        for v in 0..n as u32 {
+            let c = component[v as usize];
+            if c == NO_COMPONENT {
+                continue;
             }
-            let has_cycle = members.len() > 1 || has_self_loop;
-            if has_cycle && (disabled_somewhere | internal_taken) == all {
-                let entry = members[0]; // members ascend: minimal id
-                if chosen.is_none_or(|(best, _)| entry < best) {
-                    chosen = Some((entry, cid));
+            disabled[c as usize] |= !self.enabled_mask(v) & all;
+            for (w, label) in self.neighbors(v) {
+                if component[w as usize] == c {
+                    taken[c as usize] |= label;
+                    cyclic.insert(c);
                 }
             }
         }
-        let Some((entry, cid)) = chosen else {
-            return (None, sccs_examined);
+        let fair = |c: u32| {
+            c != NO_COMPONENT
+                && cyclic.contains(c)
+                && (disabled[c as usize] | taken[c as usize]) == all
         };
 
-        // 4. Stitch a fair closed walk through the component.
-        let cycle_ids = self.fair_walk(&active, &scc, cid, entry, component_members(cid));
+        // 4. Pick the fair component whose entry (minimal member id) is
+        //    shallowest in BFS order, for short stems and determinism:
+        //    the one holding the least state of any fair component.
+        let Some(entry) = (0..n as u32).find(|&v| fair(component[v as usize])) else {
+            return (None, sccs_examined);
+        };
+        let cid = component[entry as usize];
+        let members: Vec<u32> = (entry..n as u32)
+            .filter(|&v| component[v as usize] == cid)
+            .collect();
 
-        // 5. Assemble the stem.
+        // 5. Stitch a fair closed walk through the component.
+        let cycle_ids = self.fair_walk(component, cid, &members);
+
+        // 6. Assemble the stem.
         let stem_ids = match sources {
             Sources::Anywhere => {
                 let mut chain = self.stem_ids_to(entry);
@@ -364,26 +476,21 @@ impl<C: StateCodec> FairGraph<'_, C> {
         )
     }
 
-    /// Builds a closed walk from `entry` through the strongly connected
-    /// component `cid` that witnesses weak fairness of every action:
-    /// for each action the walk contains a state where it is disabled
-    /// or traverses an edge taking it.
-    fn fair_walk(
-        &self,
-        active: &[bool],
-        scc: &SccDecomposition,
-        cid: usize,
-        entry: u32,
-        members: &[u32],
-    ) -> Vec<u32> {
-        let in_comp = |v: u32| active[v as usize] && scc.component[v as usize] == cid as u32;
+    /// Builds a closed walk from the component's entry `members[0]`
+    /// through component `cid` that witnesses weak fairness of every
+    /// action: for each action the walk contains a state where it is
+    /// disabled or traverses an edge taking it. `members` lists the
+    /// component's states in ascending id order.
+    fn fair_walk(&self, component: &[u32], cid: u32, members: &[u32]) -> Vec<u32> {
+        let in_comp = |v: u32| component[v as usize] == cid;
+        let entry = members[0];
         let mut walk = vec![entry];
 
         // Fairness support accumulated incrementally as the walk grows:
         // a bit is set once the walk visits a state where the action is
         // disabled or traverses an edge taking it, so no segment is
         // ever rescanned.
-        let all = self.all_actions();
+        let all = self.all_actions;
         let mut satisfied = !self.enabled_mask(entry) & all;
         for bit in (0..32).map(|i| 1u32 << i).filter(|b| all & b != 0) {
             if satisfied & bit != 0 {
@@ -392,7 +499,7 @@ impl<C: StateCodec> FairGraph<'_, C> {
             let cur = *walk.last().expect("walk starts at entry");
             if let Some(&w) = members.iter().find(|&&v| self.enabled_mask(v) & bit == 0) {
                 // Visit a state where the action is disabled.
-                let hop = self.path_in_comp(&in_comp, cur, w);
+                let hop = self.path_in_comp(members, &in_comp, cur, w);
                 self.extend_walk(&mut walk, &mut satisfied, hop.into_iter().skip(1));
             } else {
                 // Traverse an edge that takes the action (the fairness
@@ -405,7 +512,7 @@ impl<C: StateCodec> FairGraph<'_, C> {
                             .map(|(v, _)| (u, v))
                     })
                     .expect("fair component has an internal edge taking the action");
-                let hop = self.path_in_comp(&in_comp, cur, u);
+                let hop = self.path_in_comp(members, &in_comp, cur, u);
                 let hop = hop.into_iter().skip(1).chain(std::iter::once(v));
                 self.extend_walk(&mut walk, &mut satisfied, hop);
             }
@@ -422,13 +529,13 @@ impl<C: StateCodec> FairGraph<'_, C> {
                 .find(|&(w, _)| in_comp(w))
                 .expect("a cyclic component has an internal successor");
             walk.push(first_hop);
-            let back = self.path_in_comp(&in_comp, first_hop, entry);
+            let back = self.path_in_comp(members, &in_comp, first_hop, entry);
             walk.extend(back.into_iter().skip(1));
             walk.pop(); // drop the repeated entry; the closing edge is implicit
         } else if cur == entry {
             walk.pop();
         } else {
-            let back = self.path_in_comp(&in_comp, cur, entry);
+            let back = self.path_in_comp(members, &in_comp, cur, entry);
             walk.extend(back.into_iter().skip(1));
             walk.pop();
         }
@@ -445,7 +552,7 @@ impl<C: StateCodec> FairGraph<'_, C> {
         satisfied: &mut u32,
         suffix: impl IntoIterator<Item = u32>,
     ) {
-        let all = self.all_actions();
+        let all = self.all_actions;
         for v in suffix {
             let prev = *walk.last().expect("walk is non-empty");
             *satisfied |= self.edge_label(prev, v) | (!self.enabled_mask(v) & all);
@@ -462,31 +569,38 @@ impl<C: StateCodec> FairGraph<'_, C> {
     }
 
     /// Shortest path `from → to` inside one strongly connected
-    /// component (both endpoints inclusive).
+    /// component (both endpoints inclusive). BFS parents are kept by
+    /// position in the ascending `members`, so the scratch is the size
+    /// of the component, not of the graph.
     ///
     /// # Panics
     ///
     /// Panics if `to` is unreachable — impossible within an SCC.
-    fn path_in_comp(&self, in_comp: &dyn Fn(u32) -> bool, from: u32, to: u32) -> Vec<u32> {
+    fn path_in_comp(
+        &self,
+        members: &[u32],
+        in_comp: &dyn Fn(u32) -> bool,
+        from: u32,
+        to: u32,
+    ) -> Vec<u32> {
         if from == to {
             return vec![from];
         }
-        let mut parent = vec![u32::MAX; self.state_count()];
-        let mut seen = vec![false; self.state_count()];
-        seen[from as usize] = true;
+        let slot = |v: u32| members.binary_search(&v).expect("a component member");
+        let mut parent = vec![UNSET; members.len()];
+        parent[slot(from)] = from;
         let mut queue = VecDeque::from([from]);
         while let Some(v) = queue.pop_front() {
             for (w, _) in self.neighbors(v) {
-                if !in_comp(w) || seen[w as usize] {
+                if !in_comp(w) || parent[slot(w)] != UNSET {
                     continue;
                 }
-                seen[w as usize] = true;
-                parent[w as usize] = v;
+                parent[slot(w)] = v;
                 if w == to {
                     let mut path = vec![to];
                     let mut cur = to;
                     while cur != from {
-                        cur = parent[cur as usize];
+                        cur = parent[slot(cur)];
                         path.push(cur);
                     }
                     path.reverse();
@@ -756,5 +870,112 @@ mod tests {
         assert_eq!(out.verdict, Verdict::Violated);
         let lasso = out.lasso.unwrap();
         assert_eq!(lasso.cycle(), [3]);
+    }
+
+    /// A 300-state mixing system: up to two successors per state and
+    /// some deadlocks, enough SCC structure for every search kind.
+    struct Mixer;
+    impl TransitionSystem for Mixer {
+        type State = u32;
+        fn initial_states(&self) -> Vec<u32> {
+            vec![0]
+        }
+        fn successors(&self, s: &u32, out: &mut Vec<u32>) {
+            if s % 47 == 5 {
+                return;
+            }
+            out.push((s * 7 + 3) % 300);
+            if !s.is_multiple_of(13) {
+                out.push((s + 1) % 300);
+            }
+        }
+    }
+
+    fn mixer_properties() -> Vec<Property<u32>> {
+        vec![
+            Property::always("below 250", |s| *s < 250),
+            Property::always("anything", |_| true),
+            Property::eventually("at 299", |s| *s == 299),
+            Property::eventually("even", |s| s % 2 == 0),
+            Property::leads_to("odd", |s| s % 2 == 1, "multiple of 5", |s| s % 5 == 0),
+            Property::leads_to("any", |_| true, "at 0", |s| *s == 0),
+            Property::always_eventually("multiple of 3", |s| s % 3 == 0),
+            Property::always_eventually("never", |_| false),
+        ]
+    }
+
+    #[test]
+    fn check_all_matches_per_property_checks_at_any_thread_count() {
+        for max_states in [1 << 20, 120] {
+            let step = FairAction::new("step", |a: &u32, b: &u32| *b == a + 1);
+            let graph = FairGraph::build(&Mixer, &CODEC, &[step], max_states);
+            assert_eq!(graph.is_truncated(), max_states == 120);
+            let properties = mixer_properties();
+            let one_by_one: Vec<_> = properties.iter().map(|p| graph.check(p)).collect();
+            let verdicts: Vec<Verdict> = one_by_one.iter().map(|o| o.verdict).collect();
+            assert!(verdicts.contains(&Verdict::Violated), "{verdicts:?}");
+            assert!(
+                verdicts.iter().any(|&v| v != Verdict::Violated),
+                "{verdicts:?}"
+            );
+            assert!(one_by_one
+                .iter()
+                .any(|o| o.lasso.as_ref().is_some_and(Lasso::is_stutter)));
+            for threads in [1, 2, 4] {
+                let all = graph.check_all(&properties, threads);
+                assert_eq!(all.len(), properties.len());
+                for (i, (a, b)) in all.iter().zip(&one_by_one).enumerate() {
+                    let at = format!("property {i}, {threads} threads, budget {max_states}");
+                    assert_eq!(a.verdict, b.verdict, "{at}");
+                    assert_eq!(a.lasso, b.lasso, "{at}");
+                    assert_eq!(a.stats.sccs_examined, b.stats.sccs_examined, "{at}");
+                    assert_eq!(a.stats.check_time, all[0].stats.check_time, "{at}");
+                }
+            }
+        }
+    }
+
+    /// An identity codec counting its decodes. A `Cell` makes it neither
+    /// `Send` nor `Sync`: the searches never touch the codec.
+    #[derive(Default)]
+    struct CountingCodec {
+        decodes: std::cell::Cell<u64>,
+    }
+    impl StateCodec for CountingCodec {
+        type State = u32;
+        type Encoded = u32;
+        fn encode(&self, s: &u32) -> u32 {
+            *s
+        }
+        fn decode(&self, e: &u32) -> u32 {
+            self.decodes.set(self.decodes.get() + 1);
+            *e
+        }
+    }
+
+    #[test]
+    fn check_all_decodes_each_state_once_plus_the_lassos() {
+        let codec = CountingCodec::default();
+        let graph = FairGraph::build(&Mixer, &codec, &[], 1 << 20);
+        // An `Rc` makes this predicate neither `Send` nor `Sync`: it
+        // only runs in the label pass on the calling thread.
+        let bound = std::rc::Rc::new(250u32);
+        let mut properties = mixer_properties();
+        properties.push(Property::always("below bound", move |s| *s < *bound));
+        for threads in [1, 2] {
+            let before = codec.decodes.get();
+            let outcomes = graph.check_all(&properties, threads);
+            let lasso_states: usize = outcomes
+                .iter()
+                .filter_map(|o| o.lasso.as_ref())
+                .map(|l| l.stem_len() + l.cycle_len())
+                .sum();
+            assert!(lasso_states > 0);
+            assert_eq!(
+                (codec.decodes.get() - before) as usize,
+                graph.state_count() + lasso_states,
+                "{threads} threads"
+            );
+        }
     }
 }

@@ -72,6 +72,60 @@ pub struct ActionUsage {
     pub labeled_edges: u64,
 }
 
+/// What the property searches read of a [`FairGraph`]: the labeled CSR,
+/// the per-state masks and the BFS parents, as plain slices. It holds
+/// no codec and no encoded state, so searches share it across worker
+/// threads whatever the codec.
+#[derive(Clone, Copy)]
+pub(crate) struct Topology<'g> {
+    pub(crate) offsets: &'g [usize],
+    pub(crate) targets: &'g [u32],
+    labels: &'g [u32],
+    enabled: &'g [u32],
+    deadlock: &'g [bool],
+    parents: &'g [u32],
+    pub(crate) initial: &'g [u32],
+    /// Bitmask covering every registered action.
+    pub(crate) all_actions: u32,
+}
+
+impl<'g> Topology<'g> {
+    /// Number of states.
+    pub(crate) fn state_count(&self) -> usize {
+        self.enabled.len()
+    }
+
+    /// Outgoing `(target, label)` pairs of `v`, stutter loop included.
+    pub(crate) fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + 'g {
+        let range = self.offsets[v as usize]..self.offsets[v as usize + 1];
+        let (targets, labels) = (self.targets, self.labels);
+        range.map(move |i| (targets[i], labels[i]))
+    }
+
+    /// Actions enabled in `v`.
+    pub(crate) fn enabled_mask(&self, v: u32) -> u32 {
+        self.enabled[v as usize]
+    }
+
+    /// Whether `v` carries a synthetic stutter loop.
+    pub(crate) fn is_deadlock(&self, v: u32) -> bool {
+        self.deadlock[v as usize]
+    }
+
+    /// The shortest-path id chain from an initial state to `v`
+    /// (inclusive), via arena parents.
+    pub(crate) fn stem_ids_to(&self, v: u32) -> Vec<u32> {
+        let mut chain = vec![v];
+        let mut cur = v;
+        while self.parents[cur as usize] != NO_PARENT {
+            cur = self.parents[cur as usize];
+            chain.push(cur);
+        }
+        chain.reverse();
+        chain
+    }
+}
+
 /// The reachable state graph of a [`TransitionSystem`], interned through
 /// a [`StateCodec`], labeled with weak-fairness actions.
 pub struct FairGraph<'c, C: StateCodec> {
@@ -367,7 +421,7 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
     /// loop.
     #[must_use]
     pub fn is_deadlock(&self, id: u32) -> bool {
-        self.deadlock[id as usize]
+        self.topology().is_deadlock(id)
     }
 
     /// Decodes the state stored at `id`.
@@ -412,10 +466,7 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
     /// the vacuity and coverage analyses in `tta-modellint` — can walk
     /// the labeled adjacency without rebuilding the space.
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let range = self.offsets[v as usize]..self.offsets[v as usize + 1];
-        range
-            .clone()
-            .map(move |i| (self.targets[i], self.labels[i]))
+        self.topology().neighbors(v)
     }
 
     /// Actions enabled in `v`, as a bitmask in [`Self::action_names`]
@@ -424,7 +475,7 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
     /// truncation artifact.
     #[must_use]
     pub fn enabled_mask(&self, v: u32) -> u32 {
-        self.enabled[v as usize]
+        self.topology().enabled_mask(v)
     }
 
     /// Per-action usage statistics over the kept graph: for each
@@ -469,38 +520,21 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
     /// vacuity analyses to report how deep the first witness lies.
     #[must_use]
     pub fn bfs_depth(&self, v: u32) -> usize {
-        self.stem_ids_to(v).len() - 1
+        self.topology().stem_ids_to(v).len() - 1
     }
 
-    // ── internals shared with the property algorithms (check.rs) ──
-
-    /// Bitmask covering every registered action.
-    pub(crate) fn all_actions(&self) -> u32 {
-        self.action_mask
-    }
-
-    /// BFS parent of `v` in the arena ([`NO_PARENT`] for initial
-    /// states).
-    pub(crate) fn bfs_parent(&self, v: u32) -> u32 {
-        self.arena.parent(v)
-    }
-
-    /// The shortest-path id chain from an initial state to `v`
-    /// (inclusive), via arena parents.
-    pub(crate) fn stem_ids_to(&self, v: u32) -> Vec<u32> {
-        let mut chain = vec![v];
-        let mut cur = v;
-        while self.bfs_parent(cur) != NO_PARENT {
-            cur = self.bfs_parent(cur);
-            chain.push(cur);
+    /// The slices the property searches read (check.rs).
+    pub(crate) fn topology(&self) -> Topology<'_> {
+        Topology {
+            offsets: &self.offsets,
+            targets: &self.targets,
+            labels: &self.labels,
+            enabled: &self.enabled,
+            deadlock: &self.deadlock,
+            parents: self.arena.parents(),
+            initial: &self.initial,
+            all_actions: self.action_mask,
         }
-        chain.reverse();
-        chain
-    }
-
-    /// CSR slices for the SCC decomposition.
-    pub(crate) fn csr(&self) -> (&[usize], &[u32]) {
-        (&self.offsets, &self.targets)
     }
 }
 
@@ -619,7 +653,7 @@ mod tests {
         // enabled at 1 but not at 2.
         assert_eq!(g.enabled_mask(id1), 1);
         assert_eq!(g.enabled_mask(id2), 0);
-        assert_eq!(g.all_actions(), 1);
+        assert_eq!(g.topology().all_actions, 1);
         let labels: Vec<u32> = g.neighbors(id1).map(|(_, l)| l).collect();
         assert_eq!(labels, [1]);
     }
@@ -657,7 +691,12 @@ mod tests {
     fn stem_ids_follow_bfs_parents() {
         let g = build(&[], 1 << 20);
         let id2 = (0..4).find(|&v| g.state(v) == 2).unwrap();
-        let stem: Vec<u32> = g.stem_ids_to(id2).iter().map(|&v| g.state(v)).collect();
+        let stem: Vec<u32> = g
+            .topology()
+            .stem_ids_to(id2)
+            .iter()
+            .map(|&v| g.state(v))
+            .collect();
         assert_eq!(stem, [0, 1, 2]);
     }
 
@@ -700,7 +739,7 @@ mod tests {
         assert_eq!(par.initial(), seq.initial());
         for v in 0..seq.state_count() as u32 {
             assert_eq!(par.state(v), seq.state(v), "state {v}");
-            assert_eq!(par.bfs_parent(v), seq.bfs_parent(v), "parent {v}");
+            assert_eq!(par.arena.parent(v), seq.arena.parent(v), "parent {v}");
             assert_eq!(par.enabled_mask(v), seq.enabled_mask(v), "mask {v}");
             assert_eq!(par.is_deadlock(v), seq.is_deadlock(v), "deadlock {v}");
             assert_eq!(

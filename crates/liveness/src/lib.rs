@@ -19,7 +19,9 @@
 //!   interning, with per-edge action labels and a CSR adjacency;
 //! * an iterative (non-recursive, stack-safe) Tarjan SCC decomposition
 //!   ([`strongly_connected_components`], [`tarjan_csr`]) driving
-//!   fair-cycle detection;
+//!   fair-cycle detection, which [`FairGraph::check_all`] runs for
+//!   several properties at once on worker threads after one labeling
+//!   pass over the states;
 //! * [`Lasso`] counterexamples — stem + cycle — mirroring
 //!   [`tta_modelcheck::Trace`] ergonomics.
 //!
@@ -56,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+mod bits;
 mod check;
 mod fairness;
 mod graph;

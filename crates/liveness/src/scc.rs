@@ -9,10 +9,18 @@
 //! graphs — so this implementation manages an explicit frame stack and
 //! never recurses.
 //!
-//! The decomposition runs on a CSR adjacency restricted to an optional
-//! `active` mask, because the property algorithms repeatedly analyse
+//! The decomposition runs on a CSR adjacency restricted to an `active`
+//! bitset, because the property algorithms repeatedly analyse
 //! induced subgraphs (`¬p`-states, `¬q`-states reachable from a
 //! request) of one shared graph.
+//!
+//! It keeps one word per node (Pearce's single-array variant of
+//! Tarjan) instead of Tarjan's index, lowlink and on-stack arrays, and
+//! turns that word into the component id when it finishes: the checks
+//! run several decompositions at once over graphs of millions of
+//! states, and the arrays are their largest buffers.
+
+use crate::bits::Bits;
 
 /// Component marker for nodes outside the active restriction.
 pub const NO_COMPONENT: u32 = u32::MAX;
@@ -62,121 +70,121 @@ impl SccDecomposition {
 }
 
 /// Iterative Tarjan over a CSR adjacency (`offsets.len() == n + 1`;
-/// the successors of `v` are `targets[offsets[v]..offsets[v + 1]]`).
-/// Nodes with `active[v] == false` — and every edge touching them — are
-/// ignored; pass `None` to decompose the whole graph.
-///
-/// The decomposition is the hot inner loop of every liveness check
-/// (each property runs it on a fresh restriction), so the active test
-/// is monomorphized — the full-graph pass carries no mask branch at
-/// all — and each DFS frame caches its CSR end offset instead of
-/// re-reading `offsets[v + 1]` on every edge.
+/// the successors of `v` are `targets[offsets[v]..offsets[v + 1]]`),
+/// decomposing the whole graph. Components are numbered in Tarjan
+/// completion order.
 ///
 /// # Panics
 ///
 /// Panics if the CSR arrays are inconsistent (offsets out of bounds).
 #[must_use]
-pub fn tarjan_csr(offsets: &[usize], targets: &[u32], active: Option<&[bool]>) -> SccDecomposition {
-    match active {
-        None => tarjan_impl(offsets, targets, &AllActive),
-        Some(mask) => tarjan_impl(offsets, targets, &MaskActive(mask)),
-    }
-}
-
-/// Monomorphization hook for the active-node restriction.
-trait ActiveSet {
-    fn contains(&self, v: u32) -> bool;
-}
-
-/// The whole-graph decomposition: no mask, no branch.
-struct AllActive;
-impl ActiveSet for AllActive {
-    #[inline(always)]
-    fn contains(&self, _: u32) -> bool {
-        true
-    }
-}
-
-/// An induced-subgraph decomposition over a boolean mask.
-struct MaskActive<'a>(&'a [bool]);
-impl ActiveSet for MaskActive<'_> {
-    #[inline(always)]
-    fn contains(&self, v: u32) -> bool {
-        self.0[v as usize]
-    }
-}
-
-fn tarjan_impl<A: ActiveSet>(offsets: &[usize], targets: &[u32], active: &A) -> SccDecomposition {
+pub fn tarjan_csr(offsets: &[usize], targets: &[u32]) -> SccDecomposition {
     let n = offsets.len().saturating_sub(1);
+    tarjan_in(offsets, targets, &Bits::complement(&Bits::new(n), n))
+}
 
-    const UNVISITED: u32 = u32::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut component = vec![NO_COMPONENT; n];
-    let mut tarjan_stack: Vec<u32> = Vec::new();
-    // Explicit DFS frames: (node, next CSR cursor, CSR end). This is
-    // the entire recursion state; depth is bounded by the number of
-    // nodes, on the heap, not the thread stack.
-    let mut frames: Vec<(u32, usize, usize)> = Vec::new();
-    let mut next_index = 0u32;
-    let mut count = 0usize;
+/// [`tarjan_csr`] restricted to the nodes in `active`: every other node,
+/// and every edge touching one, is ignored. This is the hot inner loop
+/// of every liveness check (each property runs it on a fresh
+/// restriction), so each DFS frame caches its CSR end offset instead of
+/// re-reading `offsets[v + 1]` on every edge.
+pub(crate) fn tarjan_in(offsets: &[usize], targets: &[u32], active: &Bits) -> SccDecomposition {
+    let n = offsets.len().saturating_sub(1);
+    let top_rank = u32::try_from(n).expect("node ids are u32");
 
-    for root in 0..n as u32 {
-        if !active.contains(root) || index[root as usize] != UNVISITED {
+    // One word per node: 0 while unvisited; while the node is open, its
+    // DFS visit index, lowered to the least index it reaches; once its
+    // component completes, the component's rank, counted down from `n`.
+    // Visit indices are reused as components complete, so an open index
+    // never exceeds the open-node count, and ranks stay above it: a
+    // finished node can never lower an open one.
+    let mut rindex = vec![0u32; n];
+    // Finished nodes that are not their component's root, waiting for
+    // the root to complete.
+    let mut pending: Vec<u32> = Vec::new();
+    // Explicit DFS frames: (node, next CSR cursor, CSR end, still a
+    // root candidate). This is the entire recursion state; depth is
+    // bounded by the number of nodes, on the heap, not the thread stack.
+    let mut frames: Vec<(u32, usize, usize, bool)> = Vec::new();
+    let mut next_index = 1u32;
+    let mut next_rank = top_rank;
+
+    for start in 0..top_rank {
+        if !active.contains(start) || rindex[start as usize] != 0 {
             continue;
         }
-        index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
+        rindex[start as usize] = next_index;
         next_index += 1;
-        on_stack[root as usize] = true;
-        tarjan_stack.push(root);
-        frames.push((root, offsets[root as usize], offsets[root as usize + 1]));
+        frames.push((
+            start,
+            offsets[start as usize],
+            offsets[start as usize + 1],
+            true,
+        ));
 
-        while let Some(&mut (v, ref mut cursor, end)) = frames.last_mut() {
+        while let Some(&mut (v, ref mut cursor, end, ref mut root)) = frames.last_mut() {
             if *cursor < end {
                 let w = targets[*cursor];
                 *cursor += 1;
                 if !active.contains(w) {
                     continue;
                 }
-                if index[w as usize] == UNVISITED {
-                    index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
+                if rindex[w as usize] == 0 {
+                    rindex[w as usize] = next_index;
                     next_index += 1;
-                    on_stack[w as usize] = true;
-                    tarjan_stack.push(w);
-                    frames.push((w, offsets[w as usize], offsets[w as usize + 1]));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
+                    frames.push((w, offsets[w as usize], offsets[w as usize + 1], true));
+                } else if rindex[w as usize] < rindex[v as usize] {
+                    rindex[v as usize] = rindex[w as usize];
+                    *root = false;
                 }
             } else {
+                let is_root = *root;
                 frames.pop();
-                if lowlink[v as usize] == index[v as usize] {
-                    let c = count as u32;
-                    count += 1;
-                    loop {
-                        let w = tarjan_stack.pop().expect("root of an SCC is on the stack");
-                        on_stack[w as usize] = false;
-                        component[w as usize] = c;
-                        if w == v {
+                if is_root {
+                    // `v` completes its component: every pending node
+                    // visited after it belongs to it.
+                    next_index -= 1;
+                    while let Some(&w) = pending.last() {
+                        if rindex[v as usize] > rindex[w as usize] {
                             break;
                         }
+                        pending.pop();
+                        rindex[w as usize] = next_rank;
+                        next_index -= 1;
                     }
+                    rindex[v as usize] = next_rank;
+                    next_rank -= 1;
+                } else {
+                    pending.push(v);
                 }
-                if let Some(&(parent, _, _)) = frames.last() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
+                if let Some((parent, _, _, parent_root)) = frames.last_mut() {
+                    if rindex[v as usize] < rindex[*parent as usize] {
+                        rindex[*parent as usize] = rindex[v as usize];
+                        *parent_root = false;
+                    }
                 }
             }
         }
     }
 
-    SccDecomposition { component, count }
+    // Ranks count down from `n` in completion order: the first
+    // component completed is id 0.
+    for word in &mut rindex {
+        *word = if *word == 0 {
+            NO_COMPONENT
+        } else {
+            top_rank - *word
+        };
+    }
+    SccDecomposition {
+        component: rindex,
+        count: (top_rank - next_rank) as usize,
+    }
 }
 
 /// Strongly connected components of an explicit edge-list digraph over
 /// nodes `0..node_count`, as sorted member lists (the convenience entry
-/// point; the engine itself calls [`tarjan_csr`] on its shared CSR).
+/// point; the engine decomposes restrictions of its shared CSR).
 ///
 /// # Panics
 ///
@@ -184,7 +192,7 @@ fn tarjan_impl<A: ActiveSet>(offsets: &[usize], targets: &[u32], active: &A) -> 
 #[must_use]
 pub fn strongly_connected_components(node_count: usize, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
     let (offsets, targets) = csr_from_edges(node_count, edges);
-    let (members, starts) = tarjan_csr(&offsets, &targets, None).grouped();
+    let (members, starts) = tarjan_csr(&offsets, &targets).grouped();
     starts
         .windows(2)
         .map(|range| members[range[0]..range[1]].to_vec())
@@ -217,6 +225,15 @@ pub(crate) fn csr_from_edges(node_count: usize, edges: &[(u32, u32)]) -> (Vec<us
 mod tests {
     use super::*;
 
+    /// Nodes `0..n` except `masked`.
+    fn mask(n: usize, masked: &[u32]) -> Bits {
+        let mut out = Bits::new(n);
+        for &v in masked {
+            out.insert(v);
+        }
+        Bits::complement(&out, n)
+    }
+
     fn normalized(mut groups: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
         groups.sort();
         groups
@@ -239,7 +256,7 @@ mod tests {
     fn completion_order_is_reverse_topological() {
         // 0 → 1 → 2: component ids must not increase along edges.
         let (offsets, targets) = csr_from_edges(3, &[(0, 1), (1, 2)]);
-        let scc = tarjan_csr(&offsets, &targets, None);
+        let scc = tarjan_csr(&offsets, &targets);
         assert_eq!(scc.count, 3);
         assert!(scc.component[0] > scc.component[1]);
         assert!(scc.component[1] > scc.component[2]);
@@ -249,9 +266,9 @@ mod tests {
     fn inactive_nodes_break_cycles() {
         // 0 → 1 → 2 → 0 is a cycle, but masking node 1 splits it.
         let (offsets, targets) = csr_from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        let all = tarjan_csr(&offsets, &targets, None);
+        let all = tarjan_csr(&offsets, &targets);
         assert_eq!(all.count, 1);
-        let masked = tarjan_csr(&offsets, &targets, Some(&[true, false, true]));
+        let masked = tarjan_in(&offsets, &targets, &mask(3, &[1]));
         assert_eq!(masked.count, 2);
         assert_eq!(masked.component[1], NO_COMPONENT);
     }
@@ -273,11 +290,7 @@ mod tests {
         // 0 ⇄ 2 ⇄ 4 and 1 ⇄ 3, with node 5 masked out.
         let (offsets, targets) =
             csr_from_edges(6, &[(4, 2), (2, 4), (2, 0), (0, 2), (3, 1), (1, 3), (5, 5)]);
-        let scc = tarjan_csr(
-            &offsets,
-            &targets,
-            Some(&[true, true, true, true, true, false]),
-        );
+        let scc = tarjan_in(&offsets, &targets, &mask(6, &[5]));
         let (members, starts) = scc.grouped();
         assert_eq!(starts.len(), scc.count + 1);
         assert_eq!(members.len(), 5);

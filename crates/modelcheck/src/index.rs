@@ -33,6 +33,18 @@ pub(crate) struct VisitedIndex {
 }
 
 impl VisitedIndex {
+    /// An empty index whose first `entries` inserts never grow it.
+    pub(crate) fn with_capacity(entries: usize) -> Self {
+        let slots = (entries * 4)
+            .div_ceil(3)
+            .next_power_of_two()
+            .max(1 << MIN_BITS);
+        VisitedIndex {
+            slots: vec![EMPTY; slots],
+            len: 0,
+        }
+    }
+
     /// The stored id whose tag matches `hash` and for which `is_match`
     /// holds, probing from the tag's home to the first empty slot.
     pub(crate) fn find(&self, hash: u64, mut is_match: impl FnMut(u32) -> bool) -> Option<u32> {
@@ -145,6 +157,22 @@ mod tests {
             assert_eq!(found, Some(key as u32), "key {key}");
         }
         assert_eq!(index.find(hash(1000), |id| keys[id as usize] == 1000), None);
+    }
+
+    #[test]
+    fn presized_index_takes_its_capacity_without_growing() {
+        for entries in [0, 1, 12, 13, 100, 768, 769] {
+            let mut index = VisitedIndex::with_capacity(entries);
+            let slots = index.slots.len();
+            for position in 0..entries {
+                index.insert(
+                    (position as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    position,
+                );
+            }
+            assert_eq!(index.slots.len(), slots, "{entries} entries");
+        }
+        assert_eq!(VisitedIndex::with_capacity(768).slots.len(), 1024);
     }
 
     #[test]

@@ -111,6 +111,12 @@ impl<E: Eq + Hash> StateArena<E> {
         self.parents[id as usize]
     }
 
+    /// Every state's parent index, by id.
+    #[must_use]
+    pub fn parents(&self) -> &[u32] {
+        &self.parents
+    }
+
     /// Looks up an encoded state without inserting.
     #[must_use]
     pub fn lookup(&self, encoded: &E) -> Option<u32> {

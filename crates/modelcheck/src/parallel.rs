@@ -9,7 +9,8 @@
 //!    *steal* off a shared atomic counter. Each worker decodes its
 //!    chunk's states from the shared (read-only) arena, generates
 //!    successors into a reused buffer, encodes and hashes each exactly
-//!    once, pre-filters against the visited set, evaluates the
+//!    once, drops any successor it already proposed earlier in the same
+//!    chunk, pre-filters against the visited set, evaluates the
 //!    invariant, and emits the survivors as a proposal batch.
 //! 2. **Merge** — the calling thread adopts the proposal batches in
 //!    chunk-index order and replays them into the single global arena:
@@ -20,9 +21,13 @@
 //! Because chunk boundaries depend only on the layer (never the thread
 //! count) and the merge replays proposals in layer order, the arena's
 //! insertion sequence is **identical to the sequential explorer's** —
-//! ids, parents, verdicts, `states_explored` and the counterexample
-//! trace are all bit-for-bit the same at every thread count and chunk
-//! size. One thread short-circuits to the sequential driver itself.
+//! ids, parents, verdicts, `states_explored`, `transitions` and the
+//! counterexample trace are all bit-for-bit the same at every thread
+//! count and chunk size. The in-chunk filter keeps that: a dropped
+//! duplicate follows its first occurrence in layer order, and by the
+//! time the merge would reach it, that first occurrence is in the
+//! arena — or the budget already stopped the merge at it. One thread
+//! short-circuits to the sequential driver itself.
 //!
 //! This replaces the former sharded-visited-set design, whose per-state
 //! atomic budget claims and per-shard hash sets made the parallel
@@ -36,6 +41,7 @@ use crate::explore::{
     drive_sequential, finish_outcome, seed_roots, CheckOutcome, DEFAULT_MAX_STATES,
 };
 use crate::hashing::fx_hash;
+use crate::index::VisitedIndex;
 use crate::intern::{StateArena, Visited};
 use crate::stats::ExploreStats;
 use crate::system::{Invariant, TransitionSystem};
@@ -47,11 +53,20 @@ use tta_base::{default_threads, map_chunks};
 /// amortizes over ~10³ states.
 const DEFAULT_CHUNK_STATES: usize = 1024;
 
+/// Proposals per chunk state the in-chunk filter is sized for up front.
+/// Past the first layers most successors are already visited or were
+/// proposed by a neighbour, so a chunk rarely proposes more.
+const FILTER_ENTRIES_PER_STATE: usize = 2;
+
 /// One successor surviving the expand phase's pre-filter: everything
 /// the merge needs, with the encode/hash/invariant work already done.
 struct Proposal<E> {
     hash: u64,
     encoded: E,
+    /// Transitions the chunk generated up to and including `parent`'s:
+    /// what the sequential explorer has counted when this successor
+    /// hits the state budget.
+    through: u64,
     parent: u32,
     violates: bool,
 }
@@ -225,7 +240,6 @@ impl ParallelExplorer {
             // insertion sequence of the sequential explorer.
             let mut next_layer: Vec<u32> = Vec::new();
             'merge: for expansion in expansions {
-                stats.transitions += expansion.transitions;
                 for proposal in expansion.proposals {
                     if arena
                         .lookup_hashed(proposal.hash, &proposal.encoded)
@@ -234,6 +248,9 @@ impl ParallelExplorer {
                         continue;
                     }
                     if arena.len() as u64 >= self.max_states {
+                        // Count like the sequential explorer: through the
+                        // state whose successor hit the budget.
+                        stats.transitions += proposal.through;
                         exhausted = true;
                         break 'merge;
                     }
@@ -244,6 +261,7 @@ impl ParallelExplorer {
                     }
                     next_layer.push(id);
                 }
+                stats.transitions += expansion.transitions;
             }
             if exhausted {
                 // Mirror the sequential driver's mid-layer `break 'bfs`:
@@ -275,9 +293,10 @@ impl ParallelExplorer {
 /// Expand-phase worker: one chunk of the current layer, batched.
 ///
 /// The successor buffer is reused across the chunk; each successor is
-/// encoded and hashed exactly once, pre-filtered against the shared
-/// visited set (read-only — in-layer duplicates are resolved by the
-/// merge), and invariant-checked so the merge never has to decode.
+/// encoded and hashed exactly once, dropped if the chunk already
+/// proposed it, pre-filtered against the shared visited set
+/// (read-only — duplicates across chunks are resolved by the merge),
+/// and invariant-checked so the merge never has to decode.
 fn expand_chunk<T, C, I, V>(
     system: &T,
     codec: &C,
@@ -292,6 +311,9 @@ where
     V: Visited<C::Encoded>,
 {
     let mut proposals: Vec<Proposal<C::Encoded>> = Vec::with_capacity(chunk.len());
+    // The chunk's first occurrences, keyed by position in `proposals`.
+    // Probed before the arena: it is small enough to stay in cache.
+    let mut proposed = VisitedIndex::with_capacity(FILTER_ENTRIES_PER_STATE * chunk.len());
     let mut succ_buf: Vec<T::State> = Vec::new();
     let mut transitions = 0u64;
     for &id in chunk {
@@ -302,12 +324,18 @@ where
         for next in succ_buf.drain(..) {
             let encoded = codec.encode(&next);
             let hash = fx_hash(&encoded);
-            if arena.lookup_hashed(hash, &encoded).is_some() {
+            if proposed
+                .find(hash, |at| proposals[at as usize].encoded == encoded)
+                .is_some()
+                || arena.lookup_hashed(hash, &encoded).is_some()
+            {
                 continue;
             }
+            proposed.insert(hash, proposals.len());
             proposals.push(Proposal {
                 hash,
                 encoded,
+                through: transitions,
                 parent: id,
                 violates: !invariant.holds(&next),
             });
@@ -504,6 +532,78 @@ mod tests {
             sequential.stats.states_explored
         );
         assert_eq!(parallel.stats.depth_reached, sequential.stats.depth_reached);
+        assert_eq!(parallel.stats.transitions, sequential.stats.transitions);
+    }
+
+    /// The in-chunk filter drops a successor the chunk already proposed
+    /// and keeps the first occurrence, in order.
+    #[test]
+    fn expand_chunk_keeps_first_occurrences_only() {
+        let mut arena: StateArena<(u32, u32)> = StateArena::new();
+        let codec = IdentityCodec::new();
+        for (state, parent) in [((0, 0), crate::NO_PARENT), ((1, 0), 0), ((0, 1), 0)] {
+            arena.insert_if_absent(state, parent);
+        }
+        // (1, 0) and (0, 1) both reach (1, 1); (0, 0) reaches only
+        // visited states.
+        let out = expand_chunk(
+            &Grid { bound: 5 },
+            &codec,
+            &arena,
+            &|_: &(u32, u32)| true,
+            &[0, 1, 2],
+        );
+        let proposed: Vec<((u32, u32), u32, u64)> = out
+            .proposals
+            .iter()
+            .map(|p| (p.encoded, p.parent, p.through))
+            .collect();
+        assert_eq!(
+            proposed,
+            [((2, 0), 1, 4), ((1, 1), 1, 4), ((0, 2), 2, 6)],
+            "the duplicate (1, 1) from state 2 is dropped"
+        );
+        assert_eq!(out.transitions, 6);
+    }
+
+    /// Budget cuts landing anywhere in a layer — between a first
+    /// occurrence and its in-chunk duplicates, or on either — reproduce
+    /// the sequential explorer's stats and traces exactly.
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "240 threaded runs are too slow interpreted; wide_fanout covers the threaded path"
+    )]
+    fn in_chunk_duplicates_straddling_the_budget_cut_match_sequential() {
+        let grid = Grid { bound: 1000 };
+        let invariant = |s: &(u32, u32)| s.0 * s.1 != 12;
+        for max_states in 1..=80 {
+            let sequential = crate::Explorer::new()
+                .max_states(max_states)
+                .check(&grid, invariant);
+            for (threads, chunk) in [(2, 2), (2, 3), (3, 4)] {
+                let parallel = ParallelExplorer::new()
+                    .threads(threads)
+                    .chunk_states(chunk)
+                    .max_states(max_states)
+                    .check(&grid, invariant);
+                let at = format!("budget {max_states}, {threads} threads, chunk {chunk}");
+                assert_eq!(parallel.verdict, sequential.verdict, "{at}");
+                let (p, s) = (&parallel.stats, &sequential.stats);
+                assert_eq!(p.states_explored, s.states_explored, "{at}");
+                assert_eq!(p.transitions, s.transitions, "{at}");
+                assert_eq!(p.depth_reached, s.depth_reached, "{at}");
+                assert_eq!(p.frontier_peak, s.frontier_peak, "{at}");
+                assert_eq!(
+                    parallel.counterexample.map(|t| t.states().to_vec()),
+                    sequential
+                        .counterexample
+                        .as_ref()
+                        .map(|t| t.states().to_vec()),
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]
