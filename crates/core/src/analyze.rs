@@ -6,12 +6,12 @@
 //! fault budget ever admits, and how many distinct violating states exist
 //! (the checker stops at the first; the analyzer counts them all).
 
+use crate::compact::ClusterCodec;
 use crate::config::ClusterConfig;
 use crate::model::ClusterModel;
-use crate::state::ClusterState;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
-use tta_modelcheck::hashing::FxHashSet;
+use tta_liveness::FairGraph;
 
 /// Aggregate facts about the reachable state space.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,27 +51,24 @@ impl fmt::Display for ReachableSummary {
 }
 
 /// Explores the full reachable space of `config` (up to `max_states`
-/// states) and summarizes it.
+/// states) and summarizes it. The space is a [`FairGraph`] with no
+/// fairness actions, so it is truncated only when the budget drops a
+/// state.
 #[must_use]
 pub fn analyze_reachable(config: &ClusterConfig, max_states: u64) -> ReachableSummary {
     let model = ClusterModel::new(*config);
-    let mut seen: FxHashSet<ClusterState> = FxHashSet::default();
-    let mut frontier: VecDeque<ClusterState> = VecDeque::new();
+    let codec = ClusterCodec::new(config);
+    let graph = FairGraph::build(&model, &codec, &[], max_states);
     let mut summary = ReachableSummary {
-        states: 0,
-        truncated: false,
+        states: graph.state_count() as u64,
+        truncated: graph.is_truncated(),
         node_state_histogram: BTreeMap::new(),
         max_simultaneous_integrated: 0,
         max_replays_observed: 0,
         violating_states: 0,
     };
-
-    let initial = model.initial_state();
-    seen.insert(initial.clone());
-    frontier.push_back(initial);
-
-    while let Some(state) = frontier.pop_front() {
-        summary.states += 1;
+    for id in 0..graph.state_count() as u32 {
+        let state = graph.state(id);
         let mut integrated = 0;
         for node in state.nodes() {
             let name = node.protocol_state().to_string();
@@ -84,16 +81,6 @@ pub fn analyze_reachable(config: &ClusterConfig, max_states: u64) -> ReachableSu
         summary.max_replays_observed = summary.max_replays_observed.max(state.out_of_slot_used());
         if state.frozen_victim().is_some() {
             summary.violating_states += 1;
-        }
-
-        for (next, _) in model.expand(&state) {
-            if seen.len() as u64 >= max_states {
-                summary.truncated = true;
-                continue;
-            }
-            if seen.insert(next.clone()) {
-                frontier.push_back(next);
-            }
         }
     }
     summary
@@ -144,6 +131,20 @@ mod tests {
         let summary = analyze_reachable(&ClusterConfig::paper(CouplerAuthority::Passive), 50);
         assert!(summary.truncated);
         assert!(summary.states <= 50);
+    }
+
+    /// A budget that fits the space exactly is not a truncation: the
+    /// 2-node passive cluster has 134 reachable states.
+    #[test]
+    fn exact_budget_is_not_truncation() {
+        let config = ClusterConfig {
+            nodes: 2,
+            ..ClusterConfig::paper(CouplerAuthority::Passive)
+        };
+        let exact = analyze_reachable(&config, 134);
+        assert_eq!((exact.states, exact.truncated), (134, false));
+        let short = analyze_reachable(&config, 133);
+        assert_eq!((short.states, short.truncated), (133, true));
     }
 
     #[test]

@@ -4,27 +4,26 @@ use crate::compact::ClusterCodec;
 use crate::config::ClusterConfig;
 use crate::model::ClusterModel;
 use crate::state::ClusterState;
+use tta_base::default_threads;
 use tta_liveness::{FairAction, FairGraph, Lasso, LivenessStats, Property};
-use tta_modelcheck::{
-    parallel::ParallelExplorer, BoundedChecker, BoundedVerdict, ExploreStats, Explorer, Trace,
-    Verdict, DEFAULT_MAX_STATES,
-};
+use tta_modelcheck::{ExploreStats, Explorer, Trace, Verdict, DEFAULT_MAX_STATES};
 use tta_protocol::ProtocolState;
 use tta_types::NodeId;
 
-/// Which exploration engine to use.
+/// How to run the one breadth-first explorer. Every strategy finds
+/// shortest counterexamples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckStrategy {
-    /// Sequential breadth-first search (shortest counterexamples; the
-    /// default).
+    /// Breadth-first search on one thread (the default).
     Bfs,
-    /// Frontier-parallel BFS with the given worker count (0 = auto).
+    /// Breadth-first search with the given worker count (0 = auto).
     ParallelBfs {
         /// Worker threads (0 = available parallelism).
         threads: usize,
     },
-    /// Depth-bounded search: "holds" verdicts are valid only up to the
-    /// bound.
+    /// Depth-bounded breadth-first search: a clean run that leaves
+    /// states past the bound unexpanded is reported as
+    /// [`Verdict::BudgetExhausted`].
     Bounded {
         /// Maximum path length in transitions.
         depth: u64,
@@ -38,7 +37,7 @@ pub struct VerificationReport {
     pub config: ClusterConfig,
     /// Overall verdict for the paper's property.
     pub verdict: Verdict,
-    /// Shortest (for BFS strategies) path to a violation, if one exists.
+    /// Shortest path to a violation, if one exists.
     pub counterexample: Option<Trace<ClusterState>>,
     /// Exploration statistics.
     pub stats: ExploreStats,
@@ -53,8 +52,8 @@ impl VerificationReport {
 }
 
 /// Verifies the paper's property — *no single coupler fault freezes an
-/// integrated node* — over the full reachable state space with sequential
-/// BFS.
+/// integrated node* — over the full reachable state space with
+/// one-thread BFS.
 #[must_use]
 pub fn verify_cluster(config: &ClusterConfig) -> VerificationReport {
     verify_cluster_with(config, CheckStrategy::Bfs)
@@ -64,51 +63,25 @@ pub fn verify_cluster(config: &ClusterConfig) -> VerificationReport {
 #[must_use]
 pub fn verify_cluster_with(config: &ClusterConfig, strategy: CheckStrategy) -> VerificationReport {
     let model = ClusterModel::new(*config);
-    // Both BFS engines intern visited states through the bit-packing
+    // Every strategy interns visited states through the bit-packing
     // codec, delta-encoded against BFS parents: a step touches one or
     // two of the nine packed words, so the visited set stores sparse
     // xor-deltas (plus periodic keyframes) instead of 72 flat bytes per
     // state — still zero heap allocation per visit.
     let codec = ClusterCodec::new(config);
-    let property = |s: &ClusterState| s.property_holds();
-    match strategy {
-        CheckStrategy::Bfs => {
-            let outcome = Explorer::new().check_with_delta_codec(&model, &codec, property);
-            VerificationReport {
-                config: *config,
-                verdict: outcome.verdict,
-                counterexample: outcome.counterexample,
-                stats: outcome.stats,
-            }
-        }
-        CheckStrategy::ParallelBfs { threads } => {
-            let explorer = if threads == 0 {
-                ParallelExplorer::new()
-            } else {
-                ParallelExplorer::new().threads(threads)
-            };
-            let outcome = explorer.check_with_delta_codec(&model, &codec, property);
-            VerificationReport {
-                config: *config,
-                verdict: outcome.verdict,
-                counterexample: outcome.counterexample,
-                stats: outcome.stats,
-            }
-        }
-        CheckStrategy::Bounded { depth } => {
-            let outcome = BoundedChecker::new(depth).check(&model, property);
-            VerificationReport {
-                config: *config,
-                verdict: match outcome.verdict {
-                    BoundedVerdict::Violated => Verdict::Violated,
-                    // A bounded "holds" is not a proof: report it as a
-                    // budget-limited result.
-                    BoundedVerdict::HoldsUpToBound => Verdict::BudgetExhausted,
-                },
-                counterexample: outcome.counterexample,
-                stats: outcome.stats,
-            }
-        }
+    let explorer = match strategy {
+        CheckStrategy::Bfs => Explorer::new(),
+        CheckStrategy::ParallelBfs { threads: 0 } => Explorer::new().threads(default_threads()),
+        CheckStrategy::ParallelBfs { threads } => Explorer::new().threads(threads),
+        CheckStrategy::Bounded { depth } => Explorer::new().max_depth(depth),
+    };
+    let outcome =
+        explorer.check_with_delta_codec(&model, &codec, |s: &ClusterState| s.property_holds());
+    VerificationReport {
+        config: *config,
+        verdict: outcome.verdict,
+        counterexample: outcome.counterexample,
+        stats: outcome.stats,
     }
 }
 
@@ -260,8 +233,8 @@ pub fn verify_cluster_liveness_with(config: &ClusterConfig, max_states: u64) -> 
 /// [`verify_cluster_liveness_with`] building the fair graph and running
 /// the per-node searches with `threads` worker threads
 /// ([`FairGraph::build_with_threads`], [`FairGraph::check_all`]); the
-/// graph and every verdict and lasso are bit-identical to the
-/// sequential run at any thread count.
+/// graph and every verdict and lasso are bit-identical at any thread
+/// count.
 #[must_use]
 pub fn verify_cluster_liveness_threaded(
     config: &ClusterConfig,

@@ -136,7 +136,7 @@ fn full_shifting_without_replays_is_safe() {
     assert_eq!(report.verdict, Verdict::Holds);
 }
 
-/// The parallel explorer reaches the same verdicts (A2 ablation sanity).
+/// BFS on two threads reaches the same verdicts (A2 ablation sanity).
 #[test]
 fn parallel_exploration_agrees() {
     let safe = verify_cluster_with(
@@ -155,15 +155,23 @@ fn parallel_exploration_agrees() {
     assert_eq!(broken.counterexample_len(), sequential.counterexample_len());
 }
 
-/// The bounded checker (A2 ablation) finds the violation at small depth
-/// and reports budget-limited results below it.
+/// Depth-bounded search (A2 ablation) reports budget-limited results
+/// below the violation depth and finds the violation from it on, with
+/// the shortest trace whatever the bound.
 #[test]
 fn bounded_checking_finds_the_violation_at_depth() {
     let config = ClusterConfig::paper(CouplerAuthority::FullShifting);
-    let shallow = verify_cluster_with(&config, CheckStrategy::Bounded { depth: 4 });
-    assert_eq!(shallow.verdict, Verdict::BudgetExhausted);
-    let deep = verify_cluster_with(&config, CheckStrategy::Bounded { depth: 16 });
-    assert_eq!(deep.verdict, Verdict::Violated);
+    for depth in [4, 10] {
+        let shallow = verify_cluster_with(&config, CheckStrategy::Bounded { depth });
+        assert_eq!(shallow.verdict, Verdict::BudgetExhausted, "depth {depth}");
+        assert_eq!(shallow.stats.depth_reached, depth);
+    }
+    for depth in [11, 16] {
+        let deep = verify_cluster_with(&config, CheckStrategy::Bounded { depth });
+        assert_eq!(deep.verdict, Verdict::Violated, "depth {depth}");
+        assert_eq!(deep.counterexample_len(), Some(11), "depth {depth}");
+        assert_eq!(deep.stats.states_explored, 14_488, "depth {depth}");
+    }
 }
 
 /// Disabling the symmetric-fault reduction must not change any verdict

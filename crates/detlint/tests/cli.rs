@@ -153,10 +153,11 @@ fn every_workspace_allow_carries_a_reason() {
     // By construction a reasonless allow is a DL21 error (caught by the
     // clean-run test above); this pins the stronger audit property: the
     // in-effect inventory is non-trivial and every entry's reason is
-    // non-empty prose, not filler.
+    // non-empty prose, not filler. The floor is the current inventory,
+    // so a change that retires allows lowers it with them.
     let report = run(&discover(&workspace_targets()), 0);
     assert!(
-        report.allows_used.len() >= 30,
+        report.allows_used.len() >= 26,
         "the audited workspace carries a substantial allow inventory, got {}",
         report.allows_used.len()
     );

@@ -125,8 +125,9 @@ impl LivenessChecker {
         property: &Property<C::State>,
     ) -> LivenessOutcome<C::State>
     where
-        C: StateCodec,
-        T: TransitionSystem<State = C::State>,
+        C: StateCodec + Sync,
+        C::Encoded: Send + Sync,
+        T: TransitionSystem<State = C::State> + Sync,
     {
         FairGraph::build(system, codec, fairness, self.max_states).check(property)
     }
@@ -616,6 +617,7 @@ impl Topology<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use tta_modelcheck::IdentityCodec;
 
     static CODEC: IdentityCodec<u32> = IdentityCodec::new();
@@ -935,11 +937,17 @@ mod tests {
         }
     }
 
-    /// An identity codec counting its decodes. A `Cell` makes it neither
-    /// `Send` nor `Sync`: the searches never touch the codec.
+    /// An identity codec counting its decodes. The build's layer step
+    /// shares the codec with its workers, so the counter is atomic;
+    /// `Relaxed` suffices, as it is read only after the workers join.
     #[derive(Default)]
     struct CountingCodec {
-        decodes: std::cell::Cell<u64>,
+        decodes: AtomicU64,
+    }
+    impl CountingCodec {
+        fn decodes(&self) -> u64 {
+            self.decodes.load(Ordering::Relaxed)
+        }
     }
     impl StateCodec for CountingCodec {
         type State = u32;
@@ -948,7 +956,7 @@ mod tests {
             *s
         }
         fn decode(&self, e: &u32) -> u32 {
-            self.decodes.set(self.decodes.get() + 1);
+            self.decodes.fetch_add(1, Ordering::Relaxed);
             *e
         }
     }
@@ -963,7 +971,7 @@ mod tests {
         let mut properties = mixer_properties();
         properties.push(Property::always("below bound", move |s| *s < *bound));
         for threads in [1, 2] {
-            let before = codec.decodes.get();
+            let before = codec.decodes();
             let outcomes = graph.check_all(&properties, threads);
             let lasso_states: usize = outcomes
                 .iter()
@@ -972,7 +980,7 @@ mod tests {
                 .sum();
             assert!(lasso_states > 0);
             assert_eq!(
-                (codec.decodes.get() - before) as usize,
+                (codec.decodes() - before) as usize,
                 graph.state_count() + lasso_states,
                 "{threads} threads"
             );

@@ -25,8 +25,8 @@ use std::fmt;
 pub const MAX_FAIR_ACTIONS: usize = 32;
 
 /// The boxed transition judgment backing a [`FairAction`]. `Send +
-/// Sync` so the chunked graph builder can evaluate labels from worker
-/// threads ([`crate::FairGraph::build_with_threads`]).
+/// Sync` so the graph build can evaluate labels on worker threads
+/// ([`crate::FairGraph::build_with_threads`]).
 type TakenFn<S> = Box<dyn Fn(&S, &S) -> bool + Send + Sync>;
 
 /// A named action subject to weak fairness.

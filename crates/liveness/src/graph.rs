@@ -4,12 +4,13 @@
 //!
 //! Liveness analysis needs the *whole* reachable graph (cycles live
 //! anywhere), not just a frontier, so memory discipline matters even
-//! more than in the BFS checker. Graph construction reuses the safety
-//! checker's interning stack — [`StateCodec`] encodings stored once in a
-//! [`StateArena`], BFS parents as `u32` indices — and adds a CSR
-//! adjacency with one `u32` action-label bitmask per edge. States are
-//! scanned in id order, so each state's edges are appended as its CSR
-//! row directly: no edge list, no sort.
+//! more than in the BFS checker. Graph construction is a walk on the
+//! safety checker's layer step ([`Explorer::walk`]) and its interning
+//! stack — [`StateCodec`] encodings stored once in a [`StateArena`], BFS
+//! parents as `u32` indices — and adds a CSR adjacency with one `u32`
+//! action-label bitmask per edge. States are expanded in id order, so
+//! each state's edges are appended as its CSR row directly: no global
+//! edge list, no sort.
 //!
 //! Two details keep later verdicts sound:
 //!
@@ -29,35 +30,16 @@
 
 use crate::fairness::{FairAction, MAX_FAIR_ACTIONS};
 use std::fmt;
-use std::time::{Duration, Instant};
-use tta_base::map_chunks;
-use tta_modelcheck::hashing::fx_hash;
-use tta_modelcheck::{Interned, StateArena, StateCodec, TransitionSystem, NO_PARENT};
+use std::time::Duration;
+use tta_modelcheck::{
+    Explorer, Flow, StateArena, StateCodec, Target, TransitionSystem, Walk, NO_PARENT,
+};
 
-/// Arena ids per stolen chunk in [`FairGraph::build_with_threads`].
-/// Graph construction decodes, expands and re-encodes per state — far
-/// more work than the safety explorer's successor step — so chunks can
-/// be smaller before claim-counter contention shows.
+/// States per stolen chunk of a build wave. Graph construction labels
+/// every generated edge — more work per state than the safety check's
+/// successor step — so chunks can be smaller before claim-counter
+/// contention shows.
 const BUILD_CHUNK_STATES: usize = 512;
-
-/// A worker's resolution of one generated edge target against the
-/// wave-start arena snapshot. `Existing` ids are final (the arena only
-/// grows); proposals are re-resolved against the live arena at merge,
-/// where states inserted earlier in the same wave become visible.
-enum EdgeTarget<E> {
-    Existing(u32),
-    Proposal { hash: u64, encoded: E },
-}
-
-/// Everything a worker computed for one scanned state: labeled edges
-/// with snapshot-resolved targets, the enabledness mask over *all*
-/// generated successors, and the generated-edge count.
-struct NodeExpansion<E> {
-    edges: Vec<(EdgeTarget<E>, u32)>,
-    mask: u32,
-    deadlock: bool,
-    generated: u64,
-}
 
 /// How often one registered fairness action is actually exercised in a
 /// built [`FairGraph`] (see [`FairGraph::action_usage`]).
@@ -157,7 +139,8 @@ impl<C: StateCodec> fmt::Debug for FairGraph<'_, C> {
 
 impl<'c, C: StateCodec> FairGraph<'c, C> {
     /// Explores `system` breadth-first and builds the labeled graph,
-    /// keeping at most `max_states` distinct states.
+    /// keeping at most `max_states` distinct states: the one-thread
+    /// [`Self::build_with_threads`].
     ///
     /// # Panics
     ///
@@ -171,62 +154,29 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
         max_states: u64,
     ) -> Self
     where
-        T: TransitionSystem<State = C::State>,
+        T: TransitionSystem<State = C::State> + Sync,
+        C: Sync,
+        C::Encoded: Send + Sync,
     {
-        // detlint: allow(DL02) reason=elapsed-time stats only; reported out-of-band, never part of the verification result
-        let start = Instant::now();
-        let (max_states, mut graph) = Self::seed(system, codec, fairness, max_states);
-
-        // Arena ids are assigned in insertion order, so scanning them in
-        // order with new states appended at the tail is exactly BFS, and
-        // arena parents give shortest stems.
-        let mut succs: Vec<C::State> = Vec::new();
-        let mut cursor = 0u32;
-        while (cursor as usize) < graph.arena.len() {
-            let id = cursor;
-            cursor += 1;
-            let state = codec.decode(graph.arena.get(id));
-            succs.clear();
-            system.successors(&state, &mut succs);
-            if succs.is_empty() {
-                // Stutter extension: synthetic self-loop, no labels.
-                graph.push_edge(id, 0);
-                graph.end_row(0, true);
-                continue;
-            }
-            let mut mask = 0u32;
-            for succ in &succs {
-                graph.edges_generated += 1;
-                let label = edge_label(fairness, &state, succ);
-                // Enabledness counts every generated edge, kept or not.
-                mask |= label;
-                let encoded = codec.encode(succ);
-                if let Some(t) = graph.resolve(fx_hash(&encoded), encoded, id, max_states) {
-                    graph.push_edge(t, label);
-                }
-            }
-            graph.end_row(mask, false);
-        }
-        graph.finish(start)
+        Self::build_with_threads(system, codec, fairness, max_states, 1)
     }
 
-    /// [`Self::build`] with `threads` worker threads expanding each BFS
-    /// wave in parallel.
+    /// Builds the labeled graph with `threads` worker threads, on the
+    /// explorer's layer step ([`tta_modelcheck::Explorer::walk`]).
     ///
-    /// The scan processes one *wave* at a time — the arena ids appended
-    /// since the previous wave. Workers steal fixed-size chunks of the
-    /// wave, expand and label each state, and resolve edge targets
-    /// against the wave-start arena snapshot; unresolved targets come
-    /// back as proposals (hash + encoding). The merge then replays the
-    /// chunks in wave order against the live arena, so inserts happen in
-    /// exactly the sequential scan's order: states, ids, parents, edges,
-    /// labels and the truncation flag are bit-identical to
-    /// [`Self::build`] at every thread count.
+    /// Each BFS layer is one *wave*. Workers steal fixed-size chunks of
+    /// it, expand each state, label every generated edge and resolve its
+    /// target against the arena; the merge interns the chunks' new
+    /// states in wave order, and each expanded state's edges become its
+    /// CSR row with the targets resolved. Inserts happen in the order of
+    /// a sequential scan, so states, ids, parents, edges, labels and the
+    /// truncation flag are the same at every thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero, plus everything [`Self::build`]
-    /// panics on.
+    /// Panics if `threads` is zero, if more than [`MAX_FAIR_ACTIONS`]
+    /// fairness constraints are supplied, or if the state space exceeds
+    /// `u32` addressing.
     #[must_use]
     pub fn build_with_threads<T>(
         system: &T,
@@ -240,150 +190,52 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
         C: Sync,
         C::Encoded: Send + Sync,
     {
-        assert!(threads >= 1, "at least one worker thread is required");
-        if threads == 1 {
-            return Self::build(system, codec, fairness, max_states);
-        }
-        // detlint: allow(DL02) reason=elapsed-time stats only; reported out-of-band, never part of the verification result
-        let start = Instant::now();
-        let (max_states, mut graph) = Self::seed(system, codec, fairness, max_states);
-
-        let mut wave_start = 0u32;
-        while (wave_start as usize) < graph.arena.len() {
-            let wave_end = graph.arena.len() as u32;
-            let wave: Vec<u32> = (wave_start..wave_end).collect();
-            let expansions = {
-                let shared: &StateArena<C::Encoded> = &graph.arena;
-                map_chunks(&wave, BUILD_CHUNK_STATES, threads, &|_, ids: &[u32]| {
-                    expand_wave_chunk(system, codec, shared, fairness, ids)
-                })
-            };
-            let mut id = wave_start;
-            wave_start = wave_end;
-            for node in expansions.into_iter().flatten() {
-                if node.deadlock {
-                    graph.push_edge(id, 0);
-                    graph.end_row(0, true);
-                    id += 1;
-                    continue;
-                }
-                graph.edges_generated += node.generated;
-                for (target, label) in node.edges {
-                    let resolved = match target {
-                        EdgeTarget::Existing(t) => Some(t),
-                        EdgeTarget::Proposal { hash, encoded } => {
-                            graph.resolve(hash, encoded, id, max_states)
-                        }
-                    };
-                    if let Some(t) = resolved {
-                        graph.push_edge(t, label);
-                    }
-                }
-                graph.end_row(node.mask, false);
-                id += 1;
-            }
-        }
-        graph.finish(start)
-    }
-
-    /// Shared prologue: validate the fairness set, clamp the budget to
-    /// `u32` addressing, intern the initial states and open the CSR
-    /// with its leading 0 offset.
-    fn seed<T>(
-        system: &T,
-        codec: &'c C,
-        fairness: &[FairAction<C::State>],
-        max_states: u64,
-    ) -> (u64, Self)
-    where
-        T: TransitionSystem<State = C::State>,
-    {
         assert!(
             fairness.len() <= MAX_FAIR_ACTIONS,
             "at most {MAX_FAIR_ACTIONS} weak-fairness constraints per graph (got {})",
             fairness.len()
         );
-        let max_states = max_states.min(u64::from(u32::MAX - 1));
-        let mut graph = FairGraph {
-            codec,
-            arena: StateArena::new(),
+        let mut arena = StateArena::new();
+        let mut rows = Rows {
+            fairness,
             offsets: vec![0],
             targets: Vec::new(),
             labels: Vec::new(),
             enabled: Vec::new(),
             deadlock: Vec::new(),
-            initial: Vec::new(),
+            truncated: false,
+        };
+        let walked = Explorer::new()
+            .threads(threads)
+            .chunk_states(BUILD_CHUNK_STATES)
+            .max_states(max_states.min(u64::from(u32::MAX - 1)))
+            .walk(system, codec, &mut arena, &mut rows);
+        // Trim the scan-grown vectors to their length, so
+        // `approx_bytes` counts what is resident.
+        rows.offsets.shrink_to_fit();
+        rows.targets.shrink_to_fit();
+        rows.labels.shrink_to_fit();
+        rows.enabled.shrink_to_fit();
+        rows.deadlock.shrink_to_fit();
+        FairGraph {
+            codec,
+            arena,
+            offsets: rows.offsets,
+            targets: rows.targets,
+            labels: rows.labels,
+            enabled: rows.enabled,
+            deadlock: rows.deadlock,
+            initial: (0..walked.roots).collect(),
             action_names: fairness.iter().map(|a| a.name().to_string()).collect(),
             action_mask: if fairness.is_empty() {
                 0
             } else {
                 u32::MAX >> (32 - fairness.len())
             },
-            truncated: false,
-            edges_generated: 0,
-            build_time: Duration::ZERO,
-        };
-        for init in system.initial_states() {
-            if (graph.arena.len() as u64) >= max_states {
-                graph.truncated = true;
-                break;
-            }
-            if let Interned::New(id) = graph.arena.insert_if_absent(codec.encode(&init), NO_PARENT)
-            {
-                graph.initial.push(id);
-            }
+            truncated: rows.truncated,
+            edges_generated: walked.stats.transitions,
+            build_time: walked.stats.duration,
         }
-        (max_states, graph)
-    }
-
-    /// The id of an edge target: found in the arena, or interned as a
-    /// child of `parent` while the budget lasts. A target the budget
-    /// drops resolves to `None` and marks the graph truncated.
-    fn resolve(
-        &mut self,
-        hash: u64,
-        encoded: C::Encoded,
-        parent: u32,
-        max_states: u64,
-    ) -> Option<u32> {
-        match self.arena.lookup_hashed(hash, &encoded) {
-            Some(t) => Some(t),
-            None if (self.arena.len() as u64) < max_states => {
-                Some(self.arena.insert_new_hashed(hash, encoded, parent))
-            }
-            None => {
-                self.truncated = true;
-                None
-            }
-        }
-    }
-
-    /// Appends an edge to the CSR row of the state being scanned.
-    fn push_edge(&mut self, target: u32, label: u32) {
-        self.targets.push(target);
-        self.labels.push(label);
-    }
-
-    /// Closes the scanned state's CSR row with its enabledness mask. A
-    /// truncation-frontier state, whose every successor the budget
-    /// dropped, closes an empty row.
-    fn end_row(&mut self, mask: u32, deadlock: bool) {
-        self.offsets.push(self.targets.len());
-        self.enabled.push(mask);
-        self.deadlock.push(deadlock);
-    }
-
-    /// Shared epilogue: trim the scan-grown vectors to their length, so
-    /// [`Self::approx_bytes`] counts what is resident, and stamp the
-    /// build time.
-    fn finish(mut self, start: Instant) -> Self {
-        self.offsets.shrink_to_fit();
-        self.targets.shrink_to_fit();
-        self.labels.shrink_to_fit();
-        self.enabled.shrink_to_fit();
-        self.deadlock.shrink_to_fit();
-        self.build_time = start.elapsed();
-        self
     }
 
     /// Number of distinct reachable states kept.
@@ -549,60 +401,81 @@ fn edge_label<S>(fairness: &[FairAction<S>], from: &S, to: &S) -> u32 {
     label
 }
 
-/// Worker body for [`FairGraph::build_with_threads`]: expand and label
-/// one stolen chunk of wave ids against the read-only arena snapshot.
-fn expand_wave_chunk<T, C>(
-    system: &T,
-    codec: &C,
-    snapshot: &StateArena<C::Encoded>,
-    fairness: &[FairAction<C::State>],
-    ids: &[u32],
-) -> Vec<NodeExpansion<C::Encoded>>
-where
-    C: StateCodec,
-    T: TransitionSystem<State = C::State>,
-{
-    let mut out = Vec::with_capacity(ids.len());
-    let mut succs: Vec<C::State> = Vec::new();
-    for &id in ids {
-        let state = codec.decode(snapshot.get(id));
-        succs.clear();
-        system.successors(&state, &mut succs);
-        if succs.is_empty() {
-            out.push(NodeExpansion {
-                edges: Vec::new(),
-                mask: 0,
-                deadlock: true,
-                generated: 0,
-            });
-            continue;
-        }
+/// The build as a walk on the layer step: workers label each generated
+/// edge, and the calling thread appends each expanded state's CSR row,
+/// in id order, with the edge targets resolved.
+struct Rows<'f, S> {
+    fairness: &'f [FairAction<S>],
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    labels: Vec<u32>,
+    enabled: Vec<u32>,
+    deadlock: Vec<bool>,
+    truncated: bool,
+}
+
+/// One chunk's labelled edges with their targets as the worker resolved
+/// them, and per expanded state the end of its edges and its
+/// enabledness mask.
+#[derive(Default)]
+struct RowChunk {
+    edges: Vec<(Target, u32)>,
+    rows: Vec<(u32, u32)>,
+}
+
+impl<S> Walk<S> for Rows<'_, S> {
+    type Chunk = RowChunk;
+
+    fn expanded(&self, chunk: &mut RowChunk, from: Option<&S>, succs: &[S], targets: &[Target]) {
+        // The initial states are nobody's successors: no row.
+        let Some(from) = from else { return };
         let mut mask = 0u32;
-        let mut node_edges = Vec::with_capacity(succs.len());
-        for succ in &succs {
-            let label = edge_label(fairness, &state, succ);
+        for (succ, &target) in succs.iter().zip(targets) {
+            let label = edge_label(self.fairness, from, succ);
+            // Enabledness counts every generated edge, kept or not.
             mask |= label;
-            let encoded = codec.encode(succ);
-            let hash = fx_hash(&encoded);
-            let target = match snapshot.lookup_hashed(hash, &encoded) {
-                Some(t) => EdgeTarget::Existing(t),
-                None => EdgeTarget::Proposal { hash, encoded },
-            };
-            node_edges.push((target, label));
+            chunk.edges.push((target, label));
         }
-        out.push(NodeExpansion {
-            edges: node_edges,
-            mask,
-            deadlock: false,
-            generated: succs.len() as u64,
-        });
+        chunk.rows.push((chunk.edges.len() as u32, mask));
     }
-    out
+
+    fn adopt(&mut self, chunk: RowChunk, ids: &[Option<u32>]) -> Flow {
+        // A state the budget drops takes its edges with it.
+        self.truncated |= ids.contains(&None);
+        let mut start = 0;
+        for (end, mask) in chunk.rows {
+            let edges = &chunk.edges[start..end as usize];
+            start = end as usize;
+            if edges.is_empty() {
+                // Stutter extension: a synthetic self-loop, no labels.
+                // Rows arrive in id order, so this is state `enabled.len()`.
+                self.targets.push(self.enabled.len() as u32);
+                self.labels.push(0);
+            }
+            for &(target, label) in edges {
+                let resolved = match target {
+                    Target::Visited(id) => Some(id),
+                    Target::Proposed(p) => ids[p as usize],
+                };
+                if let Some(id) = resolved {
+                    self.targets.push(id);
+                    self.labels.push(label);
+                }
+            }
+            // A truncation-frontier state, whose every successor the
+            // budget dropped, closes an empty row.
+            self.offsets.push(self.targets.len());
+            self.enabled.push(mask);
+            self.deadlock.push(edges.is_empty());
+        }
+        Flow::Continue
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tta_modelcheck::hashing::fx_hash;
     use tta_modelcheck::IdentityCodec;
 
     /// 0 → 1 → 2 → 1 (cycle), plus 0 → 3 (deadlock).
@@ -728,58 +601,191 @@ mod tests {
         }
     }
 
+    /// The sequential scan the layer step replaced, kept as the
+    /// independent reference: states in id order, each successor
+    /// straight into the arena. Its roots are looked up before the
+    /// budget is consulted, as its scan does.
+    fn reference_build<T: TransitionSystem<State = u32>>(
+        system: &T,
+        fairness: &[FairAction<u32>],
+        max_states: u64,
+    ) -> FairGraph<'static, IdentityCodec<u32>> {
+        static CODEC: IdentityCodec<u32> = IdentityCodec::new();
+        let codec = &CODEC;
+        let max_states = max_states.min(u64::from(u32::MAX - 1));
+        let mut graph = FairGraph {
+            codec,
+            arena: StateArena::new(),
+            offsets: vec![0],
+            targets: Vec::new(),
+            labels: Vec::new(),
+            enabled: Vec::new(),
+            deadlock: Vec::new(),
+            initial: Vec::new(),
+            action_names: fairness.iter().map(|a| a.name().to_string()).collect(),
+            action_mask: if fairness.is_empty() {
+                0
+            } else {
+                u32::MAX >> (32 - fairness.len())
+            },
+            truncated: false,
+            edges_generated: 0,
+            build_time: Duration::ZERO,
+        };
+        for init in system.initial_states() {
+            let encoded = codec.encode(&init);
+            let hash = fx_hash(&encoded);
+            if graph.arena.lookup_hashed(hash, &encoded).is_some() {
+                continue;
+            }
+            if (graph.arena.len() as u64) >= max_states {
+                graph.truncated = true;
+                break;
+            }
+            let id = graph.arena.insert_new_hashed(hash, encoded, NO_PARENT);
+            graph.initial.push(id);
+        }
+        let mut succs: Vec<u32> = Vec::new();
+        let mut cursor = 0u32;
+        while (cursor as usize) < graph.arena.len() {
+            let id = cursor;
+            cursor += 1;
+            let state = codec.decode(graph.arena.get(id));
+            succs.clear();
+            system.successors(&state, &mut succs);
+            if succs.is_empty() {
+                graph.targets.push(id);
+                graph.labels.push(0);
+                graph.offsets.push(graph.targets.len());
+                graph.enabled.push(0);
+                graph.deadlock.push(true);
+                continue;
+            }
+            let mut mask = 0u32;
+            for succ in &succs {
+                graph.edges_generated += 1;
+                let label = edge_label(fairness, &state, succ);
+                mask |= label;
+                let encoded = codec.encode(succ);
+                let hash = fx_hash(&encoded);
+                let target = match graph.arena.lookup_hashed(hash, &encoded) {
+                    Some(t) => Some(t),
+                    None if (graph.arena.len() as u64) < max_states => {
+                        Some(graph.arena.insert_new_hashed(hash, encoded, id))
+                    }
+                    None => {
+                        graph.truncated = true;
+                        None
+                    }
+                };
+                if let Some(t) = target {
+                    graph.targets.push(t);
+                    graph.labels.push(label);
+                }
+            }
+            graph.offsets.push(graph.targets.len());
+            graph.enabled.push(mask);
+            graph.deadlock.push(false);
+        }
+        graph
+    }
+
     fn assert_graphs_identical(
-        seq: &FairGraph<'static, IdentityCodec<u32>>,
-        par: &FairGraph<'static, IdentityCodec<u32>>,
+        expected: &FairGraph<'static, IdentityCodec<u32>>,
+        built: &FairGraph<'static, IdentityCodec<u32>>,
+        at: &str,
     ) {
-        assert_eq!(par.state_count(), seq.state_count());
-        assert_eq!(par.edge_count(), seq.edge_count());
-        assert_eq!(par.edges_generated(), seq.edges_generated());
-        assert_eq!(par.is_truncated(), seq.is_truncated());
-        assert_eq!(par.initial(), seq.initial());
-        for v in 0..seq.state_count() as u32 {
-            assert_eq!(par.state(v), seq.state(v), "state {v}");
-            assert_eq!(par.arena.parent(v), seq.arena.parent(v), "parent {v}");
-            assert_eq!(par.enabled_mask(v), seq.enabled_mask(v), "mask {v}");
-            assert_eq!(par.is_deadlock(v), seq.is_deadlock(v), "deadlock {v}");
+        assert_eq!(built.state_count(), expected.state_count(), "{at}");
+        assert_eq!(built.edge_count(), expected.edge_count(), "{at}");
+        assert_eq!(built.edges_generated(), expected.edges_generated(), "{at}");
+        assert_eq!(built.is_truncated(), expected.is_truncated(), "{at}");
+        assert_eq!(built.initial(), expected.initial(), "{at}");
+        for v in 0..expected.state_count() as u32 {
+            assert_eq!(built.state(v), expected.state(v), "{at}: state {v}");
             assert_eq!(
-                par.neighbors(v).collect::<Vec<_>>(),
-                seq.neighbors(v).collect::<Vec<_>>(),
-                "adjacency {v}"
+                built.arena.parent(v),
+                expected.arena.parent(v),
+                "{at}: parent {v}"
+            );
+            assert_eq!(
+                built.enabled_mask(v),
+                expected.enabled_mask(v),
+                "{at}: mask {v}"
+            );
+            assert_eq!(
+                built.is_deadlock(v),
+                expected.is_deadlock(v),
+                "{at}: deadlock {v}"
+            );
+            assert_eq!(
+                built.neighbors(v).collect::<Vec<_>>(),
+                expected.neighbors(v).collect::<Vec<_>>(),
+                "{at}: adjacency {v}"
             );
         }
     }
 
-    #[test]
-    #[cfg_attr(miri, ignore = "spawns real threads over a wide graph")]
-    fn threaded_build_is_bit_identical_to_sequential() {
+    /// The layer step builds the reference scan's graph bit for bit at
+    /// 1, 2 and 4 threads, whole or cut anywhere by the budget.
+    fn assert_matches_reference<T: TransitionSystem<State = u32> + Sync>(
+        system: &T,
+        fairness: impl Fn() -> Vec<FairAction<u32>>,
+        budgets: &[u64],
+    ) {
         static CODEC: IdentityCodec<u32> = IdentityCodec::new();
-        let forward = || vec![FairAction::new("forward", |a: &u32, b: &u32| b > a)];
-        let seq = FairGraph::build(&WideFan, &CODEC, &forward(), 1 << 20);
-        assert!(seq.state_count() > 2 * BUILD_CHUNK_STATES, "waves split");
-        for threads in [2, 4] {
-            let par = FairGraph::build_with_threads(&WideFan, &CODEC, &forward(), 1 << 20, threads);
-            assert_graphs_identical(&seq, &par);
+        for &max_states in budgets {
+            let expected = reference_build(system, &fairness(), max_states);
+            for threads in [1, 2, 4] {
+                let built =
+                    FairGraph::build_with_threads(system, &CODEC, &fairness(), max_states, threads);
+                let at = format!("budget {max_states}, {threads} threads");
+                assert_graphs_identical(&expected, &built, &at);
+            }
         }
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "spawns real threads over a wide graph")]
-    fn threaded_build_matches_sequential_under_truncation() {
-        static CODEC: IdentityCodec<u32> = IdentityCodec::new();
-        let seq = FairGraph::build(&WideFan, &CODEC, &[], 700);
-        assert!(seq.is_truncated());
-        let par = FairGraph::build_with_threads(&WideFan, &CODEC, &[], 700, 3);
-        assert_graphs_identical(&seq, &par);
+    fn every_thread_count_builds_the_reference_graph() {
+        let forward = || vec![FairAction::new("forward", |a: &u32, b: &u32| b > a)];
+        assert!(
+            reference_build(&WideFan, &forward(), 1 << 20).state_count() > 2 * BUILD_CHUNK_STATES,
+            "waves split"
+        );
+        assert_matches_reference(&WideFan, forward, &[1 << 20]);
+        assert_matches_reference(&Diamond, forward, &[1 << 20]);
     }
 
     #[test]
-    fn one_thread_delegates_to_the_sequential_build() {
+    #[cfg_attr(miri, ignore = "spawns real threads over a wide graph")]
+    fn every_thread_count_matches_the_reference_under_truncation() {
+        assert!(reference_build(&WideFan, &[], 700).is_truncated());
+        assert_matches_reference(&WideFan, Vec::new, &[1, 2, 3, 700, 1501, 1502, 1600]);
+        assert_matches_reference(&Diamond, Vec::new, &[1, 2, 3, 4]);
+    }
+
+    /// A duplicate initial state is looked up before the budget is
+    /// consulted: a one-state space fits a one-state budget, so its
+    /// graph is whole and a liveness pass on it holds.
+    #[test]
+    fn duplicate_roots_do_not_truncate_an_exact_budget() {
+        struct Dup;
+        impl TransitionSystem for Dup {
+            type State = u32;
+            fn initial_states(&self) -> Vec<u32> {
+                vec![1, 1, 1]
+            }
+            fn successors(&self, _: &u32, _: &mut Vec<u32>) {}
+        }
         static CODEC: IdentityCodec<u32> = IdentityCodec::new();
-        let seq = build(&[], 1 << 20);
-        let par = FairGraph::build_with_threads(&Diamond, &CODEC, &[], 1 << 20, 1);
-        assert_eq!(par.state_count(), seq.state_count());
-        assert_eq!(par.edge_count(), seq.edge_count());
+        for threads in [1, 2] {
+            let g = FairGraph::build_with_threads(&Dup, &CODEC, &[], 1, threads);
+            assert!(!g.is_truncated(), "{threads} threads");
+            assert_eq!(g.state_count(), 1);
+            assert_eq!(g.initial(), [0]);
+            let outcome = g.check(&crate::Property::always("anything", |_: &u32| true));
+            assert_eq!(outcome.verdict, tta_modelcheck::Verdict::Holds);
+        }
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //!   `LeadsTo(p, q)`, `AlwaysEventually`, over named [`StatePredicate`]s;
 //! * [`FairAction`] — weak-fairness constraints over named transition
 //!   judgments (a node that *can* act infinitely often *must*);
-//! * [`FairGraph`] — the reachable graph built once through PR 1's
+//! * [`FairGraph`] — the reachable graph built once on the safety
+//!   checker's layer step ([`tta_modelcheck::Explorer::walk`]) and its
 //!   [`tta_modelcheck::StateCodec`]/[`tta_modelcheck::StateArena`]
-//!   interning, with per-edge action labels and a CSR adjacency;
+//!   interning, with per-edge action labels and a CSR adjacency, and a
+//!   Graphviz DOT renderer ([`FairGraph::to_dot`]);
 //! * an iterative (non-recursive, stack-safe) Tarjan SCC decomposition
 //!   ([`strongly_connected_components`], [`tarjan_csr`]) driving
 //!   fair-cycle detection, which [`FairGraph::check_all`] runs for
@@ -60,6 +62,7 @@
 
 mod bits;
 mod check;
+mod dot;
 mod fairness;
 mod graph;
 mod lasso;

@@ -321,7 +321,7 @@ impl<E> std::fmt::Debug for DeltaArena<E> {
 mod tests {
     use super::*;
     use crate::hashing::fx_hash;
-    use crate::intern::{Interned, StateArena};
+    use crate::intern::StateArena;
 
     /// A 4-word encoding for tests.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -473,14 +473,12 @@ mod tests {
         for &v in &seq {
             let hash = fx_hash(&v);
             let d = match delta.lookup_hashed(hash, &v) {
-                Some(id) => Interned::Present(id),
-                None => Interned::New(delta.insert_new_hashed(hash, &v, last)),
+                Some(id) => (id, false),
+                None => (delta.insert_new_hashed(hash, &v, last), true),
             };
-            let p = plain.insert_if_absent(v, last);
+            let p = plain.intern(v, last);
             assert_eq!(d, p, "value {v}");
-            last = match d {
-                Interned::New(id) | Interned::Present(id) => id,
-            };
+            last = d.0;
         }
         assert_eq!(delta.len(), plain.len());
         for id in 0..delta.len() as u32 {

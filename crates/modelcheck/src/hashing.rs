@@ -5,8 +5,7 @@
 //! explorer's runtime, so we use an FxHash-style multiply-xor hasher
 //! (the rustc compiler's interning hasher) instead.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// Multiplicative constant from FxHash (derived from the golden ratio).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -75,12 +74,6 @@ pub fn fx_hash<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     hasher.finish()
 }
 
-/// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +94,7 @@ mod tests {
         // Not guaranteed in general, but these must not collide for the
         // hasher to be useful.
         let hashes: Vec<u64> = (0u64..1000).map(|v| hash_of(&v)).collect();
-        let unique: FxHashSet<u64> = hashes.iter().copied().collect();
+        let unique: std::collections::HashSet<u64> = hashes.iter().copied().collect();
         assert_eq!(unique.len(), 1000);
     }
 
@@ -111,15 +104,5 @@ mod tests {
         let a = hash_of(&"the same string");
         let b = hash_of(&"the same string");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn map_and_set_aliases_work() {
-        let mut map: FxHashMap<u32, &str> = FxHashMap::default();
-        map.insert(1, "one");
-        assert_eq!(map.get(&1), Some(&"one"));
-        let mut set: FxHashSet<u32> = FxHashSet::default();
-        set.insert(7);
-        assert!(set.contains(&7));
     }
 }

@@ -12,21 +12,11 @@
 //! Parent indices are opaque to the arena: both explorers store arena
 //! ids, and [`NO_PARENT`] marks roots.
 
-use crate::hashing::fx_hash;
 use crate::index::VisitedIndex;
 use std::hash::Hash;
 
 /// Parent marker for initial states (no predecessor).
 pub const NO_PARENT: u32 = u32::MAX;
-
-/// Outcome of [`StateArena::insert_if_absent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interned {
-    /// The state was new; it now lives at this index.
-    New(u32),
-    /// The state was already interned at this index.
-    Present(u32),
-}
 
 /// The visited-set interface both explorers drive, implemented by the
 /// plain [`StateArena`] and the delta-encoding
@@ -117,14 +107,8 @@ impl<E: Eq + Hash> StateArena<E> {
         &self.parents
     }
 
-    /// Looks up an encoded state without inserting.
-    #[must_use]
-    pub fn lookup(&self, encoded: &E) -> Option<u32> {
-        self.lookup_hashed(fx_hash(encoded), encoded)
-    }
-
-    /// [`Self::lookup`] with a caller-precomputed Fx hash, so hot loops
-    /// hash each encoding once across dedup and insert.
+    /// Looks up an encoded state by its caller-precomputed Fx hash, so
+    /// hot loops hash each encoding once across dedup and insert.
     #[must_use]
     pub fn lookup_hashed(&self, hash: u64, encoded: &E) -> Option<u32> {
         self.index
@@ -143,16 +127,6 @@ impl<E: Eq + Hash> StateArena<E> {
         self.states.push(encoded);
         self.parents.push(parent);
         id
-    }
-
-    /// Interns `encoded` with the given parent index unless it is
-    /// already present.
-    pub fn insert_if_absent(&mut self, encoded: E, parent: u32) -> Interned {
-        let hash = fx_hash(&encoded);
-        match self.lookup_hashed(hash, &encoded) {
-            Some(id) => Interned::Present(id),
-            None => Interned::New(self.insert_new_hashed(hash, encoded, parent)),
-        }
     }
 
     /// Approximate resident bytes of the visited set: the interned
@@ -192,26 +166,40 @@ impl<E: Eq + Hash> Visited<E> for StateArena<E> {
 }
 
 #[cfg(test)]
+impl<E: Eq + Hash> StateArena<E> {
+    /// Interns `encoded` under `parent` unless it is present: its id,
+    /// and whether it was new.
+    pub(crate) fn intern(&mut self, encoded: E, parent: u32) -> (u32, bool) {
+        let hash = crate::hashing::fx_hash(&encoded);
+        match self.lookup_hashed(hash, &encoded) {
+            Some(id) => (id, false),
+            None => (self.insert_new_hashed(hash, encoded, parent), true),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashing::fx_hash;
 
     #[test]
     fn interning_deduplicates() {
         let mut arena: StateArena<u64> = StateArena::new();
-        assert_eq!(arena.insert_if_absent(10, NO_PARENT), Interned::New(0));
-        assert_eq!(arena.insert_if_absent(20, 0), Interned::New(1));
-        assert_eq!(arena.insert_if_absent(10, 1), Interned::Present(0));
+        assert_eq!(arena.intern(10, NO_PARENT), (0, true));
+        assert_eq!(arena.intern(20, 0), (1, true));
+        assert_eq!(arena.intern(10, 1), (0, false));
         assert_eq!(arena.len(), 2);
-        assert_eq!(arena.lookup(&20), Some(1));
-        assert_eq!(arena.lookup(&30), None);
+        assert_eq!(arena.lookup_hashed(fx_hash(&20u64), &20), Some(1));
+        assert_eq!(arena.lookup_hashed(fx_hash(&30u64), &30), None);
     }
 
     #[test]
     fn parents_are_indices_not_clones() {
         let mut arena: StateArena<(u32, u32)> = StateArena::new();
-        arena.insert_if_absent((0, 0), NO_PARENT);
-        arena.insert_if_absent((0, 1), 0);
-        arena.insert_if_absent((1, 1), 1);
+        arena.intern((0, 0), NO_PARENT);
+        arena.intern((0, 1), 0);
+        arena.intern((1, 1), 1);
         assert_eq!(arena.parent(2), 1);
         assert_eq!(arena.parent(1), 0);
         assert_eq!(arena.parent(0), NO_PARENT);
@@ -231,31 +219,16 @@ mod tests {
         }
         let mut arena: StateArena<Collide> = StateArena::new();
         for i in 0..20u32 {
-            assert_eq!(
-                arena.insert_if_absent(Collide(i), NO_PARENT),
-                Interned::New(i)
-            );
+            assert_eq!(arena.intern(Collide(i), NO_PARENT), (i, true));
         }
         for i in 0..20u32 {
+            assert_eq!(arena.intern(Collide(i), NO_PARENT), (i, false));
             assert_eq!(
-                arena.insert_if_absent(Collide(i), NO_PARENT),
-                Interned::Present(i)
+                arena.lookup_hashed(fx_hash(&Collide(i)), &Collide(i)),
+                Some(i)
             );
-            assert_eq!(arena.lookup(&Collide(i)), Some(i));
         }
         assert_eq!(arena.len(), 20);
-    }
-
-    #[test]
-    fn hashed_apis_agree_with_plain_apis() {
-        let mut arena: StateArena<u64> = StateArena::new();
-        let hash = fx_hash(&99u64);
-        assert_eq!(arena.lookup_hashed(hash, &99), None);
-        let id = arena.insert_new_hashed(hash, 99, NO_PARENT);
-        assert_eq!(arena.lookup(&99), Some(id));
-        assert_eq!(arena.lookup_hashed(hash, &99), Some(id));
-        assert_eq!(arena.insert_if_absent(99, NO_PARENT), Interned::Present(id));
-        assert_eq!(arena.len(), 1);
     }
 
     #[test]
@@ -263,7 +236,7 @@ mod tests {
         let mut arena: StateArena<[u64; 4]> = StateArena::new();
         let empty = arena.approx_bytes();
         for i in 0..1000 {
-            arena.insert_if_absent([i, 0, 0, 0], NO_PARENT);
+            arena.intern([i, 0, 0, 0], NO_PARENT);
         }
         assert!(arena.approx_bytes() > empty);
         // The dominant term is the flat state storage, not per-entry

@@ -11,18 +11,20 @@
 //! * [`TransitionSystem`] — the `(I, R)` interface a model implements;
 //! * [`Explorer`] — breadth-first reachability with invariant checking;
 //!   like SMV, it returns the **shortest** counterexample trace when the
-//!   property fails;
-//! * [`BoundedChecker`] — depth-bounded search (a BMC-style ablation);
-//! * [`parallel::ParallelExplorer`] — frontier-parallel BFS on
-//!   [`tta_base::map_chunks`]: workers steal fixed-size frontier chunks
-//!   off an atomic counter and the results merge in chunk order, so every thread count reproduces the
-//!   sequential exploration bit for bit;
+//!   property fails. Its one layer step runs on
+//!   [`tta_base::map_chunks`] at every thread count: workers steal
+//!   fixed-size frontier chunks off an atomic counter and the results
+//!   merge in chunk order, so every thread count explores bit for bit
+//!   alike. A depth bound ([`Explorer::max_depth`]) turns it into the
+//!   bounded search of the A2 ablation, still with shortest traces;
+//! * [`Walk`] — the hook other state-space walks run on the same step
+//!   (the fair graph of `tta-liveness`);
 //! * [`StateCodec`] / [`StateArena`] — compact state interning: visited
 //!   sets store fixed-size encodings once, and parent links are `u32`
 //!   arena indices instead of per-state clones;
 //! * [`DeltaArena`] — optional delta-encoded visited-set storage
 //!   (sparse xor-deltas against BFS parents with periodic keyframes),
-//!   behind `check_with_delta_codec` on both explorers.
+//!   behind [`Explorer::check_with_delta_codec`].
 //!
 //! # Example
 //!
@@ -48,12 +50,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod bounded;
 pub mod codec;
 mod counterexample;
 pub mod delta;
 mod explore;
-pub mod graph;
 pub mod hashing;
 mod index;
 pub mod intern;
@@ -61,12 +61,12 @@ pub mod parallel;
 mod stats;
 mod system;
 
-pub use bounded::{BoundedChecker, BoundedOutcome, BoundedVerdict};
 pub use codec::{IdentityCodec, StateCodec};
 pub use counterexample::Trace;
 pub use delta::{DeltaArena, WordEncoded, KEY_INTERVAL, MAX_WORDS};
-pub use explore::{CheckOutcome, Explorer, Verdict, DEFAULT_MAX_STATES};
-pub use graph::StateGraph;
-pub use intern::{Interned, StateArena, Visited, NO_PARENT};
+pub use explore::{
+    CheckOutcome, Explorer, Flow, Target, Verdict, Walk, Walked, DEFAULT_MAX_STATES,
+};
+pub use intern::{StateArena, Visited, NO_PARENT};
 pub use stats::ExploreStats;
 pub use system::{Invariant, TransitionSystem};

@@ -1,5 +1,5 @@
-//! Allocation regression test for the parallel explorer's chunked path,
-//! counted on every thread.
+//! Allocation regression test for the explorer's chunked layer step on
+//! two threads, counted on every thread.
 //!
 //! Each frontier chunk is expanded on a worker into one batched proposal
 //! vector, filtered through one chunk-local table, then merged. Those
@@ -14,7 +14,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tta_modelcheck::{parallel::ParallelExplorer, StateCodec, TransitionSystem, Verdict};
+use tta_modelcheck::{Explorer, StateCodec, TransitionSystem, Verdict};
 
 struct CountingAllocator;
 
@@ -96,7 +96,7 @@ fn main() {
     // 64-state chunks split every layer wider than 64 states across
     // both workers, so the count covers worker-side allocations.
     let grid = Grid { bound: 100 };
-    let explorer = ParallelExplorer::new().threads(2).chunk_states(64);
+    let explorer = Explorer::new().threads(2).chunk_states(64);
     // Warm up lazy runtime allocations (stdout locks etc.) outside the
     // measured window.
     let warmup = explorer.check_with_codec(&grid, &PackCodec, |_: &(u32, u32)| true);

@@ -2,8 +2,7 @@
 //! randomized graph-shaped transition systems.
 
 use proptest::prelude::*;
-use tta_modelcheck::parallel::ParallelExplorer;
-use tta_modelcheck::{BoundedChecker, BoundedVerdict, Explorer, TransitionSystem, Verdict};
+use tta_modelcheck::{Explorer, TransitionSystem, Verdict};
 
 /// A random finite digraph over `0..n` with designated bad states.
 #[derive(Debug, Clone)]
@@ -117,50 +116,53 @@ proptest! {
         }
     }
 
-    /// Parallel and sequential BFS agree on verdict, state count and
-    /// counterexample length.
+    /// Every thread count agrees with the references: verdict, state
+    /// count when the property holds, and a shortest trace that really
+    /// is a path when it does not.
     #[test]
-    fn parallel_agrees_with_sequential(graph in arb_graph(40), threads in 1usize..5) {
+    fn every_thread_count_matches_the_references(graph in arb_graph(40), threads in 1usize..5) {
         let inv = |s: &u32| !graph.bad[*s as usize];
-        let seq = Explorer::new().check(&graph, inv);
-        let par = ParallelExplorer::new().threads(threads).check(&graph, inv);
-        prop_assert_eq!(par.verdict, seq.verdict);
-        if seq.verdict == Verdict::Holds {
-            prop_assert_eq!(par.stats.states_explored, seq.stats.states_explored);
-        }
-        if let (Some(a), Some(b)) = (seq.counterexample, par.counterexample) {
-            prop_assert_eq!(a.transition_count(), b.transition_count());
-            // The parallel trace is a real path too.
-            for (x, y) in b.transitions() {
-                prop_assert!(graph.edges[*x as usize].contains(y));
+        let outcome = Explorer::new().threads(threads).chunk_states(3).check(&graph, inv);
+        match reference_shortest_violation(&graph) {
+            None => {
+                prop_assert_eq!(outcome.verdict, Verdict::Holds);
+                prop_assert_eq!(
+                    outcome.stats.states_explored as usize,
+                    reference_reachable(&graph).len()
+                );
+            }
+            Some(dist) => {
+                prop_assert_eq!(outcome.verdict, Verdict::Violated);
+                let trace = outcome.counterexample.unwrap();
+                prop_assert_eq!(trace.transition_count(), dist, "trace must be shortest");
+                prop_assert!(graph.bad[*trace.violating_state() as usize]);
+                for (x, y) in trace.transitions() {
+                    prop_assert!(graph.edges[*x as usize].contains(y));
+                }
             }
         }
     }
 
-    /// The bounded checker is sound (finds nothing that BFS would not)
-    /// and complete up to its bound (finds everything within it).
+    /// A depth bound is sound (finds nothing that BFS would not) and
+    /// complete up to the bound (finds everything within it), and the
+    /// trace it finds is shortest.
     #[test]
-    fn bounded_is_sound_and_bound_complete(graph in arb_graph(30), bound in 0u64..20) {
+    fn depth_bound_is_sound_complete_and_shortest(graph in arb_graph(30), bound in 0u64..20) {
         let inv = |s: &u32| !graph.bad[*s as usize];
-        let outcome = BoundedChecker::new(bound).check(&graph, inv);
+        let outcome = Explorer::new().max_depth(bound).check(&graph, inv);
         match reference_shortest_violation(&graph) {
             Some(dist) if (dist as u64) <= bound => {
-                prop_assert_eq!(outcome.verdict, BoundedVerdict::Violated);
+                prop_assert_eq!(outcome.verdict, Verdict::Violated);
                 let trace = outcome.counterexample.unwrap();
-                prop_assert!(trace.transition_count() as u64 <= bound);
+                prop_assert_eq!(trace.transition_count(), dist, "trace must be shortest");
                 prop_assert!(graph.bad[*trace.violating_state() as usize]);
                 for (a, b) in trace.transitions() {
                     prop_assert!(graph.edges[*a as usize].contains(b));
                 }
             }
-            Some(_) | None => {
-                // Violation beyond the bound (or none at all): DFS must
-                // not invent one.
-                if outcome.verdict == BoundedVerdict::Violated {
-                    let trace = outcome.counterexample.unwrap();
-                    prop_assert!(graph.bad[*trace.violating_state() as usize]);
-                }
-            }
+            // Violation beyond the bound (or none at all): the bounded
+            // search must not invent one.
+            Some(_) | None => prop_assert_ne!(outcome.verdict, Verdict::Violated),
         }
     }
 

@@ -6,9 +6,12 @@
 //! dot -Tsvg cluster.dot -o cluster.svg   # if graphviz is installed
 //! ```
 
-use tta::core::{find_startup_witness, narrate_compressed, ClusterConfig, ClusterModel};
+use tta::core::{
+    find_startup_witness, narrate_compressed, ClusterCodec, ClusterConfig, ClusterModel,
+};
 use tta::guardian::CouplerAuthority;
-use tta::modelcheck::{Explorer, StateGraph};
+use tta::liveness::FairGraph;
+use tta::modelcheck::Explorer;
 use tta::protocol::ProtocolState;
 
 fn main() {
@@ -43,15 +46,16 @@ fn main() {
 
     // --- 3. State graph of a 2-node cluster, DOT on stdout.
     eprintln!("## 3. Writing the 2-node passive-coupler state graph to stdout as DOT\n");
-    let small = ClusterModel::new(ClusterConfig {
+    let small_config = ClusterConfig {
         nodes: 2,
         ..ClusterConfig::paper(CouplerAuthority::Passive)
-    });
-    let graph = StateGraph::explore(&small, 200);
+    };
+    let codec = ClusterCodec::new(&small_config);
+    let graph = FairGraph::build(&ClusterModel::new(small_config), &codec, &[], 200);
     eprintln!(
         "{} states, {} transitions{}",
-        graph.states().len(),
-        graph.edges().len(),
+        graph.state_count(),
+        graph.edges_generated(),
         if graph.is_truncated() {
             " (truncated)"
         } else {
