@@ -244,6 +244,19 @@ pub fn json_string(text: &str) -> String {
     out
 }
 
+/// A JSON object with `fields` in order.
+#[must_use]
+pub fn json_obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+/// `x` rounded to `decimals` places, as a JSON number.
+#[must_use]
+pub fn json_rounded(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Float((x * scale).round() / scale)
+}
+
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {

@@ -28,9 +28,7 @@
 
 use tta_analysis::tables::Table;
 use tta_bench::{heading, CampaignArgs, CampaignCell, CampaignJson, DaemonSession};
-use tta_fuzz::{
-    authority_token, fuzz_with, synthesize, DaemonEvaluator, Evaluator, FuzzConfig, LocalEvaluator,
-};
+use tta_fuzz::{fuzz_with, synthesize, DaemonEvaluator, Evaluator, FuzzConfig, LocalEvaluator};
 use tta_guardian::CouplerAuthority;
 
 const USAGE: &str =
@@ -105,11 +103,7 @@ fn main() {
     );
 
     let mut header = vec!["availability floor".to_string()];
-    header.extend(
-        CouplerAuthority::all()
-            .iter()
-            .map(|a| authority_token(*a).replace('_', " ")),
-    );
+    header.extend(CouplerAuthority::all().iter().map(ToString::to_string));
     let mut table = Table::new(header);
     let mut cells = Vec::new();
     for &floor in &sweep.floors {

@@ -29,11 +29,8 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_base::json::Json;
-use tta_bench::{
-    fmt_duration, fmt_secs, heading, json_obj, json_rounded, json_throughput, write_snapshot,
-    SNAPSHOT_NOTE,
-};
+use tta_base::json::{json_obj, json_rounded, Json};
+use tta_bench::{fmt_duration, fmt_secs, heading, json_throughput, write_snapshot, SNAPSHOT_NOTE};
 use tta_conformance::{ExpectedVerdict, Scenario};
 use tta_core::{
     cluster_startup_fairness, narrate_lasso, node_integration_property, verify_cluster_liveness,

@@ -11,9 +11,9 @@
 //!   threads instead of one. Combined with `--bench-json`, caps the
 //!   parallel sweep at `N` threads instead.
 //! * `--bench-json [PATH]` — skip the tables and instead record a
-//!   machine-readable throughput snapshot (the explorer on one thread
-//!   vs. the seed-style visited set vs. the explorer at 2/4/8 threads,
-//!   plus visited-set byte accounting) to `PATH` (default
+//!   machine-readable throughput snapshot (the explorer on one thread,
+//!   at 2/4/8 threads and depth-bounded at 20 — the A2 strategy
+//!   ablation — plus visited-set byte accounting) to `PATH` (default
 //!   `BENCH_modelcheck.json`). The one-thread run is timed once, as
 //!   `sequential_arena`; each parallel entry records its speedup over it
 //!   (`speedup_vs_sequential`) and a
@@ -24,14 +24,9 @@
 
 use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_base::json::Json;
-use tta_bench::{
-    fmt_duration, fmt_secs, heading, json_obj, json_rounded, json_throughput, seed_style_bfs,
-    write_snapshot, SNAPSHOT_NOTE,
-};
-use tta_core::{
-    verify_cluster_with, CheckStrategy, ClusterConfig, ClusterModel, FaultBudget, Verdict,
-};
+use tta_base::json::{json_obj, json_rounded, Json};
+use tta_bench::{fmt_duration, fmt_secs, heading, json_throughput, write_snapshot, SNAPSHOT_NOTE};
+use tta_core::{verify_cluster_with, CheckStrategy, ClusterConfig, FaultBudget, Verdict};
 use tta_guardian::CouplerAuthority;
 
 struct Args {
@@ -175,12 +170,6 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
     heading("model-checking throughput snapshot (paper config, small shifting)");
     println!("host CPUs: {host_cpus}");
 
-    let (seed_secs, seed_states) = time_min(RUNS, || seed_style_bfs(&ClusterModel::new(config)));
-    println!(
-        "seed-style visited set: {seed_states} states in {}",
-        fmt_secs(seed_secs)
-    );
-
     let mut sequential = None;
     let (seq_secs, seq_states) = time_min(RUNS, || {
         let report = verify_cluster_with(&config, CheckStrategy::Bfs);
@@ -189,10 +178,6 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
         states
     });
     let sequential = sequential.expect("ran at least once");
-    assert_eq!(
-        seq_states, seed_states,
-        "both visited-set designs must agree"
-    );
     println!(
         "arena + compact codec, 1 thread: {seq_states} states in {}",
         fmt_secs(seq_secs)
@@ -233,6 +218,18 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
         ]));
     }
 
+    // The A2 ablation's third strategy: the same layer step cut at
+    // depth 20, a prefix of the 34 layers the full search walks.
+    let (bounded_secs, bounded_states) = time_min(RUNS, || {
+        verify_cluster_with(&config, CheckStrategy::Bounded { depth: 20 })
+            .stats
+            .states_explored
+    });
+    println!(
+        "depth-bounded at 20, 1 thread: {bounded_states} states in {}",
+        fmt_secs(bounded_secs)
+    );
+
     let snapshot = json_obj([
         ("snapshot", Json::str("model_checking_throughput")),
         ("config", Json::str("paper/small-shifting")),
@@ -244,12 +241,12 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
             "bytes_per_state",
             json_rounded(sequential.stats.bytes_per_state(), 1),
         ),
-        (
-            "seed_style_visited_set",
-            json_throughput(seed_secs, seed_states),
-        ),
         ("sequential_arena", json_throughput(seq_secs, seq_states)),
         ("parallel_arena", Json::Arr(parallel_entries)),
+        (
+            "bounded_bfs_depth20",
+            json_throughput(bounded_secs, bounded_states),
+        ),
     ]);
     write_snapshot(path, &snapshot);
 }

@@ -1,9 +1,12 @@
-//! Experiment E1/E2 — Section 5.2 verification results.
+//! Experiments E1/E2 and E5 — Section 5.2 verification results and the
+//! time the two counterexample traces take.
 //!
 //! Checks the paper's safety property (*no single coupler fault may
 //! prevent any node from integrating or cost it its membership — an
 //! integrated node never freezes*) for all four star-coupler authority
-//! levels, printing verdicts, state-space sizes and wall-clock times.
+//! levels, printing verdicts, state-space sizes and wall-clock times,
+//! then times the configurations behind the paper's two narrated traces
+//! (E5: the paper generated both "in less than a minute").
 //!
 //! Paper rows reproduced: passive / time windows / small shifting →
 //! property **holds**; full shifting → **counterexample** (frames
@@ -11,14 +14,15 @@
 //!
 //! Flags:
 //!
-//! * `--json [PATH]` — additionally record the four rows machine-readably
-//!   (verdict, counterexample length, full exploration statistics) to
-//!   `PATH` (default `verification.json`), in the same hand-written JSON
-//!   style as `exp_scaling --bench-json`.
+//! * `--json [PATH]` — additionally record the four rows (`rows`) and
+//!   the two traces (`traces`) machine-readably — verdict,
+//!   counterexample length, full exploration statistics, seconds — to
+//!   `PATH` (default `verification.json`).
 
 use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_bench::{fmt_duration, heading};
+use tta_base::json::{json_obj, json_rounded, Json};
+use tta_bench::{fmt_secs, heading, write_snapshot};
 use tta_core::{verify_cluster, ClusterConfig, Verdict, VerificationReport};
 use tta_guardian::CouplerAuthority;
 
@@ -53,24 +57,40 @@ fn verdict_word(verdict: Verdict) -> &'static str {
     }
 }
 
-/// One row as a hand-written JSON object.
-fn json_row(authority: CouplerAuthority, report: &VerificationReport, seconds: f64) -> String {
+/// One verification, timed.
+fn timed(config: &ClusterConfig) -> (VerificationReport, f64) {
+    // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
+    let started = Instant::now();
+    let report = verify_cluster(config);
+    (report, started.elapsed().as_secs_f64())
+}
+
+/// One snapshot row: `key: name` first, then the verdict, the
+/// exploration statistics and the time.
+fn json_row(key: &str, name: &str, report: &VerificationReport, seconds: f64) -> Json {
     let stats = &report.stats;
-    format!(
-        "    {{\"authority\": \"{}\", \"verdict\": \"{}\", \"counterexample_len\": {}, \
-         \"states_explored\": {}, \"transitions\": {}, \"frontier_peak\": {}, \
-         \"depth_reached\": {}, \"visited_bytes\": {}, \"seconds\": {seconds:.6}}}",
-        authority.to_string().replace(' ', "_"),
-        verdict_word(report.verdict),
-        report
-            .counterexample_len()
-            .map_or_else(|| "null".to_string(), |l| l.to_string()),
-        stats.states_explored,
-        stats.transitions,
-        stats.frontier_peak,
-        stats.depth_reached,
-        stats.visited_bytes,
-    )
+    json_obj([
+        (key, Json::str(name)),
+        ("verdict", Json::str(verdict_word(report.verdict))),
+        (
+            "counterexample_len",
+            report
+                .counterexample_len()
+                .map_or(Json::Null, |l| Json::UInt(l as u64)),
+        ),
+        ("states_explored", Json::UInt(stats.states_explored)),
+        ("transitions", Json::UInt(stats.transitions)),
+        ("frontier_peak", Json::UInt(stats.frontier_peak)),
+        ("depth_reached", Json::UInt(stats.depth_reached)),
+        ("visited_bytes", Json::UInt(stats.visited_bytes)),
+        ("seconds", json_rounded(seconds, 6)),
+    ])
+}
+
+fn trace_len(report: &VerificationReport) -> String {
+    report
+        .counterexample_len()
+        .map_or_else(|| "—".to_string(), |l| format!("{l} slots"))
 }
 
 fn main() {
@@ -88,11 +108,7 @@ fn main() {
     ]);
     let mut rows = Vec::new();
     for authority in CouplerAuthority::all() {
-        let config = ClusterConfig::paper(authority);
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let started = Instant::now();
-        let report = verify_cluster(&config);
-        let elapsed = started.elapsed();
+        let (report, seconds) = timed(&ClusterConfig::paper(authority));
         let verdict = match report.verdict {
             Verdict::Holds => "holds".to_string(),
             Verdict::Violated => "VIOLATED".to_string(),
@@ -102,12 +118,10 @@ fn main() {
             authority.to_string(),
             verdict,
             report.stats.states_explored.to_string(),
-            report
-                .counterexample_len()
-                .map_or_else(|| "—".to_string(), |l| format!("{l} slots")),
-            fmt_duration(elapsed),
+            trace_len(&report),
+            fmt_secs(seconds),
         ]);
-        rows.push(json_row(authority, &report, elapsed.as_secs_f64()));
+        rows.push(json_row("authority", authority.token(), &report, seconds));
     }
     println!("{table}");
     println!(
@@ -117,16 +131,34 @@ fn main() {
          examples from the model checker.\""
     );
 
+    heading("E5 — counterexample generation time (paper: \"less than a minute\")");
+    let mut table = Table::new(["trace", "states explored", "trace length", "time"]);
+    let mut traces = Vec::new();
+    for (name, config) in [
+        (
+            "cold_start_duplication",
+            ClusterConfig::paper_trace_cold_start(),
+        ),
+        ("cstate_duplication", ClusterConfig::paper_trace_cstate()),
+    ] {
+        let (report, seconds) = timed(&config);
+        table.row([
+            name.to_string(),
+            report.stats.states_explored.to_string(),
+            trace_len(&report),
+            fmt_secs(seconds),
+        ]);
+        traces.push(json_row("trace", name, &report, seconds));
+    }
+    println!("{table}");
+
     if let Some(path) = json_path {
-        let json = format!(
-            "{{\n  \"snapshot\": \"verification_results\",\n  \"config\": \"paper/4-node\",\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            rows.join(",\n")
-        );
-        std::fs::write(&path, &json).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nwrote {path}");
+        let snapshot = json_obj([
+            ("snapshot", Json::str("verification_results")),
+            ("config", Json::str("paper/4-node")),
+            ("rows", Json::Arr(rows)),
+            ("traces", Json::Arr(traces)),
+        ]);
+        write_snapshot(&path, &snapshot);
     }
 }

@@ -34,9 +34,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use tta_bench::{CampaignArgs, DaemonSession};
-use tta_fuzz::{
-    authority_token, fuzz_with, synthesize, DaemonEvaluator, Evaluator, FuzzConfig, LocalEvaluator,
-};
+use tta_fuzz::{fuzz_with, synthesize, DaemonEvaluator, Evaluator, FuzzConfig, LocalEvaluator};
 use tta_guardian::CouplerAuthority;
 
 const USAGE: &str = "tta_fuzz [--seed N] [--budget DUR] [--rounds N] [--batch N] \
@@ -184,7 +182,7 @@ fn main() {
             let result = synthesize(&outcome.corpus, &cfg.ctx, authority, threshold);
             println!(
                 "  {:>14}: {} (worst availability {:.4}, {} candidate{} tried{})",
-                authority_token(authority),
+                authority.token(),
                 result.policy,
                 result.worst_availability,
                 result.candidates_tried,

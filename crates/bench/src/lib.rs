@@ -1,8 +1,9 @@
 //! # tta-bench
 //!
 //! Experiment harness for the DSN 2004 reproduction: one `exp_*` binary
-//! per table/figure of the paper (see EXPERIMENTS.md for the index) plus
-//! Criterion micro-benchmarks.
+//! per table/figure of the paper (see EXPERIMENTS.md for the index), plus
+//! the BENCH snapshot writers and [`seconds_per_iter`], the timer behind
+//! `exp_hotpaths`.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -18,62 +19,15 @@
 //! | `exp_liveness` | Integration liveness under weak fairness, fair-lasso counterexample (S4) |
 //! | `tta_fuzz` | Coverage-guided fault-plan fuzzing with shrinking + scenario emission (S7) |
 //! | `exp_fuzz` | Restart-policy synthesis over the fuzzed corpus (E11) |
+//! | `exp_hotpaths` | Protocol, codec, simulator and analysis hot paths (`BENCH_hotpaths.json`) |
 //!
 //! Run any of them with `cargo run --release -p tta-bench --bin <name>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-use std::time::Duration;
-use tta_base::json::Json;
-use tta_core::{ClusterModel, ClusterState};
-use tta_modelcheck::hashing::fx_hash;
-use tta_modelcheck::TransitionSystem;
-
-/// Layer BFS over a reconstruction of the **seed's** visited-set design:
-/// a mutex-sharded `HashMap<State, Option<State>>` that clones every
-/// discovered state twice per insert (once as the map key, once as the
-/// parent link) and takes a lock per probe. The interning arena replaced
-/// this; benchmarks run it head-to-head against the arena to quantify
-/// what the replacement bought. Returns the number of distinct states.
-#[must_use]
-pub fn seed_style_bfs(model: &ClusterModel) -> u64 {
-    const SHARD_COUNT: usize = 64;
-    let shards: Vec<Mutex<HashMap<ClusterState, Option<ClusterState>>>> = (0..SHARD_COUNT)
-        .map(|_| Mutex::new(HashMap::new()))
-        .collect();
-    let shard_of = |s: &ClusterState| (fx_hash(s) >> 58) as usize;
-
-    let mut layer = model.initial_states();
-    for state in &layer {
-        shards[shard_of(state)]
-            .lock()
-            .expect("unpoisoned")
-            .insert(state.clone(), None);
-    }
-    let mut states = layer.len() as u64;
-    let mut succs = Vec::new();
-    while !layer.is_empty() {
-        let mut next = Vec::new();
-        for state in &layer {
-            succs.clear();
-            model.successors(state, &mut succs);
-            for succ in succs.drain(..) {
-                let mut shard = shards[shard_of(&succ)].lock().expect("unpoisoned");
-                if !shard.contains_key(&succ) {
-                    shard.insert(succ.clone(), Some(state.clone()));
-                    drop(shard);
-                    states += 1;
-                    next.push(succ);
-                }
-            }
-        }
-        layer = next;
-    }
-    states
-}
+use std::time::{Duration, Instant};
+use tta_base::json::{json_obj, json_rounded, Json};
 
 // Campaign tables, golden-fixture comparison, and the shared campaign
 // CLI options moved to `tta-campaignd` when the daemon became their
@@ -183,8 +137,10 @@ pub fn fmt_duration(d: Duration) -> String {
         format!("{:.2} s", d.as_secs_f64())
     } else if d.as_millis() >= 1 {
         format!("{:.1} ms", d.as_secs_f64() * 1e3)
-    } else {
+    } else if d.as_micros() >= 1 {
         format!("{:.0} µs", d.as_secs_f64() * 1e6)
+    } else {
+        format!("{:.0} ns", d.as_secs_f64() * 1e9)
     }
 }
 
@@ -205,19 +161,6 @@ pub fn fmt_percent(ratio: f64) -> String {
 /// the host has CPUs.
 pub const SNAPSHOT_NOTE: &str = "entries with comparable=false used more threads than host CPUs \
      and only time-slice one core; judge scaling on comparable entries";
-
-/// A JSON object with `fields` in order.
-#[must_use]
-pub fn json_obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
-    Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
-}
-
-/// `x` rounded to `decimals` places, as a JSON number.
-#[must_use]
-pub fn json_rounded(x: f64, decimals: i32) -> Json {
-    let scale = 10f64.powi(decimals);
-    Json::Float((x * scale).round() / scale)
-}
 
 /// A timed snapshot entry: wall seconds and the states per second they
 /// give.
@@ -241,15 +184,52 @@ pub fn write_snapshot(path: &str, snapshot: &Json) {
     println!("\nwrote {path}");
 }
 
+/// Seconds one call of `f` takes. The batch size doubles until a batch
+/// runs for at least 10 ms, so the clock read is amortised even for
+/// nanosecond calls; the answer is the fastest of five batches of that
+/// size, per call. The closure and each result pass through
+/// `black_box`, so the compiler can neither hoist a call on captured
+/// inputs out of the loop nor delete it. Inputs written as literals in
+/// the closure body can still be constant-folded: capture them.
+pub fn seconds_per_iter<R>(mut f: impl FnMut() -> R) -> f64 {
+    const MIN_BATCH_SECONDS: f64 = 0.01;
+    const BATCHES: usize = 5;
+    let mut run_batch = |iters: u64| {
+        // detlint: allow(DL02) reason=the one hot-path timer; wall-clock is the quantity exp_hotpaths reports
+        let started = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(std::hint::black_box(&mut f)());
+        }
+        started.elapsed().as_secs_f64()
+    };
+    let mut iters = 1u64;
+    let mut best = run_batch(iters);
+    while best < MIN_BATCH_SECONDS {
+        iters *= 2;
+        best = run_batch(iters);
+    }
+    for _ in 1..BATCHES {
+        best = best.min(run_batch(iters));
+    }
+    best / iters as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn timer_reports_a_positive_finite_time_for_a_no_op() {
+        let secs = seconds_per_iter(|| ());
+        assert!(secs.is_finite() && secs > 0.0, "{secs}");
+    }
 
     #[test]
     fn durations_pick_sensible_units() {
         assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00 s");
         assert_eq!(fmt_duration(Duration::from_millis(15)), "15.0 ms");
         assert_eq!(fmt_duration(Duration::from_micros(250)), "250 µs");
+        assert_eq!(fmt_duration(Duration::from_nanos(35)), "35 ns");
     }
 
     #[test]

@@ -26,10 +26,12 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
 use tta_campaignd::client::{Client, ReconnectPolicy};
+use tta_campaignd::json::{json_obj, json_rounded, Json};
 use tta_campaignd::server::{Server, ServerConfig, ServerHandle};
 use tta_campaignd::spec::{
-    parse_authority, parse_scenario, parse_topology, JobSpec, ScenarioSource,
+    parse_scenario, parse_topology, unknown_authority, JobSpec, ScenarioSource,
 };
+use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
 
 const USAGE: &str = "tta_campaign <submit|status|ping|drain|shutdown|bench> [options]
@@ -197,10 +199,13 @@ fn submit(rest: &[String]) {
                 Ok(t) => spec_patch.push(Box::new(move |s| s.topology = t)),
                 Err(e) => die(&e.0),
             },
-            "--authority" => match parse_authority(&value("an authority token")) {
-                Ok(a) => spec_patch.push(Box::new(move |s| s.authority = a)),
-                Err(e) => die(&e.0),
-            },
+            "--authority" => {
+                let token = value("an authority token");
+                match CouplerAuthority::from_token(&token) {
+                    Some(a) => spec_patch.push(Box::new(move |s| s.authority = a)),
+                    None => die(&unknown_authority(&token).0),
+                }
+            }
             "--policy" => {
                 let p = parse_policy(&value("a policy token"));
                 spec_patch.push(Box::new(move |s| s.policy = p));
@@ -337,6 +342,84 @@ impl Drop for BenchDaemon {
     }
 }
 
+/// What one `bench` run measured.
+struct BenchRun {
+    host_cpus: usize,
+    trials: u32,
+    /// `(workers, seconds)` per cold sweep, one worker first.
+    scaling: Vec<(usize, f64)>,
+    /// Workers of the cache and supervision runs.
+    workers: usize,
+    cold_seconds: f64,
+    warm_seconds: f64,
+    warm_cache_hits: u64,
+    relaxed_seconds: f64,
+    supervised_seconds: f64,
+}
+
+impl BenchRun {
+    /// The `BENCH_campaignd.json` snapshot.
+    fn to_json(&self) -> Json {
+        let one_worker = self.scaling[0].1;
+        let scaling = self.scaling.iter().map(|&(workers, seconds)| {
+            json_obj([
+                ("workers", Json::UInt(workers as u64)),
+                ("seconds", json_rounded(seconds, 6)),
+                (
+                    "trials_per_second",
+                    json_rounded(f64::from(self.trials) / seconds, 0),
+                ),
+                ("speedup_vs_1", json_rounded(one_worker / seconds, 3)),
+                ("comparable", Json::Bool(workers <= self.host_cpus)),
+            ])
+        });
+        let workers = Json::UInt(self.workers as u64);
+        let overhead_percent = (self.supervised_seconds / self.relaxed_seconds - 1.0) * 100.0;
+        json_obj([
+            ("snapshot", Json::str("campaign_service_throughput")),
+            (
+                "job",
+                Json::str("sos_sender star/small_shifting watchdog:8, 64 trials x 400 slots"),
+            ),
+            ("host_cpus", Json::UInt(self.host_cpus as u64)),
+            (
+                "note",
+                Json::str(
+                    "entries with comparable=false used more workers than host CPUs and only \
+                     time-slice one core; judge scaling on comparable entries",
+                ),
+            ),
+            ("workers", Json::Arr(scaling.collect())),
+            (
+                "cache",
+                json_obj([
+                    ("workers", workers.clone()),
+                    ("cold_seconds", json_rounded(self.cold_seconds, 6)),
+                    ("warm_seconds", json_rounded(self.warm_seconds, 6)),
+                    (
+                        "speedup",
+                        json_rounded(self.cold_seconds / self.warm_seconds, 1),
+                    ),
+                    ("warm_cache_hits", Json::UInt(self.warm_cache_hits)),
+                ]),
+            ),
+            (
+                "supervision",
+                json_obj([
+                    ("workers", workers),
+                    ("relaxed_seconds", json_rounded(self.relaxed_seconds, 6)),
+                    (
+                        "supervised_seconds",
+                        json_rounded(self.supervised_seconds, 6),
+                    ),
+                    ("overhead_percent", json_rounded(overhead_percent, 2)),
+                    ("budget_percent", Json::Float(5.0)),
+                ]),
+            ),
+        ])
+    }
+}
+
 fn bench(rest: &[String]) {
     let mut out_path = PathBuf::from("BENCH_campaignd.json");
     let mut iter = rest.iter();
@@ -361,10 +444,8 @@ fn bench(rest: &[String]) {
 
     // Cold-state scaling: a fresh daemon (empty journal dir, empty
     // cache) per worker count, so every trial is computed.
-    let worker_counts = [1usize, 2, 4, 8];
     let mut scaling = Vec::new();
-    let mut base_seconds = 0.0f64;
-    for &workers in &worker_counts {
+    for workers in [1usize, 2, 4, 8] {
         let daemon = BenchDaemon::spawn(scratch.join(format!("w{workers}")), workers);
         // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
         let start = Instant::now();
@@ -385,16 +466,13 @@ fn bench(rest: &[String]) {
             result.stats.cache_hits, 0,
             "cold run must compute every trial"
         );
-        if workers == 1 {
-            base_seconds = seconds;
-        }
         let rate = f64::from(spec.trials) / seconds;
         let comparable = workers <= host_cpus;
         eprintln!(
             "  workers {workers}: {seconds:.3} s, {rate:.0} trials/s{}",
             if comparable { "" } else { " (oversubscribed)" }
         );
-        scaling.push((workers, seconds, rate, base_seconds / seconds, comparable));
+        scaling.push((workers, seconds));
     }
 
     // Warm vs. cold cache on one daemon: submit cold, delete the
@@ -507,43 +585,101 @@ fn bench(rest: &[String]) {
          supervised {supervised_seconds:.3} s ({overhead_percent:+.1}%)"
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"snapshot\": \"campaign_service_throughput\",\n");
-    json.push_str(
-        "  \"job\": \"sos_sender star/small_shifting watchdog:8, 64 trials x 400 slots\",\n",
-    );
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    json.push_str(
-        "  \"note\": \"entries with comparable=false used more workers than host CPUs and only \
-         time-slice one core; judge scaling on comparable entries\",\n",
-    );
-    json.push_str("  \"workers\": [\n");
-    for (i, (workers, seconds, rate, speedup, comparable)) in scaling.iter().enumerate() {
-        let comma = if i + 1 < scaling.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"workers\": {workers}, \"seconds\": {seconds:.6}, \
-             \"trials_per_second\": {rate:.0}, \"speedup_vs_1\": {speedup:.3}, \
-             \"comparable\": {comparable}}}{comma}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"cache\": {{\"workers\": {warm_workers}, \"cold_seconds\": {cold_seconds:.6}, \
-         \"warm_seconds\": {warm_seconds:.6}, \"speedup\": {:.1}, \"warm_cache_hits\": {}}},\n",
-        cold_seconds / warm_seconds,
-        warm.stats.cache_hits
-    ));
-    json.push_str(&format!(
-        "  \"supervision\": {{\"workers\": {warm_workers}, \
-         \"relaxed_seconds\": {relaxed_seconds:.6}, \
-         \"supervised_seconds\": {supervised_seconds:.6}, \
-         \"overhead_percent\": {overhead_percent:.2}, \"budget_percent\": 5.0}}\n"
-    ));
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
+    let run = BenchRun {
+        host_cpus,
+        trials: spec.trials,
+        scaling,
+        workers: warm_workers,
+        cold_seconds,
+        warm_seconds,
+        warm_cache_hits: warm.stats.cache_hits,
+        relaxed_seconds,
+        supervised_seconds,
+    };
+    std::fs::write(&out_path, run.to_json().render_pretty()).unwrap_or_else(|e| {
         eprintln!("error: cannot write {}: {e}", out_path.display());
         std::process::exit(1);
     });
     eprintln!("wrote {}", out_path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn keys(value: &Json) -> Vec<&str> {
+        match value {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bench_snapshot_parses_back_with_the_hand_formatted_keys() {
+        let run = BenchRun {
+            host_cpus: 2,
+            trials: 64,
+            scaling: vec![(1, 0.04), (2, 0.025), (4, 0.02), (8, 0.02)],
+            workers: 2,
+            cold_seconds: 0.03,
+            warm_seconds: 0.006,
+            warm_cache_hits: 64,
+            relaxed_seconds: 0.03,
+            supervised_seconds: 0.03036,
+        };
+        let parsed = Json::parse(&run.to_json().render_pretty()).expect("valid JSON");
+        assert_eq!(
+            keys(&parsed),
+            [
+                "snapshot",
+                "job",
+                "host_cpus",
+                "note",
+                "workers",
+                "cache",
+                "supervision"
+            ]
+        );
+        let rows = parsed.get("workers").and_then(Json::as_arr).expect("rows");
+        assert_eq!(rows.len(), 4);
+        for row in rows {
+            assert_eq!(
+                keys(row),
+                [
+                    "workers",
+                    "seconds",
+                    "trials_per_second",
+                    "speedup_vs_1",
+                    "comparable"
+                ]
+            );
+        }
+        assert_eq!(rows[0].get("trials_per_second"), Some(&Json::UInt(1600)));
+        assert_eq!(rows[1].get("speedup_vs_1"), Some(&Json::Float(1.6)));
+        assert_eq!(rows[2].get("comparable"), Some(&Json::Bool(false)));
+        let cache = parsed.get("cache").expect("cache");
+        assert_eq!(
+            keys(cache),
+            [
+                "workers",
+                "cold_seconds",
+                "warm_seconds",
+                "speedup",
+                "warm_cache_hits"
+            ]
+        );
+        assert_eq!(cache.get("speedup"), Some(&Json::UInt(5)));
+        let supervision = parsed.get("supervision").expect("supervision");
+        assert_eq!(
+            keys(supervision),
+            [
+                "workers",
+                "relaxed_seconds",
+                "supervised_seconds",
+                "overhead_percent",
+                "budget_percent"
+            ]
+        );
+        assert_eq!(supervision.get("overhead_percent"), Some(&Json::Float(1.2)));
+    }
 }

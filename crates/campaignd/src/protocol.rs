@@ -34,8 +34,8 @@
 use crate::json::Json;
 use crate::runner::{JobProgress, RunStats, TrialVerdict};
 use crate::spec::{
-    aggregate_to_json, authority_token, parse_authority, parse_topology, policy_from_json,
-    policy_to_json, recovery_token, topology_token, verdict_to_fields, JobSpec, SpecError,
+    aggregate_to_json, parse_topology, policy_from_json, policy_to_json, recovery_token,
+    topology_token, unknown_authority, verdict_to_fields, JobSpec, SpecError,
 };
 use std::sync::atomic::Ordering;
 use tta_guardian::sos::SosDomain;
@@ -148,12 +148,11 @@ fn parse_eval(value: &Json) -> Result<EvalRequest, SpecError> {
             .and_then(Json::as_str)
             .ok_or_else(|| bad("eval needs string \"topology\""))?,
     )?;
-    let authority = parse_authority(
-        value
-            .get("authority")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("eval needs string \"authority\""))?,
-    )?;
+    let token = value
+        .get("authority")
+        .and_then(Json::as_str)
+        .ok_or_else(|| bad("eval needs string \"authority\""))?;
+    let authority = CouplerAuthority::from_token(token).ok_or_else(|| unknown_authority(token))?;
     let slots = value
         .get("slots")
         .and_then(Json::as_u64)
@@ -190,7 +189,7 @@ pub fn render_eval(request: &EvalRequest) -> String {
         ),
         (
             "authority".to_string(),
-            Json::str(authority_token(request.authority)),
+            Json::str(request.authority.token()),
         ),
         ("slots".to_string(), Json::UInt(request.slots)),
         ("policy".to_string(), policy_to_json(request.policy)),
@@ -252,25 +251,6 @@ fn persistence_from_json(value: &Json) -> Result<FaultPersistence, SpecError> {
         _ => Err(bad(
             "persistence must be \"transient\" | \"permanent\" | {\"intermittent\": ..}",
         )),
-    }
-}
-
-fn coupler_mode_token(mode: CouplerFaultMode) -> &'static str {
-    match mode {
-        CouplerFaultMode::None => "none",
-        CouplerFaultMode::Silence => "silence",
-        CouplerFaultMode::BadFrame => "bad_frame",
-        CouplerFaultMode::OutOfSlot => "out_of_slot",
-    }
-}
-
-fn parse_coupler_mode(token: &str) -> Result<CouplerFaultMode, SpecError> {
-    match token {
-        "none" => Ok(CouplerFaultMode::None),
-        "silence" => Ok(CouplerFaultMode::Silence),
-        "bad_frame" => Ok(CouplerFaultMode::BadFrame),
-        "out_of_slot" => Ok(CouplerFaultMode::OutOfSlot),
-        other => Err(bad(format!("unknown coupler fault mode `{other}`"))),
     }
 }
 
@@ -378,7 +358,7 @@ pub fn plan_to_json(plan: &FaultPlan) -> Json {
         .map(|f| {
             Json::Obj(vec![
                 ("channel".to_string(), Json::UInt(f.channel as u64)),
-                ("mode".to_string(), Json::str(coupler_mode_token(f.mode))),
+                ("mode".to_string(), Json::str(f.mode.to_string())),
                 ("from_slot".to_string(), Json::UInt(f.from_slot)),
                 ("to_slot".to_string(), Json::UInt(f.to_slot)),
                 (
@@ -450,14 +430,14 @@ pub fn plan_from_json(value: &Json) -> Result<FaultPlan, SpecError> {
                 .and_then(Json::as_u64)
                 .filter(|c| *c < 2)
                 .ok_or_else(|| bad("coupler fault needs \"channel\" 0 or 1"))?;
+            let token = entry
+                .get("mode")
+                .and_then(Json::as_str)
+                .ok_or_else(|| bad("coupler fault needs string \"mode\""))?;
             let fault = CouplerFaultEvent {
                 channel: channel as usize,
-                mode: parse_coupler_mode(
-                    entry
-                        .get("mode")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("coupler fault needs string \"mode\""))?,
-                )?,
+                mode: CouplerFaultMode::from_token(token)
+                    .ok_or_else(|| bad(format!("unknown coupler fault mode `{token}`")))?,
                 from_slot: entry
                     .get("from_slot")
                     .and_then(Json::as_u64)

@@ -116,10 +116,7 @@ impl JobSpec {
                 "topology".to_string(),
                 Json::str(topology_token(self.topology)),
             ),
-            (
-                "authority".to_string(),
-                Json::str(authority_token(self.authority)),
-            ),
+            ("authority".to_string(), Json::str(self.authority.token())),
             ("scenario".to_string(), scenario),
             ("policy".to_string(), policy_to_json(self.policy)),
             ("trials".to_string(), Json::UInt(u64::from(self.trials))),
@@ -168,7 +165,8 @@ impl JobSpec {
             let token = v
                 .as_str()
                 .ok_or_else(|| bad("\"authority\" must be a string"))?;
-            spec.authority = parse_authority(token)?;
+            spec.authority =
+                CouplerAuthority::from_token(token).ok_or_else(|| unknown_authority(token))?;
         }
         if let Some(v) = value.get("policy") {
             spec.policy = policy_from_json(v)?;
@@ -285,10 +283,7 @@ impl ResolvedJob {
                     "topology".to_string(),
                     Json::str(topology_token(spec.topology)),
                 ),
-                (
-                    "authority".to_string(),
-                    Json::str(authority_token(spec.authority)),
-                ),
+                ("authority".to_string(), Json::str(spec.authority.token())),
                 ("scenario".to_string(), Json::str(scenario_token(*scenario))),
                 ("slots".to_string(), Json::UInt(spec.slots)),
                 (
@@ -305,7 +300,7 @@ impl ResolvedJob {
                 ),
                 (
                     "authority".to_string(),
-                    Json::str(authority_token(scenario.authority)),
+                    Json::str(scenario.authority.token()),
                 ),
                 (
                     "scenario_content".to_string(),
@@ -507,32 +502,13 @@ pub fn parse_topology(token: &str) -> Result<Topology, SpecError> {
     }
 }
 
-/// The wire token of an authority level (the scenario DSL's spelling).
+/// The error for an authority token [`CouplerAuthority::from_token`]
+/// does not know.
 #[must_use]
-pub fn authority_token(authority: CouplerAuthority) -> &'static str {
-    match authority {
-        CouplerAuthority::Passive => "passive",
-        CouplerAuthority::TimeWindows => "time_windows",
-        CouplerAuthority::SmallShifting => "small_shifting",
-        CouplerAuthority::FullShifting => "full_shifting",
-    }
-}
-
-/// Parses an authority token.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] listing the valid tokens.
-pub fn parse_authority(token: &str) -> Result<CouplerAuthority, SpecError> {
-    match token {
-        "passive" => Ok(CouplerAuthority::Passive),
-        "time_windows" => Ok(CouplerAuthority::TimeWindows),
-        "small_shifting" => Ok(CouplerAuthority::SmallShifting),
-        "full_shifting" => Ok(CouplerAuthority::FullShifting),
-        other => Err(bad(format!(
-            "unknown authority `{other}` (passive | time_windows | small_shifting | full_shifting)"
-        ))),
-    }
+pub fn unknown_authority(token: &str) -> SpecError {
+    bad(format!(
+        "unknown authority `{token}` (passive | time_windows | small_shifting | full_shifting)"
+    ))
 }
 
 /// The wire form of a restart policy.

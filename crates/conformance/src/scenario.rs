@@ -270,9 +270,12 @@ impl Scenario {
                 )))
             }
         };
-        let authority = parse_authority(
-            get_str(Some(cluster), "authority", "cluster")?.unwrap_or("small_shifting"),
-        )?;
+        let token = get_str(Some(cluster), "authority", "cluster")?.unwrap_or("small_shifting");
+        let authority = CouplerAuthority::from_token(token).ok_or_else(|| {
+            ScenarioError::new(format!(
+                "authority `{token}` (expected passive | time_windows | small_shifting | full_shifting)"
+            ))
+        })?;
 
         let model = doc.table("model");
         check_keys(model, &["out_of_slot_budget", "forbid_cold_start_replay"])?;
@@ -576,18 +579,6 @@ impl Scenario {
     }
 }
 
-fn parse_authority(text: &str) -> Result<CouplerAuthority, ScenarioError> {
-    match text {
-        "passive" => Ok(CouplerAuthority::Passive),
-        "time_windows" => Ok(CouplerAuthority::TimeWindows),
-        "small_shifting" => Ok(CouplerAuthority::SmallShifting),
-        "full_shifting" => Ok(CouplerAuthority::FullShifting),
-        other => Err(ScenarioError::new(format!(
-            "authority `{other}` (expected passive | time_windows | small_shifting | full_shifting)"
-        ))),
-    }
-}
-
 fn parse_coupler_fault(table: &Table) -> Result<CouplerFaultEvent, ScenarioError> {
     check_keys(
         Some(table),
@@ -606,17 +597,17 @@ fn parse_coupler_fault(table: &Table) -> Result<CouplerFaultEvent, ScenarioError
         .filter(|c| (0..=1).contains(c))
         .ok_or_else(|| ScenarioError::new(format!("{where_}: channel must be 0 or 1")))?
         as usize;
-    let mode = match get_str(Some(table), "mode", &where_)? {
-        Some("silence") => CouplerFaultMode::Silence,
-        Some("bad_frame") => CouplerFaultMode::BadFrame,
-        Some("out_of_slot") => CouplerFaultMode::OutOfSlot,
-        other => {
-            return Err(ScenarioError::new(format!(
+    // `none` is a mode but not a fault: a scenario cannot schedule it.
+    let token = get_str(Some(table), "mode", &where_)?;
+    let mode = token
+        .and_then(CouplerFaultMode::from_token)
+        .filter(|mode| mode.is_faulty())
+        .ok_or_else(|| {
+            ScenarioError::new(format!(
                 "{where_}: mode `{}` (expected silence | bad_frame | out_of_slot)",
-                other.unwrap_or("<missing>")
-            )))
-        }
-    };
+                token.unwrap_or("<missing>")
+            ))
+        })?;
     let from_slot = get_int(Some(table), "from_slot", &where_)?
         .filter(|s| *s >= 0)
         .ok_or_else(|| ScenarioError::new(format!("{where_}: from_slot is required")))?
@@ -1107,6 +1098,10 @@ sim_disturbed = true
         let bad = text.replace("persistence = \"intermittent\"", "");
         let err = Scenario::parse(&bad, Path::new(".")).unwrap_err();
         assert!(err.to_string().contains("period/duty"), "{err}");
+
+        let bad = text.replace("mode = \"silence\"", "mode = \"none\"");
+        let err = Scenario::parse(&bad, Path::new(".")).unwrap_err();
+        assert!(err.to_string().contains("mode `none` (expected"), "{err}");
     }
 
     #[test]

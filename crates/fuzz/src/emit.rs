@@ -21,7 +21,7 @@ use tta_protocol::RestartPolicy;
 use tta_sim::{FaultPersistence, NodeFaultKind, RecoveryOutcome, Topology};
 
 use crate::eval::EvalContext;
-use crate::input::{coupler_mode_name, FuzzEventKind, FuzzInput};
+use crate::input::{FuzzEventKind, FuzzInput};
 
 /// What the emitter needs to know about a find.
 #[derive(Debug)]
@@ -51,27 +51,21 @@ pub struct Emitted {
     pub expected_outcome: RecoveryOutcome,
 }
 
-/// The DSL spelling of an authority level (underscored, unlike the
-/// type's spaced `Display`).
+/// The DSL spelling of an authority level: [`CouplerAuthority::token`].
 #[must_use]
 pub fn authority_token(authority: CouplerAuthority) -> &'static str {
-    match authority {
-        CouplerAuthority::Passive => "passive",
-        CouplerAuthority::TimeWindows => "time_windows",
-        CouplerAuthority::SmallShifting => "small_shifting",
-        CouplerAuthority::FullShifting => "full_shifting",
-    }
+    authority.token()
 }
 
 /// Emits one scenario, or a reason the find cannot be pinned (e.g. it
 /// lints dirty — those finds are dropped, not written).
 pub fn emit_scenario(req: &EmitRequest<'_>) -> Result<Emitted, String> {
-    let tag = format!("{}\n{}", req.input.render(), authority_token(req.authority));
+    let tag = format!("{}\n{}", req.input.render(), req.authority.token());
     let hash = fnv1a64(tag.as_bytes()) as u32;
     let name = format!(
         "fuzzed-{}-{}-{hash:08x}",
         req.kind_word,
-        authority_token(req.authority).replace('_', "-")
+        req.authority.token().replace('_', "-")
     );
     let file_name = format!("{}.toml", name.replace('-', "_"));
 
@@ -144,7 +138,7 @@ fn render_body(req: &EmitRequest<'_>, name: &str) -> Result<String, String> {
         Topology::Bus => "bus",
     };
     let _ = writeln!(out, "topology = \"{topology}\"");
-    let _ = writeln!(out, "authority = \"{}\"", authority_token(req.authority));
+    let _ = writeln!(out, "authority = \"{}\"", req.authority.token());
     if req.authority == CouplerAuthority::FullShifting {
         // An unbudgeted full-shifting space is the paper's huge one;
         // one replay suffices to expose the violation and keeps the
@@ -160,7 +154,7 @@ fn render_body(req: &EmitRequest<'_>, name: &str) -> Result<String, String> {
             FuzzEventKind::Coupler { channel, mode } => {
                 out.push_str("\n[[fault.coupler]]\n");
                 let _ = writeln!(out, "channel = {channel}");
-                let _ = writeln!(out, "mode = \"{}\"", coupler_mode_name(mode));
+                let _ = writeln!(out, "mode = \"{mode}\"");
                 let _ = writeln!(out, "from_slot = {}", event.from_slot);
                 let _ = writeln!(out, "to_slot = {}", event.to_slot);
             }

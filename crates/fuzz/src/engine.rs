@@ -38,7 +38,7 @@ use tta_modellint::{config_coverage, AnalysisOptions};
 use tta_sim::RecoveryOutcome;
 
 use crate::corpus::Corpus;
-use crate::emit::{authority_token, emit_scenario, EmitRequest, Emitted};
+use crate::emit::{emit_scenario, EmitRequest, Emitted};
 use crate::eval::{evaluate_under, EvalContext, EvalSet, Evaluator, LocalEvaluator};
 use crate::input::FuzzInput;
 use crate::mutate::Mutator;
@@ -188,7 +188,7 @@ pub fn fuzz_with(cfg: &FuzzConfig, evaluator: &dyn Evaluator) -> FuzzOutcome {
     let mut replay_admissible = false;
     for authority in CouplerAuthority::all() {
         let evidence = config_coverage(
-            &format!("fuzz:{}", authority_token(authority)),
+            &format!("fuzz:{}", authority.token()),
             &ClusterConfig::paper(authority),
             &probe,
         );
@@ -197,7 +197,7 @@ pub fn fuzz_with(cfg: &FuzzConfig, evaluator: &dyn Evaluator) -> FuzzOutcome {
         let _ = writeln!(
             journal,
             "coverage {}: states={} truncated={} out_of_slot_steps={}",
-            authority_token(authority),
+            authority.token(),
             evidence.states,
             evidence.truncated,
             out_of_slot_steps
@@ -420,7 +420,7 @@ pub fn describe(kind: &FindKind) -> String {
             availability,
         } => format!(
             "availability cliff under {}: {:.4} -> {:.4}",
-            authority_token(*authority),
+            authority.token(),
             parent_availability,
             availability
         ),
@@ -431,9 +431,9 @@ pub fn describe(kind: &FindKind) -> String {
             hi_outcome,
         } => format!(
             "outcome flip {} {} -> {} {}",
-            authority_token(*lo),
+            lo.token(),
             lo_outcome,
-            authority_token(*hi),
+            hi.token(),
             hi_outcome
         ),
     }

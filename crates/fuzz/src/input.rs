@@ -65,7 +65,7 @@ impl FuzzEvent {
         let mut out = String::new();
         match self.kind {
             FuzzEventKind::Coupler { channel, mode } => {
-                let _ = write!(out, "coupler ch{channel} {}", coupler_mode_name(mode));
+                let _ = write!(out, "coupler ch{channel} {mode}");
             }
             FuzzEventKind::Node { node, kind } => {
                 let _ = write!(out, "node {node} {}", node_kind_token(kind));
@@ -77,18 +77,6 @@ impl FuzzEvent {
             self.from_slot, self.to_slot, self.persistence
         );
         out
-    }
-}
-
-/// The DSL spelling of a coupler fault mode (underscored, unlike the
-/// type's `Display`).
-#[must_use]
-pub fn coupler_mode_name(mode: CouplerFaultMode) -> &'static str {
-    match mode {
-        CouplerFaultMode::None => "none",
-        CouplerFaultMode::Silence => "silence",
-        CouplerFaultMode::BadFrame => "bad_frame",
-        CouplerFaultMode::OutOfSlot => "out_of_slot",
     }
 }
 

@@ -39,6 +39,25 @@ impl CouplerAuthority {
         ]
     }
 
+    /// The underscored spelling of the scenario DSL, the campaign wire
+    /// format and every snapshot (`time_windows`); `Display` spaces the
+    /// words as the paper does (`time windows`).
+    #[must_use]
+    pub fn token(self) -> &'static str {
+        match self {
+            CouplerAuthority::Passive => "passive",
+            CouplerAuthority::TimeWindows => "time_windows",
+            CouplerAuthority::SmallShifting => "small_shifting",
+            CouplerAuthority::FullShifting => "full_shifting",
+        }
+    }
+
+    /// The level whose [`Self::token`] is `token`, if any.
+    #[must_use]
+    pub fn from_token(token: &str) -> Option<CouplerAuthority> {
+        Self::all().into_iter().find(|a| a.token() == token)
+    }
+
     /// Whether the coupler can block transmissions (cut a babbling node
     /// off outside its slot).
     #[must_use]
@@ -152,5 +171,15 @@ mod tests {
     fn display_matches_paper_naming() {
         assert_eq!(CouplerAuthority::FullShifting.to_string(), "full shifting");
         assert_eq!(CouplerAuthority::TimeWindows.to_string(), "time windows");
+    }
+
+    #[test]
+    fn tokens_round_trip_and_differ_from_display_only_in_underscores() {
+        for auth in CouplerAuthority::all() {
+            assert_eq!(CouplerAuthority::from_token(auth.token()), Some(auth));
+            assert_eq!(auth.token().replace('_', " "), auth.to_string());
+        }
+        assert_eq!(CouplerAuthority::from_token("time windows"), None);
+        assert_eq!(CouplerAuthority::from_token(""), None);
     }
 }

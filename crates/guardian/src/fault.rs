@@ -46,6 +46,13 @@ impl CouplerFaultMode {
     pub fn is_faulty(self) -> bool {
         self != CouplerFaultMode::None
     }
+
+    /// The mode whose `Display` spelling (`bad_frame`, also the scenario
+    /// DSL's and the campaign wire format's) is `token`, if any.
+    #[must_use]
+    pub fn from_token(token: &str) -> Option<CouplerFaultMode> {
+        Self::all().into_iter().find(|m| m.to_string() == token)
+    }
 }
 
 impl fmt::Display for CouplerFaultMode {
@@ -83,5 +90,13 @@ mod tests {
     fn display_matches_paper_naming() {
         assert_eq!(CouplerFaultMode::OutOfSlot.to_string(), "out_of_slot");
         assert_eq!(CouplerFaultMode::BadFrame.to_string(), "bad_frame");
+    }
+
+    #[test]
+    fn display_round_trips_through_from_token() {
+        for mode in CouplerFaultMode::all() {
+            assert_eq!(CouplerFaultMode::from_token(&mode.to_string()), Some(mode));
+        }
+        assert_eq!(CouplerFaultMode::from_token("bad frame"), None);
     }
 }

@@ -33,8 +33,10 @@ pub trait StateCodec {
     /// counterexample step).
     fn decode(&self, encoded: &Self::Encoded) -> Self::State;
 
-    /// Approximate bytes one encoded state occupies in the arena, used
-    /// for [`crate::ExploreStats::visited_bytes`] accounting.
+    /// Approximate bytes one encoded state occupies. Nothing in the
+    /// workspace reads it (`visited_bytes` counts arena capacity); it
+    /// stays only because the repository benchmark's tracing codec
+    /// overrides it.
     fn encoded_size_hint(&self) -> usize {
         std::mem::size_of::<Self::Encoded>()
     }

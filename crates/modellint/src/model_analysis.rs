@@ -94,7 +94,7 @@ impl TargetEvidence {
         let fault_steps = CouplerFaultMode::all()
             .iter()
             .zip(self.fault_steps)
-            .map(|(mode, steps)| field(mode_key(*mode), count(steps)))
+            .map(|(mode, steps)| (mode.to_string(), count(steps)))
             .collect();
         let evidence = Json::Obj(vec![
             field("target", Json::str(&self.target)),
@@ -105,15 +105,6 @@ impl TargetEvidence {
             field("fault_steps", Json::Obj(fault_steps)),
         ]);
         Json::Obj(vec![field("evidence", evidence)]).render()
-    }
-}
-
-fn mode_key(mode: CouplerFaultMode) -> &'static str {
-    match mode {
-        CouplerFaultMode::None => "none",
-        CouplerFaultMode::Silence => "silence",
-        CouplerFaultMode::BadFrame => "bad_frame",
-        CouplerFaultMode::OutOfSlot => "out_of_slot",
     }
 }
 
@@ -517,9 +508,8 @@ pub fn analyze_config(
                     catalog::ML10,
                     target,
                     format!(
-                        "fault mode `{}` is admitted by authority `{}` but never taken \
+                        "fault mode `{mode}` is admitted by authority `{}` but never taken \
                          anywhere in the explored space",
-                        mode_key(mode),
                         config.authority
                     ),
                 )

@@ -1,7 +1,7 @@
 //! Host-side restart policies for frozen controllers.
 //!
-//! The paper treats `freeze` as absorbing: its propagation criterion is
-//! "a healthy node froze", full stop. Real TTP/C deployments recover —
+//! The paper treats `freeze` as absorbing: its test for fault propagation
+//! is "a healthy node froze", full stop. Real TTP/C deployments recover —
 //! the host power-cycles the controller, which re-enters `init`, listens
 //! and reintegrates. This module models that host-side loop:
 //!

@@ -115,7 +115,7 @@ impl SimReport {
     }
 
     /// Healthy (non-fault-injected) nodes that ever froze — the paper's
-    /// propagation criterion.
+    /// test for fault propagation.
     #[must_use]
     pub fn healthy_frozen(&self) -> &[NodeId] {
         &self.healthy_frozen

@@ -187,7 +187,7 @@ proptest! {
             to_slot: from + len,
             persistence: FaultPersistence::Transient,
         });
-        let seed_style = SimBuilder::new(4)
+        let default_policy = SimBuilder::new(4)
             .topology(topology)
             .authority(authority)
             .slots(200)
@@ -202,6 +202,6 @@ proptest! {
             .restart_policy(RestartPolicy::Never)
             .build()
             .run();
-        prop_assert_eq!(seed_style, explicit);
+        prop_assert_eq!(default_policy, explicit);
     }
 }
