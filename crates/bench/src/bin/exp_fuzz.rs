@@ -22,17 +22,18 @@
 //!
 //! Flags: `--threads N` pins fuzzing workers (output is bit-identical
 //! either way), `--json [PATH]` emits the machine-readable table,
-//! `--check GOLDEN` diffs it against a fixture, `--smoke` runs the
-//! reduced deterministic sweep, `--daemon [SOCKET]` evaluates the fuzz
-//! candidates over the `tta-campaignd` service (same output bytes).
+//! `--check GOLDEN` diffs it against a fixture (CI pins the smoke sweep
+//! against `crates/bench/fixtures/e11_smoke.json`), `--smoke` runs the
+//! reduced deterministic sweep. Candidates are always evaluated in
+//! process; `--daemon`, which the sibling campaign binaries accept, is
+//! a usage error here.
 
 use tta_analysis::tables::Table;
-use tta_bench::{heading, CampaignArgs, CampaignCell, CampaignJson, DaemonSession};
-use tta_fuzz::{fuzz_with, synthesize, DaemonEvaluator, Evaluator, FuzzConfig, LocalEvaluator};
+use tta_bench::{die, heading, CampaignArgs, CampaignCell, CampaignJson};
+use tta_fuzz::{fuzz, synthesize, FuzzConfig};
 use tta_guardian::CouplerAuthority;
 
-const USAGE: &str =
-    "exp_fuzz [--threads N] [--json [PATH]] [--check GOLDEN] [--smoke] [--daemon [SOCKET]]";
+const USAGE: &str = "exp_fuzz [--threads N] [--json [PATH]] [--check GOLDEN] [--smoke]";
 
 struct Sweep {
     experiment: &'static str,
@@ -64,6 +65,9 @@ fn smoke_sweep() -> Sweep {
 
 fn main() {
     let args = CampaignArgs::parse(USAGE, true);
+    if args.daemon {
+        die(USAGE, "unknown argument --daemon");
+    }
     let mut sweep = if args.smoke {
         smoke_sweep()
     } else {
@@ -89,12 +93,7 @@ fn main() {
          policy clears (best scorer shown).\n"
     );
 
-    let session = DaemonSession::from_args(&args);
-    let evaluator: Box<dyn Evaluator> = match &session {
-        Some(session) => Box::new(DaemonEvaluator::new(session.client.clone())),
-        None => Box::new(LocalEvaluator),
-    };
-    let outcome = fuzz_with(&sweep.cfg, evaluator.as_ref());
+    let outcome = fuzz(&sweep.cfg);
     println!(
         "fuzzed corpus: {} entries in {} rounds ({} simulator executions)\n",
         outcome.corpus.len(),

@@ -21,9 +21,6 @@
 //!   --synth             after fuzzing, synthesize the cheapest restart
 //!                       policy per authority level over the corpus
 //!   --threshold F       availability floor for --synth (default 0.5)
-//!   --daemon [SOCKET]   evaluate candidates over the tta-campaignd
-//!                       service (at SOCKET, or a private in-process
-//!                       daemon); output stays byte-identical
 //! ```
 //!
 //! The journal is printed to stdout and carries no timestamps:
@@ -33,14 +30,12 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use tta_bench::{CampaignArgs, DaemonSession};
-use tta_fuzz::{fuzz_with, synthesize, DaemonEvaluator, Evaluator, FuzzConfig, LocalEvaluator};
+use tta_fuzz::{fuzz, synthesize, FuzzConfig};
 use tta_guardian::CouplerAuthority;
 
 const USAGE: &str = "tta_fuzz [--seed N] [--budget DUR] [--rounds N] [--batch N] \
                      [--threads N] [--delta F] [--max-finds N] [--out DIR] \
-                     [--journal PATH] [--expect-find N] [--synth] [--threshold F] \
-                     [--daemon [SOCKET]]";
+                     [--journal PATH] [--expect-find N] [--synth] [--threshold F]";
 
 fn die(why: &str) -> ! {
     eprintln!("error: {why}");
@@ -70,10 +65,8 @@ fn main() {
     let mut expect_find = 0usize;
     let mut synth = false;
     let mut threshold = 0.5f64;
-    let mut daemon = false;
-    let mut daemon_socket: Option<PathBuf> = None;
 
-    let mut iter = std::env::args().skip(1).peekable();
+    let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         let mut num = |what: &str| -> String {
             iter.next()
@@ -128,29 +121,11 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| die("bad threshold"));
             }
-            "--daemon" => {
-                daemon = true;
-                if let Some(next) = iter.peek() {
-                    if !next.starts_with("--") {
-                        daemon_socket = Some(PathBuf::from(iter.next().expect("peeked")));
-                    }
-                }
-            }
             other => die(&format!("unknown argument {other}")),
         }
     }
 
-    let session = DaemonSession::from_args(&CampaignArgs {
-        threads: (cfg.threads > 0).then_some(cfg.threads),
-        daemon,
-        daemon_socket,
-        ..CampaignArgs::default()
-    });
-    let evaluator: Box<dyn Evaluator> = match &session {
-        Some(session) => Box::new(DaemonEvaluator::new(session.client.clone())),
-        None => Box::new(LocalEvaluator),
-    };
-    let outcome = fuzz_with(&cfg, evaluator.as_ref());
+    let outcome = fuzz(&cfg);
     print!("{}", outcome.journal);
 
     if let Some(dir) = &out_dir {

@@ -29,12 +29,10 @@
 use std::time::{Duration, Instant};
 use tta_base::json::{json_obj, json_rounded, Json};
 
-// Campaign tables, golden-fixture comparison, and the shared campaign
-// CLI options moved to `tta-campaignd` when the daemon became their
-// fourth consumer; re-exported here so the experiment binaries (and any
-// external user of the old paths) keep compiling unchanged.
-pub use tta_campaignd::table::{
-    check_against_golden, diff_campaign_json, CampaignArgs, CampaignCell, CampaignJson,
+mod table;
+
+pub use table::{
+    check_against_golden, die, diff_campaign_json, CampaignArgs, CampaignCell, CampaignJson,
 };
 
 /// A campaign-service connection for a `--daemon [SOCKET]` invocation,

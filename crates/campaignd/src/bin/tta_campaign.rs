@@ -29,10 +29,11 @@ use tta_campaignd::client::{Client, ReconnectPolicy};
 use tta_campaignd::json::{json_obj, json_rounded, Json};
 use tta_campaignd::server::{Server, ServerConfig, ServerHandle};
 use tta_campaignd::spec::{
-    parse_scenario, parse_topology, unknown_authority, JobSpec, ScenarioSource,
+    parse_scenario, unknown_authority, unknown_topology, JobSpec, ScenarioSource,
 };
 use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
+use tta_sim::Topology;
 
 const USAGE: &str = "tta_campaign <submit|status|ping|drain|shutdown|bench> [options]
 
@@ -195,10 +196,13 @@ fn submit(rest: &[String]) {
                 Ok(n) => spec_patch.push(Box::new(move |s| s.nodes = n)),
                 Err(_) => die("--nodes needs an integer"),
             },
-            "--topology" => match parse_topology(&value("bus|star")) {
-                Ok(t) => spec_patch.push(Box::new(move |s| s.topology = t)),
-                Err(e) => die(&e.0),
-            },
+            "--topology" => {
+                let token = value("bus|star");
+                match Topology::from_token(&token) {
+                    Some(t) => spec_patch.push(Box::new(move |s| s.topology = t)),
+                    None => die(&unknown_topology(&token).0),
+                }
+            }
             "--authority" => {
                 let token = value("an authority token");
                 match CouplerAuthority::from_token(&token) {

@@ -19,10 +19,7 @@
 //! work is journaled and cached, not recomputed.
 
 use crate::json::Json;
-use crate::protocol::{
-    evaluation_from_json, jobs_from_status, render_eval, render_submit, stats_from_json,
-    EvalRequest, JobStatus,
-};
+use crate::protocol::{jobs_from_status, render_submit, stats_from_json, JobStatus};
 use crate::runner::{QuarantinedTrial, RunStats, TrialVerdict};
 use crate::spec::{aggregate_from_json, verdict_from_json, JobSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -30,7 +27,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use tta_base::hash::mix;
-use tta_sim::{PlanRunMetrics, TrialAggregate, TrialResult};
+use tta_sim::{TrialAggregate, TrialResult};
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -191,12 +188,6 @@ impl Client {
         }
     }
 
-    /// The socket this client talks to.
-    #[must_use]
-    pub fn socket(&self) -> &Path {
-        &self.socket
-    }
-
     fn request(&self, line: &str) -> Result<BufReader<UnixStream>, ClientError> {
         let mut stream = UnixStream::connect(&self.socket)?;
         stream.write_all(line.as_bytes())?;
@@ -291,16 +282,6 @@ impl Client {
             draining: value.get("draining").and_then(Json::as_bool) == Some(true),
             jobs: jobs_from_status(&value),
         })
-    }
-
-    /// Evaluates one fault plan on the daemon.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket, daemon and protocol failures.
-    pub fn eval(&self, request: &EvalRequest) -> Result<PlanRunMetrics, ClientError> {
-        let value = self.one_line(&render_eval(request))?;
-        evaluation_from_json(&value).map_err(|e| proto(e.0))
     }
 
     /// Submits a job and consumes its stream. `observe` sees each

@@ -32,7 +32,6 @@ pub mod protocol;
 pub mod runner;
 pub mod server;
 pub mod spec;
-pub mod table;
 
 /// The JSON codec, re-exported from `tta-base` under its historical path.
 pub use tta_base::json;

@@ -12,9 +12,11 @@
 //! {"op":"drain"}
 //! {"op":"shutdown"}
 //! {"op":"submit","workers":4,"spec":{...}}          (workers optional)
-//! {"op":"eval","nodes":4,"topology":"star","authority":"passive",
-//!  "slots":400,"policy":"never","plan":{...}}
 //! ```
+//!
+//! A fault plan crosses this boundary only as a scenario file a
+//! `submit` spec names (`"scenario":{"file":PATH}`): the scenario TOML
+//! DSL is the one serialized plan format.
 //!
 //! A `submit` response is a stream: one `accepted` line, then every
 //! trial in index order, then the `summary` fold, then a final `stats`
@@ -33,42 +35,12 @@
 
 use crate::json::Json;
 use crate::runner::{JobProgress, RunStats, TrialVerdict};
-use crate::spec::{
-    aggregate_to_json, parse_topology, policy_from_json, policy_to_json, recovery_token,
-    topology_token, unknown_authority, verdict_to_fields, JobSpec, SpecError,
-};
+use crate::spec::{aggregate_to_json, verdict_to_fields, JobSpec, SpecError};
 use std::sync::atomic::Ordering;
-use tta_guardian::sos::SosDomain;
-use tta_guardian::{CouplerAuthority, CouplerFaultMode};
-use tta_protocol::RestartPolicy;
-use tta_sim::{
-    CouplerFaultEvent, FaultPersistence, FaultPlan, NodeFault, NodeFaultKind, PlanRunMetrics,
-    Topology, TrialAggregate,
-};
-use tta_types::NodeId;
+use tta_sim::TrialAggregate;
 
 fn bad(message: impl Into<String>) -> SpecError {
     SpecError(message.into())
-}
-
-/// One plan evaluation: the `eval` op's payload. The client translates
-/// its candidate to an admissible [`FaultPlan`] *before* sending (the
-/// authority-dependent out-of-slot filtering is an evaluator-side
-/// concern), so the daemon's job is purely "simulate this plan here".
-#[derive(Debug, Clone)]
-pub struct EvalRequest {
-    /// Cluster size.
-    pub nodes: usize,
-    /// Interconnect topology.
-    pub topology: Topology,
-    /// Guardian authority for this run.
-    pub authority: CouplerAuthority,
-    /// Horizon in slots.
-    pub slots: u64,
-    /// Host restart policy.
-    pub policy: RestartPolicy,
-    /// The exact plan to inject.
-    pub plan: FaultPlan,
 }
 
 /// A parsed request line.
@@ -91,8 +63,6 @@ pub enum Request {
         /// daemon's).
         workers: Option<usize>,
     },
-    /// Simulate one fault plan and return its metrics.
-    Eval(Box<EvalRequest>),
 }
 
 /// Parses one request line.
@@ -129,73 +99,8 @@ pub fn parse_request(line: &str) -> Result<Request, SpecError> {
                 workers,
             })
         }
-        "eval" => Ok(Request::Eval(Box::new(parse_eval(&value)?))),
         other => Err(bad(format!("unknown op `{other}`"))),
     }
-}
-
-fn parse_eval(value: &Json) -> Result<EvalRequest, SpecError> {
-    let nodes = value
-        .get("nodes")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad("eval needs integer \"nodes\""))?;
-    if !(2..=16).contains(&nodes) {
-        return Err(bad("\"nodes\" must be in 2..=16"));
-    }
-    let topology = parse_topology(
-        value
-            .get("topology")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("eval needs string \"topology\""))?,
-    )?;
-    let token = value
-        .get("authority")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("eval needs string \"authority\""))?;
-    let authority = CouplerAuthority::from_token(token).ok_or_else(|| unknown_authority(token))?;
-    let slots = value
-        .get("slots")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad("eval needs integer \"slots\""))?;
-    let policy = policy_from_json(
-        value
-            .get("policy")
-            .ok_or_else(|| bad("eval needs a \"policy\""))?,
-    )?;
-    let plan = plan_from_json(
-        value
-            .get("plan")
-            .ok_or_else(|| bad("eval needs a \"plan\""))?,
-    )?;
-    Ok(EvalRequest {
-        nodes: nodes as usize,
-        topology,
-        authority,
-        slots,
-        policy,
-        plan,
-    })
-}
-
-/// Renders an `eval` request line.
-#[must_use]
-pub fn render_eval(request: &EvalRequest) -> String {
-    Json::Obj(vec![
-        ("op".to_string(), Json::str("eval")),
-        ("nodes".to_string(), Json::UInt(request.nodes as u64)),
-        (
-            "topology".to_string(),
-            Json::str(topology_token(request.topology)),
-        ),
-        (
-            "authority".to_string(),
-            Json::str(request.authority.token()),
-        ),
-        ("slots".to_string(), Json::UInt(request.slots)),
-        ("policy".to_string(), policy_to_json(request.policy)),
-        ("plan".to_string(), plan_to_json(&request.plan)),
-    ])
-    .render()
 }
 
 /// Renders a `submit` request line.
@@ -207,277 +112,6 @@ pub fn render_submit(spec: &JobSpec, workers: Option<usize>) -> String {
     }
     fields.push(("spec".to_string(), spec.to_json()));
     Json::Obj(fields).render()
-}
-
-// ---------------------------------------------------------------------
-// Fault plans on the wire.
-// ---------------------------------------------------------------------
-
-fn persistence_to_json(p: FaultPersistence) -> Json {
-    match p {
-        FaultPersistence::Transient => Json::str("transient"),
-        FaultPersistence::Permanent => Json::str("permanent"),
-        FaultPersistence::Intermittent { period, duty } => Json::Obj(vec![(
-            "intermittent".to_string(),
-            Json::Obj(vec![
-                ("period".to_string(), Json::UInt(period)),
-                ("duty".to_string(), Json::UInt(duty)),
-            ]),
-        )]),
-    }
-}
-
-fn persistence_from_json(value: &Json) -> Result<FaultPersistence, SpecError> {
-    match value {
-        Json::Str(s) if s == "transient" => Ok(FaultPersistence::Transient),
-        Json::Str(s) if s == "permanent" => Ok(FaultPersistence::Permanent),
-        Json::Obj(_) => {
-            let inner = value
-                .get("intermittent")
-                .ok_or_else(|| bad("persistence object needs \"intermittent\""))?;
-            let period = inner
-                .get("period")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("intermittent needs integer \"period\""))?;
-            let duty = inner
-                .get("duty")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("intermittent needs integer \"duty\""))?;
-            if period == 0 || !(1..=period).contains(&duty) {
-                return Err(bad("intermittent needs period > 0 and duty in 1..=period"));
-            }
-            Ok(FaultPersistence::Intermittent { period, duty })
-        }
-        _ => Err(bad(
-            "persistence must be \"transient\" | \"permanent\" | {\"intermittent\": ..}",
-        )),
-    }
-}
-
-fn node_kind_to_json(kind: NodeFaultKind) -> Json {
-    match kind {
-        NodeFaultKind::Sos { domain, magnitude } => Json::Obj(vec![(
-            "sos".to_string(),
-            Json::Obj(vec![
-                (
-                    "domain".to_string(),
-                    Json::str(match domain {
-                        SosDomain::Time => "time",
-                        SosDomain::Value => "value",
-                    }),
-                ),
-                ("magnitude".to_string(), Json::Float(magnitude)),
-            ]),
-        )]),
-        NodeFaultKind::MasqueradeColdStart { claimed_slot } => Json::Obj(vec![(
-            "masquerade_cold_start".to_string(),
-            Json::Obj(vec![(
-                "claimed_slot".to_string(),
-                Json::UInt(u64::from(claimed_slot)),
-            )]),
-        )]),
-        NodeFaultKind::InvalidCState { claimed_slot } => Json::Obj(vec![(
-            "invalid_c_state".to_string(),
-            Json::Obj(vec![(
-                "claimed_slot".to_string(),
-                Json::UInt(u64::from(claimed_slot)),
-            )]),
-        )]),
-        NodeFaultKind::Babbling => Json::str("babbling"),
-        NodeFaultKind::Mute => Json::str("mute"),
-    }
-}
-
-fn node_kind_from_json(value: &Json) -> Result<NodeFaultKind, SpecError> {
-    match value {
-        Json::Str(s) if s == "babbling" => Ok(NodeFaultKind::Babbling),
-        Json::Str(s) if s == "mute" => Ok(NodeFaultKind::Mute),
-        Json::Obj(_) => {
-            if let Some(sos) = value.get("sos") {
-                let domain = match sos.get("domain").and_then(Json::as_str) {
-                    Some("time") => SosDomain::Time,
-                    Some("value") => SosDomain::Value,
-                    _ => return Err(bad("sos needs \"domain\": \"time\" | \"value\"")),
-                };
-                let magnitude = sos
-                    .get("magnitude")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("sos needs numeric \"magnitude\""))?;
-                if !(0.0..=1.0).contains(&magnitude) {
-                    return Err(bad("sos \"magnitude\" must be in [0, 1]"));
-                }
-                return Ok(NodeFaultKind::Sos { domain, magnitude });
-            }
-            for (key, make) in [
-                (
-                    "masquerade_cold_start",
-                    (|slot| NodeFaultKind::MasqueradeColdStart { claimed_slot: slot })
-                        as fn(u16) -> NodeFaultKind,
-                ),
-                ("invalid_c_state", |slot| NodeFaultKind::InvalidCState {
-                    claimed_slot: slot,
-                }),
-            ] {
-                if let Some(inner) = value.get(key) {
-                    let slot = inner
-                        .get("claimed_slot")
-                        .and_then(Json::as_u64)
-                        .and_then(|s| u16::try_from(s).ok())
-                        .ok_or_else(|| bad(format!("{key} needs u16 \"claimed_slot\"")))?;
-                    return Ok(make(slot));
-                }
-            }
-            Err(bad("unknown node fault kind object"))
-        }
-        _ => Err(bad("node fault kind must be a string or object")),
-    }
-}
-
-/// Renders a plan for the wire.
-#[must_use]
-pub fn plan_to_json(plan: &FaultPlan) -> Json {
-    let nodes = plan
-        .node_faults()
-        .iter()
-        .map(|f| {
-            Json::Obj(vec![
-                ("node".to_string(), Json::UInt(u64::from(f.node.index()))),
-                ("kind".to_string(), node_kind_to_json(f.kind)),
-                ("from_slot".to_string(), Json::UInt(f.from_slot)),
-                ("to_slot".to_string(), Json::UInt(f.to_slot)),
-                (
-                    "persistence".to_string(),
-                    persistence_to_json(f.persistence),
-                ),
-            ])
-        })
-        .collect();
-    let couplers = plan
-        .coupler_faults()
-        .iter()
-        .map(|f| {
-            Json::Obj(vec![
-                ("channel".to_string(), Json::UInt(f.channel as u64)),
-                ("mode".to_string(), Json::str(f.mode.to_string())),
-                ("from_slot".to_string(), Json::UInt(f.from_slot)),
-                ("to_slot".to_string(), Json::UInt(f.to_slot)),
-                (
-                    "persistence".to_string(),
-                    persistence_to_json(f.persistence),
-                ),
-            ])
-        })
-        .collect();
-    // Local-guardian faults are not carried: no current client
-    // generates them, and rejecting beats silently dropping.
-    Json::Obj(vec![
-        ("node_faults".to_string(), Json::Arr(nodes)),
-        ("coupler_faults".to_string(), Json::Arr(couplers)),
-    ])
-}
-
-/// Parses a wire plan.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] naming the malformed event, or rejecting
-/// plans whose events violate the simulator's construction invariants
-/// (bad channel, empty window, double-coupler overlap).
-pub fn plan_from_json(value: &Json) -> Result<FaultPlan, SpecError> {
-    let mut plan = FaultPlan::none();
-    if let Some(nodes) = value.get("node_faults") {
-        for entry in nodes
-            .as_arr()
-            .ok_or_else(|| bad("\"node_faults\" must be an array"))?
-        {
-            let node = entry
-                .get("node")
-                .and_then(Json::as_u64)
-                .and_then(|n| u8::try_from(n).ok())
-                .ok_or_else(|| bad("node fault needs u8 \"node\""))?;
-            let fault = NodeFault {
-                node: NodeId::new(node),
-                kind: node_kind_from_json(
-                    entry
-                        .get("kind")
-                        .ok_or_else(|| bad("node fault needs \"kind\""))?,
-                )?,
-                from_slot: entry
-                    .get("from_slot")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("node fault needs integer \"from_slot\""))?,
-                to_slot: entry
-                    .get("to_slot")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("node fault needs integer \"to_slot\""))?,
-                persistence: persistence_from_json(
-                    entry
-                        .get("persistence")
-                        .ok_or_else(|| bad("node fault needs \"persistence\""))?,
-                )?,
-            };
-            check_window(fault.persistence, fault.from_slot, fault.to_slot)?;
-            plan = plan.with_node_fault(fault);
-        }
-    }
-    if let Some(couplers) = value.get("coupler_faults") {
-        for entry in couplers
-            .as_arr()
-            .ok_or_else(|| bad("\"coupler_faults\" must be an array"))?
-        {
-            let channel = entry
-                .get("channel")
-                .and_then(Json::as_u64)
-                .filter(|c| *c < 2)
-                .ok_or_else(|| bad("coupler fault needs \"channel\" 0 or 1"))?;
-            let token = entry
-                .get("mode")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("coupler fault needs string \"mode\""))?;
-            let fault = CouplerFaultEvent {
-                channel: channel as usize,
-                mode: CouplerFaultMode::from_token(token)
-                    .ok_or_else(|| bad(format!("unknown coupler fault mode `{token}`")))?,
-                from_slot: entry
-                    .get("from_slot")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("coupler fault needs integer \"from_slot\""))?,
-                to_slot: entry
-                    .get("to_slot")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("coupler fault needs integer \"to_slot\""))?,
-                persistence: persistence_from_json(
-                    entry
-                        .get("persistence")
-                        .ok_or_else(|| bad("coupler fault needs \"persistence\""))?,
-                )?,
-            };
-            check_window(fault.persistence, fault.from_slot, fault.to_slot)?;
-            // `with_coupler_fault` enforces the single-faulty-coupler
-            // hypothesis with an assert; pre-check so a hostile or
-            // buggy client gets an error line, not a daemon panic.
-            for other in plan.coupler_faults() {
-                if other.channel != fault.channel
-                    && fault.from_slot < other.envelope_end()
-                    && other.from_slot < fault.envelope_end()
-                {
-                    return Err(bad("coupler fault windows on both channels overlap \
-                         (single-faulty-coupler hypothesis)"));
-                }
-            }
-            plan = plan.with_coupler_fault(fault);
-        }
-    }
-    Ok(plan)
-}
-
-/// Pre-validates a fault window so plan construction cannot panic.
-fn check_window(p: FaultPersistence, from: u64, to: u64) -> Result<(), SpecError> {
-    match p {
-        FaultPersistence::Permanent => Ok(()),
-        FaultPersistence::Transient | FaultPersistence::Intermittent { .. } if from < to => Ok(()),
-        _ => Err(bad("fault window must satisfy from_slot < to_slot")),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -702,64 +336,11 @@ pub fn jobs_from_status(value: &Json) -> Vec<JobStatus> {
         .unwrap_or_default()
 }
 
-/// The `eval` op's single response line.
-#[must_use]
-pub fn evaluation_line(metrics: &PlanRunMetrics) -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("evaluation")),
-        (
-            "outcome".to_string(),
-            Json::str(recovery_token(metrics.outcome)),
-        ),
-        (
-            "availability".to_string(),
-            Json::Float(metrics.availability),
-        ),
-        ("freezes".to_string(), Json::UInt(metrics.freezes as u64)),
-        ("restarts".to_string(), Json::UInt(metrics.restarts as u64)),
-        (
-            "interventions".to_string(),
-            Json::UInt(metrics.interventions as u64),
-        ),
-    ])
-    .render()
-}
-
-/// Parses an evaluation line back into [`PlanRunMetrics`].
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] naming the missing/malformed field.
-pub fn evaluation_from_json(value: &Json) -> Result<PlanRunMetrics, SpecError> {
-    let counts = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| bad(format!("evaluation needs integer \"{key}\"")))
-    };
-    Ok(PlanRunMetrics {
-        outcome: crate::spec::parse_recovery(
-            value
-                .get("outcome")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("evaluation needs string \"outcome\""))?,
-        )?,
-        availability: value
-            .get("availability")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad("evaluation needs numeric \"availability\""))?,
-        freezes: counts("freezes")?,
-        restarts: counts("restarts")?,
-        interventions: counts("interventions")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::ScenarioSource;
-    use tta_sim::{RecoveryOutcome, Scenario};
+    use tta_sim::Scenario;
 
     #[test]
     fn submit_request_round_trips() {
@@ -778,84 +359,6 @@ mod tests {
             }
             other => panic!("wrong request: {other:?}"),
         }
-    }
-
-    #[test]
-    fn eval_request_round_trips_with_a_full_plan() {
-        let plan = FaultPlan::none()
-            .with_node_fault(NodeFault {
-                node: NodeId::new(2),
-                kind: NodeFaultKind::Sos {
-                    domain: SosDomain::Value,
-                    magnitude: 0.625,
-                },
-                from_slot: 10,
-                to_slot: 50,
-                persistence: FaultPersistence::Intermittent { period: 6, duty: 2 },
-            })
-            .with_node_fault(NodeFault {
-                node: NodeId::new(0),
-                kind: NodeFaultKind::MasqueradeColdStart { claimed_slot: 3 },
-                from_slot: 0,
-                to_slot: 30,
-                persistence: FaultPersistence::Transient,
-            })
-            .with_coupler_fault(CouplerFaultEvent {
-                channel: 1,
-                mode: CouplerFaultMode::OutOfSlot,
-                from_slot: 100,
-                to_slot: 140,
-                persistence: FaultPersistence::Transient,
-            });
-        let request = EvalRequest {
-            nodes: 5,
-            topology: Topology::Star,
-            authority: CouplerAuthority::FullShifting,
-            slots: 300,
-            policy: RestartPolicy::Immediate,
-            plan: plan.clone(),
-        };
-        let line = render_eval(&request);
-        match parse_request(&line).unwrap() {
-            Request::Eval(parsed) => {
-                assert_eq!(parsed.nodes, 5);
-                assert_eq!(parsed.authority, CouplerAuthority::FullShifting);
-                assert_eq!(parsed.policy, RestartPolicy::Immediate);
-                assert_eq!(parsed.plan, plan);
-            }
-            other => panic!("wrong request: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hostile_plans_error_instead_of_panicking() {
-        // Overlapping coupler windows on both channels (forbidden).
-        let line = r#"{"op":"eval","nodes":4,"topology":"star","authority":"passive","slots":100,"policy":"never","plan":{"coupler_faults":[{"channel":0,"mode":"silence","from_slot":0,"to_slot":50,"persistence":"transient"},{"channel":1,"mode":"silence","from_slot":20,"to_slot":60,"persistence":"transient"}]}}"#;
-        assert!(parse_request(line).is_err());
-        // Empty window.
-        let line = r#"{"op":"eval","nodes":4,"topology":"star","authority":"passive","slots":100,"policy":"never","plan":{"node_faults":[{"node":0,"kind":"mute","from_slot":5,"to_slot":5,"persistence":"transient"}]}}"#;
-        assert!(parse_request(line).is_err());
-        // Bad channel.
-        let line = r#"{"op":"eval","nodes":4,"topology":"star","authority":"passive","slots":100,"policy":"never","plan":{"coupler_faults":[{"channel":2,"mode":"silence","from_slot":0,"to_slot":5,"persistence":"transient"}]}}"#;
-        assert!(parse_request(line).is_err());
-    }
-
-    #[test]
-    fn evaluation_lines_round_trip() {
-        let metrics = PlanRunMetrics {
-            outcome: RecoveryOutcome::DegradedStable,
-            availability: 0.7321428571428571,
-            freezes: 3,
-            restarts: 17,
-            interventions: 204,
-        };
-        let line = evaluation_line(&metrics);
-        let value = Json::parse(&line).unwrap();
-        assert_eq!(value.get("type").and_then(Json::as_str), Some("evaluation"));
-        let parsed = evaluation_from_json(&value).unwrap();
-        assert_eq!(parsed.outcome, metrics.outcome);
-        assert_eq!(parsed.availability, metrics.availability);
-        assert_eq!(parsed.interventions, metrics.interventions);
     }
 
     #[test]
@@ -928,6 +431,9 @@ mod tests {
     fn malformed_requests_name_the_problem() {
         assert!(parse_request("not json").is_err());
         assert!(parse_request("{\"op\":\"dance\"}").is_err());
+        // Fault plans travel only as scenario files inside `submit`.
+        let e = parse_request(r#"{"op":"eval","nodes":4,"plan":{}}"#).unwrap_err();
+        assert_eq!(e.0, "unknown op `eval`");
         assert!(parse_request("{\"op\":\"submit\"}").is_err());
         let e = parse_request("{\"op\":\"submit\",\"spec\":{}}").unwrap_err();
         assert!(e.0.contains("scenario"), "{e}");

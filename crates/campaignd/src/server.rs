@@ -4,8 +4,8 @@
 //! Threading model: one OS thread per connection (jobs are minutes of
 //! CPU-bound simulation behind a local socket — connection scaling is
 //! not the bottleneck, worker scaling is). A `submit` handler runs the
-//! sharded [`crate::runner`] inside its own thread scope; `eval` and
-//! the control ops answer inline. All connections share one daemon-wide
+//! sharded [`crate::runner`] inside its own thread scope; the control
+//! ops answer inline. All connections share one daemon-wide
 //! result [`Cache`] and one journal directory, with a per-job lock so
 //! two concurrent submissions of the *same* job cannot interleave
 //! appends in one journal file.
@@ -26,8 +26,8 @@ use crate::chaos::ChaosPlan;
 use crate::hash::to_hex;
 use crate::journal::Journal;
 use crate::protocol::{
-    accepted_line, error_line, evaluation_line, ok_line, parse_request, retryable_error_line,
-    stats_line, status_line, summary_line, trial_line, EvalRequest, JobStatus, Request,
+    accepted_line, error_line, ok_line, parse_request, retryable_error_line, stats_line,
+    status_line, summary_line, trial_line, JobStatus, Request,
 };
 use crate::runner::{
     run, CrashPlan, JobProgress, RunConfig, RunHandles, Supervision, TrialVerdict,
@@ -40,7 +40,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use tta_sim::{PlanRunMetrics, SimBuilder};
 
 /// How often the accept loop polls for connections and drain/stop
 /// progress.
@@ -338,25 +337,10 @@ fn handle(state: &ServerState, stream: UnixStream) {
             state.stop.store(true, Ordering::Relaxed);
             let _ = writeln!(writer, "{}", ok_line());
         }
-        Request::Eval(request) => {
-            let _ = writeln!(writer, "{}", evaluate(&request));
-        }
         Request::Submit { spec, workers } => {
             submit(state, &mut writer, spec, workers);
         }
     }
-}
-
-fn evaluate(request: &EvalRequest) -> String {
-    let report = SimBuilder::new(request.nodes)
-        .topology(request.topology)
-        .authority(request.authority)
-        .slots(request.slots)
-        .restart_policy(request.policy)
-        .plan(request.plan.clone())
-        .build()
-        .run();
-    evaluation_line(&PlanRunMetrics::from_report(&report, request.nodes))
 }
 
 fn submit(

@@ -112,10 +112,7 @@ impl JobSpec {
         };
         Json::Obj(vec![
             ("nodes".to_string(), Json::UInt(self.nodes as u64)),
-            (
-                "topology".to_string(),
-                Json::str(topology_token(self.topology)),
-            ),
+            ("topology".to_string(), Json::str(self.topology.token())),
             ("authority".to_string(), Json::str(self.authority.token())),
             ("scenario".to_string(), scenario),
             ("policy".to_string(), policy_to_json(self.policy)),
@@ -159,7 +156,7 @@ impl JobSpec {
             let token = v
                 .as_str()
                 .ok_or_else(|| bad("\"topology\" must be a string"))?;
-            spec.topology = parse_topology(token)?;
+            spec.topology = Topology::from_token(token).ok_or_else(|| unknown_topology(token))?;
         }
         if let Some(v) = value.get("authority") {
             let token = v
@@ -279,10 +276,7 @@ impl ResolvedJob {
                 scenario,
             } => Json::Obj(vec![
                 ("nodes".to_string(), Json::UInt(spec.nodes as u64)),
-                (
-                    "topology".to_string(),
-                    Json::str(topology_token(spec.topology)),
-                ),
+                ("topology".to_string(), Json::str(spec.topology.token())),
                 ("authority".to_string(), Json::str(spec.authority.token())),
                 ("scenario".to_string(), Json::str(scenario_token(*scenario))),
                 ("slots".to_string(), Json::UInt(spec.slots)),
@@ -294,10 +288,7 @@ impl ResolvedJob {
             .render(),
             TrialExec::File { scenario, .. } => Json::Obj(vec![
                 ("nodes".to_string(), Json::UInt(scenario.nodes as u64)),
-                (
-                    "topology".to_string(),
-                    Json::str(topology_token(scenario.topology)),
-                ),
+                ("topology".to_string(), Json::str(scenario.topology.token())),
                 (
                     "authority".to_string(),
                     Json::str(scenario.authority.token()),
@@ -480,26 +471,11 @@ pub fn parse_scenario(token: &str) -> Result<Scenario, SpecError> {
         })
 }
 
-/// The wire token of a topology.
+/// The error for a topology token [`Topology::from_token`] does not
+/// know.
 #[must_use]
-pub fn topology_token(topology: Topology) -> &'static str {
-    match topology {
-        Topology::Bus => "bus",
-        Topology::Star => "star",
-    }
-}
-
-/// Parses a topology token.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] for anything but `bus` / `star`.
-pub fn parse_topology(token: &str) -> Result<Topology, SpecError> {
-    match token {
-        "bus" => Ok(Topology::Bus),
-        "star" => Ok(Topology::Star),
-        other => Err(bad(format!("unknown topology `{other}` (bus | star)"))),
-    }
+pub fn unknown_topology(token: &str) -> SpecError {
+    bad(format!("unknown topology `{token}` (bus | star)"))
 }
 
 /// The error for an authority token [`CouplerAuthority::from_token`]

@@ -261,15 +261,10 @@ impl Scenario {
             .ok()
             .filter(|n| (2..=16).contains(n))
             .ok_or_else(|| ScenarioError::new("cluster.nodes must be in 2..=16"))?;
-        let topology = match get_str(Some(cluster), "topology", "cluster")?.unwrap_or("star") {
-            "star" => Topology::Star,
-            "bus" => Topology::Bus,
-            other => {
-                return Err(ScenarioError::new(format!(
-                    "cluster.topology `{other}` (expected star | bus)"
-                )))
-            }
-        };
+        let token = get_str(Some(cluster), "topology", "cluster")?.unwrap_or("star");
+        let topology = Topology::from_token(token).ok_or_else(|| {
+            ScenarioError::new(format!("cluster.topology `{token}` (expected star | bus)"))
+        })?;
         let token = get_str(Some(cluster), "authority", "cluster")?.unwrap_or("small_shifting");
         let authority = CouplerAuthority::from_token(token).ok_or_else(|| {
             ScenarioError::new(format!(
@@ -1102,6 +1097,14 @@ sim_disturbed = true
         let bad = text.replace("mode = \"silence\"", "mode = \"none\"");
         let err = Scenario::parse(&bad, Path::new(".")).unwrap_err();
         assert!(err.to_string().contains("mode `none` (expected"), "{err}");
+
+        let bad = text.replace("channel = 0", "channel = 2");
+        let err = Scenario::parse(&bad, Path::new(".")).unwrap_err();
+        assert!(err.to_string().contains("channel must be 0 or 1"), "{err}");
+
+        let bad = text.replace("to_slot = 50", "to_slot = 10");
+        let err = Scenario::parse(&bad, Path::new(".")).unwrap_err();
+        assert!(err.to_string().contains("empty window 10..10"), "{err}");
     }
 
     #[test]
@@ -1232,6 +1235,13 @@ sim_disturbed = true
         let err = Scenario::parse(&masquerade.replace("node = 0", "node = 4"), Path::new("."))
             .unwrap_err();
         assert!(err.to_string().contains("node must be in 0..4"), "{err}");
+
+        let err = Scenario::parse(
+            &masquerade.replace("to_slot = 10", "to_slot = 0"),
+            Path::new("."),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("empty window 0..0"), "{err}");
 
         let err = Scenario::parse(
             &masquerade.replace("kind = \"masquerade_cold_start\"", "kind = \"mute\""),

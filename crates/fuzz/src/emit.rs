@@ -18,7 +18,7 @@ use tta_core::{verify_cluster, Verdict};
 use tta_guardian::CouplerAuthority;
 use tta_modellint::{lint_scenario, AnalysisOptions, Severity};
 use tta_protocol::RestartPolicy;
-use tta_sim::{FaultPersistence, NodeFaultKind, RecoveryOutcome, Topology};
+use tta_sim::{FaultPersistence, NodeFaultKind, RecoveryOutcome};
 
 use crate::eval::EvalContext;
 use crate::input::{FuzzEventKind, FuzzInput};
@@ -133,11 +133,7 @@ fn render_body(req: &EmitRequest<'_>, name: &str) -> Result<String, String> {
     let _ = writeln!(out, "description = \"{}\"", req.description);
     out.push_str("\n[cluster]\n");
     let _ = writeln!(out, "nodes = {}", req.ctx.nodes);
-    let topology = match req.ctx.topology {
-        Topology::Star => "star",
-        Topology::Bus => "bus",
-    };
-    let _ = writeln!(out, "topology = \"{topology}\"");
+    let _ = writeln!(out, "topology = \"{}\"", req.ctx.topology.token());
     let _ = writeln!(out, "authority = \"{}\"", req.authority.token());
     if req.authority == CouplerAuthority::FullShifting {
         // An unbudgeted full-shifting space is the paper's huge one;
@@ -277,5 +273,78 @@ mod tests {
         })
         .expect("emission succeeds twice");
         assert_eq!(emitted.toml, again.toml);
+    }
+
+    #[test]
+    fn rendered_bodies_parse_back_to_the_input_plan() {
+        use crate::mutate::MAGNITUDES;
+        use tta_guardian::sos::SosDomain;
+        use tta_guardian::CouplerFaultMode;
+        let mut events = Vec::new();
+        let mut from_slot = 10;
+        let mut push = |kind, persistence| {
+            events.push(FuzzEvent {
+                kind,
+                from_slot,
+                to_slot: from_slot + 15,
+                persistence,
+            });
+            from_slot += 20;
+        };
+        let intermittent = FaultPersistence::Intermittent { period: 6, duty: 2 };
+        for domain in [SosDomain::Time, SosDomain::Value] {
+            for magnitude in MAGNITUDES {
+                let kind = NodeFaultKind::Sos { domain, magnitude };
+                push(FuzzEventKind::Node { node: 1, kind }, intermittent);
+            }
+        }
+        for (node, kind, persistence) in [
+            (
+                0,
+                NodeFaultKind::MasqueradeColdStart { claimed_slot: 3 },
+                FaultPersistence::Transient,
+            ),
+            (
+                2,
+                NodeFaultKind::InvalidCState { claimed_slot: 4 },
+                FaultPersistence::Transient,
+            ),
+            (3, NodeFaultKind::Babbling, FaultPersistence::Transient),
+            (2, NodeFaultKind::Mute, FaultPersistence::Permanent),
+        ] {
+            push(FuzzEventKind::Node { node, kind }, persistence);
+        }
+        for channel in [0, 1] {
+            for mode in CouplerFaultMode::all()
+                .into_iter()
+                .filter(|m| m.is_faulty())
+            {
+                push(FuzzEventKind::Coupler { channel, mode }, intermittent);
+                push(
+                    FuzzEventKind::Coupler { channel, mode },
+                    FaultPersistence::Transient,
+                );
+            }
+        }
+
+        let input = FuzzInput { events };
+        let ctx = EvalContext::default();
+        let body = render_body(
+            &EmitRequest {
+                input: &input,
+                authority: CouplerAuthority::FullShifting,
+                kind_word: "cliff",
+                description: "round trip".to_string(),
+                ctx: &ctx,
+            },
+            "round-trip",
+        )
+        .expect("palette magnitudes render");
+        let parsed = tta_conformance::Scenario::parse(&body, Path::new("scenarios"))
+            .expect("the rendered body parses");
+        let plan = input.plan();
+        assert_eq!(plan.coupler_faults().len(), 12, "no window may overlap");
+        assert_eq!(parsed.coupler_faults, plan.coupler_faults());
+        assert_eq!(parsed.node_faults, plan.node_faults());
     }
 }

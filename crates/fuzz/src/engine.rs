@@ -150,15 +150,13 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzOutcome {
     fuzz_with(cfg, &LocalEvaluator)
 }
 
-/// Runs the fuzzer to completion with an explicit [`Evaluator`] —
-/// [`LocalEvaluator`] for in-process execution, or
-/// [`crate::eval::DaemonEvaluator`] to route every candidate run
-/// through the campaign service. Both produce bit-identical journals
-/// and finds: the evaluator only changes *where* the pure evaluation
-/// function executes. The shrinker deliberately stays in-process
-/// either way — it is a sequential search over many tiny candidates,
-/// where per-run daemon round-trips would dominate, and locality
-/// cannot change its result.
+/// Runs the fuzzer to completion with an explicit [`Evaluator`] for
+/// the batch evaluation of seeds and mutants — [`LocalEvaluator`], or
+/// a wrapper observing it. The evaluator must compute the same pure
+/// function as [`LocalEvaluator`]: the shrinker calls
+/// [`evaluate_under`] directly, so an evaluator that disagreed would
+/// shrink finds against a different predicate than it detected them
+/// with.
 #[must_use]
 pub fn fuzz_with(cfg: &FuzzConfig, evaluator: &dyn Evaluator) -> FuzzOutcome {
     let mut journal = String::new();
@@ -172,10 +170,7 @@ pub fn fuzz_with(cfg: &FuzzConfig, evaluator: &dyn Evaluator) -> FuzzOutcome {
         cfg.delta,
         cfg.ctx.nodes,
         cfg.ctx.slots,
-        match cfg.ctx.topology {
-            tta_sim::Topology::Star => "star",
-            tta_sim::Topology::Bus => "bus",
-        },
+        cfg.ctx.topology.token(),
         cfg.ctx.policy,
     );
 

@@ -12,7 +12,7 @@
 use tta_base::hash::fnv1a64;
 use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
-use tta_sim::{RecoveryOutcome, SimBuilder, Topology};
+use tta_sim::{RecoveryOutcome, SimBuilder, TimeSeries, Topology};
 
 use crate::input::FuzzInput;
 
@@ -49,7 +49,8 @@ pub struct Evaluation {
     pub authority: CouplerAuthority,
     /// Recovery classification of the run.
     pub outcome: RecoveryOutcome,
-    /// `1 - unavailability` at quorum = healthy-node count.
+    /// `1 - unavailability` at quorum = healthy-node count (floored at
+    /// one so an all-faulty plan still yields a defined quorum).
     pub availability: f64,
     /// Slots at which some node entered freeze.
     pub freezes: usize,
@@ -121,9 +122,6 @@ fn log2_bucket(n: usize) -> u8 {
 /// authority those events simply do not exist (rather than panicking
 /// the simulator). That asymmetry is the paper's point — full shifting
 /// is the only level that adds the replay fault to the fault space.
-///
-/// Both evaluators share this filter — it runs client-side even for
-/// the daemon path, so the daemon only ever sees admissible plans.
 #[must_use]
 pub fn admissible_plan(
     input: &FuzzInput,
@@ -154,6 +152,11 @@ pub fn admissible_plan(
 }
 
 /// Runs the candidate under one authority level, in-process.
+///
+/// # Panics
+///
+/// Panics if the report's log references slots beyond its own horizon
+/// (a simulator invariant violation).
 #[must_use]
 pub fn evaluate_under(
     input: &FuzzInput,
@@ -168,8 +171,18 @@ pub fn evaluate_under(
         .plan(admissible_plan(input, ctx, authority))
         .build()
         .run();
-    let metrics = tta_sim::PlanRunMetrics::from_report(&report, ctx.nodes);
-    from_metrics(authority, &metrics)
+    let faulty = report.faulty_nodes().len();
+    let quorum = ctx.nodes.saturating_sub(faulty).max(1) as u32;
+    let series = TimeSeries::from_log(report.log(), ctx.nodes, report.slots_run())
+        .expect("simulator log stays within its own horizon");
+    Evaluation {
+        authority,
+        outcome: RecoveryOutcome::classify(&report),
+        availability: 1.0 - report.unavailability(quorum),
+        freezes: series.freeze_slots().len(),
+        restarts: series.restart_slots().len(),
+        interventions: series.guardian_intervention_slots().len(),
+    }
 }
 
 /// Runs the candidate across the full authority spectrum, in-process.
@@ -178,20 +191,10 @@ pub fn evaluate(input: &FuzzInput, ctx: &EvalContext) -> EvalSet {
     LocalEvaluator.evaluate(input, ctx)
 }
 
-fn from_metrics(authority: CouplerAuthority, metrics: &tta_sim::PlanRunMetrics) -> Evaluation {
-    Evaluation {
-        authority,
-        outcome: metrics.outcome,
-        availability: metrics.availability,
-        freezes: metrics.freezes,
-        restarts: metrics.restarts,
-        interventions: metrics.interventions,
-    }
-}
-
-/// How the engine executes candidate plans: in-process (the default)
-/// or over the campaign service. `Sync` because the engine's batch
-/// evaluation shares one evaluator across its scoped worker threads.
+/// How the engine executes candidate plans. [`LocalEvaluator`] runs
+/// them in process; a wrapper can add observation (timing, counting)
+/// around it. `Sync` because the engine's batch evaluation shares one
+/// evaluator across its scoped worker threads.
 pub trait Evaluator: Sync {
     /// Runs the candidate under one authority level.
     fn evaluate_under(
@@ -228,70 +231,6 @@ impl Evaluator for LocalEvaluator {
         authority: CouplerAuthority,
     ) -> Evaluation {
         evaluate_under(input, ctx, authority)
-    }
-}
-
-/// Evaluation over the campaign service's `eval` op: each run becomes
-/// one request to `tta-campaignd`, which executes the identical
-/// simulator build and returns [`tta_sim::PlanRunMetrics`]. Because
-/// both sides compute the same pure function, a fuzzing run routed
-/// through the daemon is bit-identical to a local one — the parity
-/// test pins that.
-///
-/// The admissibility filter ([`admissible_plan`]) runs client-side, so
-/// the daemon never sees an out-of-slot event under an authority that
-/// cannot buffer full frames.
-#[derive(Debug, Clone)]
-pub struct DaemonEvaluator {
-    client: tta_campaignd::client::Client,
-}
-
-impl DaemonEvaluator {
-    /// An evaluator sending every run to the daemon behind `client`.
-    #[must_use]
-    pub fn new(client: tta_campaignd::client::Client) -> DaemonEvaluator {
-        DaemonEvaluator { client }
-    }
-}
-
-impl Evaluator for DaemonEvaluator {
-    /// # Panics
-    ///
-    /// Panics if the daemon stays unreachable past the retry budget —
-    /// the engine has no partial-result path, and a daemon that never
-    /// comes back is operator intervention, not fuzz-campaign data.
-    /// Transient failures (a dropped connection, a daemon restart, a
-    /// drain-and-relaunch) are retried with the client's standard
-    /// backoff, since `eval` is a pure function and re-asking is free.
-    fn evaluate_under(
-        &self,
-        input: &FuzzInput,
-        ctx: &EvalContext,
-        authority: CouplerAuthority,
-    ) -> Evaluation {
-        let request = tta_campaignd::protocol::EvalRequest {
-            nodes: ctx.nodes,
-            topology: ctx.topology,
-            authority,
-            slots: ctx.slots,
-            policy: ctx.policy,
-            plan: admissible_plan(input, ctx, authority),
-        };
-        let policy = tta_campaignd::client::ReconnectPolicy::default();
-        let mut attempt = 0u32;
-        loop {
-            match self.client.eval(&request) {
-                Ok(metrics) => return from_metrics(authority, &metrics),
-                Err(e) if e.is_retryable() && attempt < policy.max_attempts => {
-                    attempt += 1;
-                    std::thread::sleep(policy.backoff(attempt));
-                }
-                Err(e) => panic!(
-                    "campaign daemon on {} failed mid-fuzz: {e}",
-                    self.client.socket().display()
-                ),
-            }
-        }
     }
 }
 

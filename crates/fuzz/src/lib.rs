@@ -58,8 +58,8 @@ pub use corpus::{Corpus, CorpusEntry};
 pub use emit::{authority_token, emit_scenario, EmitRequest, Emitted};
 pub use engine::{describe, fuzz, fuzz_with, Find, FindKind, FuzzConfig, FuzzOutcome};
 pub use eval::{
-    admissible_plan, evaluate, evaluate_under, DaemonEvaluator, EvalContext, EvalSet, Evaluation,
-    Evaluator, LocalEvaluator,
+    admissible_plan, evaluate, evaluate_under, EvalContext, EvalSet, Evaluation, Evaluator,
+    LocalEvaluator,
 };
 pub use input::{node_kind_token, FuzzEvent, FuzzEventKind, FuzzInput};
 pub use mutate::Mutator;

@@ -18,7 +18,7 @@ use crate::rng::FuzzRng;
 /// Magnitudes the SOS mutator draws from. A fixed palette keeps
 /// rendering, hashing, and TOML round-trips exact; 0.5 is the paper's
 /// "slightly off-specification" sweet spot that splits receivers.
-const MAGNITUDES: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
+pub(crate) const MAGNITUDES: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
 /// Cap on events per input: plans worth pinning are small, and the
 /// shrinker removes the rest.

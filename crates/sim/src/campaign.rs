@@ -575,35 +575,6 @@ impl Campaign {
         TrialResult::from_report(index, seed, self.nodes, &report)
     }
 
-    /// Runs trials `range` of `scenario` sequentially on the calling
-    /// thread, invoking `progress` after each finished trial and
-    /// stopping early (returning what was computed so far) once `cancel`
-    /// is set. The progress/cancellation surface long-running services
-    /// need without giving up per-trial determinism.
-    pub fn run_trials_observed(
-        &self,
-        scenario: Scenario,
-        range: std::ops::Range<u32>,
-        progress: &mut dyn FnMut(&TrialResult),
-        // Relaxed latch: polled once per trial; a trial-late stop is
-        // within the documented cancellation granularity.
-        cancel: &std::sync::atomic::AtomicBool,
-    ) -> Vec<TrialResult> {
-        let mut results = Vec::with_capacity(range.len());
-        if !self.applicable(scenario) {
-            return results;
-        }
-        for index in range {
-            if cancel.load(std::sync::atomic::Ordering::Relaxed) {
-                break;
-            }
-            let trial = self.run_trial(scenario, index);
-            progress(&trial);
-            results.push(trial);
-        }
-        results
-    }
-
     /// Runs all configured trials of one scenario across the worker
     /// threads, returning the per-trial results in trial-index order
     /// (empty if the scenario is inapplicable).
@@ -907,38 +878,6 @@ mod tests {
         for trial in &batch {
             assert_eq!(*trial, base.run_trial(Scenario::SosSender, trial.index));
         }
-    }
-
-    #[test]
-    fn observed_runs_report_progress_and_honor_cancellation() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let base = campaign(Topology::Bus, CouplerAuthority::Passive);
-        let cancel = AtomicBool::new(false);
-        let mut seen = Vec::new();
-        let results = base.run_trials_observed(
-            Scenario::SosSender,
-            0..5,
-            &mut |t| seen.push(t.index),
-            &cancel,
-        );
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        assert_eq!(results.len(), 5);
-
-        // Cancelling after the third trial stops the sweep early.
-        let cancel = AtomicBool::new(false);
-        let mut count = 0;
-        let results = base.run_trials_observed(
-            Scenario::SosSender,
-            0..5,
-            &mut |_| {
-                count += 1;
-                if count == 3 {
-                    cancel.store(true, Ordering::Relaxed);
-                }
-            },
-            &cancel,
-        );
-        assert_eq!(results.len(), 3);
     }
 
     #[test]

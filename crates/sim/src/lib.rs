@@ -59,7 +59,7 @@ pub use inject::{
     CouplerFaultEvent, FaultPersistence, FaultPlan, GuardianFaultEvent, NodeFault, NodeFaultKind,
 };
 pub use log::{SlotEvent, SlotLog};
-pub use metrics::{PlanRunMetrics, TimeSeries, TimeSeriesError};
+pub use metrics::{TimeSeries, TimeSeriesError};
 pub use report::{RecoveryEpisode, SimReport, SteadyState};
 pub use sim::{SimBuilder, Simulation};
 pub use topology::Topology;

@@ -179,50 +179,6 @@ impl TimeSeries {
     }
 }
 
-/// The coverage-signal metrics of one simulated fault-plan run — the
-/// quantities the fuzzer's corpus admission keys on and the campaign
-/// daemon's `eval` endpoint streams back. Extracted here so the local
-/// and the daemon-routed evaluation paths compute them with the same
-/// code (bit-identical results by construction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanRunMetrics {
-    /// Recovery classification of the run.
-    pub outcome: crate::campaign::RecoveryOutcome,
-    /// `1 - unavailability` at quorum = healthy-node count (floored at
-    /// one so an all-faulty plan still yields a defined quorum).
-    pub availability: f64,
-    /// Slots at which some node entered freeze.
-    pub freezes: usize,
-    /// Slots at which a host restarted a frozen controller.
-    pub restarts: usize,
-    /// Slots at which a central guardian blocked or reshaped a frame.
-    pub interventions: usize,
-}
-
-impl PlanRunMetrics {
-    /// Extracts the metrics from one finished run of a `nodes`-node
-    /// cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the report's log references slots beyond its own
-    /// horizon (a simulator invariant violation).
-    #[must_use]
-    pub fn from_report(report: &crate::report::SimReport, nodes: usize) -> PlanRunMetrics {
-        let faulty = report.faulty_nodes().len();
-        let quorum = nodes.saturating_sub(faulty).max(1) as u32;
-        let series = TimeSeries::from_log(report.log(), nodes, report.slots_run())
-            .expect("simulator log stays within its own horizon");
-        PlanRunMetrics {
-            outcome: crate::campaign::RecoveryOutcome::classify(report),
-            availability: 1.0 - report.unavailability(quorum),
-            freezes: series.freeze_slots().len(),
-            restarts: series.restart_slots().len(),
-            interventions: series.guardian_intervention_slots().len(),
-        }
-    }
-}
-
 impl fmt::Display for TimeSeries {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -25,14 +25,29 @@ impl Topology {
     pub fn is_central(self) -> bool {
         matches!(self, Topology::Star)
     }
+
+    /// The spelling of the scenario DSL, the campaign wire format, the
+    /// fuzz journal and `Display`: `bus` or `star`.
+    #[must_use]
+    pub fn token(self) -> &'static str {
+        match self {
+            Topology::Bus => "bus",
+            Topology::Star => "star",
+        }
+    }
+
+    /// The topology whose [`Self::token`] is `token`, if any.
+    #[must_use]
+    pub fn from_token(token: &str) -> Option<Topology> {
+        [Topology::Bus, Topology::Star]
+            .into_iter()
+            .find(|t| t.token() == token)
+    }
 }
 
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Topology::Bus => "bus",
-            Topology::Star => "star",
-        })
+        f.write_str(self.token())
     }
 }
 
@@ -50,5 +65,15 @@ mod tests {
     fn display_is_lowercase() {
         assert_eq!(Topology::Bus.to_string(), "bus");
         assert_eq!(Topology::Star.to_string(), "star");
+    }
+
+    #[test]
+    fn tokens_round_trip_and_match_display() {
+        for topology in [Topology::Bus, Topology::Star] {
+            assert_eq!(Topology::from_token(topology.token()), Some(topology));
+            assert_eq!(topology.token(), topology.to_string());
+        }
+        assert_eq!(Topology::from_token("Star"), None);
+        assert_eq!(Topology::from_token(""), None);
     }
 }
