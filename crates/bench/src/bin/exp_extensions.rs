@@ -15,32 +15,21 @@ use tta_bench::heading;
 use tta_guardian::enhanced::{audit, MailboxService, PriorityRelay};
 use tta_sim::asynch::AsyncMasqueradeDemo;
 use tta_sim::drift::DriftExperiment;
-use tta_types::constants::N_FRAME_MIN_BITS;
-use tta_types::{CState, FrameBuilder, FrameClass, MembershipVector, NodeId};
+use tta_types::constants::{x_frame_bits, N_FRAME_MIN_BITS};
+use tta_types::NodeId;
 
 fn main() {
     heading("S2a — enhanced guardian functions vs. the eq. (3) buffer bound");
-    let frame = |sender: u8, payload: &[u8]| {
-        FrameBuilder::new(FrameClass::XFrame, NodeId::new(sender))
-            .cstate(CState::new(
-                10,
-                u16::from(sender) + 1,
-                0,
-                MembershipVector::full(4),
-            ))
-            .data_bits(payload)
-            .build()
-            .expect("valid frame")
-    };
-
+    // X-frames sized by the spec's composition: 16 data bytes per
+    // mailbox, 8 per queued relay frame.
     let mut mailbox = MailboxService::new();
     for i in 0..4u8 {
-        mailbox.store(NodeId::new(i), frame(i, &[i; 16]));
+        mailbox.store(NodeId::new(i), x_frame_bits(16 * 8));
     }
     let mut relay = PriorityRelay::new();
-    relay.enqueue(0x100, frame(0, &[1; 8]));
-    relay.enqueue(0x200, frame(1, &[2; 8]));
-    relay.enqueue(0x080, frame(2, &[3; 8]));
+    for id in [0x100, 0x200, 0x080] {
+        relay.enqueue(id, x_frame_bits(8 * 8));
+    }
 
     let mut table = Table::new([
         "guardian function",

@@ -1,6 +1,7 @@
-//! Hot-path timings: the protocol, wire, simulator and analysis calls
-//! the checker, the campaigns and the Section 6 design loops spend their
-//! time in, each timed per call by [`tta_bench::seconds_per_iter`].
+//! Hot-path timings: the protocol, guardian-buffer, simulator and
+//! analysis calls the checker, the campaigns and the Section 6 design
+//! loops spend their time in, each timed per call by
+//! [`tta_bench::seconds_per_iter`].
 //!
 //! Usage: `exp_hotpaths [PATH]` — writes `PATH` (default
 //! `BENCH_hotpaths.json`), a flat `runs` list of `{workload, threads,
@@ -18,10 +19,7 @@ use tta_guardian::CouplerAuthority;
 use tta_protocol::{ChannelObservation, ChannelView, Controller, EagerStartPolicy, HostChoices};
 use tta_sim::{Campaign, FaultPlan, Scenario, SimBuilder, Topology};
 use tta_types::constants::{LINE_ENCODING_BITS, N_FRAME_MIN_BITS, X_FRAME_MAX_BITS};
-use tta_types::{
-    decode_frame, BitVec, CState, Crc24, FrameBuilder, FrameClass, FrameKind, MembershipVector,
-    NodeId,
-};
+use tta_types::{FrameKind, NodeId};
 
 /// TDMA slots per round of the controller workloads.
 const SLOTS: u16 = 4;
@@ -65,7 +63,7 @@ fn main() {
         runs: Vec::new(),
     };
     controller(&mut runs);
-    wire(&mut runs);
+    guardian_forwarding(&mut runs);
     simulator(&mut runs);
     analysis(&mut runs);
 
@@ -136,34 +134,9 @@ fn controller(runs: &mut Runs) {
     });
 }
 
-/// CRC-24, the frame codec and the guardian's forwarding buffer: the
-/// per-frame work a guardian must do at line rate.
-fn wire(runs: &mut Runs) {
-    for bits in [28u32, 76, 2076, 115_000] {
-        let payload: BitVec = (0..bits).map(|i| i % 3 == 0).collect();
-        runs.time(&format!("crc24/{bits}"), 1, || {
-            Crc24::new().digest_bits(&payload).finish()
-        });
-    }
-
-    let cstate = CState::new(512, 7, 1, MembershipVector::full(4));
-    let iframe = FrameBuilder::new(FrameClass::IFrame, NodeId::new(2))
-        .cstate(cstate)
-        .build()
-        .expect("valid frame");
-    let xframe = FrameBuilder::new(FrameClass::XFrame, NodeId::new(1))
-        .cstate(cstate)
-        .data_bits(&[0xA5u8; 240])
-        .build()
-        .expect("valid frame");
-    for (name, frame) in [("iframe", &iframe), ("xframe_max", &xframe)] {
-        runs.time(&format!("frame_codec/encode_{name}"), 1, || frame.encode());
-        let bits = frame.encode();
-        runs.time(&format!("frame_codec/decode_{name}"), 1, || {
-            decode_frame(&bits).expect("valid bits")
-        });
-    }
-
+/// The guardian's forwarding buffer at line rate: a maximal X-frame and
+/// the eq. (6) frame-size limit, with the guardian's clock 2·10⁻⁴ slow.
+fn guardian_forwarding(runs: &mut Runs) {
     let (rate, skewed) = (1.0, 1.0 - 2e-4);
     for bits in [2_076u32, 115_000] {
         runs.time(&format!("guardian_forwarding/{bits}"), 1, || {

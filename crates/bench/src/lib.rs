@@ -19,7 +19,7 @@
 //! | `exp_liveness` | Integration liveness under weak fairness, fair-lasso counterexample (S4) |
 //! | `tta_fuzz` | Coverage-guided fault-plan fuzzing with shrinking + scenario emission (S7) |
 //! | `exp_fuzz` | Restart-policy synthesis over the fuzzed corpus (E11) |
-//! | `exp_hotpaths` | Protocol, codec, simulator and analysis hot paths (`BENCH_hotpaths.json`) |
+//! | `exp_hotpaths` | Protocol, guardian-buffer, simulator and analysis hot paths (`BENCH_hotpaths.json`) |
 //!
 //! Run any of them with `cargo run --release -p tta-bench --bin <name>`.
 
@@ -31,9 +31,7 @@ use tta_base::json::{json_obj, json_rounded, Json};
 
 mod table;
 
-pub use table::{
-    check_against_golden, die, diff_campaign_json, CampaignArgs, CampaignCell, CampaignJson,
-};
+pub use table::{check_against_golden, die, CampaignArgs, CampaignCell, CampaignJson};
 
 /// A campaign-service connection for a `--daemon [SOCKET]` invocation,
 /// plus the in-process daemon keeping it alive when no socket was

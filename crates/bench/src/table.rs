@@ -5,6 +5,7 @@
 
 use std::path::{Path, PathBuf};
 use tta_base::json::json_string;
+use tta_conformance::diff_lines;
 
 /// One cell of a campaign JSON table: a scenario × configuration
 /// combination with its outcome counts and derived metrics.
@@ -89,35 +90,10 @@ impl CampaignJson {
     }
 }
 
-/// Line-diffs rendered campaign JSON against a golden fixture. Returns
-/// the first mismatch (line number, expected, actual) as a displayable
-/// error so CI failures point at the drifted cell, not just "differs".
-///
-/// # Errors
-///
-/// Returns a description of the first differing line, or a length
-/// mismatch if one output is a prefix of the other.
-pub fn diff_campaign_json(golden: &str, actual: &str) -> Result<(), String> {
-    let golden_lines: Vec<&str> = golden.lines().collect();
-    let actual_lines: Vec<&str> = actual.lines().collect();
-    for (i, (g, a)) in golden_lines.iter().zip(actual_lines.iter()).enumerate() {
-        if g != a {
-            return Err(format!("line {}:\n  golden: {g}\n  actual: {a}", i + 1));
-        }
-    }
-    if golden_lines.len() != actual_lines.len() {
-        return Err(format!(
-            "line count differs: golden {} vs actual {}",
-            golden_lines.len(),
-            actual_lines.len()
-        ));
-    }
-    Ok(())
-}
-
 /// Checks rendered campaign JSON against the golden fixture at `path`,
-/// printing a verdict. Returns `false` (and prints the first diff) on
-/// drift — callers exit nonzero so CI fails.
+/// printing a verdict. Returns `false` (and prints
+/// [`tta_conformance::diff_lines`]'s per-line diff, so CI failures point
+/// at the drifted cells) on drift — callers exit nonzero so CI fails.
 #[must_use]
 pub fn check_against_golden(path: &Path, actual: &str) -> bool {
     match std::fs::read_to_string(path) {
@@ -125,16 +101,18 @@ pub fn check_against_golden(path: &Path, actual: &str) -> bool {
             eprintln!("error: cannot read golden fixture {}: {e}", path.display());
             false
         }
-        Ok(golden) => match diff_campaign_json(&golden, actual) {
-            Ok(()) => {
-                println!("golden fixture {}: ok", path.display());
-                true
-            }
-            Err(why) => {
-                eprintln!("golden fixture {} drifted at {why}", path.display());
-                false
-            }
-        },
+        Ok(golden) if golden == actual => {
+            println!("golden fixture {}: ok", path.display());
+            true
+        }
+        Ok(golden) => {
+            eprint!(
+                "golden fixture {} drifted:\n{}",
+                path.display(),
+                diff_lines(&golden, actual)
+            );
+            false
+        }
     }
 }
 
@@ -262,17 +240,22 @@ mod tests {
     #[test]
     fn diff_points_at_the_first_drifted_line() {
         let golden = sample_json().render();
-        assert_eq!(diff_campaign_json(&golden, &golden), Ok(()));
 
         let mut drifted = sample_json();
         drifted.cells[1].outcomes[0].1 = 1;
-        let err = diff_campaign_json(&golden, &drifted.render()).unwrap_err();
-        assert!(err.contains("line 6"), "{err}");
-        assert!(err.contains("\"contained\": 1"), "{err}");
+        let diff = diff_lines(&golden, &drifted.render());
+        assert!(diff.contains("line   6 - "), "{diff}");
+        assert!(diff.contains("line   6 + "), "{diff}");
+        assert!(diff.contains("\"contained\": 1"), "{diff}");
+        assert_eq!(diff.lines().count(), 2, "{diff}");
 
+        // One cell fewer: the new last cell loses its comma, and the
+        // golden's closing line has no counterpart.
         let mut truncated = sample_json();
         truncated.cells.pop();
-        let err = diff_campaign_json(&golden, &truncated.render()).unwrap_err();
-        assert!(err.contains("line"), "{err}");
+        let diff = diff_lines(&golden, &truncated.render());
+        let last = golden.lines().count();
+        assert!(diff.contains(&format!("line {last:>3} - ")), "{diff}");
+        assert!(!diff.contains(&format!("line {last:>3} + ")), "{diff}");
     }
 }

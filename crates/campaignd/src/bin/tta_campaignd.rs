@@ -25,7 +25,7 @@ use tta_campaignd::server::{Server, ServerConfig};
 
 const USAGE: &str = "tta_campaignd [--state-dir DIR] [--socket PATH] [--workers N] \
                      [--base-dir DIR] [--crash-after-chunks N] [--chaos SPEC] \
-                     [--trial-deadline-ms N] [--retry-max N] [--retry-backoff-ms N]";
+                     [--trial-deadline-ms N] [--retry-backoff-ms N]";
 
 fn die(why: &str) -> ! {
     eprintln!("error: {why}");
@@ -70,7 +70,6 @@ fn main() {
     let mut crash = CrashPlan::default();
     let mut chaos = ChaosPlan::default();
     let mut trial_deadline: Option<Duration> = None;
-    let mut retry_max: Option<u32> = None;
     let mut retry_backoff: Option<Duration> = None;
 
     let mut iter = std::env::args().skip(1);
@@ -111,10 +110,6 @@ fn main() {
                 Some(ms) if ms > 0u64 => trial_deadline = Some(Duration::from_millis(ms)),
                 _ => die("--trial-deadline-ms needs a positive integer"),
             },
-            "--retry-max" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0u32 => retry_max = Some(n),
-                _ => die("--retry-max needs a positive integer"),
-            },
             "--retry-backoff-ms" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(ms) => retry_backoff = Some(Duration::from_millis(ms)),
                 None => die("--retry-backoff-ms needs an integer"),
@@ -137,9 +132,6 @@ fn main() {
     config.chaos = chaos;
     if let Some(deadline) = trial_deadline {
         config.supervision.trial_deadline = deadline;
-    }
-    if let Some(max) = retry_max {
-        config.supervision.retry.max_attempts = max;
     }
     if let Some(backoff) = retry_backoff {
         config.supervision.retry.backoff = backoff;

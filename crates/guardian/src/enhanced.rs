@@ -22,7 +22,7 @@
 use crate::CouplerFaultMode;
 use std::collections::HashMap;
 use std::fmt;
-use tta_types::{Frame, NodeId};
+use tta_types::NodeId;
 
 /// A guardian value-added function that holds frame bits.
 ///
@@ -48,9 +48,11 @@ pub trait BufferedFunction {
 
 /// A stale-value mailbox service: the guardian remembers each sender's
 /// last complete frame and can serve it when the live slot is corrupted.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Frames are accounted by their length in bits, which is all the buffer
+/// audit needs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MailboxService {
-    boxes: HashMap<u8, Frame>,
+    boxes: HashMap<u8, u32>,
     longest_seen_bits: u32,
 }
 
@@ -61,18 +63,18 @@ impl MailboxService {
         Self::default()
     }
 
-    /// Stores `frame` as `sender`'s most recent value. This is the
-    /// operation that requires holding the *entire* frame.
-    pub fn store(&mut self, sender: NodeId, frame: Frame) {
-        self.longest_seen_bits = self.longest_seen_bits.max(frame.bit_len() as u32);
-        self.boxes.insert(sender.index(), frame);
+    /// Stores a `frame_bits`-bit frame as `sender`'s most recent value.
+    /// This is the operation that requires holding the *entire* frame.
+    pub fn store(&mut self, sender: NodeId, frame_bits: u32) {
+        self.longest_seen_bits = self.longest_seen_bits.max(frame_bits);
+        self.boxes.insert(sender.index(), frame_bits);
     }
 
-    /// The slightly stale value for `sender`, if any — what the guardian
-    /// would substitute for a corrupted slot.
+    /// Length of `sender`'s held frame, if any — the slightly stale value
+    /// the guardian would substitute for a corrupted slot.
     #[must_use]
-    pub fn stale_value(&self, sender: NodeId) -> Option<&Frame> {
-        self.boxes.get(&sender.index())
+    pub fn held_bits(&self, sender: NodeId) -> Option<u32> {
+        self.boxes.get(&sender.index()).copied()
     }
 
     /// Number of mailboxes currently populated.
@@ -98,9 +100,10 @@ impl BufferedFunction for MailboxService {
 
 /// A CAN-style prioritized relay: frames wait in the guardian, lowest
 /// arbitration id first, to be transmitted in a reserved time slice.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Each queued frame is recorded by its length in bits.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PriorityRelay {
-    queue: Vec<(u32, Frame)>,
+    queue: Vec<(u32, u32)>,
 }
 
 impl PriorityRelay {
@@ -110,16 +113,17 @@ impl PriorityRelay {
         Self::default()
     }
 
-    /// Enqueues `frame` with a CAN-style arbitration id (lower id = higher
-    /// priority).
-    pub fn enqueue(&mut self, arbitration_id: u32, frame: Frame) {
-        self.queue.push((arbitration_id, frame));
+    /// Enqueues a `frame_bits`-bit frame with a CAN-style arbitration id
+    /// (lower id = higher priority).
+    pub fn enqueue(&mut self, arbitration_id: u32, frame_bits: u32) {
+        self.queue.push((arbitration_id, frame_bits));
         // Stable insertion order for equal ids, CAN arbitration otherwise.
         self.queue.sort_by_key(|(id, _)| *id);
     }
 
-    /// Dequeues the highest-priority frame for the reserved time slice.
-    pub fn transmit_next(&mut self) -> Option<(u32, Frame)> {
+    /// Dequeues the highest-priority frame for the reserved time slice,
+    /// as its arbitration id and length in bits.
+    pub fn transmit_next(&mut self) -> Option<(u32, u32)> {
         if self.queue.is_empty() {
             None
         } else {
@@ -137,7 +141,7 @@ impl PriorityRelay {
 impl BufferedFunction for PriorityRelay {
     fn required_buffer_bits(&self) -> u32 {
         // Every queued frame is held in full until its slice arrives.
-        self.queue.iter().map(|(_, f)| f.bit_len() as u32).sum()
+        self.queue.iter().map(|(_, bits)| bits).sum()
     }
 }
 
@@ -185,39 +189,23 @@ pub fn audit<F: BufferedFunction>(name: &str, function: &F, min_frame_bits: u32)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tta_types::constants::N_FRAME_MIN_BITS;
-    use tta_types::{CState, FrameBuilder, FrameClass, MembershipVector};
-
-    fn frame(sender: u8, data: &[u8]) -> Frame {
-        FrameBuilder::new(FrameClass::XFrame, NodeId::new(sender))
-            .cstate(CState::new(
-                10,
-                u16::from(sender) + 1,
-                0,
-                MembershipVector::full(4),
-            ))
-            .data_bits(data)
-            .build()
-            .expect("valid frame")
-    }
+    use tta_types::constants::{x_frame_bits, I_FRAME_MIN_BITS, N_FRAME_MIN_BITS};
 
     #[test]
     fn mailboxes_serve_stale_values() {
         let mut service = MailboxService::new();
         assert!(service.is_empty());
-        let f1 = frame(0, &[1, 2, 3]);
-        let f2 = frame(0, &[4, 5, 6]);
-        service.store(NodeId::new(0), f1);
-        service.store(NodeId::new(0), f2.clone());
-        assert_eq!(service.stale_value(NodeId::new(0)), Some(&f2));
-        assert_eq!(service.stale_value(NodeId::new(1)), None);
+        service.store(NodeId::new(0), x_frame_bits(24));
+        service.store(NodeId::new(0), x_frame_bits(48));
+        assert_eq!(service.held_bits(NodeId::new(0)), Some(x_frame_bits(48)));
+        assert_eq!(service.held_bits(NodeId::new(1)), None);
         assert_eq!(service.len(), 1);
     }
 
     #[test]
     fn mailboxes_require_full_frames() {
         let mut service = MailboxService::new();
-        service.store(NodeId::new(0), frame(0, &[0; 64]));
+        service.store(NodeId::new(0), x_frame_bits(64 * 8));
         // Holding a 64-byte X-frame cannot fit inside f_min − 1 = 27 bits.
         assert!(service.required_buffer_bits() > 500);
         assert!(service.violates_fault_tolerance_bound(N_FRAME_MIN_BITS));
@@ -235,9 +223,9 @@ mod tests {
     #[test]
     fn priority_relay_implements_can_arbitration() {
         let mut relay = PriorityRelay::new();
-        relay.enqueue(0x300, frame(2, &[3]));
-        relay.enqueue(0x100, frame(0, &[1]));
-        relay.enqueue(0x200, frame(1, &[2]));
+        relay.enqueue(0x300, x_frame_bits(8));
+        relay.enqueue(0x100, x_frame_bits(8));
+        relay.enqueue(0x200, x_frame_bits(8));
         let order: Vec<u32> =
             std::iter::from_fn(|| relay.transmit_next().map(|(id, _)| id)).collect();
         assert_eq!(order, [0x100, 0x200, 0x300]);
@@ -247,9 +235,9 @@ mod tests {
     #[test]
     fn priority_relay_buffer_grows_with_backlog() {
         let mut relay = PriorityRelay::new();
-        relay.enqueue(1, frame(0, &[0; 8]));
+        relay.enqueue(1, x_frame_bits(64));
         let single = relay.required_buffer_bits();
-        relay.enqueue(2, frame(1, &[0; 8]));
+        relay.enqueue(2, x_frame_bits(64));
         assert_eq!(relay.required_buffer_bits(), 2 * single);
         assert!(relay.violates_fault_tolerance_bound(N_FRAME_MIN_BITS));
     }
@@ -257,7 +245,7 @@ mod tests {
     #[test]
     fn audit_reports_the_conflict() {
         let mut relay = PriorityRelay::new();
-        relay.enqueue(7, frame(3, &[9, 9]));
+        relay.enqueue(7, x_frame_bits(16));
         let audit = audit("CAN emulation", &relay, N_FRAME_MIN_BITS);
         assert!(!audit.fault_tolerant);
         assert_eq!(audit.permitted_bits, 27);
@@ -269,12 +257,7 @@ mod tests {
         // Even the shortest legal frame cannot be stored: every frame is
         // at least f_min bits, the buffer may hold at most f_min − 1.
         let mut service = MailboxService::new();
-        let minimal = FrameBuilder::new(FrameClass::IFrame, NodeId::new(0))
-            .cstate(CState::new(0, 1, 0, MembershipVector::new()))
-            .build()
-            .expect("valid frame");
-        let bits = minimal.bit_len() as u32;
-        service.store(NodeId::new(0), minimal);
-        assert!(service.violates_fault_tolerance_bound(bits));
+        service.store(NodeId::new(0), I_FRAME_MIN_BITS);
+        assert!(service.violates_fault_tolerance_bound(I_FRAME_MIN_BITS));
     }
 }

@@ -1,8 +1,9 @@
 //! # tta-guardian
 //!
-//! Bus-guardian models for the TTA: decentralized (per-node) guardians for
-//! the bus topology and centralized star couplers for the star topology,
-//! with the four authority levels the paper compares (Section 4.1):
+//! Bus-guardian models for the TTA: the fault modes of decentralized
+//! (per-node) guardians in the bus topology and centralized star couplers
+//! for the star topology, with the four authority levels the paper
+//! compares (Section 4.1):
 //!
 //! * **Passive** — cannot stop frames, cannot shift frames in time;
 //! * **Time windows** — can open/close bus write access per slot;
@@ -19,9 +20,13 @@
 //! authority.
 //!
 //! For the simulator the crate additionally models slightly-off-
-//! specification defects ([`sos`]), central signal reshaping and semantic
-//! analysis ([`reshape`]), local per-node guardians ([`local`]) and the
-//! leaky-bucket bit buffer behind the Section 6 analysis ([`buffer`]).
+//! specification defects and per-receiver acceptance ([`sos`]) and the
+//! fault modes of a local per-node guardian ([`local`]); the rules a
+//! guardian applies to each transmission live in the simulator's step
+//! (`tta_sim::Simulation`), next to the cluster state they read. The
+//! leaky-bucket bit buffer behind the Section 6 analysis is [`buffer`],
+//! and [`enhanced`] audits the §6 value-added functions against the
+//! eq. (3) buffer bound.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -32,9 +37,7 @@ mod coupler;
 pub mod enhanced;
 mod fault;
 pub mod local;
-pub mod reshape;
 pub mod sos;
-pub mod window;
 
 pub use authority::CouplerAuthority;
 pub use coupler::{BufferedFrame, StarCoupler};

@@ -1,11 +1,10 @@
-//! Property-based tests of the guardian crate: coupler relay laws,
-//! window algebra, SOS acceptance monotonicity, and the leaky-bucket vs.
-//! closed-form agreement across the parameter space.
+//! Property-based tests of the guardian crate: coupler relay laws, SOS
+//! acceptance monotonicity, and the leaky-bucket vs. closed-form
+//! agreement across the parameter space.
 
 use proptest::prelude::*;
 use tta_guardian::buffer::{closed_form_min_buffer, simulate_forwarding};
 use tta_guardian::sos::{ReceiverTolerance, SosDefect, SosDomain};
-use tta_guardian::window::TimeWindow;
 use tta_guardian::{CouplerAuthority, CouplerFaultMode, StarCoupler};
 use tta_protocol::ChannelObservation;
 use tta_types::FrameKind;
@@ -99,33 +98,6 @@ proptest! {
         let large = SosDefect::new(domain, large);
         if tolerance.accepts(Some(&large)) {
             prop_assert!(tolerance.accepts(Some(&small)));
-        }
-    }
-
-    /// Window classification is consistent with the shift computation: a
-    /// transmission classified Inside needs zero shift; anything that
-    /// fits after shifting really lands inside.
-    #[test]
-    fn window_shift_lands_inside(
-        open in 0.0f64..1000.0,
-        len in 1.0f64..500.0,
-        margin in 0.0f64..50.0,
-        start in -200.0f64..1500.0,
-        txlen in 1.0f64..600.0,
-    ) {
-        let window = TimeWindow::new(open, open + len, margin);
-        let end = start + txlen;
-        match window.shift_to_fit(start, end) {
-            Some(shift) => {
-                // Allow a floating-point ulp of slack at the boundaries.
-                let eps = 1e-9 * (1.0 + open.abs() + len);
-                prop_assert!(start + shift >= window.open() - eps);
-                prop_assert!(end + shift <= window.close() + eps);
-                if window.contains(start, end) {
-                    prop_assert_eq!(shift, 0.0);
-                }
-            }
-            None => prop_assert!(txlen > len, "only oversized transmissions fail to fit"),
         }
     }
 

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod ack;
 pub mod clique;
 pub mod clocksync;
 mod controller;

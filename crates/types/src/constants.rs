@@ -1,9 +1,9 @@
 //! Frame-size and line-encoding constants from the TTP/C specifications as
 //! cited in Section 6 of the paper.
 //!
-//! The buffer-size analysis plugs these published constants — not sizes
-//! derived from this crate's own codec — into equations (1)–(10), so they
-//! are kept verbatim here with their provenance.
+//! The buffer-size analysis plugs these published constants into
+//! equations (1)–(10), so they are kept verbatim here with their
+//! provenance.
 
 /// Bits of line-encoding overhead `le` the paper assumes (start-of-frame
 /// detection before payload bits can be forwarded).
@@ -55,6 +55,15 @@ pub const C_STATE_BITS: u32 = 96;
 /// Width of the TTP/C frame CRC.
 pub const CRC_BITS: u32 = 24;
 
+/// Length of an X-frame carrying `data_bits` of application data, in the
+/// composition [`X_FRAME_MAX_BITS`] documents: 4 bits for the mode change
+/// request and frame type, the explicit C-state, the data, two CRCs and
+/// 8 bits of CRC padding.
+#[must_use]
+pub const fn x_frame_bits(data_bits: u32) -> u32 {
+    4 + C_STATE_BITS + data_bits + 2 * CRC_BITS + 8
+}
+
 /// Typical commodity crystal oscillator tolerance the paper assumes
 /// (±100 ppm), used to derive ρ = 0.0002 in eq. (5).
 pub const CRYSTAL_TOLERANCE_PPM: f64 = 100.0;
@@ -92,10 +101,7 @@ mod tests {
 
     #[test]
     fn x_frame_composition_matches_paper() {
-        assert_eq!(
-            4 + C_STATE_BITS + X_FRAME_DATA_BITS + 2 * CRC_BITS + 8,
-            X_FRAME_MAX_BITS
-        );
+        assert_eq!(x_frame_bits(X_FRAME_DATA_BITS), X_FRAME_MAX_BITS);
     }
 
     #[test]

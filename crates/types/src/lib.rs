@@ -1,67 +1,46 @@
 //! # tta-types
 //!
-//! Bit-accurate data types for the Time-Triggered Protocol (TTP/C) as used
-//! by the DSN 2004 paper *Fault Tolerance Tradeoffs in Moving from
-//! Decentralized to Centralized Embedded Systems*.
+//! Data types for the Time-Triggered Protocol (TTP/C) as used by the DSN
+//! 2004 paper *Fault Tolerance Tradeoffs in Moving from Decentralized to
+//! Centralized Embedded Systems*.
 //!
 //! This crate is the lowest substrate of the reproduction. It provides:
 //!
-//! * identifiers and time bases ([`NodeId`], [`SlotIndex`], [`GlobalTime`],
-//!   [`RoundSlot`]),
+//! * identifiers and the slot time base ([`NodeId`], [`SlotIndex`]),
 //! * the abstract channel alphabet the paper's formal model uses
 //!   ([`FrameKind`]: silence, cold-start, explicit C-state, regular, bad),
-//! * bit-accurate wire frames ([`Frame`], [`codec`]) for the four TTP/C
-//!   frame classes (N-, I-, X- and cold-start frames) with a real 24-bit
-//!   CRC ([`Crc24`]),
-//! * the controller state ([`CState`]) and membership vector
-//!   ([`MembershipVector`]) that semantic analysis in a central guardian
-//!   inspects,
-//! * the message descriptor list ([`Medl`]) that statically assigns TDMA
-//!   slots, and
+//! * the membership vector ([`MembershipVector`]) that the membership
+//!   service keeps and that explicit C-state frames carry, and
 //! * the frame-size constants of the TTP/C Bus-Compatibility Specification
 //!   that Section 6 of the paper plugs into its buffer-size equations
 //!   ([`constants`]).
 //!
+//! Both engines see the channel only through [`FrameKind`]: the checker's
+//! model and the simulator's transmissions carry a frame kind and a
+//! claimed slot, never wire bits, and the Section 6 analysis needs only
+//! the published frame lengths.
+//!
 //! # Example
 //!
 //! ```
-//! use tta_types::{CState, Crc24, FrameBuilder, FrameClass, MembershipVector, NodeId};
+//! use tta_types::{FrameKind, MembershipVector, NodeId, SlotIndex};
 //!
-//! # fn main() -> Result<(), tta_types::CodecError> {
-//! let cstate = CState::new(17, 3, 0, MembershipVector::with_members([0, 1, 2]));
-//! let frame = FrameBuilder::new(FrameClass::IFrame, NodeId::new(2))
-//!     .cstate(cstate)
-//!     .build()?;
-//! let bits = frame.encode();
-//! let decoded = tta_types::decode_frame(&bits)?;
-//! assert_eq!(decoded.cstate(), Some(&cstate));
-//! # Ok(())
-//! # }
+//! let members = MembershipVector::with_members([0, 1, 2]);
+//! assert!(members.contains(NodeId::new(2)));
+//! assert_eq!(SlotIndex::new(4).next(4), SlotIndex::new(1));
+//! assert!(FrameKind::ColdStart.supports_integration());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod bitvec;
-pub mod codec;
 pub mod constants;
-mod crc;
-mod cstate;
-mod error;
 mod frame;
-mod medl;
 mod membership;
-pub mod modes;
 mod node;
 mod slot;
 
-pub use bitvec::BitVec;
-pub use codec::{decode_frame, CodecError};
-pub use crc::Crc24;
-pub use cstate::{CState, ClusterMode};
-pub use error::{MedlError, TypeError};
-pub use frame::{n_frame, Frame, FrameBuilder, FrameClass, FrameKind};
-pub use medl::{Medl, MedlBuilder, SlotDescriptor};
+pub use frame::FrameKind;
 pub use membership::MembershipVector;
 pub use node::NodeId;
-pub use slot::{GlobalTime, RoundSlot, SlotIndex};
+pub use slot::SlotIndex;

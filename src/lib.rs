@@ -9,11 +9,13 @@
 //! authority into star-coupler bus guardians. This workspace builds the
 //! whole stack from scratch and answers the question executably:
 //!
-//! * [`types`] — bit-accurate TTP/C frames, CRC-24, C-state, MEDL;
+//! * [`types`] — node and slot ids, the five-letter channel alphabet,
+//!   membership vectors and the TTP/C spec's frame-size constants;
 //! * [`protocol`] — the TTP/C controller state machine (big-bang cold
 //!   start, clique avoidance, membership, clock sync);
-//! * [`guardian`] — local guardians and central star couplers with the
-//!   four authority levels the paper compares;
+//! * [`guardian`] — central star couplers with the four authority levels
+//!   the paper compares, coupler and local-guardian fault modes, SOS
+//!   defects and the forwarding buffer;
 //! * [`modelcheck`] — an explicit-state model checker (the SMV
 //!   substitute) with shortest-counterexample BFS;
 //! * [`liveness`] — temporal liveness on top of it: `F`/`G`/leads-to/`GF`

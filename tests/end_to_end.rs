@@ -1,5 +1,6 @@
-//! Cross-crate integration tests: the model checker, simulator, analysis
-//! and wire layers must tell one consistent story.
+//! Cross-crate integration tests: the model checker, the simulator and
+//! its guardian, the analysis and the conformance layer must tell one
+//! consistent story.
 
 use tta::analysis;
 use tta::core::{verify_cluster, ClusterConfig, Verdict};
@@ -168,44 +169,68 @@ fn eq6_is_the_feasibility_knee() {
     );
 }
 
-/// Wire-level sanity across crates: frames built from protocol-level
-/// C-states survive the codec and the guardian's semantic filter.
+/// The guardian the simulator runs (`Simulation::guard`), authority by
+/// authority: with node 3 of a 4-node star faulty, does the guardian
+/// block its content faults (`GuardianBlocked`) or reshape its SOS
+/// defects (`GuardianReshaped`)? The rows are written out as measured,
+/// not derived from the authority's capabilities, so a change to either
+/// the guardian or the capability ladder shows here.
 #[test]
-fn frames_flow_through_codec_and_semantic_filter() {
-    use tta::guardian::reshape::{GuardianAction, SemanticFilter};
-    use tta::types::{
-        decode_frame, CState, FrameBuilder, FrameClass, MembershipVector, NodeId, SlotIndex,
-    };
+fn live_guardian_blocks_and_reshapes_per_authority() {
+    use tta::guardian::sos::SosDomain;
+    use tta::sim::{NodeFault, NodeFaultKind, SlotEvent};
+    use tta::types::NodeId;
 
-    let cstate = CState::new(64, 2, 0, MembershipVector::full(4));
-    let frame = FrameBuilder::new(FrameClass::IFrame, NodeId::new(1))
-        .cstate(cstate)
-        .build()
-        .expect("valid frame");
-    let decoded = decode_frame(&frame.encode()).expect("codec round trip");
-    assert_eq!(decoded, frame);
-
-    let filter = SemanticFilter::new(CouplerAuthority::TimeWindows);
-    let (action, _) = filter.filter(
-        &decoded,
-        SlotIndex::new(2),
-        NodeId::new(1),
-        true,
-        None,
-        None,
-    );
-    assert_eq!(action, GuardianAction::Forwarded);
-
-    // The same frame on the wrong port is a masquerade and is blocked.
-    let (action, _) = filter.filter(
-        &decoded,
-        SlotIndex::new(1),
-        NodeId::new(0),
-        true,
-        None,
-        None,
-    );
-    assert!(matches!(action, GuardianAction::BlockedMasquerade { .. }));
+    let faults = [
+        NodeFaultKind::MasqueradeColdStart { claimed_slot: 2 },
+        NodeFaultKind::InvalidCState { claimed_slot: 1 },
+        NodeFaultKind::Sos {
+            domain: SosDomain::Value,
+            magnitude: 0.5,
+        },
+        NodeFaultKind::Sos {
+            domain: SosDomain::Time,
+            magnitude: 0.5,
+        },
+    ];
+    // Columns: masquerade blocked, invalid C-state blocked, value SOS
+    // reshaped, time SOS reshaped.
+    let table = [
+        (CouplerAuthority::Passive, [false, false, false, false]),
+        (CouplerAuthority::TimeWindows, [true, true, true, false]),
+        (CouplerAuthority::SmallShifting, [true, true, true, true]),
+        (CouplerAuthority::FullShifting, [true, true, true, true]),
+    ];
+    for (authority, expected) in table {
+        let observed = faults.map(|kind| {
+            let plan = FaultPlan::none().with_node_fault(NodeFault {
+                node: NodeId::new(3),
+                kind,
+                from_slot: 0,
+                to_slot: 300,
+                persistence: FaultPersistence::Transient,
+            });
+            let report = SimBuilder::new(4)
+                .topology(Topology::Star)
+                .authority(authority)
+                .slots(300)
+                .plan(plan)
+                .build()
+                .run();
+            let log = report.log();
+            match kind {
+                NodeFaultKind::Sos { .. } => {
+                    log.count(|e| matches!(e, SlotEvent::GuardianReshaped { .. })) > 0
+                }
+                _ => log.count(|e| matches!(e, SlotEvent::GuardianBlocked { .. })) > 0,
+            }
+        });
+        assert_eq!(
+            observed, expected,
+            "{authority}: [masquerade blocked, invalid C-state blocked, \
+             value SOS reshaped, time SOS reshaped]"
+        );
+    }
 }
 
 /// The conformance layer closes the loop through the facade: the checked-in
