@@ -13,7 +13,9 @@
 //! journals, new submissions are refused with a retryable error, and
 //! the process exits once the last job has wound down. `--chaos`
 //! arms deterministic failure injection (see [`ChaosPlan`]) for the
-//! self-fault-tolerance test matrix.
+//! self-fault-tolerance test matrix. `--crash-after-chunks N` aborts
+//! the process (a power-cut stand-in) right after the batch commit
+//! that journals the Nth chunk; that batch may journal more than N.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,7 +99,10 @@ fn main() {
                         crash_after_chunks: Some(n),
                     };
                 }
-                None => die("--crash-after-chunks needs an integer"),
+                None => die(
+                    "--crash-after-chunks needs an integer (abort after the commit \
+                     that journals that many chunks)",
+                ),
             },
             "--chaos" => match iter.next() {
                 Some(spec) => match ChaosPlan::parse(&spec) {

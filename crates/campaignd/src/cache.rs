@@ -9,12 +9,13 @@
 //! misses.
 //!
 //! Storage is one append-only NDJSON log, `<state_dir>/cache/entries.ndjson`,
-//! held open for the daemon's lifetime. Every completed chunk appends its
-//! fresh entries with one write and one `sync_data`, before they are
-//! published in memory, so an entry a lookup can see is on disk. Lines
-//! use the same self-checksummed format as the journal, so a torn tail
-//! from a crash costs at most the entries of one interrupted batch, never
-//! the log. The whole cache is loaded into memory at daemon start;
+//! held open for the daemon's lifetime. The runner's emitter appends the
+//! fresh entries of each batch of finished chunks with one write and one
+//! `sync_data`, before they are published in memory and before any of
+//! those chunks is streamed, so an entry a lookup can see is on disk.
+//! Lines use the same self-checksummed format as the journal, so a torn
+//! tail from a crash costs at most the entries of one interrupted batch,
+//! never the log. The whole cache is loaded into memory at daemon start;
 //! lookups are lock-light reads.
 //!
 //! Cache hits feed the *deterministic* result stream, so a cached entry
@@ -27,7 +28,7 @@ use crate::hash::{from_hex, to_hex};
 use crate::journal::{seal, unseal};
 use crate::json::Json;
 use crate::spec::{trial_from_json, trial_to_fields};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::path::Path;
@@ -113,8 +114,9 @@ impl Cache {
         let mut fresh: Vec<&(u64, TrialResult)> = Vec::with_capacity(entries.len());
         {
             let map = self.map.read().expect("cache map lock");
+            let mut seen = HashSet::with_capacity(entries.len());
             for entry in entries {
-                if !map.contains_key(&entry.0) && fresh.iter().all(|f| f.0 != entry.0) {
+                if !map.contains_key(&entry.0) && seen.insert(entry.0) {
                     fresh.push(entry);
                 }
             }

@@ -23,11 +23,11 @@
 //! * `timeout=I` — trial I's first attempt stalls past the supervision
 //!   deadline; the chunk lease expires and a healthy worker re-runs it.
 //! * `drop=N`    — the daemon severs the submit connection after
-//!   streaming N trial lines (once per process); a resilient client
-//!   reconnects and resumes.
-//! * `kill=N`    — the daemon aborts after N journal appends (the
-//!   kill-at-random-chunk hook; same stand-in as
-//!   `--crash-after-chunks`).
+//!   streaming the chunk that carries the Nth trial line (once per
+//!   process); a resilient client reconnects and resumes.
+//! * `kill=N`    — the daemon aborts after the batch commit that
+//!   journals the Nth chunk (the kill-at-random-chunk hook; same
+//!   stand-in as `--crash-after-chunks`).
 //! * `poison=I`  — trial I panics on *every* attempt: the retry budget
 //!   burns out and the trial is deterministically quarantined.
 //! * `hang=I`    — trial I stalls past the deadline on every attempt:
@@ -45,10 +45,11 @@ pub struct ChaosPlan {
     pub panic_p: f64,
     /// Trial whose first attempt stalls past the deadline.
     pub timeout_trial: Option<u32>,
-    /// Sever the submit connection after this many streamed trial
-    /// lines (once per daemon process).
+    /// Sever the submit connection after the chunk that carries this
+    /// many streamed trial lines (once per daemon process).
     pub drop_after: Option<u64>,
-    /// Abort the process after this many journal appends.
+    /// Abort the process after the batch commit that journals this
+    /// many chunks.
     pub kill_after_chunks: Option<u64>,
     /// Trial that panics on every attempt (deterministic quarantine).
     pub poison_trial: Option<u32>,

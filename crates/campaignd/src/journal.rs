@@ -2,12 +2,15 @@
 //! work.
 //!
 //! One journal file per job, named by the job hash, holding one line
-//! per completed chunk of trials. Each line carries its own FNV
-//! checksum, so a journal torn mid-write by a crash (the whole point of
-//! having one) degrades cleanly: on reopen, the valid prefix is kept,
-//! the torn tail is truncated away, and at most one chunk of work is
-//! redone. Nothing in the file is ever rewritten — resumption is "read
-//! the prefix, skip those chunks".
+//! per completed chunk of trials. The runner's emitter appends the
+//! chunks that finished since its last commit as one batch with one
+//! `sync_data`, and streams none of them before that sync returns.
+//! Each line carries its own FNV checksum, so a journal torn mid-write
+//! by a crash (the whole point of having one) degrades cleanly: on
+//! reopen, the valid prefix is kept, the torn tail is truncated away,
+//! and at most the chunks of the one interrupted batch are redone —
+//! none of which had been streamed. Nothing in the file is ever
+//! rewritten — resumption is "read the prefix, skip those chunks".
 //!
 //! Format (NDJSON):
 //!
@@ -120,10 +123,11 @@ impl Journal {
     /// Opens (or creates) the journal for `job_hash` at `path`.
     ///
     /// An existing file is scanned line by line; scanning stops at the
-    /// first line that fails to parse or checksum (a torn tail), and
-    /// the file is truncated back to the valid prefix. A file whose
-    /// header names a different job or chunk size is discarded
-    /// entirely — it belongs to a different sweep definition.
+    /// first line that is not UTF-8 or fails to parse or checksum (a
+    /// torn or damaged tail), and the file is truncated back to the
+    /// valid prefix. A file whose header names a different job or chunk
+    /// size is discarded entirely — it belongs to a different sweep
+    /// definition.
     ///
     /// # Errors
     ///
@@ -145,15 +149,17 @@ impl Journal {
         let mut valid_len: u64 = 0;
         {
             let mut reader = BufReader::new(&mut file);
-            let mut line = String::new();
+            let mut line = Vec::new();
             let mut header_seen = false;
             loop {
                 line.clear();
-                let n = reader.read_line(&mut line)?;
-                if n == 0 || !line.ends_with('\n') {
-                    break; // EOF or a torn (newline-less) tail.
-                }
-                let Some(body) = unseal(line.trim_end()) else {
+                let n = reader.read_until(b'\n', &mut line)?;
+                // EOF, a torn (newline-less) tail, or a damaged line.
+                let Some(body) = line
+                    .strip_suffix(b"\n")
+                    .and_then(|l| std::str::from_utf8(l).ok())
+                    .and_then(unseal)
+                else {
                     break;
                 };
                 if !header_seen {
@@ -184,7 +190,8 @@ impl Journal {
                 ("job".to_string(), Json::str(to_hex(job_hash))),
                 ("chunk_size".to_string(), Json::UInt(u64::from(CHUNK_SIZE))),
             ]));
-            journal.write_line(&header)?;
+            journal.write_line(header)?;
+            journal.file.sync_data()?;
         }
         Ok(journal)
     }
@@ -203,20 +210,35 @@ impl Journal {
 
     /// Appends one completed chunk and syncs it to disk before
     /// returning — once `append` returns, a crash cannot lose the
-    /// chunk.
+    /// chunk. The one-record case of [`Journal::append_batch`].
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn append(&mut self, record: &ChunkRecord) -> std::io::Result<()> {
-        let line = record.to_line();
-        self.write_line(&line)
+        self.append_batch(std::slice::from_ref(record))
     }
 
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
+    /// Appends completed chunks, one line (and one write) each, then
+    /// syncs once — once `append_batch` returns, a crash cannot lose
+    /// any of them. An empty batch writes and syncs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn append_batch(&mut self, records: &[ChunkRecord]) -> std::io::Result<()> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        for record in records {
+            self.write_line(record.to_line())?;
+        }
         self.file.sync_data()
+    }
+
+    fn write_line(&mut self, mut line: String) -> std::io::Result<()> {
+        line.push('\n');
+        self.file.write_all(line.as_bytes())
     }
 }
 
@@ -224,6 +246,7 @@ impl Journal {
 mod tests {
     use super::*;
     use crate::runner::{QuarantineReason, QuarantinedTrial};
+    use std::path::Path;
     use tta_sim::{Outcome, RecoveryOutcome, TrialResult};
 
     fn trial(index: u32) -> TrialVerdict {
@@ -360,5 +383,77 @@ mod tests {
         // edited): nothing may be resumed.
         let journal = Journal::open(&path, 2).unwrap();
         assert!(journal.recovered().is_empty());
+    }
+
+    /// Opens a journal over `damaged` bytes and checks the recovery
+    /// contract: no panic, no error; every recovered chunk is one that
+    /// was written, unaltered, so a wrong trial is never replayed;
+    /// every record whose line ends within the first `intact` bytes is
+    /// recovered; and the journal accepts one more append.
+    fn check_recovery(
+        path: &Path,
+        damaged: &[u8],
+        intact: usize,
+        written: &[(ChunkRecord, usize)],
+    ) {
+        std::fs::write(path, damaged).unwrap();
+        let mut journal = Journal::open(path, 0x5EED).expect("damage is not an error");
+        let recovered = journal.recovered().clone();
+        for (chunk, trials) in &recovered {
+            let original = written
+                .iter()
+                .find(|(record, _)| record.chunk == *chunk)
+                .unwrap_or_else(|| panic!("chunk {chunk} was never written"));
+            assert_eq!(trials, &original.0.trials, "chunk {chunk} altered");
+        }
+        for (record, end) in written {
+            if *end <= intact {
+                assert!(
+                    recovered.contains_key(&record.chunk),
+                    "chunk {} lies before the damage at {intact} but was lost",
+                    record.chunk
+                );
+            }
+        }
+        let extra = record(7);
+        journal.append(&extra).unwrap();
+        drop(journal);
+        let mut expected = recovered;
+        expected.insert(extra.chunk, extra.trials);
+        assert_eq!(Journal::open(path, 0x5EED).unwrap().recovered(), &expected);
+    }
+
+    #[test]
+    fn damage_at_every_byte_offset_is_contained() {
+        let path = temp_path("every-offset");
+        let _ = std::fs::remove_file(&path);
+        Journal::open(&path, 0x5EED)
+            .unwrap()
+            .append_batch(&[record(0), record(1)])
+            .unwrap();
+        let log = std::fs::read(&path).unwrap();
+        // Where each record's line ends: after the header's newline,
+        // the next two.
+        let ends: Vec<usize> = log
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| **b == b'\n')
+            .map(|(at, _)| at + 1)
+            .collect();
+        assert_eq!(ends.len(), 3, "a header and two records");
+        let written = [(record(0), ends[1]), (record(1), ends[2])];
+
+        for cut in 0..log.len() {
+            check_recovery(&path, &log[..cut], cut, &written);
+        }
+        // Flip the low bit (still ASCII: the checksum must catch it) and
+        // the high bit (no longer UTF-8) of every byte.
+        for at in 0..log.len() {
+            for mask in [0x01, 0x80] {
+                let mut damaged = log.clone();
+                damaged[at] ^= mask;
+                check_recovery(&path, &damaged, at, &written);
+            }
+        }
     }
 }

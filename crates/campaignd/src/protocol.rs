@@ -247,7 +247,7 @@ pub struct JobStatus {
     pub job: String,
     /// Chunks this run must produce.
     pub chunks_total: u64,
-    /// Chunks committed so far.
+    /// Chunks journaled and cached so far (batch commits).
     pub chunks_done: u64,
     /// Chunks currently out on a lease.
     pub chunks_leased: u64,

@@ -2,6 +2,14 @@
 //! the cache, journals checkpoints, and emits results in trial-index
 //! order.
 //!
+//! Workers never write to disk: a finished chunk travels to the emitter
+//! with the cache entries it computed, and the emitter is the run's one
+//! writer. It takes everything queued as one batch, makes it
+//! durable with one cache append and one journal append (one
+//! `sync_data` each), and only then streams those chunks, so a batch's
+//! size follows the disk's speed and no chunk is ever streamed before
+//! its checkpoint is on disk.
+//!
 //! Work distribution is a *leased* variant of the chunk-claim pattern:
 //! trials are partitioned into fixed [`CHUNK_SIZE`] chunks, a lease
 //! table hands pending chunks to whichever worker is free, and every
@@ -210,13 +218,17 @@ impl RunOutcome {
     }
 }
 
-/// Debug crash hook: makes the daemon abort itself after a fixed number
-/// of journal appends, for exercising kill-and-resume in tests and CI
-/// without racing an external `SIGKILL`.
+/// Debug crash hook: makes the daemon abort itself once a fixed number
+/// of chunks is journaled, for exercising kill-and-resume in tests and
+/// CI without racing an external `SIGKILL`.
+///
+/// The emitter journals finished chunks in batches, so the abort comes
+/// right after the batch commit that makes the Nth chunk durable; that
+/// batch may hold more than N chunks, all of which a resume replays.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CrashPlan {
-    /// Abort the process after this many successful journal appends
-    /// (counted per process, across jobs).
+    /// Abort the process after the batch commit that journals this
+    /// many chunks (counted per process, across jobs).
     pub crash_after_chunks: Option<u64>,
 }
 
@@ -246,14 +258,14 @@ impl RunConfig {
 }
 
 /// Control and observation handles a host wires into one run: the
-/// process-wide journal-append counter (the crash hook's clock), the
+/// process-wide journaled-chunk counter (the crash hook's clock), the
 /// cancellation flag, and optional live progress for the `status` op.
 #[derive(Debug, Clone, Copy)]
 pub struct RunHandles<'a> {
-    /// Journal appends across the whole process, fed to the crash hook.
-    /// Relaxed: a monotone counter whose exact interleaving with other
-    /// writers is immaterial — the crash hook only wants "about the
-    /// Nth append".
+    /// Chunks journaled across the whole process, fed to the crash
+    /// hook. Relaxed: a monotone counter whose exact interleaving with
+    /// other writers is immaterial — the crash hook only wants "about
+    /// the Nth chunk".
     pub appends_so_far: &'a AtomicU64,
     /// Set to stop workers at the next chunk (lease) boundary.
     /// Relaxed latch: false→true once; observing it a chunk late just
@@ -276,8 +288,8 @@ pub struct JobProgress {
     /// Chunks this run must produce (journal-recovered ones excluded).
     /// Relaxed gauge (see struct docs).
     pub chunks_total: AtomicU64,
-    /// Chunks committed (journaled + handed to the emitter).
-    /// Relaxed gauge (see struct docs).
+    /// Chunks the emitter has made durable (journaled and cached) in
+    /// its batch commits. Relaxed gauge (see struct docs).
     pub chunks_done: AtomicU64,
     /// Chunks currently out on a lease. Relaxed gauge (see struct docs).
     pub chunks_leased: AtomicU64,
@@ -363,6 +375,13 @@ struct TrialInFlight {
     started: Instant,
 }
 
+/// A chunk a worker finished under a lease it still held, on its way to
+/// the emitter: the journal record plus the cache entries it computed.
+struct FinishedChunk {
+    record: ChunkRecord,
+    fresh: Vec<(u64, TrialResult)>,
+}
+
 /// Shared state of one run, borrowed by workers and the supervisor.
 struct RunCtx<'a> {
     job: &'a ResolvedJob,
@@ -374,12 +393,10 @@ struct RunCtx<'a> {
     in_flight: Vec<Mutex<Option<TrialInFlight>>>,
     /// Supervisor-charged timeout counts per trial index.
     timeouts: Mutex<HashMap<u32, u32>>,
-    journal: Mutex<&'a mut Journal>,
+    /// The emitter's failed commit; workers stop once it is set.
     io_error: Mutex<Option<std::io::Error>>,
     /// Relaxed latch, see [`RunHandles::cancel`].
     cancel: &'a AtomicBool,
-    /// Relaxed monotone counter, see [`RunHandles::appends_so_far`].
-    appends_so_far: &'a AtomicU64,
     progress: Option<&'a JobProgress>,
     /// Per-run stats counters (`cache_hits` through
     /// `leases_reclaimed`): Relaxed monotone counters, read only after
@@ -388,8 +405,6 @@ struct RunCtx<'a> {
     cache_hits: AtomicU64,
     /// Relaxed monotone stats counter, see [`RunCtx::cache_hits`].
     computed: AtomicU64,
-    /// Relaxed monotone stats counter, see [`RunCtx::cache_hits`].
-    quarantined: AtomicU64,
     /// Relaxed monotone stats counter, see [`RunCtx::cache_hits`].
     panics_retried: AtomicU64,
     /// Relaxed monotone stats counter, see [`RunCtx::cache_hits`].
@@ -407,9 +422,9 @@ struct RunCtx<'a> {
     /// struct, so channel disconnection can never signal that).
     /// AcqRel/Acquire: the Release half of each decrement publishes the
     /// worker's final sends before the emitter's Acquire load can
-    /// observe `live == 0` and stop draining (see `emitter_loop`).
+    /// observe `live == 0` and stop draining (see `run`'s emitter loop).
     workers_live: AtomicUsize,
-    tx: mpsc::Sender<(u32, Vec<TrialVerdict>)>,
+    tx: mpsc::Sender<FinishedChunk>,
 }
 
 impl RunCtx<'_> {
@@ -452,18 +467,20 @@ fn install_quiet_chaos_panics() {
 
 /// Runs (or resumes) a resolved job.
 ///
-/// `emit` observes every verdict in trial-index order —
-/// journal-recovered, cache-hit, freshly simulated and quarantined
-/// alike — as soon as its chunk and all earlier chunks are done.
-/// Setting `cancel` stops workers at the next chunk (lease) boundary;
-/// finished chunks stay journaled, so a later run resumes where this
-/// one stopped. `progress`, when given, is kept current for the
-/// daemon's `status` op.
+/// `emit` observes every chunk's verdicts, one call per chunk in
+/// chunk-index order — journal-recovered, cache-hit, freshly simulated
+/// and quarantined alike — as soon as the chunk is durable and all
+/// earlier chunks are emitted. Setting `cancel` stops workers at the
+/// next chunk (lease) boundary; the emitter still commits every chunk
+/// they finished, so a later run resumes where this one stopped.
+/// `progress`, when given, is kept current for the daemon's `status`
+/// op.
 ///
 /// # Errors
 ///
-/// Propagates journal/cache I/O errors. Trials finished before the
-/// error are already journaled and will be resumed, not lost.
+/// Propagates journal/cache I/O errors of a batch commit; the run
+/// stops emitting at the failed batch. Batches committed before it
+/// are journaled and will be resumed, not lost.
 ///
 /// # Panics
 ///
@@ -475,7 +492,7 @@ pub fn run(
     cache: &Cache,
     config: &RunConfig,
     handles: RunHandles<'_>,
-    emit: &mut dyn FnMut(&TrialVerdict),
+    emit: &mut dyn FnMut(&[TrialVerdict]),
 ) -> std::io::Result<RunOutcome> {
     let RunHandles {
         appends_so_far,
@@ -516,7 +533,7 @@ pub fn run(
         progress.quarantined.store(0, Ordering::Relaxed);
     }
 
-    let (tx, rx) = mpsc::channel::<(u32, Vec<TrialVerdict>)>();
+    let (tx, rx) = mpsc::channel::<FinishedChunk>();
     let ctx = RunCtx {
         job,
         cache,
@@ -527,14 +544,11 @@ pub fn run(
             .map(|_| Mutex::new(None))
             .collect(),
         timeouts: Mutex::new(HashMap::new()),
-        journal: Mutex::new(journal),
         io_error: Mutex::new(None),
         cancel,
-        appends_so_far,
         progress,
         cache_hits: AtomicU64::new(0),
         computed: AtomicU64::new(0),
-        quarantined: AtomicU64::new(0),
         panics_retried: AtomicU64::new(0),
         leases_reclaimed: AtomicU64::new(0),
         replacements_left: AtomicUsize::new(replacement_budget),
@@ -559,43 +573,47 @@ pub fn run(
             scope.spawn(move || supervisor_loop(ctx, scope));
         }
 
-        // In-order emitter: republish chunks as soon as the next index
-        // is available, pulling from workers until the run completes
-        // or the pool empties out (cancel / crash budget / I/O error).
+        // The emitter: commit each batch of finished chunks, then stream
+        // every chunk that is next in index order, until the run
+        // completes or the pool empties out (cancel / crash budget /
+        // I/O error).
         let mut emitted: Vec<TrialVerdict> = Vec::with_capacity(total as usize);
         let mut next: u32 = 0;
-        while next < total_chunks {
-            if let Some(verdicts) = ready.remove(&next) {
-                for verdict in &verdicts {
-                    emit(verdict);
-                }
+        let mut pool_gone = false;
+        loop {
+            while let Some(verdicts) = ready.remove(&next) {
+                emit(&verdicts);
                 emitted.extend(verdicts);
                 next += 1;
-                continue;
             }
+            if next == total_chunks || pool_gone {
+                break;
+            }
+            let mut batch = Vec::new();
             match rx.recv_timeout(config.supervision.tick.min(IDLE_POLL)) {
-                Ok((chunk, verdicts)) => {
-                    ready.insert(chunk, verdicts);
+                Ok(finished) => batch.push(finished),
+                // Every worker has exited, so whatever they sent is
+                // already queued: commit it, stream what is in order,
+                // and stop.
+                Err(mpsc::RecvTimeoutError::Timeout)
+                    if ctx.workers_live.load(Ordering::Acquire) == 0 =>
+                {
+                    pool_gone = true;
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if ctx.workers_live.load(Ordering::Acquire) == 0 {
-                        // Every worker has exited; whatever they sent
-                        // is already in the channel. Drain it, then
-                        // stop if the next chunk still isn't there.
-                        while let Ok((chunk, verdicts)) = rx.try_recv() {
-                            ready.insert(chunk, verdicts);
-                        }
-                        if !ready.contains_key(&next) {
-                            break;
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                Err(mpsc::RecvTimeoutError::Disconnected) => pool_gone = true,
+            }
+            // The batch: whatever queued while the previous one synced.
+            batch.extend(rx.try_iter());
+            if let Err(e) =
+                commit_batch(&ctx, journal, appends_so_far, batch, &mut ready, &mut stats)
+            {
+                ctx.io_error.lock().expect("error slot").get_or_insert(e);
+                break;
             }
         }
         stats.cache_hits = ctx.cache_hits.load(Ordering::Relaxed);
         stats.computed = ctx.computed.load(Ordering::Relaxed);
-        stats.quarantined = ctx.quarantined.load(Ordering::Relaxed);
         stats.panics_retried = ctx.panics_retried.load(Ordering::Relaxed);
         stats.leases_reclaimed = ctx.leases_reclaimed.load(Ordering::Relaxed);
         // Unblock any worker still waiting on lease churn.
@@ -652,7 +670,7 @@ fn worker_loop(ctx: &RunCtx<'_>, slot: usize) {
         if let Some(progress) = ctx.progress {
             progress.chunks_leased.fetch_add(1, Ordering::Relaxed);
         }
-        let (verdicts, fresh) = execute_chunk(ctx, chunk, generation, slot);
+        let (trials, fresh) = execute_chunk(ctx, chunk, generation, slot);
         let committed = ctx
             .leases
             .lock()
@@ -668,53 +686,67 @@ fn worker_loop(ctx: &RunCtx<'_>, slot: usize) {
             // equivalent.
             continue;
         }
-        let quarantined_here = verdicts
-            .iter()
-            .filter(|v| matches!(v, TrialVerdict::Quarantined(_)))
-            .count() as u64;
-        let record = ChunkRecord {
-            chunk,
-            trials: verdicts,
-        };
-        let appended = (|| -> std::io::Result<()> {
-            ctx.cache.insert_batch(&fresh)?;
-            let mut journal = ctx.journal.lock().expect("journal lock");
-            journal.append(&record)?;
-            Ok(())
-        })();
-        match appended {
-            Ok(()) => {
-                ctx.quarantined
-                    .fetch_add(quarantined_here, Ordering::Relaxed);
-                if let Some(progress) = ctx.progress {
-                    progress.chunks_done.fetch_add(1, Ordering::Relaxed);
-                    progress
-                        .quarantined
-                        .fetch_add(quarantined_here, Ordering::Relaxed);
-                }
-                let done = ctx.appends_so_far.fetch_add(1, Ordering::Relaxed) + 1;
-                let crash_at = ctx
-                    .config
-                    .crash
-                    .crash_after_chunks
-                    .or(ctx.config.chaos.kill_after_chunks);
-                if crash_at.is_some_and(|n| done >= n) {
-                    // The whole point: die *after* the checkpoint hit
-                    // disk, with no unwind, like a power cut.
-                    std::process::abort();
-                }
-                let _ = ctx.tx.send((record.chunk, record.trials));
-            }
-            Err(e) => {
-                ctx.io_error.lock().expect("error slot").get_or_insert(e);
-                break;
-            }
-        }
+        // The emitter journals and caches the chunk before it streams.
+        let _ = ctx.tx.send(FinishedChunk {
+            record: ChunkRecord { chunk, trials },
+            fresh,
+        });
     }
     if let Some(progress) = ctx.progress {
         progress.workers_active.fetch_sub(1, Ordering::Relaxed);
     }
     ctx.workers_live.fetch_sub(1, Ordering::AcqRel);
+}
+
+/// Makes one batch of finished chunks durable — every fresh cache entry
+/// with one `insert_batch`, every record with one `append_batch`, one
+/// `sync_data` each — then counts each chunk (the crash hook among the
+/// counters) and files it in the reorder buffer. Only the emitter
+/// calls this, so it is the run's one writer to disk.
+fn commit_batch(
+    ctx: &RunCtx<'_>,
+    journal: &mut Journal,
+    // Relaxed monotone counter, see [`RunHandles::appends_so_far`].
+    appends_so_far: &AtomicU64,
+    batch: Vec<FinishedChunk>,
+    ready: &mut BTreeMap<u32, Vec<TrialVerdict>>,
+    stats: &mut RunStats,
+) -> std::io::Result<()> {
+    let mut records = Vec::with_capacity(batch.len());
+    let mut fresh = Vec::new();
+    for finished in batch {
+        records.push(finished.record);
+        fresh.extend(finished.fresh);
+    }
+    ctx.cache.insert_batch(&fresh)?;
+    journal.append_batch(&records)?;
+    let crash_at = ctx
+        .config
+        .crash
+        .crash_after_chunks
+        .or(ctx.config.chaos.kill_after_chunks);
+    for record in records {
+        let done = appends_so_far.fetch_add(1, Ordering::Relaxed) + 1;
+        if crash_at.is_some_and(|n| done >= n) {
+            // The whole point: die *after* the checkpoint hit disk,
+            // with no unwind, like a power cut.
+            std::process::abort();
+        }
+        let quarantined = record
+            .trials
+            .iter()
+            .filter(|v| matches!(v, TrialVerdict::Quarantined(_)))
+            .count() as u64;
+        stats.quarantined += quarantined;
+        if let Some(progress) = ctx.progress {
+            progress.chunks_done.fetch_add(1, Ordering::Relaxed);
+            progress
+                .quarantined
+                .fetch_add(quarantined, Ordering::Relaxed);
+        }
+        ready.insert(record.chunk, record.trials);
+    }
+    Ok(())
 }
 
 /// Runs every trial of one chunk under the sandbox, returning the
@@ -946,7 +978,7 @@ mod tests {
                 cancel: &AtomicBool::new(false),
                 progress: None,
             },
-            &mut |v| seen.push(v.index()),
+            &mut |chunk| seen.extend(chunk.iter().map(TrialVerdict::index)),
         )
         .unwrap();
         (outcome, seen)
@@ -976,35 +1008,39 @@ mod tests {
         let dir = temp_dir("resume");
         let job = job();
         let journal_path = dir.join("job.journal");
+        let (fresh, _) = run_fresh(&temp_dir("resume-ref"), 4);
 
-        // First run: cancel after the first chunk lands. With one
-        // worker the cancellation point is deterministic enough — at
-        // least one chunk journals, not all three.
-        let cancel = AtomicBool::new(false);
-        let cache = Cache::open(&dir.join("cache")).unwrap();
+        // The interrupted state, built exactly: a journal holding chunk
+        // 0 of a finished reference run and nothing else.
+        let chunk0 = ChunkRecord {
+            chunk: 0,
+            trials: fresh.verdicts[..CHUNK_SIZE as usize].to_vec(),
+        };
+        Journal::open(&journal_path, job.job_hash)
+            .unwrap()
+            .append(&chunk0)
+            .unwrap();
+
+        // A run cancelled before it starts replays the journaled chunk
+        // and computes nothing: it is incomplete, deterministically.
         {
             let mut journal = Journal::open(&journal_path, job.job_hash).unwrap();
-            let mut count = 0u32;
             let outcome = run(
                 &job,
                 &mut journal,
-                &cache,
+                &Cache::open(&dir.join("cache")).unwrap(),
                 &RunConfig::with_workers(1),
                 RunHandles {
                     appends_so_far: &AtomicU64::new(0),
-                    cancel: &cancel,
+                    cancel: &AtomicBool::new(true),
                     progress: None,
                 },
-                &mut |_| {
-                    count += 1;
-                    if count == CHUNK_SIZE {
-                        cancel.store(true, Ordering::Relaxed);
-                    }
-                },
+                &mut |_| {},
             )
             .unwrap();
             assert!(!outcome.complete);
-            assert!(outcome.stats.computed >= u64::from(CHUNK_SIZE));
+            assert_eq!(outcome.stats.computed, 0);
+            assert_eq!(outcome.verdicts, chunk0.trials);
         }
 
         // Resume with a *fresh cache* so resumed chunks provably come
@@ -1022,16 +1058,71 @@ mod tests {
                 cancel: &AtomicBool::new(false),
                 progress: None,
             },
-            &mut |v| order.push(v.index()),
+            &mut |chunk| order.extend(chunk.iter().map(TrialVerdict::index)),
         )
         .unwrap();
         assert!(resumed.complete);
         assert!(resumed.stats.resumed_chunks >= 1);
+        assert_eq!(resumed.stats.computed, 20 - u64::from(CHUNK_SIZE));
         assert_eq!(order, (0..20).collect::<Vec<u32>>());
-
-        let (fresh, _) = run_fresh(&temp_dir("resume-ref"), 4);
         assert_eq!(resumed.verdicts, fresh.verdicts);
         assert_eq!(resumed.aggregate, fresh.aggregate);
+    }
+
+    /// The durability rule: no chunk reaches the stream before its
+    /// journal record and its fresh cache entries are on disk. `emit`
+    /// reopens both files and finds every chunk it is handed — on an
+    /// empty cache (every entry fresh) and on a filled one (every trial
+    /// a hit), at 1 and 4 workers.
+    #[test]
+    fn every_emitted_chunk_is_already_journaled_and_cached() {
+        let job = job();
+        for workers in [1, 4] {
+            let dir = temp_dir(&format!("commit-order-w{workers}"));
+            let cache_dir = dir.join("cache");
+            let cache = Cache::open(&cache_dir).unwrap();
+            for (pass, expected_hits) in [("empty", 0), ("filled", 20)] {
+                let path = dir.join(format!("{pass}.journal"));
+                let mut journal = Journal::open(&path, job.job_hash).unwrap();
+                let mut checked = 0;
+                let outcome = run(
+                    &job,
+                    &mut journal,
+                    &cache,
+                    &RunConfig::with_workers(workers),
+                    RunHandles {
+                        appends_so_far: &AtomicU64::new(0),
+                        cancel: &AtomicBool::new(false),
+                        progress: None,
+                    },
+                    &mut |chunk| {
+                        let index = chunk[0].index() / CHUNK_SIZE;
+                        let on_disk = Journal::open(&path, job.job_hash).unwrap();
+                        assert_eq!(
+                            on_disk.recovered().get(&index).map(Vec::as_slice),
+                            Some(chunk),
+                            "{pass} cache, {workers} workers: chunk {index} streamed unjournaled"
+                        );
+                        let cached = Cache::open(&cache_dir).unwrap();
+                        for verdict in chunk {
+                            let trial = verdict.completed().unwrap();
+                            let key = job.trial_key(job.exec.trial_seed(trial.index));
+                            assert_eq!(
+                                cached.lookup(key, trial.index).as_ref(),
+                                Some(trial),
+                                "{pass} cache, {workers} workers: trial {} streamed uncached",
+                                trial.index
+                            );
+                        }
+                        checked += chunk.len();
+                    },
+                )
+                .unwrap();
+                assert!(outcome.complete);
+                assert_eq!(checked, 20);
+                assert_eq!(outcome.stats.cache_hits, expected_hits);
+            }
+        }
     }
 
     /// The detlint DL02 audit routes every wall-clock read in this

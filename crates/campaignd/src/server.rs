@@ -103,8 +103,9 @@ struct ServerState {
     /// duplicate-submission guard.
     running: Mutex<HashMap<u64, Arc<JobProgress>>>,
     /// Trial lines streamed by this process (all jobs), for the chaos
-    /// `drop=N` trigger. Relaxed monotone counter: the chaos trigger
-    /// only needs "roughly the Nth line", not a total order.
+    /// `drop=N` trigger; advances by a whole chunk per write. Relaxed
+    /// monotone counter: the chaos trigger only needs "roughly the Nth
+    /// line", not a total order.
     trial_lines: AtomicU64,
     /// Whether the chaos connection drop has already fired (once per
     /// process). Relaxed + `compare_exchange`-free: double-firing is
@@ -427,25 +428,35 @@ fn stream_job(
     // which only delays the (already asynchronous) cancellation.
     let cancel = AtomicBool::new(false);
     let mut emit_failed = false;
+    // One chunk's trial lines, rendered together and written at once.
+    let mut lines = String::new();
     let outcome = {
-        let mut emit = |verdict: &TrialVerdict| {
+        let mut emit = |chunk: &[TrialVerdict]| {
             if emit_failed {
                 return;
             }
             if state.stop.load(Ordering::Relaxed) || state.drain.load(Ordering::Relaxed) {
                 cancel.store(true, Ordering::Relaxed);
             }
-            if writeln!(writer, "{}", trial_line(verdict)).is_err() {
+            lines.clear();
+            for verdict in chunk {
+                lines.push_str(&trial_line(verdict));
+                lines.push('\n');
+            }
+            if writer.write_all(lines.as_bytes()).is_err() {
                 emit_failed = true;
                 cancel.store(true, Ordering::Relaxed);
                 return;
             }
-            let streamed = state.trial_lines.fetch_add(1, Ordering::Relaxed) + 1;
+            let count = chunk.len() as u64;
+            let streamed = state.trial_lines.fetch_add(count, Ordering::Relaxed) + count;
             if let Some(limit) = state.config.chaos.drop_after {
                 if streamed >= limit && !state.drop_fired.swap(true, Ordering::Relaxed) {
                     // Chaos: sever the connection mid-stream, once per
-                    // process. The next emit fails and cancels the run
-                    // at its chunk boundary — exactly a flaky client.
+                    // process, after the chunk that carries the Nth
+                    // trial line. The next emit fails and cancels the
+                    // run at its chunk boundary — exactly a flaky
+                    // client.
                     let _ = writer.shutdown(std::net::Shutdown::Both);
                 }
             }

@@ -1,7 +1,8 @@
 //! Loom model of the emitter's `workers_live` liveness handshake.
 //!
-//! `runner.rs`'s emitter drains a channel of `(chunk, verdicts)` sends
-//! with `recv_timeout`; the channel's sender half lives in the shared
+//! `runner.rs`'s emitter drains a channel of finished-chunk sends with
+//! `recv_timeout` (committing each batch it takes to disk before
+//! streaming it); the channel's sender half lives in the shared
 //! `RunCtx`, so disconnection can never signal pool death. What keeps
 //! the emitter from stranding is the `workers_live` counter: the
 //! spawner increments it (AcqRel) *before* each worker starts, every

@@ -278,7 +278,7 @@ mod tests {
     use super::*;
     use crate::config::FaultBudget;
     use tta_guardian::CouplerAuthority;
-    use tta_protocol::ProtocolState;
+    use tta_protocol::{CliqueCounters, ProtocolState};
 
     fn model(authority: CouplerAuthority) -> ClusterModel {
         ClusterModel::new(ClusterConfig::paper(authority))
@@ -297,12 +297,53 @@ mod tests {
     #[test]
     fn merged_input_handles_silence_single_and_collision() {
         let m = model(CouplerAuthority::Passive);
-        let s = m.initial_state();
-        assert_eq!(m.merged_input(&s), ChannelObservation::silence());
-        // Drive two nodes into cold start by hand and observe a collision.
-        // (Constructing that state directly through the API keeps the test
-        // honest: we walk the real transition relation.)
         // All-freeze state: no senders.
+        assert_eq!(
+            m.merged_input(&m.initial_state()),
+            ChannelObservation::silence()
+        );
+
+        // Every node frozen except the given ones, each in `state` at
+        // `slot`.
+        let slots = m.config().slots_per_round();
+        let cluster = |senders: &[(u8, ProtocolState, u16)]| {
+            let mut nodes: Vec<Controller> = NodeId::first(m.config().nodes)
+                .map(|id| Controller::new(id, slots))
+                .collect();
+            for &(id, state, slot) in senders {
+                nodes[usize::from(id)] = Controller::from_parts(
+                    NodeId::new(id),
+                    slots,
+                    state,
+                    slot,
+                    CliqueCounters::new(),
+                    false,
+                    0,
+                    0,
+                );
+            }
+            ClusterState::new(nodes)
+        };
+
+        // A single sender: node 0 cold-starting in its own slot 1, or
+        // node 2 active in its own slot 3.
+        assert_eq!(
+            m.merged_input(&cluster(&[(0, ProtocolState::ColdStart, 1)])),
+            ChannelObservation::frame(FrameKind::ColdStart, 1)
+        );
+        assert_eq!(
+            m.merged_input(&cluster(&[(2, ProtocolState::Active, 3)])),
+            ChannelObservation::frame(FrameKind::CState, 3)
+        );
+        // Two senders collide: nodes 0 and 1, each cold-starting in its
+        // own slot.
+        assert_eq!(
+            m.merged_input(&cluster(&[
+                (0, ProtocolState::ColdStart, 1),
+                (1, ProtocolState::ColdStart, 2),
+            ])),
+            ChannelObservation::bad()
+        );
     }
 
     #[test]
