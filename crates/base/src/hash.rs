@@ -1,6 +1,6 @@
 //! Stable, process-independent hashes.
 //!
-//! Unlike `std`'s randomized hasher, both functions here are pure
+//! Unlike `std`'s randomized hasher, both hashes here are pure
 //! functions of their input on every platform and in every process —
 //! what persisted or reproduced values need: campaign job ids, result
 //! cache keys and journal check fields (FNV-1a), per-trial and
@@ -10,7 +10,14 @@
 /// FNV-1a (64-bit) over a byte string.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash over more bytes: `fnv1a64_extend(fnv1a64(a), b)`
+/// is `fnv1a64` of `a` followed by `b`, so a hash can cover bytes that
+/// are not contiguous in memory.
+#[must_use]
+pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
@@ -38,6 +45,15 @@ mod tests {
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
         assert_eq!(fnv1a64(b"tta"), 0x571e_cd19_4484_e15c);
+    }
+
+    #[test]
+    fn fnv1a64_extends_over_split_input() {
+        let whole = b"{\"chunk\":0}";
+        for cut in 0..=whole.len() {
+            let (head, tail) = whole.split_at(cut);
+            assert_eq!(fnv1a64_extend(fnv1a64(head), tail), fnv1a64(whole));
+        }
     }
 
     #[test]

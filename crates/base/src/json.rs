@@ -12,8 +12,13 @@
 //! `parse(render(x))` recovers exactly `x` for every finite `f64` — the
 //! property the daemon relies on when a client re-folds streamed trial
 //! metrics into the same report an inline campaign computes.
+//!
+//! Parsing is linear in the input: a string's plain bytes are copied a
+//! run at a time, up to the next quote, backslash or control byte. The
+//! daemon re-reads its whole result cache at every start and a job's
+//! whole journal at every resume through this parser.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object keys keep insertion order (the writer is
 /// deterministic; no sorting, no hashing).
@@ -178,14 +183,19 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::UInt(v) => out.push_str(&v.to_string()),
-            Json::Int(v) => out.push_str(&v.to_string()),
+            // Writing into a `String` cannot fail.
+            Json::UInt(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
             Json::Float(v) => {
                 // NaN/inf have no JSON form; the protocol never produces
                 // them (availabilities and means are finite).
                 debug_assert!(v.is_finite(), "non-finite float in protocol value");
                 if v.is_finite() {
-                    out.push_str(&v.to_string());
+                    let _ = write!(out, "{v}");
                 } else {
                     out.push_str("null");
                 }
@@ -224,11 +234,10 @@ impl Json {
     /// Returns a [`JsonError`] with the byte offset of the first
     /// offending character.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(err("trailing characters after value", pos));
         }
         Ok(value)
@@ -257,21 +266,30 @@ pub fn json_rounded(x: f64, decimals: i32) -> Json {
     Json::Float((x * scale).round() / scale)
 }
 
+/// Writes `s` quoted, copying each run of bytes that needs no escape in
+/// one piece. Every escaped byte is ASCII, so each run boundary is a
+/// char boundary.
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..0x20) {
+            continue;
         }
+        out.push_str(&s[run..at]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -290,7 +308,8 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 
 const MAX_DEPTH: usize = 64;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     if depth > MAX_DEPTH {
         return Err(err("value nested too deeply", *pos));
     }
@@ -300,7 +319,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -310,7 +329,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -335,13 +354,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 if bytes.get(*pos) != Some(&b'"') {
                     return Err(err("expected string key in object", *pos));
                 }
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(err("expected ':' after object key", *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -373,11 +392,21 @@ fn parse_literal(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of plain bytes up to the next quote, backslash or
+        // control byte in one piece. The run starts after an ASCII byte
+        // and ends at one (or at the end), so it is whole UTF-8.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .map_or(bytes.len(), |len| *pos + len);
+        out.push_str(&text[*pos..run]);
+        *pos = run;
         match bytes.get(*pos) {
             None => return Err(err("unterminated string", *pos)),
             Some(b'"') => {
@@ -420,17 +449,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x20 => return Err(err("control character in string", *pos)),
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so the
-                // bytes are valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| {
-                    err("invalid UTF-8", *pos) // unreachable from &str input
-                })?;
-                let c = rest.chars().next().expect("non-empty checked above");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err(err("control character in string", *pos)),
         }
     }
 }
@@ -558,8 +577,8 @@ mod tests {
 
     #[test]
     fn parses_escapes_and_unicode() {
-        let parsed = Json::parse(r#""a\n\t\u0041\ud83d\ude00""#).unwrap();
-        assert_eq!(parsed.as_str(), Some("a\n\tA\u{1F600}"));
+        let parsed = Json::parse(r#""a\n\t\u0041\ud83d\ude00\"\\\/\b\f\r\u20AC""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("a\n\tA\u{1F600}\"\\/\u{8}\u{c}\r€"));
     }
 
     #[test]
@@ -581,6 +600,20 @@ mod tests {
         assert_eq!(json_string("plain"), "\"plain\"");
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("x\ny\t\r\u{1}"), "\"x\\ny\\t\\r\\u0001\"");
+        assert_eq!(
+            json_string("/é€😀"),
+            "\"/é€😀\"",
+            "only quotes, backslashes and control bytes"
+        );
+        for byte in 0u8..0x20 {
+            let expected = match byte {
+                b'\n' => "\"\\n\"".to_string(),
+                b'\r' => "\"\\r\"".to_string(),
+                b'\t' => "\"\\t\"".to_string(),
+                _ => format!("\"\\u{byte:04x}\""),
+            };
+            assert_eq!(json_string(&char::from(byte).to_string()), expected);
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Hot-path timings: the protocol, guardian-buffer, simulator and
 //! analysis calls the checker, the campaigns and the Section 6 design
-//! loops spend their time in, each timed per call by
+//! loops spend their time in, and the JSON codec and result-cache open
+//! a campaign daemon restarts through, each timed per call by
 //! [`tta_bench::seconds_per_iter`].
 //!
 //! Usage: `exp_hotpaths [PATH]` — writes `PATH` (default
@@ -12,12 +13,18 @@
 //! the host has CPUs.
 
 use tta_analysis::{clock_ratio_limit, figure3_series, max_frame_bits, max_rho};
+use tta_base::hash::mix;
 use tta_base::json::{json_obj, json_rounded, Json};
 use tta_bench::{fmt_secs, heading, seconds_per_iter, write_snapshot, SNAPSHOT_NOTE};
+use tta_campaignd::cache::Cache;
+use tta_campaignd::protocol::trial_line;
+use tta_campaignd::runner::TrialVerdict;
 use tta_guardian::buffer::simulate_forwarding;
 use tta_guardian::CouplerAuthority;
 use tta_protocol::{ChannelObservation, ChannelView, Controller, EagerStartPolicy, HostChoices};
-use tta_sim::{Campaign, FaultPlan, Scenario, SimBuilder, Topology};
+use tta_sim::{
+    Campaign, FaultPlan, Outcome, RecoveryOutcome, Scenario, SimBuilder, Topology, TrialResult,
+};
 use tta_types::constants::{LINE_ENCODING_BITS, N_FRAME_MIN_BITS, X_FRAME_MAX_BITS};
 use tta_types::{FrameKind, NodeId};
 
@@ -25,6 +32,14 @@ use tta_types::{FrameKind, NodeId};
 const SLOTS: u16 = 4;
 /// Slots per simulator run.
 const SIM_SLOTS: u64 = 400;
+/// A result-cache log line as the campaign daemon writes it.
+const CACHE_LINE: &str = concat!(
+    r#"{"key":"5fbc1c0ba24cfdbc","index":0,"seed":4293187639553623416,"#,
+    r#""outcome":"healthy_node_frozen","recovery":"recovered","unavailability":0.1525,"#,
+    r#""ttr":11,"check":"9323ccc36aa788cb"}"#
+);
+/// Entries in the timed cache log: one 8,192-trial sweep.
+const CACHE_ENTRIES: u32 = 8192;
 
 /// The snapshot's runs, printed as they are timed.
 struct Runs {
@@ -66,6 +81,7 @@ fn main() {
     guardian_forwarding(&mut runs);
     simulator(&mut runs);
     analysis(&mut runs);
+    campaign_storage(&mut runs);
 
     let snapshot = json_obj([
         ("snapshot", Json::str("hot_paths")),
@@ -206,4 +222,71 @@ fn analysis(runs: &mut Runs) {
             figure3_series(&frame_sizes, n_min, steps, line)
         });
     }
+}
+
+/// A trial record shaped like a campaign's: a full 64-bit seed, a
+/// fractional unavailability and, for a third of the trials, a
+/// reintegration time.
+fn trial(index: u32) -> TrialResult {
+    let seed = mix(u64::from(index) ^ 0xDB5_2004);
+    let frozen = seed.is_multiple_of(3);
+    TrialResult {
+        index,
+        seed,
+        outcome: if frozen {
+            Outcome::HealthyNodeFrozen
+        } else {
+            Outcome::Contained
+        },
+        recovery: if frozen {
+            RecoveryOutcome::Recovered
+        } else {
+            RecoveryOutcome::Contained
+        },
+        unavailability: (seed % 400) as f64 / 400.0,
+        time_to_reintegration: frozen.then_some(seed % 16),
+    }
+}
+
+/// A JSON array of short strings, each with a multi-byte character and
+/// an escape, at least `bytes` long.
+fn short_strings(bytes: usize) -> String {
+    let mut text = String::from("[");
+    for i in 0u64.. {
+        if text.len() >= bytes {
+            break;
+        }
+        if i > 0 {
+            text.push(',');
+        }
+        text.push_str(&Json::str(format!("trial-{} é\t{}", mix(i) % 10_000, i % 100)).render());
+    }
+    text.push(']');
+    text
+}
+
+/// What a campaign daemon restarts through: the JSON codec on one cache
+/// line, one trial line and a 1 MiB document of short strings, and
+/// `Cache::open` of an 8,192-entry log.
+fn campaign_storage(runs: &mut Runs) {
+    runs.time("json/parse_cache_line", 1, || Json::parse(CACHE_LINE));
+    let verdict = TrialVerdict::Completed(trial(3));
+    runs.time("json/render_trial_line", 1, || trial_line(&verdict));
+    let strings = short_strings(1 << 20);
+    runs.time("json/parse_1mib_strings", 1, || Json::parse(&strings));
+
+    let dir = std::env::temp_dir().join(format!("exp_hotpaths-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let entries: Vec<(u64, TrialResult)> = (0..CACHE_ENTRIES)
+        .map(|i| (mix(u64::from(i) + 1), trial(i)))
+        .collect();
+    Cache::open(&dir)
+        .and_then(|cache| cache.insert_batch(&entries))
+        .expect("fill the cache log");
+    runs.time("campaignd/cache_open_8192", 1, || {
+        let cache = Cache::open(&dir).expect("open the cache log");
+        assert_eq!(cache.len(), CACHE_ENTRIES as usize);
+        cache
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }

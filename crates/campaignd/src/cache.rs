@@ -13,10 +13,13 @@
 //! fresh entries of each batch of finished chunks with one write and one
 //! `sync_data`, before they are published in memory and before any of
 //! those chunks is streamed, so an entry a lookup can see is on disk.
-//! Lines use the same self-checksummed format as the journal, so a torn
-//! tail from a crash costs at most the entries of one interrupted batch,
-//! never the log. The whole cache is loaded into memory at daemon start;
-//! lookups are lock-light reads.
+//! Lines use the journal's sealed format ([`crate::journal`]): each ends
+//! in a `check` field, the FNV-1a of the line's bytes before that field
+//! closed with `}`, verified on those bytes as read rather than on a
+//! re-rendering. So a torn tail from a crash costs at most the entries
+//! of one interrupted batch, never the log. The whole cache is loaded
+//! into memory at daemon start, streaming the log line by line with one
+//! parse per line; lookups are lock-light reads.
 //!
 //! Cache hits feed the *deterministic* result stream, so a cached entry
 //! must be byte-equivalent to recomputation. That holds by
@@ -126,7 +129,7 @@ impl Cache {
         }
         let mut buf = String::new();
         for (key, trial) in &fresh {
-            buf.push_str(&seal(render_entry(*key, trial)));
+            buf.push_str(&seal(&render_entry(*key, trial)));
             buf.push('\n');
         }
         log.write_all(buf.as_bytes())?;
@@ -232,6 +235,49 @@ mod tests {
 
     fn entries(cache: &Cache) -> HashMap<u64, TrialResult> {
         cache.map.read().unwrap().clone()
+    }
+
+    /// A log line exactly as an earlier daemon build wrote it. Logs on
+    /// disk hold these bytes, so they must keep loading.
+    const PINNED_KEY: u64 = 0x5fbc_1c0b_a24c_fdbc;
+    const PINNED_ENTRY: &str = concat!(
+        r#"{"key":"5fbc1c0ba24cfdbc","index":0,"seed":4293187639553623416,"#,
+        r#""outcome":"healthy_node_frozen","recovery":"recovered","unavailability":0.1525,"#,
+        r#""ttr":11,"check":"9323ccc36aa788cb"}"#
+    );
+
+    fn pinned_trial() -> TrialResult {
+        TrialResult {
+            index: 0,
+            seed: 4_293_187_639_553_623_416,
+            outcome: Outcome::HealthyNodeFrozen,
+            recovery: RecoveryOutcome::Recovered,
+            unavailability: 0.1525,
+            time_to_reintegration: Some(11),
+        }
+    }
+
+    #[test]
+    fn pinned_log_line_still_loads() {
+        let dir = temp_dir("pinned");
+        let text = format!("{PINNED_ENTRY}\n");
+        std::fs::write(dir.join(LOG), &text).unwrap();
+        let cache = Cache::open(&dir).unwrap();
+        assert_eq!(entries(&cache), [(PINNED_KEY, pinned_trial())].into());
+        drop(cache);
+        let log = std::fs::read_to_string(dir.join(LOG)).unwrap();
+        assert_eq!(log, text, "an intact log is not compacted");
+    }
+
+    #[test]
+    fn seal_reproduces_the_pinned_log_line() {
+        assert_eq!(
+            seal(&render_entry(PINNED_KEY, &pinned_trial())),
+            PINNED_ENTRY
+        );
+        for damaged in crate::journal::tests::near_misses(PINNED_ENTRY) {
+            assert!(unseal(&damaged).is_none(), "{damaged}");
+        }
     }
 
     #[test]

@@ -21,8 +21,16 @@
 //! ```
 //!
 //! Chunks appear in *completion* order, not index order — workers claim
-//! chunks dynamically. The checksum of each line is the FNV-1a hash of
-//! the line's canonical rendering without its `check` field.
+//! chunks dynamically.
+//!
+//! A sealed line (every journal line, and every line of the result
+//! cache's log) ends in its `check` field. The check is the FNV-1a hash
+//! of the line's bytes before that field, closed with `}`: the body's
+//! canonical rendering, since `seal` hashes exactly what it writes.
+//! `unseal` verifies it on those bytes as read, then parses the line
+//! once; nothing is re-rendered. A line whose check is not its last
+//! field, or whose bytes before it are not the ones hashed (a space
+//! inserted, a digit flipped), is damaged.
 
 use crate::hash::{fnv1a64, to_hex};
 use crate::json::Json;
@@ -32,6 +40,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::Path;
+use tta_base::hash::fnv1a64_extend;
 
 /// Trials per journaled chunk. Fixed (not tunable per job) so that a
 /// sweep resumed under a different worker count still partitions
@@ -64,7 +73,7 @@ impl ChunkRecord {
                 ),
             ),
         ]);
-        seal(body)
+        seal(&body)
     }
 
     fn from_value(value: &Json) -> Option<ChunkRecord> {
@@ -79,36 +88,55 @@ impl ChunkRecord {
     }
 }
 
-/// Appends a `check` field (FNV of the rendering so far) and renders.
-/// Shared with the result cache, whose log uses the same
-/// self-checking line format.
-pub(crate) fn seal(body: Json) -> String {
-    let partial = body.render();
-    let check = to_hex(fnv1a64(partial.as_bytes()));
-    match body {
-        Json::Obj(mut fields) => {
-            fields.push(("check".to_string(), Json::str(check)));
-            Json::Obj(fields).render()
-        }
-        _ => unreachable!("journal lines are objects"),
-    }
+/// What a sealed line holds between the body and the check's 16 hex
+/// digits.
+const CHECK_FIELD: &str = ",\"check\":\"";
+
+/// Renders `body` (a non-empty object) once and inserts its `check`
+/// field, the FNV-1a of that rendering, before the closing brace.
+/// Shared with the result cache, whose log uses the same self-checking
+/// line format.
+pub(crate) fn seal(body: &Json) -> String {
+    let mut line = body.render();
+    let check = to_hex(fnv1a64(line.as_bytes()));
+    let close = line.pop();
+    assert!(
+        close == Some('}') && line.len() > 1,
+        "sealed lines are non-empty objects"
+    );
+    line.push_str(CHECK_FIELD);
+    line.push_str(&check);
+    line.push_str("\"}");
+    line
 }
 
-/// Verifies and strips a line's `check` field; returns the body.
+/// Verifies a sealed line's trailing `check` field against the line's
+/// own bytes before it, closed with `}`, then parses the line once;
+/// returns the body without the check.
 pub(crate) fn unseal(line: &str) -> Option<Json> {
-    let value = Json::parse(line).ok()?;
-    let Json::Obj(fields) = value else {
+    let rest = line.strip_suffix("\"}")?;
+    let (head, claimed) = rest.split_at_checked(rest.len().checked_sub(16)?)?;
+    let head = head.strip_suffix(CHECK_FIELD)?;
+    if to_hex(fnv1a64_extend(fnv1a64(head.as_bytes()), b"}")) != claimed {
+        return None;
+    }
+    let Ok(Json::Obj(mut fields)) = Json::parse(line) else {
         return None;
     };
-    let (body_fields, check): (Vec<_>, Vec<_>) =
-        fields.into_iter().partition(|(key, _)| key != "check");
-    let claimed = check.first()?.1.as_str()?.to_string();
-    let body = Json::Obj(body_fields);
-    if to_hex(fnv1a64(body.render().as_bytes())) == claimed {
-        Some(body)
-    } else {
-        None
-    }
+    // The line parsed and ends in `,"check":"<hex>"}`, so its last
+    // field is the check.
+    fields.pop();
+    Some(Json::Obj(fields))
+}
+
+/// The first line of a job's journal: which job and chunk size its
+/// records belong to.
+fn header_line(job_hash: u64) -> String {
+    seal(&Json::Obj(vec![
+        ("journal".to_string(), Json::str("tta-campaignd")),
+        ("job".to_string(), Json::str(to_hex(job_hash))),
+        ("chunk_size".to_string(), Json::UInt(u64::from(CHUNK_SIZE))),
+    ]))
 }
 
 /// An open, append-position journal for one job.
@@ -185,12 +213,7 @@ impl Journal {
         file.seek(SeekFrom::Start(valid_len))?;
         let mut journal = Journal { file, recovered };
         if valid_len == 0 {
-            let header = seal(Json::Obj(vec![
-                ("journal".to_string(), Json::str("tta-campaignd")),
-                ("job".to_string(), Json::str(to_hex(job_hash))),
-                ("chunk_size".to_string(), Json::UInt(u64::from(CHUNK_SIZE))),
-            ]));
-            journal.write_line(header)?;
+            journal.write_line(header_line(job_hash))?;
             journal.file.sync_data()?;
         }
         Ok(journal)
@@ -243,11 +266,96 @@ impl Journal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::runner::{QuarantineReason, QuarantinedTrial};
     use std::path::Path;
     use tta_sim::{Outcome, RecoveryOutcome, TrialResult};
+
+    /// A journal's header and last record exactly as an earlier daemon
+    /// build wrote them (a 10-trial job whose trial 9 was quarantined).
+    /// Journals on disk hold these bytes, so they must keep loading.
+    const PINNED_JOB: u64 = 0x21dd_1412_012b_29f7;
+    const PINNED_HEADER: &str = concat!(
+        r#"{"journal":"tta-campaignd","job":"21dd1412012b29f7","chunk_size":8,"#,
+        r#""check":"93ba4e75ed10c8ca"}"#
+    );
+    const PINNED_RECORD: &str = concat!(
+        r#"{"chunk":1,"trials":[{"index":8,"seed":14992441089076511020,"#,
+        r#""outcome":"contained","recovery":"contained","unavailability":0.045,"#,
+        r#""ttr":null},{"index":9,"seed":15434866093310896585,"quarantined":"panic"}],"#,
+        r#""check":"462fbb00eeba8d5a"}"#
+    );
+
+    fn pinned_record() -> ChunkRecord {
+        ChunkRecord {
+            chunk: 1,
+            trials: vec![
+                TrialVerdict::Completed(TrialResult {
+                    index: 8,
+                    seed: 14_992_441_089_076_511_020,
+                    outcome: Outcome::Contained,
+                    recovery: RecoveryOutcome::Contained,
+                    unavailability: 0.045,
+                    time_to_reintegration: None,
+                }),
+                TrialVerdict::Quarantined(QuarantinedTrial {
+                    index: 9,
+                    seed: 15_434_866_093_310_896_585,
+                    reason: QuarantineReason::Panic,
+                }),
+            ],
+        }
+    }
+
+    /// Three damaged copies of a sealed line: its check field moved
+    /// before the first field, a space after the first colon, and its
+    /// last hex digit changed.
+    pub(crate) fn near_misses(line: &str) -> [String; 3] {
+        // `,"check":"<16 hex>"}` closes every sealed line.
+        let (body, check) = line.split_at(line.len() - CHECK_FIELD.len() - 18);
+        let check = &check[1..check.len() - 1];
+        let last = if line.ends_with("0\"}") { "1" } else { "0" };
+        [
+            format!("{{{check},{}}}", &body[1..]),
+            line.replacen(':', ": ", 1),
+            format!("{}{last}\"}}", &line[..line.len() - 3]),
+        ]
+    }
+
+    #[test]
+    fn pinned_journal_lines_still_load() {
+        let path = temp_path("pinned");
+        let text = format!("{PINNED_HEADER}\n{PINNED_RECORD}\n");
+        std::fs::write(&path, &text).unwrap();
+        let journal = Journal::open(&path, PINNED_JOB).unwrap();
+        let record = pinned_record();
+        assert_eq!(journal.recovered().len(), 1);
+        assert_eq!(journal.recovered()[&record.chunk], record.trials);
+        drop(journal);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            text,
+            "nothing truncated"
+        );
+    }
+
+    #[test]
+    fn seal_reproduces_pinned_journal_lines() {
+        assert_eq!(header_line(PINNED_JOB), PINNED_HEADER);
+        assert_eq!(pinned_record().to_line(), PINNED_RECORD);
+    }
+
+    #[test]
+    fn unseal_rejects_near_misses_of_pinned_lines() {
+        for line in [PINNED_HEADER, PINNED_RECORD] {
+            assert!(unseal(line).is_some(), "{line}");
+            for damaged in near_misses(line) {
+                assert_ne!(damaged, line);
+                assert!(unseal(&damaged).is_none(), "{damaged}");
+            }
+        }
+    }
 
     fn trial(index: u32) -> TrialVerdict {
         TrialVerdict::Completed(TrialResult {

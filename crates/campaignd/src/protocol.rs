@@ -1,8 +1,9 @@
 //! The wire protocol: newline-delimited JSON over a local Unix socket.
 //!
 //! Deliberately minimal — no HTTP, no framing beyond `\n`, one request
-//! per connection. The client writes a single request line; the daemon
-//! answers with one or more response lines and closes.
+//! per connection. The client writes a single request line of at most
+//! [`crate::server::MAX_REQUEST_BYTES`]; the daemon answers with one or
+//! more response lines and closes.
 //!
 //! Requests:
 //!

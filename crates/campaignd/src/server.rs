@@ -20,6 +20,11 @@
 //! has stopped. The accept loop polls with a short timeout rather than
 //! blocking forever, so drain completion is observed without needing a
 //! wake-up connection.
+//!
+//! A request line is read through a cap of [`MAX_REQUEST_BYTES`]: a
+//! longer line is answered with an error naming the limit and the
+//! connection is closed, so no client can make the daemon buffer
+//! unbounded input.
 
 use crate::cache::Cache;
 use crate::chaos::ChaosPlan;
@@ -34,7 +39,7 @@ use crate::runner::{
 };
 use crate::spec::ResolvedJob;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,6 +49,10 @@ use std::time::Duration;
 /// How often the accept loop polls for connections and drain/stop
 /// progress.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// The longest request line the daemon reads, newline included: 1 MiB,
+/// far above any real `submit` (a few hundred bytes).
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -283,13 +292,24 @@ fn begin_drain(state: &ServerState) {
 }
 
 fn handle(state: &ServerState, stream: UnixStream) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
+    let mut reader = match stream.try_clone() {
+        Ok(clone) => BufReader::new(clone).take(MAX_REQUEST_BYTES),
         Err(_) => return,
-    });
+    };
     let mut writer = stream;
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    let mut line = Vec::new();
+    if reader.read_until(b'\n', &mut line).is_err() {
+        return;
+    }
+    if reader.limit() == 0 && !line.ends_with(b"\n") {
+        let message = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+        let _ = writeln!(writer, "{}", error_line(&message));
+        return;
+    }
+    let Ok(line) = String::from_utf8(line) else {
+        return;
+    };
+    if line.trim().is_empty() {
         return;
     }
     let request = match parse_request(line.trim_end()) {
