@@ -461,8 +461,15 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     let digits = bytes
         .get(start..start + 4)
         .ok_or_else(|| err("truncated \\u escape", *pos))?;
-    let text = std::str::from_utf8(digits).map_err(|_| err("invalid \\u escape", *pos))?;
-    let value = u32::from_str_radix(text, 16).map_err(|_| err("invalid \\u escape", *pos))?;
+    // Exactly four ASCII hex digits: `u32::from_str_radix` would also
+    // take a leading `+`.
+    let mut value = 0;
+    for &b in digits {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| err("invalid \\u escape", *pos))?;
+        value = value << 4 | digit;
+    }
     *pos += 4;
     Ok(value)
 }
@@ -495,9 +502,12 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Ok(Json::UInt(v));
         }
     }
-    text.parse::<f64>()
-        .map(Json::Float)
-        .map_err(|_| err("invalid number", start))
+    // A token too large for `f64` reads as an infinity, which no JSON
+    // text can express: the writer could not render it back.
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::Float(v)),
+        _ => Err(err("invalid number", start)),
+    }
 }
 
 #[cfg(test)]
@@ -573,6 +583,32 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "\"\\q\"", "1 2", "nul"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn rejects_numbers_beyond_f64() {
+        for (bad, offset) in [("1e999", 0), ("-1e999", 0), ("[1, 1e999]", 4)] {
+            let e = Json::parse(bad).unwrap_err();
+            assert_eq!((e.message.as_str(), e.offset), ("invalid number", offset));
+        }
+        assert_eq!(Json::parse("1e308"), Ok(Json::Float(1e308)));
+        assert_eq!(Json::parse("-1e308"), Ok(Json::Float(-1e308)));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // The offset is the escape's `u`, as for any bad digit.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\uZZZZ""#, r#""\u 041""#] {
+            let e = Json::parse(bad).unwrap_err();
+            assert_eq!(
+                (e.message.as_str(), e.offset),
+                ("invalid \\u escape", 2),
+                "{bad}"
+            );
+        }
+        let e = Json::parse(r#""\ud83d\u+e00""#).unwrap_err();
+        assert_eq!((e.message.as_str(), e.offset), ("invalid \\u escape", 8));
+        assert_eq!(Json::parse(r#""\u0041\u00e9""#), Ok(Json::Str("Aé".into())));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! `BENCH_hotpaths.json`), a flat `runs` list of `{workload, threads,
 //! comparable, seconds_per_iter, iters_per_second}`. A workload named
 //! `group/case` is one case of a family (a size, a node state, a
-//! topology); simulator runs are 400 slots each, campaign runs 40
-//! trials. `comparable` is `false` when the run used more threads than
-//! the host has CPUs.
+//! topology); simulator runs are 400 slots each (`simulation_step/*`
+//! steps all 400; `run()` skips the rounds of a settled run), campaign
+//! runs 40 trials. `comparable` is `false` when the run used more
+//! threads than the host has CPUs.
 
 use tta_analysis::{clock_ratio_limit, figure3_series, max_frame_bits, max_rho};
 use tta_base::hash::mix;
@@ -161,8 +162,8 @@ fn guardian_forwarding(runs: &mut Runs) {
     }
 }
 
-/// Fault-free simulator runs per topology and cluster size, and the E9
-/// campaign at 1/2/4 worker threads.
+/// Fault-free simulator runs per topology and cluster size, 400 steps
+/// per cluster size, and the E9 campaign at 1/2/4 worker threads.
 fn simulator(runs: &mut Runs) {
     for (name, topology, authority) in [
         ("bus", Topology::Bus, CouplerAuthority::Passive),
@@ -194,6 +195,20 @@ fn simulator(runs: &mut Runs) {
                 .plan(FaultPlan::none())
                 .build()
                 .run()
+        });
+    }
+    // `run()` skips the rounds of a settled run, so the rows above time
+    // startup plus a few rounds; these step every slot.
+    for nodes in [4usize, 8, 16] {
+        runs.time(&format!("simulation_step/{nodes}"), 1, || {
+            let mut sim = SimBuilder::new(nodes)
+                .slots(SIM_SLOTS)
+                .plan(FaultPlan::none())
+                .build();
+            for _ in 0..SIM_SLOTS {
+                sim.step();
+            }
+            sim
         });
     }
     for threads in [1usize, 2, 4] {

@@ -16,6 +16,9 @@ use tta_sim::{Scenario, Topology};
 
 /// Heavier than the kill/resume cell (48 trials x 900 slots = 6
 /// chunks) so the SIGTERM reliably lands while chunks are in flight.
+/// The faults last to the horizon: a trial whose fault has ended
+/// settles and skips its remaining rounds, which would finish the job
+/// before the signal lands.
 fn job() -> JobSpec {
     JobSpec {
         topology: Topology::Star,
@@ -23,7 +26,6 @@ fn job() -> JobSpec {
         policy: RestartPolicy::Watchdog { silence_slots: 8 },
         trials: 48,
         slots: 900,
-        fault_duration: Some(60),
         ..JobSpec::new(ScenarioSource::Builtin(Scenario::SosSender))
     }
 }

@@ -16,11 +16,30 @@ use tta_types::{MembershipVector, NodeId};
 ///
 /// A sender is (re)admitted on a correct frame and expelled after
 /// `expel_after` consecutive failed slots of its own.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct MembershipService {
     members: MembershipVector,
     consecutive_failures: Vec<u8>,
     expel_after: u8,
+}
+
+impl Clone for MembershipService {
+    fn clone(&self) -> Self {
+        MembershipService {
+            members: self.members,
+            consecutive_failures: self.consecutive_failures.clone(),
+            expel_after: self.expel_after,
+        }
+    }
+
+    /// Reuses `self`'s failure counters, so copying into a service of
+    /// the same cluster size allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.members = source.members;
+        self.consecutive_failures
+            .clone_from(&source.consecutive_failures);
+        self.expel_after = source.expel_after;
+    }
 }
 
 impl MembershipService {

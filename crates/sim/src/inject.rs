@@ -332,6 +332,26 @@ impl FaultPlan {
         &self.guardian_faults
     }
 
+    /// First slot from which no fault of the plan can be active again:
+    /// the largest envelope end over node, coupler and guardian events
+    /// (0 for the empty plan, `u64::MAX` if any event is permanent).
+    #[must_use]
+    pub fn quiet_from(&self) -> u64 {
+        let node = self
+            .node_faults
+            .iter()
+            .map(|f| f.persistence.envelope_end(f.to_slot));
+        let coupler = self
+            .coupler_faults
+            .iter()
+            .map(CouplerFaultEvent::envelope_end);
+        let guardian = self
+            .guardian_faults
+            .iter()
+            .map(|f| f.persistence.envelope_end(f.to_slot));
+        node.chain(coupler).chain(guardian).max().unwrap_or(0)
+    }
+
     /// Whether the plan injects nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -561,6 +581,45 @@ mod tests {
         // First match wins inside the overlap.
         assert_eq!(plan.coupler_fault_at(0, 25), CouplerFaultMode::Silence);
         assert_eq!(plan.coupler_fault_at(0, 35), CouplerFaultMode::BadFrame);
+    }
+
+    #[test]
+    fn quiet_from_is_the_largest_envelope_end() {
+        assert_eq!(FaultPlan::none().quiet_from(), 0);
+        let node = NodeFault {
+            node: NodeId::new(1),
+            kind: NodeFaultKind::Mute,
+            from_slot: 5,
+            to_slot: 30,
+            persistence: FaultPersistence::Intermittent { period: 4, duty: 1 },
+        };
+        let guardian = GuardianFaultEvent {
+            node: NodeId::new(0),
+            mode: LocalGuardianFault::StuckOpen,
+            from_slot: 0,
+            to_slot: 50,
+            persistence: FaultPersistence::Transient,
+        };
+        let plan = FaultPlan::none()
+            .with_node_fault(node)
+            .with_coupler_fault(coupler_event(1, 10, 40));
+        assert_eq!(plan.quiet_from(), 40);
+        let plan = plan.with_guardian_fault(guardian);
+        assert_eq!(plan.quiet_from(), 50);
+        // Nothing is active from there on.
+        for t in 50..200 {
+            assert!(plan.node_fault_at(NodeId::new(1), t).is_none());
+            assert_eq!(plan.coupler_fault_at(1, t), CouplerFaultMode::None);
+            assert_eq!(
+                plan.guardian_fault_at(NodeId::new(0), t),
+                LocalGuardianFault::None
+            );
+        }
+        let permanent = plan.with_node_fault(NodeFault {
+            persistence: FaultPersistence::Permanent,
+            ..node
+        });
+        assert_eq!(permanent.quiet_from(), u64::MAX);
     }
 
     #[test]

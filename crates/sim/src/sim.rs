@@ -246,12 +246,64 @@ impl Simulation {
     }
 
     /// Runs to the configured horizon and reports.
+    ///
+    /// A settled run skips the rounds that would only repeat. From
+    /// [`FaultPlan::quiet_from`] on no fault can be active, and then a
+    /// slot's step depends only on a *steady key* of the simulation
+    /// (`SteadyKey`): the controllers, membership services, remaining
+    /// start delays, coupler buffers, `ever_started`, restart counts,
+    /// replay count and startup slot, the slots since each node's last
+    /// admission (capped at one round: the silence gap only asks whether
+    /// it is below one round) and since a pending restart's freeze, and
+    /// the lengths of the log, the episodes and the healthy-frozen list.
+    /// The absolute slot enters a step only through those ages and as
+    /// the stamp of what it records.
+    ///
+    /// So once per TDMA round the run takes the key and compares it with
+    /// the key one round earlier, both taken at or after the quiet slot.
+    /// A match means the fault-free round in between led from the key
+    /// back to itself and recorded nothing; every later round starts
+    /// from the same key, so by induction it does the same. The run then
+    /// advances the clock by the largest whole number of rounds that
+    /// fits the horizon, shifts the admission slots by as much (keeping
+    /// their ages), and steps the remaining slots normally. The
+    /// [`SimReport`] is bit-identical to stepping every slot, which
+    /// [`Self::run_traced`] still does. A pending restart never matches,
+    /// since its freeze age grows every slot, and a permanent fault has
+    /// no quiet slot, so such runs step every slot.
     #[must_use]
-    pub fn run(mut self) -> SimReport {
+    pub fn run(self) -> SimReport {
+        self.run_settling().0
+    }
+
+    /// [`Self::run`], also returning how many slots it skipped.
+    fn run_settling(mut self) -> (SimReport, u64) {
+        let round = self.slots_per_round();
+        let mut skipped = 0;
+        let mut next_check = self.plan.quiet_from().max(self.t);
+        let (mut key, mut previous) = (SteadyKey::default(), SteadyKey::default());
+        let mut have_previous = false;
         while self.t < self.slots {
+            if self.t == next_check {
+                key.fill(&self);
+                if have_previous && key == previous {
+                    skipped = (self.slots - self.t) / round * round;
+                    self.t += skipped;
+                    for last in self.last_admitted.iter_mut().flatten() {
+                        *last += skipped;
+                    }
+                    next_check = u64::MAX;
+                    continue;
+                }
+                // The two keys swap buffers: after the first two checks
+                // no check allocates.
+                std::mem::swap(&mut key, &mut previous);
+                have_previous = true;
+                next_check = self.t + round;
+            }
             self.step();
         }
-        self.finish()
+        (self.finish(), skipped)
     }
 
     /// Runs to the configured horizon, capturing a [`ClusterSnapshot`] at
@@ -769,6 +821,87 @@ impl Simulation {
     }
 }
 
+/// Everything [`Simulation::step`] reads that can change during a run,
+/// with absolute slots turned into ages: two equal keys one fault-free
+/// round apart prove that the run has settled (see [`Simulation::run`]).
+#[derive(Debug, Default, PartialEq)]
+struct SteadyKey {
+    controllers: Vec<Controller>,
+    memberships: Vec<MembershipService>,
+    /// [`DelayedStartPolicy::remaining`] per node.
+    start_delays: Vec<u32>,
+    buffers: [Option<Transmission>; 2],
+    ever_started: Vec<bool>,
+    /// Per node: restarts so far, and the freeze age while a restart is
+    /// pending (an idle or given-up supervisor never reads its freeze
+    /// slot again).
+    supervisors: Vec<(u32, Option<u64>)>,
+    /// Per node: slots since the last admission, capped at one round
+    /// (the silence gap only asks whether it is below one round).
+    admission_ages: Vec<Option<u64>>,
+    startup_slot: Option<u64>,
+    replays_delivered: u8,
+    log_len: usize,
+    episodes_len: usize,
+    healthy_frozen_len: usize,
+}
+
+impl SteadyKey {
+    /// Overwrites the key with `sim`'s, reusing the key's buffers.
+    fn fill(&mut self, sim: &Simulation) {
+        // Exhaustive on purpose: a field added to `Simulation` must be
+        // placed either in the key or among the run's fixed settings.
+        let Simulation {
+            controllers,
+            memberships,
+            policy,
+            buffers,
+            last_admitted,
+            ever_started,
+            supervisors,
+            episodes,
+            t,
+            log,
+            healthy_frozen,
+            startup_slot,
+            replays_delivered,
+            choices: _,
+            topology: _,
+            authority: _,
+            slots: _,
+            tolerances: _,
+            plan: _,
+            restart_policy: _,
+        } = sim;
+        let round = controllers.len() as u64;
+        self.controllers.clone_from(controllers);
+        self.memberships.clone_from(memberships);
+        self.start_delays.clear();
+        self.start_delays
+            .extend(NodeId::first(controllers.len()).map(|node| policy.remaining(node)));
+        self.buffers = *buffers;
+        self.ever_started.clone_from(ever_started);
+        self.supervisors.clear();
+        self.supervisors.extend(supervisors.iter().map(|s| {
+            let pending = s
+                .frozen_since()
+                .filter(|_| !s.policy().exhausted(s.restarts()));
+            (s.restarts(), pending.map(|frozen| t - frozen))
+        }));
+        self.admission_ages.clear();
+        self.admission_ages.extend(
+            last_admitted
+                .iter()
+                .map(|last| last.map(|slot| (t - slot).min(round))),
+        );
+        self.startup_slot = *startup_slot;
+        self.replays_delivered = *replays_delivered;
+        self.log_len = log.entries().len();
+        self.episodes_len = episodes.len();
+        self.healthy_frozen_len = healthy_frozen.len();
+    }
+}
+
 /// Membership a fresh integrator adopts from the frame on the channel.
 fn adopted_membership(channels: &[ChannelContent; 2]) -> Option<MembershipVector> {
     channels.iter().find_map(|c| match c {
@@ -1081,6 +1214,150 @@ mod tests {
             .all(|c| c.protocol_state() == ProtocolState::Freeze));
         assert_eq!(snapshots.last().unwrap().slot, 120);
         assert!(snapshots.iter().all(ClusterSnapshot::property_holds));
+    }
+
+    /// A generated run: both topologies, every authority, every restart
+    /// policy kind, 3–5 nodes, horizons on and off round multiples, and
+    /// up to two node faults (every kind), two coupler faults and one
+    /// guardian fault, each transient, intermittent or permanent.
+    fn generated(seed: u64) -> Simulation {
+        use crate::inject::GuardianFaultEvent;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use tta_guardian::sos::SosDomain;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.gen_range(3..=5usize);
+        let topology = if rng.gen_bool(0.5) {
+            Topology::Bus
+        } else {
+            Topology::Star
+        };
+        let authority = CouplerAuthority::all()[rng.gen_range(0..4usize)];
+        let restart_policy = match rng.gen_range(0..4) {
+            0 => RestartPolicy::Never,
+            1 => RestartPolicy::Immediate,
+            2 => RestartPolicy::BoundedRetry {
+                max_restarts: rng.gen_range(0..4),
+                backoff_slots: rng.gen_range(0..10),
+            },
+            _ => RestartPolicy::Watchdog {
+                silence_slots: rng.gen_range(0..12),
+            },
+        };
+        let round = nodes as u64;
+        let slots = round * rng.gen_range(4..64u64) + rng.gen_range(0..round);
+        let fault = |rng: &mut StdRng| {
+            let from_slot = rng.gen_range(0..80u64);
+            let to_slot = from_slot + rng.gen_range(1..60u64);
+            let persistence = match rng.gen_range(0..10) {
+                0 => FaultPersistence::Permanent,
+                1..=3 => {
+                    let period = rng.gen_range(1..12);
+                    FaultPersistence::Intermittent {
+                        period,
+                        duty: rng.gen_range(1..=period),
+                    }
+                }
+                _ => FaultPersistence::Transient,
+            };
+            (from_slot, to_slot, persistence)
+        };
+        let mut plan = FaultPlan::none();
+        for _ in 0..rng.gen_range(0..=2) {
+            let node = NodeId::new(rng.gen_range(0..nodes) as u8);
+            let claimed_slot = rng.gen_range(1..=nodes as u16);
+            let kind = match rng.gen_range(0..5) {
+                0 => NodeFaultKind::Sos {
+                    domain: if rng.gen_bool(0.5) {
+                        SosDomain::Time
+                    } else {
+                        SosDomain::Value
+                    },
+                    magnitude: rng.gen_range(0.4..0.6),
+                },
+                1 => NodeFaultKind::MasqueradeColdStart { claimed_slot },
+                2 => NodeFaultKind::InvalidCState { claimed_slot },
+                3 => NodeFaultKind::Babbling,
+                _ => NodeFaultKind::Mute,
+            };
+            let (from_slot, to_slot, persistence) = fault(&mut rng);
+            plan = plan.with_node_fault(NodeFault {
+                node,
+                kind,
+                from_slot,
+                to_slot,
+                persistence,
+            });
+        }
+        // One channel, so the single-faulty-coupler hypothesis holds.
+        let channel = rng.gen_range(0..2);
+        let replay = topology.is_central() && authority.can_buffer_full_frames();
+        for _ in 0..rng.gen_range(0..=2) {
+            let mode = match rng.gen_range(0..if replay { 3 } else { 2 }) {
+                0 => CouplerFaultMode::Silence,
+                1 => CouplerFaultMode::BadFrame,
+                _ => CouplerFaultMode::OutOfSlot,
+            };
+            let (from_slot, to_slot, persistence) = fault(&mut rng);
+            plan = plan.with_coupler_fault(CouplerFaultEvent {
+                channel,
+                mode,
+                from_slot,
+                to_slot,
+                persistence,
+            });
+        }
+        if topology == Topology::Bus && rng.gen_bool(0.2) {
+            let node = NodeId::new(rng.gen_range(0..nodes) as u8);
+            let mode = if rng.gen_bool(0.5) {
+                LocalGuardianFault::StuckOpen
+            } else {
+                LocalGuardianFault::StuckClosed
+            };
+            let (from_slot, to_slot, persistence) = fault(&mut rng);
+            plan = plan.with_guardian_fault(GuardianFaultEvent {
+                node,
+                mode,
+                from_slot,
+                to_slot,
+                persistence,
+            });
+        }
+        let delays = (0..nodes)
+            .map(|_| rng.gen_range(0..4 * nodes as u32))
+            .collect();
+        SimBuilder::new(nodes)
+            .topology(topology)
+            .authority(authority)
+            .slots(slots)
+            .start_delays(delays)
+            .restart_policy(restart_policy)
+            .plan(plan)
+            .build()
+    }
+
+    #[test]
+    fn fast_forward_matches_stepping_every_slot() {
+        const RUNS: u64 = 20_000;
+        let (mut fired, mut diverged) = (0, Vec::new());
+        for seed in 0..RUNS {
+            let (fast, skipped) = generated(seed).run_settling();
+            let (reference, _) = generated(seed).run_traced();
+            fired += u64::from(skipped > 0);
+            if fast != reference {
+                diverged.push(seed);
+            }
+        }
+        assert!(
+            diverged.is_empty(),
+            "{} of {RUNS} runs diverge from stepping every slot, first seed {}",
+            diverged.len(),
+            diverged[0]
+        );
+        assert!(
+            fired * 10 >= RUNS * 4,
+            "the fast path fired in only {fired} of {RUNS} runs"
+        );
     }
 
     #[test]
