@@ -1,28 +1,36 @@
 //! Hot-path timings: the protocol, guardian-buffer, simulator and
 //! analysis calls the checker, the campaigns and the Section 6 design
-//! loops spend their time in, and the JSON codec and result-cache open
-//! a campaign daemon restarts through, each timed per call by
+//! loops spend their time in, the explorer's whole safety check, the
+//! JSON codec and result-cache open a campaign daemon restarts through,
+//! and whole daemon sweeps, each timed per call by
 //! [`tta_bench::seconds_per_iter`].
 //!
 //! Usage: `exp_hotpaths [PATH]` — writes `PATH` (default
-//! `BENCH_hotpaths.json`), a flat `runs` list of `{workload, threads,
-//! comparable, seconds_per_iter, iters_per_second}`. A workload named
+//! `BENCH_hotpaths.json`) through [`tta_bench::Runs`]: a flat `runs`
+//! list of `{workload, threads, comparable, seconds_per_iter,
+//! iters_per_second}` plus each row's named counts. A workload named
 //! `group/case` is one case of a family (a size, a node state, a
 //! topology); simulator runs are 400 slots each (`simulation_step/*`
 //! steps all 400; `run()` skips the rounds of a settled run), campaign
-//! runs 40 trials. `comparable` is `false` when the run used more
-//! threads than the host has CPUs.
+//! runs 40 trials, daemon sweeps 1,024. `comparable` is `false` when
+//! the run used more threads than the host has CPUs.
 
+use std::time::Duration;
 use tta_analysis::{clock_ratio_limit, figure3_series, max_frame_bits, max_rho};
 use tta_base::hash::mix;
-use tta_base::json::{json_obj, json_rounded, Json};
-use tta_bench::{fmt_secs, heading, seconds_per_iter, write_snapshot, SNAPSHOT_NOTE};
+use tta_base::json::Json;
+use tta_bench::{heading, DaemonSession, Runs};
 use tta_campaignd::cache::Cache;
+use tta_campaignd::client::{ReconnectPolicy, SubmitResult};
 use tta_campaignd::protocol::trial_line;
 use tta_campaignd::runner::TrialVerdict;
+use tta_campaignd::spec::{JobSpec, ScenarioSource};
+use tta_core::{verify_cluster_with, CheckStrategy, ClusterConfig};
 use tta_guardian::buffer::simulate_forwarding;
 use tta_guardian::CouplerAuthority;
-use tta_protocol::{ChannelObservation, ChannelView, Controller, EagerStartPolicy, HostChoices};
+use tta_protocol::{
+    ChannelObservation, ChannelView, Controller, EagerStartPolicy, HostChoices, RestartPolicy,
+};
 use tta_sim::{
     Campaign, FaultPlan, Outcome, RecoveryOutcome, Scenario, SimBuilder, Topology, TrialResult,
 };
@@ -41,26 +49,8 @@ const CACHE_LINE: &str = concat!(
 );
 /// Entries in the timed cache log: one 8,192-trial sweep.
 const CACHE_ENTRIES: u32 = 8192;
-
-/// The snapshot's runs, printed as they are timed.
-struct Runs {
-    host_cpus: usize,
-    runs: Vec<Json>,
-}
-
-impl Runs {
-    fn time<R>(&mut self, workload: &str, threads: usize, f: impl FnMut() -> R) {
-        let secs = seconds_per_iter(f);
-        println!("{workload:<46} {threads} thread(s)  {:>9}", fmt_secs(secs));
-        self.runs.push(json_obj([
-            ("workload", Json::str(workload)),
-            ("threads", Json::UInt(threads as u64)),
-            ("comparable", Json::Bool(threads <= self.host_cpus)),
-            ("seconds_per_iter", json_rounded(secs, 12)),
-            ("iters_per_second", json_rounded(1.0 / secs, 1)),
-        ]));
-    }
-}
+/// Trials per timed daemon sweep: 128 journal chunks.
+const DAEMON_TRIALS: u32 = 1024;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -71,26 +61,17 @@ fn main() {
         eprintln!("usage: exp_hotpaths [PATH]");
         std::process::exit(2);
     }
-    let host_cpus = tta_base::default_threads();
     heading("hot-path timings, per call");
-    println!("host CPUs: {host_cpus}\n");
-    let mut runs = Runs {
-        host_cpus,
-        runs: Vec::new(),
-    };
+    let mut runs = Runs::new("hot_paths");
+    println!("host CPUs: {}\n", runs.host_cpus());
     controller(&mut runs);
     guardian_forwarding(&mut runs);
     simulator(&mut runs);
     analysis(&mut runs);
+    explorer(&mut runs);
     campaign_storage(&mut runs);
-
-    let snapshot = json_obj([
-        ("snapshot", Json::str("hot_paths")),
-        ("host_cpus", Json::UInt(host_cpus as u64)),
-        ("note", Json::str(SNAPSHOT_NOTE)),
-        ("runs", Json::Arr(runs.runs)),
-    ]);
-    write_snapshot(&path, &snapshot);
+    daemon(&mut runs);
+    runs.write(&path);
 }
 
 /// A node that has listened through two silent slots.
@@ -239,6 +220,41 @@ fn analysis(runs: &mut Runs) {
     }
 }
 
+/// The explorer's whole safety check on the paper's small-shifting
+/// config at 1, 2, 4 and 8 threads, and cut at depth 20 (the A2
+/// ablation's third strategy: a prefix of the 34 layers the full search
+/// walks). Every thread count must explore the same states.
+fn explorer(runs: &mut Runs) {
+    let config = ClusterConfig::paper(CouplerAuthority::SmallShifting);
+    let mut one_thread = None;
+    for threads in [1usize, 2, 4, 8] {
+        let mut stats = None;
+        let row = runs.time("explore/small_shifting", threads, || {
+            stats =
+                Some(verify_cluster_with(&config, CheckStrategy::ParallelBfs { threads }).stats);
+        });
+        let stats = stats.expect("timed at least once");
+        row.count("states", stats.states_explored);
+        match one_thread {
+            None => {
+                row.per_state("bytes_per_state", stats.bytes_per_state());
+                one_thread = Some(stats.states_explored);
+            }
+            Some(states) => assert_eq!(
+                stats.states_explored, states,
+                "the explorer must agree with itself at {threads} threads"
+            ),
+        }
+    }
+    let mut states = 0;
+    runs.time("bounded_bfs_depth20/small_shifting", 1, || {
+        states = verify_cluster_with(&config, CheckStrategy::Bounded { depth: 20 })
+            .stats
+            .states_explored;
+    })
+    .count("states", states);
+}
+
 /// A trial record shaped like a campaign's: a full 64-bit seed, a
 /// fractional unavailability and, for a third of the trials, a
 /// reintegration time.
@@ -304,4 +320,98 @@ fn campaign_storage(runs: &mut Runs) {
         cache
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The daemon rows' sweep: the SOS-sender cell (star, small shifting,
+/// 400 slots) with a 60-slot fault and watchdog restarts after 8 silent
+/// slots, 1,024 trials derived from `seed`.
+fn daemon_job(seed: u64) -> JobSpec {
+    JobSpec {
+        trials: DAEMON_TRIALS,
+        policy: RestartPolicy::Watchdog { silence_slots: 8 },
+        fault_duration: Some(60),
+        seed,
+        ..JobSpec::new(ScenarioSource::Builtin(Scenario::SosSender))
+    }
+}
+
+/// One sweep through the resilient client path, streamed and dropped.
+fn sweep(session: &DaemonSession, job: &JobSpec, workers: usize) -> SubmitResult {
+    session
+        .client
+        .submit_resilient(job, Some(workers), &ReconnectPolicy::default(), &mut |_| {})
+        .unwrap_or_else(|e| {
+            eprintln!("error: daemon sweep failed: {e}");
+            std::process::exit(1);
+        })
+}
+
+/// Cold sweeps on a private daemon with `workers` workers, its stock
+/// config edited by `configure`: each call takes the next `seed`, so
+/// every trial computes.
+fn cold_sweeps(
+    runs: &mut Runs,
+    workload: &str,
+    workers: usize,
+    seed: &mut u64,
+    configure: impl FnOnce(&mut tta_campaignd::server::ServerConfig),
+) {
+    let session = DaemonSession::private(|config| {
+        config.workers = workers;
+        configure(config);
+    });
+    runs.time(workload, workers, || {
+        *seed += 1;
+        let stats = sweep(&session, &daemon_job(*seed), workers).stats;
+        assert_eq!(
+            (stats.computed, stats.cache_hits, stats.resumed_trials),
+            (u64::from(DAEMON_TRIALS), 0, 0),
+            "a cold sweep computes every trial"
+        );
+    })
+    .count("trials", u64::from(DAEMON_TRIALS));
+}
+
+/// Whole sweeps through a private in-process daemon, the service the
+/// E9/E10 `--daemon` campaigns run on. Cold rows run at 1, 2, 4 and 8
+/// workers. The relaxed row is the cold 2-worker row with supervision
+/// asleep (5 s scan tick, one-hour trial deadline, so it never fires):
+/// the two bound what supervision costs a healthy sweep (E13). The warm
+/// row answers one sweep from the filled cache; each call first deletes
+/// the journals, so nothing resumes.
+fn daemon(runs: &mut Runs) {
+    let mut seed = 0xDB5_2004;
+    for workers in [1usize, 2, 4, 8] {
+        cold_sweeps(runs, "campaignd/cold_1024", workers, &mut seed, |_| {});
+    }
+    cold_sweeps(
+        runs,
+        "campaignd/cold_1024_relaxed",
+        2,
+        &mut seed,
+        |config| {
+            config.supervision.tick = Duration::from_secs(5);
+            config.supervision.trial_deadline = Duration::from_secs(3600);
+        },
+    );
+
+    let session = DaemonSession::private(|config| config.workers = 2);
+    let job = daemon_job(seed);
+    let cold = sweep(&session, &job, 2).trials;
+    let journals = session.state_dir().expect("a private daemon").join("jobs");
+    runs.time("campaignd/warm_1024", 2, || {
+        std::fs::remove_dir_all(&journals).expect("clear the journals");
+        let warm = sweep(&session, &job, 2);
+        assert_eq!(
+            (
+                warm.stats.cache_hits,
+                warm.stats.computed,
+                warm.stats.resumed_trials
+            ),
+            (u64::from(DAEMON_TRIALS), 0, 0),
+            "a warm sweep answers every trial from the cache"
+        );
+        assert_eq!(warm.trials, cold, "the cache must not change results");
+    })
+    .count("trials", u64::from(DAEMON_TRIALS));
 }

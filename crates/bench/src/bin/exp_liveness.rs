@@ -18,19 +18,17 @@
 //!   scenario that declares `expect.liveness`; exit non-zero on any
 //!   mismatch. With `--artifacts`, rendered lassos of violated runs are
 //!   written to `DIR` (one `.lasso.txt` per scenario).
-//! * `exp_liveness --bench-json [PATH] [--threads N]` — record a
-//!   machine-readable snapshot of the liveness hot path (fair-graph
-//!   build and per-node check phase, each sequential vs. threaded, plus
-//!   the graph's bytes per state) to `PATH` (default
-//!   `BENCH_liveness.json`). `--threads` caps the threaded sweeps.
-//!   Threaded entries carry the same `comparable` /
-//!   `speedup_vs_sequential` fields as `BENCH_modelcheck.json`.
+//! * `exp_liveness --bench-json [PATH] [--threads N]` — time the
+//!   liveness hot path (the fair-graph build and the per-node check
+//!   phase, at 1, 2 and 4 threads) and write the rows to `PATH`
+//!   (default `BENCH_liveness.json`) through [`tta_bench::Runs`], the
+//!   same writer and row shape as `exp_hotpaths`. `--threads` caps the
+//!   sweep.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_base::json::{json_obj, json_rounded, Json};
-use tta_bench::{fmt_duration, fmt_secs, heading, json_throughput, write_snapshot, SNAPSHOT_NOTE};
+use tta_bench::{fmt_duration, heading, Runs};
 use tta_conformance::{ExpectedVerdict, Scenario};
 use tta_core::{
     cluster_startup_fairness, narrate_lasso, node_integration_property, verify_cluster_liveness,
@@ -244,23 +242,23 @@ fn scenario_mode(paths: &[PathBuf], artifacts: Option<&Path>) -> ! {
 }
 
 /// Records `BENCH_liveness.json`: for the two headline S4 configs, the
-/// sequential fair-graph build time and footprint per state, the
-/// 1-thread check phase over every node's property, and the threaded
-/// builds and check phases with their speedups.
+/// fair-graph build (`liveness_build/<authority>`: states and edges,
+/// plus the graph's bytes per state at one thread) and the check phase
+/// over every node's property (`liveness_check/<authority>`: SCCs
+/// examined), at 1 thread and each sweep thread count. Every threaded
+/// build and check must be bit-identical to the one-thread run.
 fn bench_snapshot(path: &str, max_threads: Option<usize>) {
-    let host_cpus = tta_base::default_threads();
     heading("liveness hot-path snapshot (fair-graph build + per-node checks)");
-    println!("host CPUs: {host_cpus}");
+    let mut runs = Runs::new("liveness_throughput");
+    println!("host CPUs: {}", runs.host_cpus());
 
     let cap = max_threads.unwrap_or(4);
-    let sweep: Vec<usize> = [2usize, 4].into_iter().filter(|&t| t <= cap).collect();
-
-    let mut runs_json = Vec::new();
+    let sweep = [1usize, 2, 4].into_iter().filter(|&t| t == 1 || t <= cap);
     // Full shifting explores ~90× the states of small shifting; one
     // timed repetition keeps the snapshot affordable there.
-    for (label, authority, runs) in [
-        ("paper/small-shifting", CouplerAuthority::SmallShifting, 3),
-        ("paper/full-shifting", CouplerAuthority::FullShifting, 1),
+    for (authority, repetitions, expected) in [
+        (CouplerAuthority::SmallShifting, 3, Verdict::Holds),
+        (CouplerAuthority::FullShifting, 1, Verdict::Violated),
     ] {
         let config = ClusterConfig::paper(authority);
         let model = ClusterModel::new(config);
@@ -268,76 +266,41 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
         let fairness = cluster_startup_fairness(config.nodes);
         let properties: Vec<Property<ClusterState>> =
             (0..config.nodes).map(node_integration_property).collect();
+        let name = authority.token();
 
-        let (graph, outcomes, build_secs, check_secs) =
-            timed_runs(runs, 1, &model, &codec, &fairness, &properties);
-        let states = graph.state_count();
-        let bytes_per_state = graph.approx_bytes() as f64 / states as f64;
-        println!(
-            "{label}: {states} states, {} edges, built in {}, {bytes_per_state:.1} B/state",
-            graph.edge_count(),
-            fmt_secs(build_secs)
-        );
-        let sccs_examined: u64 = outcomes.iter().map(|o| o.stats.sccs_examined).sum();
-        let verdicts: Vec<Verdict> = outcomes.iter().map(|o| o.verdict).collect();
-        let verdict = if verdicts.contains(&Verdict::Violated) {
-            Verdict::Violated
-        } else if verdicts.contains(&Verdict::BudgetExhausted) {
-            Verdict::BudgetExhausted
-        } else {
-            Verdict::Holds
-        };
-        println!(
-            "  {} per-node checks: {verdict:?}, {sccs_examined} SCCs in {}",
-            config.nodes,
-            fmt_secs(check_secs)
-        );
-
-        let mut threaded_build = Vec::new();
-        let mut threaded_check = Vec::new();
-        for &threads in &sweep {
-            let (threaded, threaded_outcomes, build, check) =
-                timed_runs(runs, threads, &model, &codec, &fairness, &properties);
-            assert_eq!(threaded.state_count(), states, "threaded build must agree");
-            assert_eq!(
-                threaded.edge_count(),
-                graph.edge_count(),
-                "threaded build must agree"
-            );
-            assert!(
-                same_outcomes(&threaded_outcomes, &outcomes),
-                "threaded checks must agree at {threads} threads"
-            );
-            drop(threaded);
-            threaded_build.push(threaded_entry(
-                "build", threads, build, build_secs, host_cpus,
-            ));
-            threaded_check.push(threaded_entry(
-                "check", threads, check, check_secs, host_cpus,
-            ));
+        // The one-thread run's states, edges and outcomes.
+        let mut one_thread: Option<(usize, usize, Vec<LivenessOutcome<ClusterState>>)> = None;
+        for threads in sweep.clone() {
+            let (graph, outcomes, build, check) =
+                timed_runs(repetitions, threads, &model, &codec, &fairness, &properties);
+            let sccs_examined: u64 = outcomes.iter().map(|o| o.stats.sccs_examined).sum();
+            let row = runs.record(&format!("liveness_build/{name}"), threads, build);
+            row.count("states", graph.state_count() as u64)
+                .count("edges", graph.edge_count() as u64);
+            if let Some((states, edges, reference)) = &one_thread {
+                assert_eq!(
+                    (graph.state_count(), graph.edge_count()),
+                    (*states, *edges),
+                    "threaded build must agree at {threads} threads"
+                );
+                assert!(
+                    same_outcomes(&outcomes, reference),
+                    "threaded checks must agree at {threads} threads"
+                );
+            } else {
+                assert!(
+                    outcomes.iter().all(|o| o.verdict == expected),
+                    "paper/{name}: every node's verdict must be {expected:?}"
+                );
+                let bytes = graph.approx_bytes() as f64 / graph.state_count() as f64;
+                row.per_state("graph_bytes_per_state", bytes);
+                one_thread = Some((graph.state_count(), graph.edge_count(), outcomes));
+            }
+            runs.record(&format!("liveness_check/{name}"), threads, check)
+                .count("sccs_examined", sccs_examined);
         }
-
-        runs_json.push(json_obj([
-            ("config", Json::str(label)),
-            ("verdict", Json::str(format!("{verdict:?}"))),
-            ("states", Json::UInt(states as u64)),
-            ("edges", Json::UInt(graph.edge_count() as u64)),
-            ("graph_bytes_per_state", json_rounded(bytes_per_state, 1)),
-            ("sccs_examined", Json::UInt(sccs_examined)),
-            ("build", json_throughput(build_secs, states as u64)),
-            ("check_seconds", json_rounded(check_secs, 6)),
-            ("threaded_build", Json::Arr(threaded_build)),
-            ("threaded_check", Json::Arr(threaded_check)),
-        ]));
     }
-
-    let snapshot = json_obj([
-        ("snapshot", Json::str("liveness_throughput")),
-        ("host_cpus", Json::UInt(host_cpus as u64)),
-        ("note", Json::str(SNAPSHOT_NOTE)),
-        ("runs", Json::Arr(runs_json)),
-    ]);
-    write_snapshot(path, &snapshot);
+    runs.write(path);
 }
 
 /// `runs` repetitions at `threads` threads of the fair-graph build and
@@ -385,28 +348,4 @@ fn same_outcomes(a: &[LivenessOutcome<ClusterState>], b: &[LivenessOutcome<Clust
                 && x.lasso == y.lasso
                 && x.stats.sccs_examined == y.stats.sccs_examined
         })
-}
-
-/// A threaded snapshot entry with its speedup over the 1-thread time;
-/// `comparable` when it used no more threads than the host has CPUs.
-fn threaded_entry(
-    phase: &str,
-    threads: usize,
-    secs: f64,
-    sequential_secs: f64,
-    host_cpus: usize,
-) -> Json {
-    let comparable = threads <= host_cpus;
-    let speedup = sequential_secs / secs;
-    println!(
-        "  threaded {phase}, {threads} thread(s): {} ({speedup:.2}x sequential{})",
-        fmt_secs(secs),
-        if comparable { "" } else { ", not comparable" }
-    );
-    json_obj([
-        ("threads", Json::UInt(threads as u64)),
-        ("seconds", json_rounded(secs, 6)),
-        ("speedup_vs_sequential", json_rounded(speedup, 3)),
-        ("comparable", Json::Bool(comparable)),
-    ])
 }

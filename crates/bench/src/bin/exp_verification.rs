@@ -32,7 +32,7 @@ fn parse_args() -> Option<String> {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--json" => {
-                // Optional path operand, like exp_scaling --bench-json.
+                // Optional path operand, like exp_liveness --bench-json.
                 let path = match iter.peek() {
                     Some(next) if !next.starts_with("--") => iter.next().expect("peeked"),
                     _ => "verification.json".to_string(),

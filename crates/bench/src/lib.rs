@@ -2,8 +2,8 @@
 //!
 //! Experiment harness for the DSN 2004 reproduction: one `exp_*` binary
 //! per table/figure of the paper (see EXPERIMENTS.md for the index), plus
-//! the BENCH snapshot writers and [`seconds_per_iter`], the timer behind
-//! `exp_hotpaths`.
+//! [`Runs`], the one writer of the BENCH snapshots' rows, and
+//! [`seconds_per_iter`], the timer behind `exp_hotpaths`.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -16,21 +16,25 @@
 //! | `exp_recovery` | Transient faults × restart policies: availability & recovery (E10) |
 //! | `exp_scaling` | State-space scaling, replay-budget sweep (S1) |
 //! | `exp_extensions` | Enhanced guardian functions, async masquerade, clock drift (S2) |
-//! | `exp_liveness` | Integration liveness under weak fairness, fair-lasso counterexample (S4) |
+//! | `exp_liveness` | Integration liveness under weak fairness, fair-lasso counterexample (S4); fair-graph build and check timings (`BENCH_liveness.json`) |
 //! | `tta_fuzz` | Coverage-guided fault-plan fuzzing with shrinking + scenario emission (S7) |
 //! | `exp_fuzz` | Restart-policy synthesis over the fuzzed corpus (E11) |
-//! | `exp_hotpaths` | Protocol, guardian-buffer, simulator and analysis hot paths (`BENCH_hotpaths.json`) |
+//! | `exp_hotpaths` | Protocol, guardian-buffer, simulator, analysis, explorer and campaign-daemon hot paths (`BENCH_hotpaths.json`) |
 //!
 //! Run any of them with `cargo run --release -p tta-bench --bin <name>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use tta_base::json::{json_obj, json_rounded, Json};
+use tta_base::json::Json;
+use tta_campaignd::server::{Server, ServerConfig};
 
+mod snapshot;
 mod table;
 
+pub use snapshot::{Row, Runs};
 pub use table::{check_against_golden, die, CampaignArgs, CampaignCell, CampaignJson};
 
 /// A campaign-service connection for a `--daemon [SOCKET]` invocation,
@@ -44,15 +48,14 @@ pub struct DaemonSession {
     /// The private in-process daemon, if this session spun one up.
     handle: Option<tta_campaignd::server::ServerHandle>,
     /// The private state directory, removed on teardown.
-    scratch: Option<std::path::PathBuf>,
+    scratch: Option<PathBuf>,
 }
 
 impl DaemonSession {
     /// Connects per the parsed `--daemon` flag: to the daemon at the
-    /// given socket, or — with no socket — to a freshly spawned private
-    /// in-process daemon on a temporary state directory (cold cache,
-    /// torn down afterwards). Returns `None` when `--daemon` was not
-    /// passed.
+    /// given socket, or — with no socket — to a [`DaemonSession::private`]
+    /// daemon with `--threads` workers. Returns `None` when `--daemon`
+    /// was not passed.
     ///
     /// # Panics
     ///
@@ -62,7 +65,6 @@ impl DaemonSession {
     #[must_use]
     pub fn from_args(args: &CampaignArgs) -> Option<DaemonSession> {
         use tta_campaignd::client::Client;
-        use tta_campaignd::server::{Server, ServerConfig};
         if !args.daemon {
             return None;
         }
@@ -79,32 +81,52 @@ impl DaemonSession {
                     scratch: None,
                 })
             }
-            None => {
-                // detlint: allow(DL02) reason=scratch-dir nonce for uniqueness only; never reaches any result or report
-                let nonce = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map_or(0, |d| d.subsec_nanos());
-                let state_dir = std::env::temp_dir().join(format!(
-                    "campaignd-inproc-{}-{nonce:08x}",
-                    std::process::id()
-                ));
-                let mut config = ServerConfig::at(&state_dir);
+            None => Some(DaemonSession::private(|config| {
                 if let Some(threads) = args.threads {
                     config.workers = threads;
                 }
-                match Server::spawn(config) {
-                    Ok(handle) => Some(DaemonSession {
-                        client: Client::new(handle.socket()),
-                        handle: Some(handle),
-                        scratch: Some(state_dir),
-                    }),
-                    Err(e) => {
-                        eprintln!("error: cannot spawn in-process campaign daemon: {e}");
-                        std::process::exit(1);
-                    }
-                }
+            })),
+        }
+    }
+
+    /// Spawns a private in-process daemon on a fresh temporary state
+    /// directory (cold cache, removed on teardown), with the stock
+    /// [`ServerConfig`] edited by `configure`, and connects to it.
+    ///
+    /// # Panics
+    ///
+    /// Exits the process with a diagnostic if the daemon cannot be
+    /// spawned.
+    #[must_use]
+    pub fn private(configure: impl FnOnce(&mut ServerConfig)) -> DaemonSession {
+        // detlint: allow(DL02) reason=scratch-dir nonce for uniqueness only; never reaches any result or report
+        let nonce = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.subsec_nanos());
+        let state_dir = std::env::temp_dir().join(format!(
+            "campaignd-inproc-{}-{nonce:08x}",
+            std::process::id()
+        ));
+        let mut config = ServerConfig::at(&state_dir);
+        configure(&mut config);
+        match Server::spawn(config) {
+            Ok(handle) => DaemonSession {
+                client: tta_campaignd::client::Client::new(handle.socket()),
+                handle: Some(handle),
+                scratch: Some(state_dir),
+            },
+            Err(e) => {
+                eprintln!("error: cannot spawn in-process campaign daemon: {e}");
+                std::process::exit(1);
             }
         }
+    }
+
+    /// The private daemon's state directory; `None` for an external
+    /// daemon.
+    #[must_use]
+    pub fn state_dir(&self) -> Option<&Path> {
+        self.scratch.as_deref()
     }
 }
 
@@ -151,24 +173,6 @@ pub fn fmt_secs(secs: f64) -> String {
 #[must_use]
 pub fn fmt_percent(ratio: f64) -> String {
     format!("{:.2}%", ratio * 100.0)
-}
-
-/// What a BENCH snapshot says about entries run with more threads than
-/// the host has CPUs.
-pub const SNAPSHOT_NOTE: &str = "entries with comparable=false used more threads than host CPUs \
-     and only time-slice one core; judge scaling on comparable entries";
-
-/// A timed snapshot entry: wall seconds and the states per second they
-/// give.
-#[must_use]
-pub fn json_throughput(seconds: f64, states: u64) -> Json {
-    json_obj([
-        ("seconds", json_rounded(seconds, 6)),
-        (
-            "states_per_second",
-            Json::UInt((states as f64 / seconds) as u64),
-        ),
-    ])
 }
 
 /// Writes a snapshot, exiting with an error line if it cannot.

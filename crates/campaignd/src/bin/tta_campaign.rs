@@ -11,23 +11,17 @@
 //!   `status` reports drain state and per-job chunk/lease/quarantine
 //!   detail; `drain` asks the daemon to finish leased chunks,
 //!   checkpoint, and exit (same as SIGTERM).
-//! * `bench` — the campaign-service throughput snapshot
-//!   (`BENCH_campaignd.json`): trials/sec at 1/2/4/8 workers against a
-//!   private in-process daemon, a warm-vs-cold cache comparison, and
-//!   the trial-supervision overhead.
 //!
-//! `submit` (and `bench`) go through the resilient client path: a
-//! dropped connection is retried with exponential backoff and the
-//! stream resumes idempotently — already-seen deterministic lines are
-//! skipped, so the assembled output is byte-identical to an
-//! uninterrupted run.
+//! `submit` goes through the resilient client path: a dropped
+//! connection is retried with exponential backoff and the stream
+//! resumes idempotently — already-seen deterministic lines are skipped,
+//! so the assembled output is byte-identical to an uninterrupted run.
+//! The daemon's sweeps are timed by `exp_hotpaths` (`campaignd/*`
+//! rows in `BENCH_hotpaths.json`).
 
 use std::io::Write;
 use std::path::PathBuf;
-use std::time::Instant;
 use tta_campaignd::client::{Client, ReconnectPolicy};
-use tta_campaignd::json::{json_obj, json_rounded, Json};
-use tta_campaignd::server::{Server, ServerConfig, ServerHandle};
 use tta_campaignd::spec::{
     parse_scenario, unknown_authority, unknown_topology, JobSpec, ScenarioSource,
 };
@@ -35,7 +29,7 @@ use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
 use tta_sim::Topology;
 
-const USAGE: &str = "tta_campaign <submit|status|ping|drain|shutdown|bench> [options]
+const USAGE: &str = "tta_campaign <submit|status|ping|drain|shutdown> [options]
 
   submit --scenario TOKEN | --scenario-file PATH
          [--socket PATH] [--nodes N] [--topology bus|star]
@@ -43,8 +37,7 @@ const USAGE: &str = "tta_campaign <submit|status|ping|drain|shutdown|bench> [opt
          [--policy never|immediate|bounded_retry:MAX,BACKOFF|watchdog:SLOTS]
          [--trials N] [--slots N] [--seed N] [--fault-duration N]
          [--workers N] [--ndjson PATH]
-  status|ping|drain|shutdown [--socket PATH]
-  bench  [--bench-json PATH]";
+  status|ping|drain|shutdown [--socket PATH]";
 
 fn die(why: &str) -> ! {
     eprintln!("error: {why}");
@@ -119,7 +112,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "bench" => bench(&rest),
         other => die(&format!("unknown subcommand {other}")),
     }
 }
@@ -286,404 +278,5 @@ fn submit(rest: &[String]) {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-// --- bench ---------------------------------------------------------------
-
-/// The sweep the throughput snapshot times: big enough to shard across
-/// eight workers (64 trials = 8 journal chunks), heavy enough per trial
-/// (400 slots, transient fault, watchdog restarts) to dominate the
-/// protocol overhead.
-fn bench_spec() -> JobSpec {
-    JobSpec {
-        trials: 64,
-        policy: RestartPolicy::Watchdog { silence_slots: 8 },
-        fault_duration: Some(60),
-        ..JobSpec::new(ScenarioSource::Builtin(tta_sim::Scenario::SosSender))
-    }
-}
-
-struct BenchDaemon {
-    handle: Option<ServerHandle>,
-    state_dir: PathBuf,
-}
-
-impl BenchDaemon {
-    fn spawn(state_dir: PathBuf, workers: usize) -> BenchDaemon {
-        Self::spawn_cfg(state_dir, workers, |_| {})
-    }
-
-    fn spawn_cfg(
-        state_dir: PathBuf,
-        workers: usize,
-        configure: impl FnOnce(&mut ServerConfig),
-    ) -> BenchDaemon {
-        let mut config = ServerConfig::at(&state_dir);
-        config.workers = workers;
-        configure(&mut config);
-        let handle = Server::spawn(config).unwrap_or_else(|e| {
-            eprintln!("error: cannot spawn bench daemon: {e}");
-            std::process::exit(1);
-        });
-        BenchDaemon {
-            handle: Some(handle),
-            state_dir,
-        }
-    }
-
-    fn client(&self) -> Client {
-        Client::new(self.handle.as_ref().expect("live daemon").socket())
-    }
-}
-
-impl Drop for BenchDaemon {
-    fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            handle.shutdown();
-        }
-        let _ = std::fs::remove_dir_all(&self.state_dir);
-    }
-}
-
-/// What one `bench` run measured.
-struct BenchRun {
-    host_cpus: usize,
-    trials: u32,
-    /// `(workers, seconds)` per cold sweep, one worker first.
-    scaling: Vec<(usize, f64)>,
-    /// Workers of the cache and supervision runs.
-    workers: usize,
-    cold_seconds: f64,
-    warm_seconds: f64,
-    warm_cache_hits: u64,
-    relaxed_seconds: f64,
-    supervised_seconds: f64,
-}
-
-impl BenchRun {
-    /// The `BENCH_campaignd.json` snapshot.
-    fn to_json(&self) -> Json {
-        let one_worker = self.scaling[0].1;
-        let scaling = self.scaling.iter().map(|&(workers, seconds)| {
-            json_obj([
-                ("workers", Json::UInt(workers as u64)),
-                ("seconds", json_rounded(seconds, 6)),
-                (
-                    "trials_per_second",
-                    json_rounded(f64::from(self.trials) / seconds, 0),
-                ),
-                ("speedup_vs_1", json_rounded(one_worker / seconds, 3)),
-                ("comparable", Json::Bool(workers <= self.host_cpus)),
-            ])
-        });
-        let workers = Json::UInt(self.workers as u64);
-        let overhead_percent = (self.supervised_seconds / self.relaxed_seconds - 1.0) * 100.0;
-        json_obj([
-            ("snapshot", Json::str("campaign_service_throughput")),
-            (
-                "job",
-                Json::str("sos_sender star/small_shifting watchdog:8, 64 trials x 400 slots"),
-            ),
-            ("host_cpus", Json::UInt(self.host_cpus as u64)),
-            (
-                "note",
-                Json::str(
-                    "entries with comparable=false used more workers than host CPUs and only \
-                     time-slice one core; judge scaling on comparable entries",
-                ),
-            ),
-            ("workers", Json::Arr(scaling.collect())),
-            (
-                "cache",
-                json_obj([
-                    ("workers", workers.clone()),
-                    ("cold_seconds", json_rounded(self.cold_seconds, 6)),
-                    ("warm_seconds", json_rounded(self.warm_seconds, 6)),
-                    (
-                        "speedup",
-                        json_rounded(self.cold_seconds / self.warm_seconds, 1),
-                    ),
-                    ("warm_cache_hits", Json::UInt(self.warm_cache_hits)),
-                ]),
-            ),
-            (
-                "supervision",
-                json_obj([
-                    ("workers", workers),
-                    ("relaxed_seconds", json_rounded(self.relaxed_seconds, 6)),
-                    (
-                        "supervised_seconds",
-                        json_rounded(self.supervised_seconds, 6),
-                    ),
-                    ("overhead_percent", json_rounded(overhead_percent, 2)),
-                    ("budget_percent", Json::Float(5.0)),
-                ]),
-            ),
-        ])
-    }
-}
-
-fn bench(rest: &[String]) {
-    let mut out_path = PathBuf::from("BENCH_campaignd.json");
-    let mut iter = rest.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--bench-json" => match iter.next() {
-                Some(path) => out_path = PathBuf::from(path),
-                None => die("--bench-json needs a path"),
-            },
-            other => die(&format!("unknown argument {other}")),
-        }
-    }
-
-    let host_cpus = tta_base::default_threads();
-    let spec = bench_spec();
-    let scratch = std::env::temp_dir().join(format!("campaignd-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    eprintln!(
-        "campaign-service throughput: 64 trials, sos_sender, watchdog:8 ({host_cpus} host CPUs)"
-    );
-
-    // Cold-state scaling: a fresh daemon (empty journal dir, empty
-    // cache) per worker count, so every trial is computed.
-    let mut scaling = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let daemon = BenchDaemon::spawn(scratch.join(format!("w{workers}")), workers);
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let start = Instant::now();
-        let result = daemon
-            .client()
-            .submit_resilient(
-                &spec,
-                Some(workers),
-                &ReconnectPolicy::default(),
-                &mut |_| {},
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: bench submit failed: {e}");
-                std::process::exit(1);
-            });
-        let seconds = start.elapsed().as_secs_f64();
-        assert_eq!(
-            result.stats.cache_hits, 0,
-            "cold run must compute every trial"
-        );
-        let rate = f64::from(spec.trials) / seconds;
-        let comparable = workers <= host_cpus;
-        eprintln!(
-            "  workers {workers}: {seconds:.3} s, {rate:.0} trials/s{}",
-            if comparable { "" } else { " (oversubscribed)" }
-        );
-        scaling.push((workers, seconds));
-    }
-
-    // Warm vs. cold cache on one daemon: submit cold, delete the
-    // journal so a resubmit cannot just resume, submit again — every
-    // trial should come from the result cache.
-    let warm_workers = 4.min(host_cpus).max(1);
-    let daemon = BenchDaemon::spawn(scratch.join("warm"), warm_workers);
-    let client = daemon.client();
-    // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-    let start = Instant::now();
-    let cold = client
-        .submit_resilient(
-            &spec,
-            Some(warm_workers),
-            &ReconnectPolicy::default(),
-            &mut |_| {},
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: bench submit failed: {e}");
-            std::process::exit(1);
-        });
-    let cold_seconds = start.elapsed().as_secs_f64();
-    std::fs::remove_dir_all(daemon.state_dir.join("jobs")).unwrap_or_else(|e| {
-        eprintln!("error: cannot clear journals: {e}");
-        std::process::exit(1);
-    });
-    // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-    let start = Instant::now();
-    let warm = client
-        .submit_resilient(
-            &spec,
-            Some(warm_workers),
-            &ReconnectPolicy::default(),
-            &mut |_| {},
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("error: bench submit failed: {e}");
-            std::process::exit(1);
-        });
-    let warm_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(
-        u32::try_from(warm.stats.cache_hits).ok(),
-        Some(spec.trials),
-        "warm run must hit cache for every trial"
-    );
-    assert_eq!(cold.trials, warm.trials, "cache must not change results");
-    eprintln!(
-        "  cache ({warm_workers} workers): cold {cold_seconds:.3} s, warm {warm_seconds:.3} s \
-         ({:.1}x)",
-        cold_seconds / warm_seconds
-    );
-    drop(daemon);
-
-    // Supervision overhead: the same cold sweep with the supervisor
-    // effectively asleep (5 s scan tick, one-hour trial deadline — it
-    // never fires) vs the default tick. The delta bounds what
-    // per-trial sandboxing plus lease/deadline scanning cost a healthy
-    // run; the robustness budget is ≤5%. Each config is timed
-    // best-of-3 on a fresh cold daemon — single ~30 ms sweeps are
-    // dominated by scheduler noise otherwise.
-    let mut relaxed_seconds = f64::INFINITY;
-    let mut supervised_seconds = f64::INFINITY;
-    for round in 0..3 {
-        let relaxed_daemon = BenchDaemon::spawn_cfg(
-            scratch.join(format!("sup-relaxed-{round}")),
-            warm_workers,
-            |config| {
-                config.supervision.tick = std::time::Duration::from_secs(5);
-                config.supervision.trial_deadline = std::time::Duration::from_secs(3600);
-            },
-        );
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let start = Instant::now();
-        relaxed_daemon
-            .client()
-            .submit_resilient(
-                &spec,
-                Some(warm_workers),
-                &ReconnectPolicy::default(),
-                &mut |_| {},
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: bench submit failed: {e}");
-                std::process::exit(1);
-            });
-        relaxed_seconds = relaxed_seconds.min(start.elapsed().as_secs_f64());
-        drop(relaxed_daemon);
-        let supervised_daemon =
-            BenchDaemon::spawn(scratch.join(format!("sup-default-{round}")), warm_workers);
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let start = Instant::now();
-        supervised_daemon
-            .client()
-            .submit_resilient(
-                &spec,
-                Some(warm_workers),
-                &ReconnectPolicy::default(),
-                &mut |_| {},
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("error: bench submit failed: {e}");
-                std::process::exit(1);
-            });
-        supervised_seconds = supervised_seconds.min(start.elapsed().as_secs_f64());
-        drop(supervised_daemon);
-    }
-    let overhead_percent = (supervised_seconds / relaxed_seconds - 1.0) * 100.0;
-    eprintln!(
-        "  supervision ({warm_workers} workers): relaxed {relaxed_seconds:.3} s, \
-         supervised {supervised_seconds:.3} s ({overhead_percent:+.1}%)"
-    );
-
-    let run = BenchRun {
-        host_cpus,
-        trials: spec.trials,
-        scaling,
-        workers: warm_workers,
-        cold_seconds,
-        warm_seconds,
-        warm_cache_hits: warm.stats.cache_hits,
-        relaxed_seconds,
-        supervised_seconds,
-    };
-    std::fs::write(&out_path, run.to_json().render_pretty()).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", out_path.display());
-        std::process::exit(1);
-    });
-    eprintln!("wrote {}", out_path.display());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn keys(value: &Json) -> Vec<&str> {
-        match value {
-            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-            other => panic!("not an object: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bench_snapshot_parses_back_with_the_hand_formatted_keys() {
-        let run = BenchRun {
-            host_cpus: 2,
-            trials: 64,
-            scaling: vec![(1, 0.04), (2, 0.025), (4, 0.02), (8, 0.02)],
-            workers: 2,
-            cold_seconds: 0.03,
-            warm_seconds: 0.006,
-            warm_cache_hits: 64,
-            relaxed_seconds: 0.03,
-            supervised_seconds: 0.03036,
-        };
-        let parsed = Json::parse(&run.to_json().render_pretty()).expect("valid JSON");
-        assert_eq!(
-            keys(&parsed),
-            [
-                "snapshot",
-                "job",
-                "host_cpus",
-                "note",
-                "workers",
-                "cache",
-                "supervision"
-            ]
-        );
-        let rows = parsed.get("workers").and_then(Json::as_arr).expect("rows");
-        assert_eq!(rows.len(), 4);
-        for row in rows {
-            assert_eq!(
-                keys(row),
-                [
-                    "workers",
-                    "seconds",
-                    "trials_per_second",
-                    "speedup_vs_1",
-                    "comparable"
-                ]
-            );
-        }
-        assert_eq!(rows[0].get("trials_per_second"), Some(&Json::UInt(1600)));
-        assert_eq!(rows[1].get("speedup_vs_1"), Some(&Json::Float(1.6)));
-        assert_eq!(rows[2].get("comparable"), Some(&Json::Bool(false)));
-        let cache = parsed.get("cache").expect("cache");
-        assert_eq!(
-            keys(cache),
-            [
-                "workers",
-                "cold_seconds",
-                "warm_seconds",
-                "speedup",
-                "warm_cache_hits"
-            ]
-        );
-        assert_eq!(cache.get("speedup"), Some(&Json::UInt(5)));
-        let supervision = parsed.get("supervision").expect("supervision");
-        assert_eq!(
-            keys(supervision),
-            [
-                "workers",
-                "relaxed_seconds",
-                "supervised_seconds",
-                "overhead_percent",
-                "budget_percent"
-            ]
-        );
-        assert_eq!(supervision.get("overhead_percent"), Some(&Json::Float(1.2)));
     }
 }

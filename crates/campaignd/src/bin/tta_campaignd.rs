@@ -13,20 +13,19 @@
 //! journals, new submissions are refused with a retryable error, and
 //! the process exits once the last job has wound down. `--chaos`
 //! arms deterministic failure injection (see [`ChaosPlan`]) for the
-//! self-fault-tolerance test matrix. `--crash-after-chunks N` aborts
-//! the process (a power-cut stand-in) right after the batch commit
-//! that journals the Nth chunk; that batch may journal more than N.
+//! self-fault-tolerance test matrix; `--chaos kill=N` aborts the
+//! process (a power-cut stand-in) right after the batch commit that
+//! journals the Nth chunk, and that batch may journal more than N.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use tta_campaignd::chaos::ChaosPlan;
 use tta_campaignd::client::Client;
-use tta_campaignd::runner::CrashPlan;
 use tta_campaignd::server::{Server, ServerConfig};
 
 const USAGE: &str = "tta_campaignd [--state-dir DIR] [--socket PATH] [--workers N] \
-                     [--base-dir DIR] [--crash-after-chunks N] [--chaos SPEC] \
+                     [--base-dir DIR] [--chaos SPEC] \
                      [--trial-deadline-ms N] [--retry-backoff-ms N]";
 
 fn die(why: &str) -> ! {
@@ -69,7 +68,6 @@ fn main() {
     let mut socket: Option<PathBuf> = None;
     let mut workers: Option<usize> = None;
     let mut base_dir: Option<PathBuf> = None;
-    let mut crash = CrashPlan::default();
     let mut chaos = ChaosPlan::default();
     let mut trial_deadline: Option<Duration> = None;
     let mut retry_backoff: Option<Duration> = None;
@@ -92,17 +90,6 @@ fn main() {
             "--base-dir" => match iter.next() {
                 Some(dir) => base_dir = Some(PathBuf::from(dir)),
                 None => die("--base-dir needs a directory"),
-            },
-            "--crash-after-chunks" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    crash = CrashPlan {
-                        crash_after_chunks: Some(n),
-                    };
-                }
-                None => die(
-                    "--crash-after-chunks needs an integer (abort after the commit \
-                     that journals that many chunks)",
-                ),
             },
             "--chaos" => match iter.next() {
                 Some(spec) => match ChaosPlan::parse(&spec) {
@@ -133,7 +120,6 @@ fn main() {
     if let Some(base_dir) = base_dir {
         config.base_dir = base_dir;
     }
-    config.crash = crash;
     config.chaos = chaos;
     if let Some(deadline) = trial_deadline {
         config.supervision.trial_deadline = deadline;

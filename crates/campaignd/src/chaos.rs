@@ -25,9 +25,10 @@
 //! * `drop=N`    — the daemon severs the submit connection after
 //!   streaming the chunk that carries the Nth trial line (once per
 //!   process); a resilient client reconnects and resumes.
-//! * `kill=N`    — the daemon aborts after the batch commit that
-//!   journals the Nth chunk (the kill-at-random-chunk hook; same
-//!   stand-in as `--crash-after-chunks`).
+//! * `kill=N`    — the daemon aborts (`std::process::abort`, a
+//!   power-cut stand-in) after the batch commit that journals the Nth
+//!   chunk, counted per process across jobs; that batch may journal
+//!   more than N chunks, all of which a resume replays.
 //! * `poison=I`  — trial I panics on *every* attempt: the retry budget
 //!   burns out and the trial is deterministically quarantined.
 //! * `hang=I`    — trial I stalls past the deadline on every attempt:
@@ -49,7 +50,7 @@ pub struct ChaosPlan {
     /// many streamed trial lines (once per daemon process).
     pub drop_after: Option<u64>,
     /// Abort the process after the batch commit that journals this
-    /// many chunks.
+    /// many chunks (counted per process, across jobs).
     pub kill_after_chunks: Option<u64>,
     /// Trial that panics on every attempt (deterministic quarantine).
     pub poison_trial: Option<u32>,

@@ -218,20 +218,6 @@ impl RunOutcome {
     }
 }
 
-/// Debug crash hook: makes the daemon abort itself once a fixed number
-/// of chunks is journaled, for exercising kill-and-resume in tests and
-/// CI without racing an external `SIGKILL`.
-///
-/// The emitter journals finished chunks in batches, so the abort comes
-/// right after the batch commit that makes the Nth chunk durable; that
-/// batch may hold more than N chunks, all of which a resume replays.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CrashPlan {
-    /// Abort the process after the batch commit that journals this
-    /// many chunks (counted per process, across jobs).
-    pub crash_after_chunks: Option<u64>,
-}
-
 /// Everything configuring one run besides the job itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunConfig {
@@ -240,10 +226,9 @@ pub struct RunConfig {
     /// Supervision parameters (`..Default::default()` for the stock
     /// budget).
     pub supervision: Supervision,
-    /// Failure injection (default: none).
+    /// Failure injection (default: none); `kill=N` is the
+    /// kill-and-resume hook.
     pub chaos: ChaosPlan,
-    /// Debug crash hook.
-    pub crash: CrashPlan,
 }
 
 impl RunConfig {
@@ -258,13 +243,13 @@ impl RunConfig {
 }
 
 /// Control and observation handles a host wires into one run: the
-/// process-wide journaled-chunk counter (the crash hook's clock), the
+/// process-wide journaled-chunk counter (the `kill=N` hook's clock), the
 /// cancellation flag, and optional live progress for the `status` op.
 #[derive(Debug, Clone, Copy)]
 pub struct RunHandles<'a> {
-    /// Chunks journaled across the whole process, fed to the crash
+    /// Chunks journaled across the whole process, fed to the `kill=N`
     /// hook. Relaxed: a monotone counter whose exact interleaving with
-    /// other writers is immaterial — the crash hook only wants "about
+    /// other writers is immaterial — the hook only wants "about
     /// the Nth chunk".
     pub appends_so_far: &'a AtomicU64,
     /// Set to stop workers at the next chunk (lease) boundary.
@@ -575,7 +560,7 @@ pub fn run(
 
         // The emitter: commit each batch of finished chunks, then stream
         // every chunk that is next in index order, until the run
-        // completes or the pool empties out (cancel / crash budget /
+        // completes or the pool empties out (cancel / kill hook /
         // I/O error).
         let mut emitted: Vec<TrialVerdict> = Vec::with_capacity(total as usize);
         let mut next: u32 = 0;
@@ -700,7 +685,7 @@ fn worker_loop(ctx: &RunCtx<'_>, slot: usize) {
 
 /// Makes one batch of finished chunks durable — every fresh cache entry
 /// with one `insert_batch`, every record with one `append_batch`, one
-/// `sync_data` each — then counts each chunk (the crash hook among the
+/// `sync_data` each — then counts each chunk (the `kill=N` hook among the
 /// counters) and files it in the reorder buffer. Only the emitter
 /// calls this, so it is the run's one writer to disk.
 fn commit_batch(
@@ -720,14 +705,10 @@ fn commit_batch(
     }
     ctx.cache.insert_batch(&fresh)?;
     journal.append_batch(&records)?;
-    let crash_at = ctx
-        .config
-        .crash
-        .crash_after_chunks
-        .or(ctx.config.chaos.kill_after_chunks);
+    let kill_at = ctx.config.chaos.kill_after_chunks;
     for record in records {
         let done = appends_so_far.fetch_add(1, Ordering::Relaxed) + 1;
-        if crash_at.is_some_and(|n| done >= n) {
+        if kill_at.is_some_and(|n| done >= n) {
             // The whole point: die *after* the checkpoint hit disk,
             // with no unwind, like a power cut.
             std::process::abort();

@@ -34,9 +34,7 @@ use crate::protocol::{
     accepted_line, error_line, ok_line, parse_request, retryable_error_line, stats_line,
     status_line, summary_line, trial_line, JobStatus, Request,
 };
-use crate::runner::{
-    run, CrashPlan, JobProgress, RunConfig, RunHandles, Supervision, TrialVerdict,
-};
+use crate::runner::{run, JobProgress, RunConfig, RunHandles, Supervision, TrialVerdict};
 use crate::spec::ResolvedJob;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -65,8 +63,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Base directory against which relative scenario paths resolve.
     pub base_dir: PathBuf,
-    /// Debug crash hook (`--crash-after-chunks`).
-    pub crash: CrashPlan,
     /// Trial supervision parameters (`--trial-deadline-ms`, retry
     /// budget).
     pub supervision: Supervision,
@@ -84,7 +80,6 @@ impl ServerConfig {
             state_dir: state_dir.to_path_buf(),
             workers: tta_base::default_threads(),
             base_dir: std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")),
-            crash: CrashPlan::default(),
             supervision: Supervision::default(),
             chaos: ChaosPlan::default(),
         }
@@ -440,7 +435,6 @@ fn stream_job(
         workers: workers.unwrap_or(state.config.workers),
         supervision: state.config.supervision,
         chaos: state.config.chaos,
-        crash: state.config.crash,
     };
     // A client hangup (or daemon shutdown/drain) cancels at the next
     // chunk boundary; journaled chunks survive for the resume.

@@ -47,6 +47,12 @@ fn bad(message: impl Into<String>) -> SpecError {
     SpecError(message.into())
 }
 
+/// The most trials one job may ask for: 2^20, 128× the 8,192-trial
+/// sweeps the repository benchmark runs. A sweep's verdicts and chunk
+/// list are held in memory, so an unbounded count would let one
+/// request abort the daemon on allocation.
+pub const MAX_TRIALS: u32 = 1 << 20;
+
 /// Where a job's fault scenario comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioSource {
@@ -172,7 +178,10 @@ impl JobSpec {
             let trials = v
                 .as_u64()
                 .ok_or_else(|| bad("\"trials\" must be an integer"))?;
-            spec.trials = u32::try_from(trials).map_err(|_| bad("\"trials\" too large"))?;
+            spec.trials = u32::try_from(trials)
+                .ok()
+                .filter(|&t| t <= MAX_TRIALS)
+                .ok_or_else(|| bad(format!("\"trials\" must be at most {MAX_TRIALS}")))?;
         }
         if let Some(v) = value.get("slots") {
             spec.slots = v
@@ -833,6 +842,33 @@ mod tests {
             ..spec
         };
         assert_eq!(JobSpec::from_json(&retry.to_json()).unwrap(), retry);
+    }
+
+    #[test]
+    fn trial_counts_above_the_cap_are_rejected_naming_it() {
+        let with_trials = |trials: u64| {
+            let mut wire = sample_spec().to_json();
+            if let Json::Obj(fields) = &mut wire {
+                for (key, value) in fields.iter_mut() {
+                    if key == "trials" {
+                        *value = Json::UInt(trials);
+                    }
+                }
+            }
+            JobSpec::from_json(&wire)
+        };
+        assert_eq!(
+            with_trials(u64::from(MAX_TRIALS)).unwrap().trials,
+            MAX_TRIALS
+        );
+        for trials in [
+            u64::from(MAX_TRIALS) + 1,
+            u64::from(u32::MAX),
+            u64::from(u32::MAX) + 1,
+        ] {
+            let error = with_trials(trials).expect_err("above the cap");
+            assert!(error.0.contains("1048576"), "{trials}: {}", error.0);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Hostile input at the request boundary, through an in-process daemon:
-//! an over-long request line is refused with an error naming the limit,
+//! an over-long request line and a submit asking for more trials than
+//! the daemon takes are refused with errors naming their limits,
 //! garbage is answered or dropped, and the daemon keeps serving — the
 //! next valid job streams exactly the bytes a fresh daemon streams.
 
@@ -9,7 +10,7 @@ use std::path::{Path, PathBuf};
 use tta_campaignd::client::Client;
 use tta_campaignd::json::Json;
 use tta_campaignd::server::{Server, ServerConfig, ServerHandle, MAX_REQUEST_BYTES};
-use tta_campaignd::spec::{JobSpec, ScenarioSource};
+use tta_campaignd::spec::{JobSpec, ScenarioSource, MAX_TRIALS};
 use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
 use tta_sim::{Scenario, Topology};
@@ -91,6 +92,20 @@ fn over_long_and_garbage_requests_leave_the_daemon_serving() {
     let answer = send_raw(handle.socket(), b"{\"op\":\"submit\",\"spec\":[}\n");
     assert!(answer.starts_with(r#"{"type":"error""#), "{answer}");
     send_raw(handle.socket(), &[0xff, 0xfe, b'{', 0x80, b'\n']);
+
+    // A submit asking for u32::MAX trials: refused with the cap, where
+    // it used to abort the daemon allocating the sweep's verdicts.
+    let answer = send_raw(
+        handle.socket(),
+        b"{\"op\":\"submit\",\"spec\":{\"scenario\":\"sos_sender\",\"trials\":4294967295}}\n",
+    );
+    let error = Json::parse(answer.trim_end()).expect("one error line");
+    assert_eq!(error.get("type").and_then(Json::as_str), Some("error"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains(&MAX_TRIALS.to_string()),
+        "the error names the cap: {message}"
+    );
 
     assert!(client.ping(), "the daemon still answers ping");
     assert_eq!(

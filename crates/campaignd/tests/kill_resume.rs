@@ -53,7 +53,7 @@ impl Daemon {
         let _ = self.child.wait();
     }
 
-    /// Waits for the daemon to die on its own (the crash hook).
+    /// Waits for the daemon to die on its own (the `kill=N` hook).
     fn reap(mut self) {
         let _ = self.child.wait();
     }
@@ -91,7 +91,7 @@ fn a_killed_sweep_resumes_to_the_exact_uninterrupted_bytes() {
 
         // A daemon armed to abort after the second journal append dies
         // mid-sweep; the client sees a truncated stream.
-        let doomed = Daemon::start(&dir, &["--crash-after-chunks", "2"]);
+        let doomed = Daemon::start(&dir, &["--chaos", "kill=2"]);
         let error = doomed
             .client
             .submit(&job(), workers, &mut |_| {})

@@ -1,5 +1,5 @@
 //! Client-side resilience, end to end: a daemon that dies mid-stream
-//! (the `--crash-after-chunks` power-cut hook) takes the connection
+//! (the `--chaos kill=2` power-cut hook) takes the connection
 //! with it; `submit_resilient` backs off, reconnects to the restarted
 //! daemon, resumes the job from its journal, and hands the caller the
 //! exact byte stream an uninterrupted daemon would have produced —
@@ -66,7 +66,7 @@ fn a_client_rides_out_a_daemon_restart_and_assembles_the_clean_bytes() {
 
     // A doomed daemon aborts after journaling two chunks, mid-stream.
     let dir = scratch("crash");
-    let (doomed, _) = start_daemon(&dir, &["--crash-after-chunks", "2"]);
+    let (doomed, _) = start_daemon(&dir, &["--chaos", "kill=2"]);
 
     // The resilient submit runs concurrently with the crash + restart;
     // give it enough patience to cover the restart below.

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod analyze;
 mod compact;
 mod config;
 mod model;
@@ -50,7 +49,6 @@ mod narrate;
 mod state;
 mod verify;
 
-pub use analyze::{analyze_reachable, ReachableSummary};
 pub use compact::{ClusterCodec, CompactState};
 pub use config::{ClusterConfig, FaultBudget};
 pub use model::{ClusterModel, StepInfo, REPLAY_COUNTER_CAP};

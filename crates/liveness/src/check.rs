@@ -36,7 +36,6 @@
 //! same at any thread count.
 
 use crate::bits::Bits;
-use crate::fairness::FairAction;
 use crate::graph::{FairGraph, Topology};
 use crate::lasso::Lasso;
 use crate::property::{Property, StatePredicate};
@@ -44,7 +43,7 @@ use crate::scc::{tarjan_in, NO_COMPONENT};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use tta_base::map_chunks;
-use tta_modelcheck::{StateCodec, TransitionSystem, Verdict, DEFAULT_MAX_STATES};
+use tta_modelcheck::{StateCodec, Verdict};
 
 /// Marks an unset parent link in the searches' scratch arrays.
 const UNSET: u32 = u32::MAX;
@@ -82,55 +81,6 @@ pub struct LivenessOutcome<S> {
     pub lasso: Option<Lasso<S>>,
     /// Analysis statistics.
     pub stats: LivenessStats,
-}
-
-/// One-call liveness checking: build the fair graph, check one
-/// property. For several properties over one system, build a
-/// [`FairGraph`] once and call [`FairGraph::check_all`].
-#[derive(Debug, Clone, Copy)]
-pub struct LivenessChecker {
-    max_states: u64,
-}
-
-impl Default for LivenessChecker {
-    fn default() -> Self {
-        LivenessChecker::new()
-    }
-}
-
-impl LivenessChecker {
-    /// A checker with the default state budget
-    /// ([`DEFAULT_MAX_STATES`]).
-    #[must_use]
-    pub fn new() -> Self {
-        LivenessChecker {
-            max_states: DEFAULT_MAX_STATES,
-        }
-    }
-
-    /// Caps the number of distinct states kept in the graph.
-    #[must_use]
-    pub fn max_states(mut self, max_states: u64) -> Self {
-        self.max_states = max_states;
-        self
-    }
-
-    /// Builds the graph and checks `property` under `fairness`.
-    #[must_use]
-    pub fn check<T, C>(
-        &self,
-        system: &T,
-        codec: &C,
-        fairness: &[FairAction<C::State>],
-        property: &Property<C::State>,
-    ) -> LivenessOutcome<C::State>
-    where
-        C: StateCodec + Sync,
-        C::Encoded: Send + Sync,
-        T: TransitionSystem<State = C::State> + Sync,
-    {
-        FairGraph::build(system, codec, fairness, self.max_states).check(property)
-    }
 }
 
 /// One property's search, over atom indices into the label pass's
@@ -617,10 +567,37 @@ impl Topology<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fairness::FairAction;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use tta_modelcheck::IdentityCodec;
+    use tta_modelcheck::{IdentityCodec, TransitionSystem, DEFAULT_MAX_STATES};
 
     static CODEC: IdentityCodec<u32> = IdentityCodec::new();
+
+    /// Builds `system`'s fair graph under `fairness`, keeping at most
+    /// `max_states` states, and checks `property` on it.
+    fn check_within<T>(
+        max_states: u64,
+        system: &T,
+        fairness: &[FairAction<u32>],
+        property: &Property<u32>,
+    ) -> LivenessOutcome<u32>
+    where
+        T: TransitionSystem<State = u32> + Sync,
+    {
+        FairGraph::build(system, &CODEC, fairness, max_states).check(property)
+    }
+
+    /// [`check_within`] at the default state budget.
+    fn check<T>(
+        system: &T,
+        fairness: &[FairAction<u32>],
+        property: &Property<u32>,
+    ) -> LivenessOutcome<u32>
+    where
+        T: TransitionSystem<State = u32> + Sync,
+    {
+        check_within(DEFAULT_MAX_STATES, system, fairness, property)
+    }
 
     /// A counter that may stall: `s < 3` offers {stay, advance}; 3 loops.
     struct LazyCounter;
@@ -644,9 +621,8 @@ mod tests {
 
     #[test]
     fn eventually_fails_without_fairness() {
-        let out = LivenessChecker::new().check(
+        let out = check(
             &LazyCounter,
-            &CODEC,
             &[],
             &Property::eventually("reached 3", |s| *s == 3),
         );
@@ -659,9 +635,8 @@ mod tests {
 
     #[test]
     fn eventually_holds_under_weak_fairness() {
-        let out = LivenessChecker::new().check(
+        let out = check(
             &LazyCounter,
-            &CODEC,
             &[advance()],
             &Property::eventually("reached 3", |s| *s == 3),
         );
@@ -675,9 +650,8 @@ mod tests {
 
     #[test]
     fn always_violation_comes_back_as_a_lasso() {
-        let out = LivenessChecker::new().check(
+        let out = check(
             &LazyCounter,
-            &CODEC,
             &[advance()],
             &Property::always("below 2", |s| *s < 2),
         );
@@ -708,7 +682,7 @@ mod tests {
     fn leads_to_depends_on_fairness_of_the_server() {
         let serve = FairAction::new("serve", |a: &u32, b: &u32| *a == 1 && *b == 2);
         let property = Property::leads_to("requested", |s| *s == 1, "served", |s| *s == 2);
-        let unfair = LivenessChecker::new().check(&ReqServe, &CODEC, &[], &property);
+        let unfair = check(&ReqServe, &[], &property);
         assert_eq!(unfair.verdict, Verdict::Violated);
         let lasso = unfair.lasso.unwrap();
         // The violating cycle stalls in the requested state; the stem
@@ -716,7 +690,7 @@ mod tests {
         assert!(lasso.cycle().iter().all(|s| *s == 1));
         assert_eq!(lasso.stem(), [0]);
 
-        let fair = LivenessChecker::new().check(&ReqServe, &CODEC, &[serve], &property);
+        let fair = check(&ReqServe, &[serve], &property);
         assert_eq!(fair.verdict, Verdict::Holds);
     }
 
@@ -738,9 +712,8 @@ mod tests {
                 }
             }
         }
-        let out = LivenessChecker::new().check(
+        let out = check(
             &Escape,
-            &CODEC,
             &[],
             &Property::always_eventually("at origin", |s| *s == 0),
         );
@@ -766,9 +739,8 @@ mod tests {
                 }
             }
         }
-        let out = LivenessChecker::new().check(
+        let out = check(
             &Stops,
-            &CODEC,
             &[advance()],
             &Property::eventually("reached 2", |s| *s == 2),
         );
@@ -794,9 +766,9 @@ mod tests {
 
     #[test]
     fn truncation_downgrades_holds_to_budget_exhausted() {
-        let out = LivenessChecker::new().max_states(10).check(
+        let out = check_within(
+            10,
             &Unbounded,
-            &CODEC,
             &[],
             &Property::eventually("reached 1000", |s| *s == 1000),
         );
@@ -812,9 +784,9 @@ mod tests {
         // was dropped by the budget, so the frontier state has no
         // stored outgoing edge. The checker must return the sound
         // Violated verdict with a stutter cycle there, not panic.
-        let out = LivenessChecker::new().max_states(10).check(
+        let out = check_within(
+            10,
             &Unbounded,
-            &CODEC,
             &[],
             &Property::always("below 5", |s| *s < 5),
         );
@@ -830,9 +802,9 @@ mod tests {
     fn violations_on_truncated_graphs_stay_sound() {
         // The stall cycle at 0 is inside any budget; truncation must not
         // block the (sound) violation verdict.
-        let out = LivenessChecker::new().max_states(2).check(
+        let out = check_within(
+            2,
             &LazyCounter,
-            &CODEC,
             &[],
             &Property::eventually("reached 3", |s| *s == 3),
         );
@@ -862,9 +834,8 @@ mod tests {
         }
         let set_lo = FairAction::new("set lo", |a: &u32, b: &u32| a & 1 == 0 && b & 1 != 0);
         let set_hi = FairAction::new("set hi", |a: &u32, b: &u32| a & 2 == 0 && b & 2 != 0);
-        let out = LivenessChecker::new().check(
+        let out = check(
             &TwoBits,
-            &CODEC,
             &[set_lo, set_hi],
             &Property::always_eventually("origin", |s| *s == 0),
         );

@@ -30,8 +30,8 @@
 //! # Example
 //!
 //! ```
-//! use tta_liveness::{FairAction, LivenessChecker, Property};
-//! use tta_modelcheck::{IdentityCodec, TransitionSystem, Verdict};
+//! use tta_liveness::{FairAction, FairGraph, Property};
+//! use tta_modelcheck::{IdentityCodec, TransitionSystem, Verdict, DEFAULT_MAX_STATES};
 //!
 //! /// A task that may procrastinate forever: {stay, finish}.
 //! struct Task;
@@ -47,13 +47,13 @@
 //! let done = Property::eventually("done", |s: &u32| *s == 1);
 //!
 //! // Without fairness the task may stall forever: a lasso shows it.
-//! let unfair = LivenessChecker::new().check(&Task, &codec, &[], &done);
+//! let unfair = FairGraph::build(&Task, &codec, &[], DEFAULT_MAX_STATES).check(&done);
 //! assert_eq!(unfair.verdict, Verdict::Violated);
 //! assert_eq!(unfair.lasso.unwrap().cycle(), [0]);
 //!
 //! // Weak fairness on "finish" forbids the infinite stall.
 //! let finish = FairAction::new("finish", |a: &u32, b: &u32| *a == 0 && *b == 1);
-//! let fair = LivenessChecker::new().check(&Task, &codec, &[finish], &done);
+//! let fair = FairGraph::build(&Task, &codec, &[finish], DEFAULT_MAX_STATES).check(&done);
 //! assert_eq!(fair.verdict, Verdict::Holds);
 //! ```
 
@@ -69,7 +69,7 @@ mod lasso;
 mod property;
 mod scc;
 
-pub use check::{LivenessChecker, LivenessOutcome, LivenessStats};
+pub use check::{LivenessOutcome, LivenessStats};
 pub use fairness::{FairAction, MAX_FAIR_ACTIONS};
 pub use graph::{ActionUsage, FairGraph};
 pub use lasso::Lasso;

@@ -4,8 +4,8 @@
 //! structurally (real edges, restriction respected, fairness witnessed).
 
 use proptest::prelude::*;
-use tta_liveness::{strongly_connected_components, FairAction, LivenessChecker, Property, Verdict};
-use tta_modelcheck::{IdentityCodec, TransitionSystem};
+use tta_liveness::{strongly_connected_components, FairAction, FairGraph, Property, Verdict};
+use tta_modelcheck::{IdentityCodec, TransitionSystem, DEFAULT_MAX_STATES};
 
 /// A random digraph over `0..n` as adjacency lists.
 #[derive(Debug, Clone)]
@@ -188,12 +188,8 @@ proptest! {
     fn eventually_agrees_with_reference(graph in arb_graph(32), target_seed in 0u32..32) {
         let target = target_seed % graph.edges.len() as u32;
         let codec = IdentityCodec::new();
-        let out = LivenessChecker::new().check(
-            &graph,
-            &codec,
-            &[],
-            &Property::eventually("target", move |s: &u32| *s == target),
-        );
+        let out = FairGraph::build(&graph, &codec, &[], DEFAULT_MAX_STATES)
+            .check(&Property::eventually("target", move |s: &u32| *s == target));
         let expected = reference_eventually_violated(&graph, target);
         prop_assert_eq!(out.verdict == Verdict::Violated, expected);
         if let Some(lasso) = out.lasso {
@@ -217,12 +213,8 @@ proptest! {
         // Action: "move past the pivot" — any edge into a state > pivot.
         let action = FairAction::new("beyond pivot", move |_: &u32, b: &u32| *b > pivot);
         let codec = IdentityCodec::new();
-        let out = LivenessChecker::new().check(
-            &graph,
-            &codec,
-            &[action],
-            &Property::always_eventually("at zero", |s: &u32| *s == 0),
-        );
+        let out = FairGraph::build(&graph, &codec, &[action], DEFAULT_MAX_STATES)
+            .check(&Property::always_eventually("at zero", |s: &u32| *s == 0));
         if let Some(lasso) = out.lasso {
             let disabled = |s: u32| !graph.edges[s as usize].iter().any(|&b| b > pivot);
             let cycle = lasso.cycle();

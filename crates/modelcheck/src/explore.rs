@@ -282,15 +282,6 @@ impl Explorer {
         self.check_in(system, codec, &invariant, &mut DeltaArena::new())
     }
 
-    /// Counts the reachable state space without checking a property.
-    pub fn count_reachable<T>(&self, system: &T) -> ExploreStats
-    where
-        T: TransitionSystem + Sync,
-        T::State: Send + Sync,
-    {
-        self.check(system, |_: &T::State| true).stats
-    }
-
     /// Reachability query (`EF p`): finds a reachable state satisfying
     /// `predicate` and returns the shortest witness path to it, or `None`
     /// if no reachable state satisfies it within the budget.
@@ -1004,13 +995,6 @@ mod tests {
         assert_eq!(outcome.verdict, Verdict::Holds);
         assert_eq!(outcome.stats.states_explored, 1);
         assert_eq!(outcome.stats.frontier_peak, 1);
-    }
-
-    #[test]
-    fn count_reachable_reports_stats() {
-        let stats = Explorer::new().count_reachable(&Grid { bound: 4 });
-        assert_eq!(stats.states_explored, 25);
-        assert!(stats.transitions >= 24);
     }
 
     /// A bit-packing codec must agree with the identity codec on
