@@ -49,7 +49,7 @@ const CACHE_LINE: &str = concat!(
 );
 /// Entries in the timed cache log: one 8,192-trial sweep.
 const CACHE_ENTRIES: u32 = 8192;
-/// Trials per timed daemon sweep: 128 journal chunks.
+/// Trials per timed daemon sweep: 128 chunks.
 const DAEMON_TRIALS: u32 = 1024;
 
 fn main() {

@@ -2,20 +2,20 @@
 //! daemon.
 //!
 //! Listens on a Unix socket, shards submitted campaign sweeps across a
-//! worker pool, streams per-trial results back as NDJSON, checkpoints
-//! completed chunks to an append-only journal (a killed daemon resumes
-//! without redoing work), and memoizes trials in a content-addressed
-//! result cache. See `crates/campaignd/src/lib.rs` for the determinism
-//! invariant and DESIGN.md § "Campaign service" for the protocol.
+//! worker pool, streams per-trial results back as NDJSON, and records
+//! every trial in a content-addressed result cache (a quarantined one in
+//! its job's journal), so a killed daemon resumes without redoing work.
+//! See `crates/campaignd/src/lib.rs` for the determinism invariant and
+//! DESIGN.md § "Campaign service" for the protocol.
 //!
 //! SIGTERM (and SIGINT) trigger a graceful *drain*, not an abrupt exit:
-//! running jobs finish their leased chunks and checkpoint their
-//! journals, new submissions are refused with a retryable error, and
-//! the process exits once the last job has wound down. `--chaos`
-//! arms deterministic failure injection (see [`ChaosPlan`]) for the
-//! self-fault-tolerance test matrix; `--chaos kill=N` aborts the
-//! process (a power-cut stand-in) right after the batch commit that
-//! journals the Nth chunk, and that batch may journal more than N.
+//! running jobs finish and commit their leased chunks, new submissions
+//! are refused with a retryable error, and the process exits once the
+//! last job has wound down. `--chaos` arms deterministic failure
+//! injection (see [`ChaosPlan`]) for the self-fault-tolerance test
+//! matrix; `--chaos kill=N` aborts the process (a power-cut stand-in)
+//! right after the batch commit that makes the Nth chunk durable, and
+//! that batch may commit more than N.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};

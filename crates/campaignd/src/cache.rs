@@ -9,10 +9,10 @@
 //! misses.
 //!
 //! Storage is one append-only NDJSON log, `<state_dir>/cache/entries.ndjson`,
-//! held open for the daemon's lifetime. The runner's emitter appends the
-//! fresh entries of each batch of finished chunks with one write and one
-//! `sync_data`, before they are published in memory and before any of
-//! those chunks is streamed, so an entry a lookup can see is on disk.
+//! held open for the daemon's lifetime: every completed trial's one
+//! durable record. The runner's emitter appends each batch's fresh
+//! entries with one write and one `sync_data`, before publishing them in
+//! memory or streaming their chunks, so a lookup only sees what is on disk.
 //! Lines use the journal's sealed format ([`crate::journal`]): each ends
 //! in a `check` field, the FNV-1a of the line's bytes before that field
 //! closed with `}`, verified on those bytes as read rather than on a

@@ -26,9 +26,9 @@
 //!   streaming the chunk that carries the Nth trial line (once per
 //!   process); a resilient client reconnects and resumes.
 //! * `kill=N`    — the daemon aborts (`std::process::abort`, a
-//!   power-cut stand-in) after the batch commit that journals the Nth
-//!   chunk, counted per process across jobs; that batch may journal
-//!   more than N chunks, all of which a resume replays.
+//!   power-cut stand-in) after the batch commit that makes the Nth
+//!   chunk durable, counted per process across jobs; that batch may
+//!   commit more than N chunks, all of which a resume finds again.
 //! * `poison=I`  — trial I panics on *every* attempt: the retry budget
 //!   burns out and the trial is deterministically quarantined.
 //! * `hang=I`    — trial I stalls past the deadline on every attempt:
@@ -49,8 +49,8 @@ pub struct ChaosPlan {
     /// Sever the submit connection after the chunk that carries this
     /// many streamed trial lines (once per daemon process).
     pub drop_after: Option<u64>,
-    /// Abort the process after the batch commit that journals this
-    /// many chunks (counted per process, across jobs).
+    /// Abort the process after the batch commit that makes this many
+    /// chunks durable (counted per process, across jobs).
     pub kill_after_chunks: Option<u64>,
     /// Trial that panics on every attempt (deterministic quarantine).
     pub poison_trial: Option<u32>,

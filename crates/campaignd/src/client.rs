@@ -16,7 +16,7 @@
 //! precisely because of the determinism invariant — a resumed stream's
 //! first N deterministic lines are byte-identical to the first N lines
 //! of any other run of the same job — and idempotent because finished
-//! work is journaled and cached, not recomputed.
+//! work is cached or journaled, not recomputed.
 
 use crate::json::Json;
 use crate::protocol::{jobs_from_status, render_submit, stats_from_json, JobStatus};
@@ -62,7 +62,7 @@ impl ClientError {
 
     /// Whether retrying (reconnect + resubmit) can plausibly succeed:
     /// socket failures and truncated streams always can (a fresh or
-    /// restarted daemon resumes from the journal); daemon errors only
+    /// restarted daemon resumes from what it committed); daemon errors only
     /// when flagged retryable.
     #[must_use]
     pub fn is_retryable(&self) -> bool {
@@ -252,8 +252,8 @@ impl Client {
         self.one_line("{\"op\":\"shutdown\"}").map(|_| ())
     }
 
-    /// Asks the daemon to drain gracefully: finish leased chunks,
-    /// checkpoint journals, refuse new jobs, exit when idle.
+    /// Asks the daemon to drain gracefully: finish and commit leased
+    /// chunks, refuse new jobs, exit when idle.
     ///
     /// # Errors
     ///
@@ -378,7 +378,7 @@ impl Client {
     /// observation where it left off — `observe` sees every
     /// deterministic line exactly once, and the concatenation is
     /// byte-identical to an uninterrupted run's stream. Progress
-    /// already journaled or cached by the daemon is never recomputed,
+    /// already cached or journaled by the daemon is never recomputed,
     /// which is what makes the resubmit idempotent.
     ///
     /// # Errors

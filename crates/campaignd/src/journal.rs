@@ -1,27 +1,29 @@
-//! The append-only chunk journal: crash-safe checkpoints of completed
-//! work.
+//! The append-only job journal: crash-safe records of the verdicts a
+//! job quarantined.
 //!
-//! One journal file per job, named by the job hash, holding one line
-//! per completed chunk of trials. The runner's emitter appends the
-//! chunks that finished since its last commit as one batch with one
-//! `sync_data`, and streams none of them before that sync returns.
-//! Each line carries its own FNV checksum, so a journal torn mid-write
-//! by a crash (the whole point of having one) degrades cleanly: on
-//! reopen, the valid prefix is kept, the torn tail is truncated away,
-//! and at most the chunks of the one interrupted batch are redone —
-//! none of which had been streamed. Nothing in the file is ever
-//! rewritten — resumption is "read the prefix, skip those chunks".
+//! One journal file per job, named by the job hash. A completed trial's
+//! one durable record is its result-cache entry ([`crate::cache`]); the
+//! journal keeps what the cache cannot, the trials this job's retry
+//! budget gave up on, since those depend on the run's chaos and
+//! supervision, not on the trial key. After a clean sweep it is its
+//! header line alone. The runner's emitter appends one record per chunk
+//! that quarantined a trial, holding only those verdicts, as one batch
+//! with one `sync_data`, and streams none of those chunks before that
+//! sync returns. Each line carries its own FNV checksum, so a journal
+//! torn mid-write by a crash degrades cleanly: on reopen, the valid
+//! prefix is kept, the torn tail is truncated away, and at most the
+//! quarantines of the one interrupted batch — none of them streamed —
+//! are redone. Nothing in the file is ever rewritten.
 //!
-//! Format (NDJSON):
+//! Format (NDJSON; records in completion order, not index order):
 //!
 //! ```text
 //! {"journal":"tta-campaignd","job":"<16-hex>","chunk_size":8,"check":"<16-hex>"}
-//! {"chunk":0,"trials":[{"index":0,...},...],"check":"<16-hex>"}
-//! {"chunk":3,"trials":[...],"check":"<16-hex>"}
+//! {"chunk":0,"trials":[{"index":5,"seed":...,"quarantined":"panic"}],"check":"<16-hex>"}
 //! ```
 //!
-//! Chunks appear in *completion* order, not index order — workers claim
-//! chunks dynamically.
+//! Journals from before the cache log held every completed trial carry
+//! whole chunks; every verdict a journal holds is replayed, by index.
 //!
 //! A sealed line (every journal line, and every line of the result
 //! cache's log) ends in its `check` field. The check is the FNV-1a hash
@@ -36,7 +38,7 @@ use crate::hash::{fnv1a64, to_hex};
 use crate::json::Json;
 use crate::runner::TrialVerdict;
 use crate::spec::{verdict_from_json, verdict_to_fields};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -47,15 +49,15 @@ use tta_base::hash::fnv1a64_extend;
 /// identically and every journaled chunk stays valid.
 pub const CHUNK_SIZE: u32 = 8;
 
-/// One completed chunk: `CHUNK_SIZE` consecutive trial verdicts (the
-/// last chunk of a job may be shorter), in trial-index order. A
-/// quarantined trial journals as a verdict like any other — resumption
-/// replays it instead of re-running the poisoned simulation.
+/// One journal record: verdicts of trials in one chunk, in trial-index
+/// order — the ones the chunk quarantined (a journal from an earlier
+/// build may hold all `CHUNK_SIZE` of them). Resumption replays each
+/// instead of re-running the poisoned simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkRecord {
     /// Chunk index; covers trials `chunk * CHUNK_SIZE ..`.
     pub chunk: u32,
-    /// The chunk's trial verdicts, in index order.
+    /// The journaled verdicts, in index order.
     pub trials: Vec<TrialVerdict>,
 }
 
@@ -131,7 +133,7 @@ pub(crate) fn unseal(line: &str) -> Option<Json> {
 
 /// The first line of a job's journal: which job and chunk size its
 /// records belong to.
-fn header_line(job_hash: u64) -> String {
+pub(crate) fn header_line(job_hash: u64) -> String {
     seal(&Json::Obj(vec![
         ("journal".to_string(), Json::str("tta-campaignd")),
         ("job".to_string(), Json::str(to_hex(job_hash))),
@@ -143,8 +145,9 @@ fn header_line(job_hash: u64) -> String {
 #[derive(Debug)]
 pub struct Journal {
     file: File,
-    /// Chunks recovered from the valid prefix at open time.
-    recovered: BTreeMap<u32, Vec<TrialVerdict>>,
+    /// Verdicts recovered from the valid prefix at open time, by trial
+    /// index.
+    recovered: HashMap<u32, TrialVerdict>,
 }
 
 impl Journal {
@@ -173,7 +176,7 @@ impl Journal {
             .truncate(false)
             .open(path)?;
 
-        let mut recovered = BTreeMap::new();
+        let mut recovered = HashMap::new();
         let mut valid_len: u64 = 0;
         {
             let mut reader = BufReader::new(&mut file);
@@ -203,7 +206,7 @@ impl Journal {
                     let Some(record) = ChunkRecord::from_value(&body) else {
                         break;
                     };
-                    recovered.insert(record.chunk, record.trials);
+                    recovered.extend(record.trials.into_iter().map(|v| (v.index(), v)));
                 }
                 valid_len += n as u64;
             }
@@ -219,21 +222,20 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Chunks recovered at open time, keyed by chunk index. Consumed by
-    /// the runner to pre-seed its result stream.
-    #[must_use]
-    pub fn recovered(&self) -> &BTreeMap<u32, Vec<TrialVerdict>> {
+    /// Verdicts recovered at open time, by trial index.
+    #[cfg(test)]
+    pub(crate) fn recovered(&self) -> &HashMap<u32, TrialVerdict> {
         &self.recovered
     }
 
-    /// Takes the recovered chunks out of the journal.
-    pub fn take_recovered(&mut self) -> BTreeMap<u32, Vec<TrialVerdict>> {
+    /// Takes the recovered verdicts out of the journal, by trial index.
+    pub fn take_recovered(&mut self) -> HashMap<u32, TrialVerdict> {
         std::mem::take(&mut self.recovered)
     }
 
-    /// Appends one completed chunk and syncs it to disk before
-    /// returning — once `append` returns, a crash cannot lose the
-    /// chunk. The one-record case of [`Journal::append_batch`].
+    /// Appends one record and syncs it to disk before returning — once
+    /// `append` returns, a crash cannot lose it. The one-record case of
+    /// [`Journal::append_batch`].
     ///
     /// # Errors
     ///
@@ -242,9 +244,9 @@ impl Journal {
         self.append_batch(std::slice::from_ref(record))
     }
 
-    /// Appends completed chunks, one line (and one write) each, then
-    /// syncs once — once `append_batch` returns, a crash cannot lose
-    /// any of them. An empty batch writes and syncs nothing.
+    /// Appends records, one line (and one write) each, then syncs once
+    /// — once `append_batch` returns, a crash cannot lose any of them.
+    /// An empty batch writes and syncs nothing.
     ///
     /// # Errors
     ///
@@ -286,6 +288,15 @@ pub(crate) mod tests {
         r#""ttr":null},{"index":9,"seed":15434866093310896585,"quarantined":"panic"}],"#,
         r#""check":"462fbb00eeba8d5a"}"#
     );
+
+    /// What a journal holding `written` recovers: every verdict, by
+    /// trial index.
+    fn by_index(written: &[ChunkRecord]) -> HashMap<u32, TrialVerdict> {
+        written
+            .iter()
+            .flat_map(|record| record.trials.iter().map(|v| (v.index(), v.clone())))
+            .collect()
+    }
 
     fn pinned_record() -> ChunkRecord {
         ChunkRecord {
@@ -329,9 +340,7 @@ pub(crate) mod tests {
         let text = format!("{PINNED_HEADER}\n{PINNED_RECORD}\n");
         std::fs::write(&path, &text).unwrap();
         let journal = Journal::open(&path, PINNED_JOB).unwrap();
-        let record = pinned_record();
-        assert_eq!(journal.recovered().len(), 1);
-        assert_eq!(journal.recovered()[&record.chunk], record.trials);
+        assert_eq!(journal.recovered(), &by_index(&[pinned_record()]));
         drop(journal);
         assert_eq!(
             std::fs::read_to_string(&path).unwrap(),
@@ -401,7 +410,7 @@ pub(crate) mod tests {
             journal.append(&record).unwrap();
         }
         let journal = Journal::open(&path, 0xBEEF).unwrap();
-        assert_eq!(journal.recovered()[&0], record.trials);
+        assert_eq!(journal.recovered(), &by_index(&[record]));
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -422,10 +431,7 @@ pub(crate) mod tests {
             journal.append(&record(0)).unwrap();
         }
         let journal = Journal::open(&path, 0xABCD).unwrap();
-        let recovered = journal.recovered();
-        assert_eq!(recovered.len(), 2);
-        assert_eq!(recovered[&0], record(0).trials);
-        assert_eq!(recovered[&2], record(2).trials);
+        assert_eq!(journal.recovered(), &by_index(&[record(0), record(2)]));
     }
 
     #[test]
@@ -444,13 +450,16 @@ pub(crate) mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let mut journal = Journal::open(&path, 7).unwrap();
-        assert_eq!(journal.recovered().len(), 2);
+        assert_eq!(journal.recovered(), &by_index(&[record(0), record(1)]));
         assert_eq!(std::fs::metadata(&path).unwrap().len(), keep as u64);
         // The truncated journal accepts new appends cleanly.
         journal.append(&record(2)).unwrap();
         drop(journal);
         let journal = Journal::open(&path, 7).unwrap();
-        assert_eq!(journal.recovered().len(), 3);
+        assert_eq!(
+            journal.recovered(),
+            &by_index(&[record(0), record(1), record(2)])
+        );
     }
 
     #[test]
@@ -473,10 +482,7 @@ pub(crate) mod tests {
 
         let journal = Journal::open(&path, 9).unwrap();
         // Only the chunk before the tampered line survives.
-        assert_eq!(
-            journal.recovered().keys().copied().collect::<Vec<_>>(),
-            vec![0]
-        );
+        assert_eq!(journal.recovered(), &by_index(&[record(0)]));
     }
 
     #[test]
@@ -494,7 +500,7 @@ pub(crate) mod tests {
     }
 
     /// Opens a journal over `damaged` bytes and checks the recovery
-    /// contract: no panic, no error; every recovered chunk is one that
+    /// contract: no panic, no error; every recovered verdict is one that
     /// was written, unaltered, so a wrong trial is never replayed;
     /// every record whose line ends within the first `intact` bytes is
     /// recovered; and the journal accepts one more append.
@@ -507,17 +513,17 @@ pub(crate) mod tests {
         std::fs::write(path, damaged).unwrap();
         let mut journal = Journal::open(path, 0x5EED).expect("damage is not an error");
         let recovered = journal.recovered().clone();
-        for (chunk, trials) in &recovered {
-            let original = written
-                .iter()
-                .find(|(record, _)| record.chunk == *chunk)
-                .unwrap_or_else(|| panic!("chunk {chunk} was never written"));
-            assert_eq!(trials, &original.0.trials, "chunk {chunk} altered");
+        let all = by_index(&written.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>());
+        for (index, verdict) in &recovered {
+            assert_eq!(all.get(index), Some(verdict), "trial {index} altered");
         }
         for (record, end) in written {
             if *end <= intact {
                 assert!(
-                    recovered.contains_key(&record.chunk),
+                    record
+                        .trials
+                        .iter()
+                        .all(|v| recovered.contains_key(&v.index())),
                     "chunk {} lies before the damage at {intact} but was lost",
                     record.chunk
                 );
@@ -527,7 +533,7 @@ pub(crate) mod tests {
         journal.append(&extra).unwrap();
         drop(journal);
         let mut expected = recovered;
-        expected.insert(extra.chunk, extra.trials);
+        expected.extend(by_index(&[extra]));
         assert_eq!(Journal::open(path, 0x5EED).unwrap().recovered(), &expected);
     }
 

@@ -9,10 +9,10 @@
 //!   newline-delimited JSON requests. Each job (scenario + restart
 //!   policy + seed range) is sharded into fixed chunks over a worker
 //!   pool, streamed back as per-trial NDJSON, and checkpointed to an
-//!   append-only journal so a killed sweep resumes without redoing
-//!   finished chunks.
+//!   append-only result-cache log (quarantines to a per-job journal), so
+//!   a killed sweep resumes without redoing finished trials.
 //! * **`tta_campaign`** — the client CLI: submit jobs, stream results,
-//!   inspect status, benchmark the service.
+//!   inspect status, drain or stop the daemon.
 //!
 //! The core invariant, enforced end to end: **a job's deterministic
 //! output (per-trial records and summary) is bit-identical for a given

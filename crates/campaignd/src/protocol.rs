@@ -26,7 +26,7 @@
 //! not. A quarantined trial (one that exhausted its supervision retry
 //! budget) is part of that deterministic stream: it renders as a trial
 //! line with a `quarantined` reason instead of a result. The `stats`
-//! line (cache hits, resumed chunks, lease churn) legitimately varies
+//! line (cache hits, resumed trials, lease churn) legitimately varies
 //! between runs and is segregated at the end so consumers can split the
 //! stream on type and byte-compare the rest.
 //!
@@ -195,10 +195,6 @@ pub fn stats_line(stats: &RunStats) -> String {
         ("cache_hits".to_string(), Json::UInt(stats.cache_hits)),
         ("computed".to_string(), Json::UInt(stats.computed)),
         (
-            "resumed_chunks".to_string(),
-            Json::UInt(stats.resumed_chunks),
-        ),
-        (
             "resumed_trials".to_string(),
             Json::UInt(stats.resumed_trials),
         ),
@@ -233,7 +229,6 @@ pub fn stats_from_json(value: &Json) -> Result<RunStats, SpecError> {
     Ok(RunStats {
         cache_hits: field("cache_hits")?,
         computed: field("computed")?,
-        resumed_chunks: field("resumed_chunks")?,
         resumed_trials: field("resumed_trials")?,
         quarantined: optional("quarantined"),
         panics_retried: optional("panics_retried"),
@@ -248,7 +243,7 @@ pub struct JobStatus {
     pub job: String,
     /// Chunks this run must produce.
     pub chunks_total: u64,
-    /// Chunks journaled and cached so far (batch commits).
+    /// Chunks committed so far (batch commits).
     pub chunks_done: u64,
     /// Chunks currently out on a lease.
     pub chunks_leased: u64,
@@ -412,7 +407,6 @@ mod tests {
         let stats = RunStats {
             cache_hits: 3,
             computed: 21,
-            resumed_chunks: 1,
             resumed_trials: 8,
             quarantined: 2,
             panics_retried: 5,

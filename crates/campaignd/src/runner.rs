@@ -1,14 +1,21 @@
-//! The sharded trial runner: leases chunks, sandboxes trials, consults
-//! the cache, journals checkpoints, and emits results in trial-index
-//! order.
+//! The sharded trial runner: leases chunks, sandboxes trials, makes
+//! new results durable, and emits results in trial-index order.
+//!
+//! A completed trial's one durable record is its result-cache entry;
+//! the job's journal keeps only the verdicts it quarantined, which
+//! depend on the run's chaos and supervision, not on the trial key. A
+//! worker answers each trial from the journal, then the cache, then the
+//! simulator — journal first, since another job may have cached a
+//! result under a key this job quarantined — so a resumed run is a
+//! warm run.
 //!
 //! Workers never write to disk: a finished chunk travels to the emitter
-//! with the cache entries it computed, and the emitter is the run's one
-//! writer. It takes everything queued as one batch, makes it
-//! durable with one cache append and one journal append (one
-//! `sync_data` each), and only then streams those chunks, so a batch's
-//! size follows the disk's speed and no chunk is ever streamed before
-//! its checkpoint is on disk.
+//! with its new cache entries and quarantined verdicts, and the emitter
+//! is the run's one writer. It makes everything queued durable as one
+//! batch — one cache append, plus a journal append only if the batch
+//! quarantined a trial, one `sync_data` each — and only then streams
+//! those chunks, so a batch's size follows the disk's speed and no
+//! chunk is streamed before its new results are on disk.
 //!
 //! Work distribution is a *leased* variant of the chunk-claim pattern:
 //! trials are partitioned into fixed [`CHUNK_SIZE`] chunks, a lease
@@ -36,9 +43,6 @@
 //! Because trial `index` is the same simulation everywhere, *which*
 //! worker runs a chunk — or how many times a chunk was reclaimed and
 //! re-run — never shows in the output, only in the (out-of-band) stats.
-//! Resumption slots in at the same seam as before: chunks recovered
-//! from the journal are pre-seeded into the emitter's reorder buffer
-//! and never handed to workers.
 
 use crate::cache::Cache;
 use crate::chaos::ChaosPlan;
@@ -180,9 +184,7 @@ pub struct RunStats {
     pub cache_hits: u64,
     /// Trials actually simulated.
     pub computed: u64,
-    /// Chunks recovered from the journal instead of being re-run.
-    pub resumed_chunks: u64,
-    /// Trials inside those recovered chunks.
+    /// Trials answered from the job's journal.
     pub resumed_trials: u64,
     /// Trials quarantined this run (journal-recovered ones excluded).
     pub quarantined: u64,
@@ -243,14 +245,14 @@ impl RunConfig {
 }
 
 /// Control and observation handles a host wires into one run: the
-/// process-wide journaled-chunk counter (the `kill=N` hook's clock), the
+/// process-wide committed-chunk counter (the `kill=N` hook's clock), the
 /// cancellation flag, and optional live progress for the `status` op.
 #[derive(Debug, Clone, Copy)]
 pub struct RunHandles<'a> {
-    /// Chunks journaled across the whole process, fed to the `kill=N`
-    /// hook. Relaxed: a monotone counter whose exact interleaving with
-    /// other writers is immaterial — the hook only wants "about
-    /// the Nth chunk".
+    /// Chunks committed (made durable by a batch commit) across the
+    /// whole process, fed to the `kill=N` hook. Relaxed: a monotone
+    /// counter whose exact interleaving with other writers is
+    /// immaterial — the hook only wants "about the Nth chunk".
     pub appends_so_far: &'a AtomicU64,
     /// Set to stop workers at the next chunk (lease) boundary.
     /// Relaxed latch: false→true once; observing it a chunk late just
@@ -270,11 +272,10 @@ pub struct RunHandles<'a> {
 /// acceptable by design.
 #[derive(Debug, Default)]
 pub struct JobProgress {
-    /// Chunks this run must produce (journal-recovered ones excluded).
-    /// Relaxed gauge (see struct docs).
+    /// Chunks this run must produce. Relaxed gauge (see struct docs).
     pub chunks_total: AtomicU64,
-    /// Chunks the emitter has made durable (journaled and cached) in
-    /// its batch commits. Relaxed gauge (see struct docs).
+    /// Chunks the emitter has committed in its batch commits. Relaxed
+    /// gauge (see struct docs).
     pub chunks_done: AtomicU64,
     /// Chunks currently out on a lease. Relaxed gauge (see struct docs).
     pub chunks_leased: AtomicU64,
@@ -361,10 +362,12 @@ struct TrialInFlight {
 }
 
 /// A chunk a worker finished under a lease it still held, on its way to
-/// the emitter: the journal record plus the cache entries it computed.
+/// the emitter with the cache entries and quarantines it must persist.
 struct FinishedChunk {
-    record: ChunkRecord,
+    chunk: u32,
+    trials: Vec<TrialVerdict>,
     fresh: Vec<(u64, TrialResult)>,
+    quarantined: Vec<TrialVerdict>,
 }
 
 /// Shared state of one run, borrowed by workers and the supervisor.
@@ -373,6 +376,8 @@ struct RunCtx<'a> {
     cache: &'a Cache,
     config: &'a RunConfig,
     total_trials: u32,
+    /// Every verdict the job's journal holds, by trial index.
+    journaled: HashMap<u32, TrialVerdict>,
     leases: Mutex<LeaseTable>,
     /// Per-worker-slot progress, scanned by the supervisor.
     in_flight: Vec<Mutex<Option<TrialInFlight>>>,
@@ -390,6 +395,8 @@ struct RunCtx<'a> {
     cache_hits: AtomicU64,
     /// Relaxed monotone stats counter, see [`RunCtx::cache_hits`].
     computed: AtomicU64,
+    /// Relaxed monotone stats counter, see [`RunCtx::cache_hits`].
+    resumed_trials: AtomicU64,
     /// Relaxed monotone stats counter, see [`RunCtx::cache_hits`].
     panics_retried: AtomicU64,
     /// Relaxed monotone stats counter, see [`RunCtx::cache_hits`].
@@ -465,7 +472,7 @@ fn install_quiet_chaos_panics() {
 ///
 /// Propagates journal/cache I/O errors of a batch commit; the run
 /// stops emitting at the failed batch. Batches committed before it
-/// are journaled and will be resumed, not lost.
+/// are durable and will be resumed, not lost.
 ///
 /// # Panics
 ///
@@ -489,20 +496,7 @@ pub fn run(
     let total_chunks = total.div_ceil(CHUNK_SIZE);
     let workers = config.workers.max(1);
 
-    let mut ready: BTreeMap<u32, Vec<TrialVerdict>> = journal.take_recovered();
-    // A journal may hold chunks beyond this spec's horizon only if the
-    // job hash collided; drop anything out of range defensively.
-    ready.retain(|chunk, _| *chunk < total_chunks);
-    let mut stats = RunStats {
-        resumed_chunks: ready.len() as u64,
-        resumed_trials: ready.values().map(|t| t.len() as u64).sum(),
-        ..RunStats::default()
-    };
-
-    let pending: Vec<u32> = (0..total_chunks)
-        .filter(|chunk| !ready.contains_key(chunk))
-        .collect();
-    let initial_workers = workers.min(pending.len().max(1));
+    let initial_workers = workers.min(total_chunks.max(1) as usize);
     // Replacement budget: enough to survive every worker wedging once
     // per retry attempt, bounded so a pathological job cannot spawn
     // threads forever.
@@ -512,7 +506,7 @@ pub fn run(
     if let Some(progress) = progress {
         progress
             .chunks_total
-            .store(pending.len() as u64, Ordering::Relaxed);
+            .store(u64::from(total_chunks), Ordering::Relaxed);
         progress.chunks_done.store(0, Ordering::Relaxed);
         progress.chunks_leased.store(0, Ordering::Relaxed);
         progress.quarantined.store(0, Ordering::Relaxed);
@@ -524,7 +518,8 @@ pub fn run(
         cache,
         config,
         total_trials: total,
-        leases: Mutex::new(LeaseTable::new(pending)),
+        journaled: journal.take_recovered(),
+        leases: Mutex::new(LeaseTable::new((0..total_chunks).collect())),
         in_flight: (0..initial_workers + replacement_budget)
             .map(|_| Mutex::new(None))
             .collect(),
@@ -534,6 +529,7 @@ pub fn run(
         progress,
         cache_hits: AtomicU64::new(0),
         computed: AtomicU64::new(0),
+        resumed_trials: AtomicU64::new(0),
         panics_retried: AtomicU64::new(0),
         leases_reclaimed: AtomicU64::new(0),
         replacements_left: AtomicUsize::new(replacement_budget),
@@ -562,6 +558,8 @@ pub fn run(
         // every chunk that is next in index order, until the run
         // completes or the pool empties out (cancel / kill hook /
         // I/O error).
+        let mut ready: BTreeMap<u32, Vec<TrialVerdict>> = BTreeMap::new();
+        let mut stats = RunStats::default();
         let mut emitted: Vec<TrialVerdict> = Vec::with_capacity(total as usize);
         let mut next: u32 = 0;
         let mut pool_gone = false;
@@ -599,6 +597,7 @@ pub fn run(
         }
         stats.cache_hits = ctx.cache_hits.load(Ordering::Relaxed);
         stats.computed = ctx.computed.load(Ordering::Relaxed);
+        stats.resumed_trials = ctx.resumed_trials.load(Ordering::Relaxed);
         stats.panics_retried = ctx.panics_retried.load(Ordering::Relaxed);
         stats.leases_reclaimed = ctx.leases_reclaimed.load(Ordering::Relaxed);
         // Unblock any worker still waiting on lease churn.
@@ -655,27 +654,26 @@ fn worker_loop(ctx: &RunCtx<'_>, slot: usize) {
         if let Some(progress) = ctx.progress {
             progress.chunks_leased.fetch_add(1, Ordering::Relaxed);
         }
-        let (trials, fresh) = execute_chunk(ctx, chunk, generation, slot);
+        let Some(finished) = execute_chunk(ctx, chunk, generation, slot) else {
+            break; // Cancelled mid-chunk: a resume recomputes it.
+        };
         let committed = ctx
             .leases
             .lock()
             .expect("lease table")
             .commit(chunk, generation);
+        if !committed {
+            // The supervisor reclaimed this lease while we were wedged
+            // and counted it off the gauge; another worker owns (or
+            // owned) the chunk now. Discard — results are
+            // deterministic, so the other copy is equivalent.
+            continue;
+        }
         if let Some(progress) = ctx.progress {
             progress.chunks_leased.fetch_sub(1, Ordering::Relaxed);
         }
-        if !committed {
-            // The supervisor reclaimed this lease while we were wedged;
-            // another worker owns (or owned) the chunk now. Discard —
-            // results are deterministic, so the other copy is
-            // equivalent.
-            continue;
-        }
-        // The emitter journals and caches the chunk before it streams.
-        let _ = ctx.tx.send(FinishedChunk {
-            record: ChunkRecord { chunk, trials },
-            fresh,
-        });
+        // The emitter makes new results durable before it streams.
+        let _ = ctx.tx.send(finished);
     }
     if let Some(progress) = ctx.progress {
         progress.workers_active.fetch_sub(1, Ordering::Relaxed);
@@ -684,10 +682,11 @@ fn worker_loop(ctx: &RunCtx<'_>, slot: usize) {
 }
 
 /// Makes one batch of finished chunks durable — every fresh cache entry
-/// with one `insert_batch`, every record with one `append_batch`, one
-/// `sync_data` each — then counts each chunk (the `kill=N` hook among the
-/// counters) and files it in the reorder buffer. Only the emitter
-/// calls this, so it is the run's one writer to disk.
+/// with one `insert_batch` and every quarantine record with one
+/// `append_batch`, each one `sync_data` or none when it has nothing to
+/// write — then counts each chunk (the `kill=N` hook among the counters)
+/// and files it in the reorder buffer. Only the emitter calls this, so
+/// it is the run's one writer to disk.
 fn commit_batch(
     ctx: &RunCtx<'_>,
     journal: &mut Journal,
@@ -697,27 +696,28 @@ fn commit_batch(
     ready: &mut BTreeMap<u32, Vec<TrialVerdict>>,
     stats: &mut RunStats,
 ) -> std::io::Result<()> {
-    let mut records = Vec::with_capacity(batch.len());
     let mut fresh = Vec::new();
-    for finished in batch {
-        records.push(finished.record);
-        fresh.extend(finished.fresh);
+    let mut records = Vec::new();
+    for finished in &batch {
+        fresh.extend_from_slice(&finished.fresh);
+        if !finished.quarantined.is_empty() {
+            records.push(ChunkRecord {
+                chunk: finished.chunk,
+                trials: finished.quarantined.clone(),
+            });
+        }
     }
     ctx.cache.insert_batch(&fresh)?;
     journal.append_batch(&records)?;
     let kill_at = ctx.config.chaos.kill_after_chunks;
-    for record in records {
+    for finished in batch {
         let done = appends_so_far.fetch_add(1, Ordering::Relaxed) + 1;
         if kill_at.is_some_and(|n| done >= n) {
             // The whole point: die *after* the checkpoint hit disk,
             // with no unwind, like a power cut.
             std::process::abort();
         }
-        let quarantined = record
-            .trials
-            .iter()
-            .filter(|v| matches!(v, TrialVerdict::Quarantined(_)))
-            .count() as u64;
+        let quarantined = finished.quarantined.len() as u64;
         stats.quarantined += quarantined;
         if let Some(progress) = ctx.progress {
             progress.chunks_done.fetch_add(1, Ordering::Relaxed);
@@ -725,49 +725,56 @@ fn commit_batch(
                 .quarantined
                 .fetch_add(quarantined, Ordering::Relaxed);
         }
-        ready.insert(record.chunk, record.trials);
+        ready.insert(finished.chunk, finished.trials);
     }
     Ok(())
 }
 
-/// Runs every trial of one chunk under the sandbox, returning the
-/// verdicts plus the freshly computed cache entries.
+/// Runs every trial of one chunk, answering each from the journal, the
+/// cache or the sandboxed simulator, in that order; `None` when
+/// cancellation cut the chunk short.
 fn execute_chunk(
     ctx: &RunCtx<'_>,
     chunk: u32,
     generation: u64,
     slot: usize,
-) -> (Vec<TrialVerdict>, Vec<(u64, TrialResult)>) {
+) -> Option<FinishedChunk> {
     let start = chunk * CHUNK_SIZE;
     let end = (start + CHUNK_SIZE).min(ctx.total_trials);
-    let mut verdicts = Vec::with_capacity((end - start) as usize);
-    let mut fresh = Vec::new();
+    let mut finished = FinishedChunk {
+        chunk,
+        trials: Vec::with_capacity((end - start) as usize),
+        fresh: Vec::new(),
+        quarantined: Vec::new(),
+    };
     for index in start..end {
+        if let Some(verdict) = ctx.journaled.get(&index) {
+            ctx.resumed_trials.fetch_add(1, Ordering::Relaxed);
+            finished.trials.push(verdict.clone());
+            continue;
+        }
         let trial_seed = ctx.job.exec.trial_seed(index);
         let key = ctx.job.trial_key(trial_seed);
         if let Some(hit) = ctx.cache.lookup(key, index) {
             ctx.cache_hits.fetch_add(1, Ordering::Relaxed);
-            verdicts.push(TrialVerdict::Completed(hit));
+            finished.trials.push(TrialVerdict::Completed(hit));
             continue;
         }
         let verdict = run_sandboxed(ctx, chunk, generation, slot, index, trial_seed);
-        if let TrialVerdict::Completed(trial) = &verdict {
-            fresh.push((key, *trial));
+        match &verdict {
+            TrialVerdict::Completed(trial) => finished.fresh.push((key, *trial)),
+            TrialVerdict::Quarantined(_) => finished.quarantined.push(verdict.clone()),
         }
-        verdicts.push(verdict);
+        finished.trials.push(verdict);
         // A reclaimed lease means our remaining work is someone else's;
         // finishing the chunk would only waste CPU. Keep going anyway
         // if we're nearly done — the commit check is the arbiter — but
         // bail mid-chunk on cancellation.
-        if ctx.cancel.load(Ordering::Relaxed) && verdicts.len() < (end - start) as usize {
-            // Incomplete chunks are never committed; drop the partial
-            // work and let a resume recompute it.
-            let mut leases = ctx.leases.lock().expect("lease table");
-            leases.expire(chunk, generation);
-            return (verdicts, fresh);
+        if ctx.cancel.load(Ordering::Relaxed) && index + 1 < end {
+            return None;
         }
     }
-    (verdicts, fresh)
+    Some(finished)
 }
 
 /// One trial under `catch_unwind` + deadline supervision + retry
@@ -943,10 +950,17 @@ mod tests {
         ResolvedJob::resolve(spec, Path::new(".")).unwrap()
     }
 
-    fn run_with(dir: &Path, config: &RunConfig) -> (RunOutcome, Vec<u32>) {
+    fn journal_path(dir: &Path) -> PathBuf {
+        dir.join(format!("{}.journal", job().job_id()))
+    }
+
+    fn run_observed(
+        dir: &Path,
+        config: &RunConfig,
+        progress: Option<&JobProgress>,
+    ) -> (RunOutcome, Vec<u32>) {
         let job = job();
-        let mut journal =
-            Journal::open(&dir.join(format!("{}.journal", job.job_id())), job.job_hash).unwrap();
+        let mut journal = Journal::open(&journal_path(dir), job.job_hash).unwrap();
         let cache = Cache::open(&dir.join("cache")).unwrap();
         let mut seen = Vec::new();
         let outcome = run(
@@ -957,12 +971,16 @@ mod tests {
             RunHandles {
                 appends_so_far: &AtomicU64::new(0),
                 cancel: &AtomicBool::new(false),
-                progress: None,
+                progress,
             },
             &mut |chunk| seen.extend(chunk.iter().map(TrialVerdict::index)),
         )
         .unwrap();
         (outcome, seen)
+    }
+
+    fn run_with(dir: &Path, config: &RunConfig) -> (RunOutcome, Vec<u32>) {
+        run_observed(dir, config, None)
     }
 
     fn run_fresh(dir: &Path, workers: usize) -> (RunOutcome, Vec<u32>) {
@@ -971,7 +989,14 @@ mod tests {
 
     #[test]
     fn output_is_identical_across_worker_counts() {
-        let base = run_fresh(&temp_dir("w1"), 1);
+        let dir = temp_dir("w1");
+        let base = run_fresh(&dir, 1);
+        // Every completed trial lives in the cache log alone: the
+        // journal of a clean run is its header line.
+        assert_eq!(
+            std::fs::read_to_string(journal_path(&dir)).unwrap(),
+            format!("{}\n", crate::journal::header_line(job().job_hash))
+        );
         for workers in [2, 4, 8] {
             let other = run_fresh(&temp_dir(&format!("w{workers}")), workers);
             assert_eq!(other.0.verdicts, base.0.verdicts, "workers={workers}");
@@ -991,8 +1016,9 @@ mod tests {
         let journal_path = dir.join("job.journal");
         let (fresh, _) = run_fresh(&temp_dir("resume-ref"), 4);
 
-        // The interrupted state, built exactly: a journal holding chunk
-        // 0 of a finished reference run and nothing else.
+        // The interrupted state of a daemon that journaled whole chunks,
+        // built exactly: a journal holding chunk 0 of a finished
+        // reference run, completed verdicts and all, and nothing else.
         let chunk0 = ChunkRecord {
             chunk: 0,
             trials: fresh.verdicts[..CHUNK_SIZE as usize].to_vec(),
@@ -1002,8 +1028,9 @@ mod tests {
             .append(&chunk0)
             .unwrap();
 
-        // A run cancelled before it starts replays the journaled chunk
-        // and computes nothing: it is incomplete, deterministically.
+        // A run cancelled before its first lease emits nothing, since
+        // journaled verdicts reach the stream through the workers, and
+        // computes nothing: it is incomplete, deterministically.
         {
             let mut journal = Journal::open(&journal_path, job.job_hash).unwrap();
             let outcome = run(
@@ -1021,11 +1048,11 @@ mod tests {
             .unwrap();
             assert!(!outcome.complete);
             assert_eq!(outcome.stats.computed, 0);
-            assert_eq!(outcome.verdicts, chunk0.trials);
+            assert!(outcome.verdicts.is_empty());
         }
 
-        // Resume with a *fresh cache* so resumed chunks provably come
-        // from the journal, not recomputation or cache hits.
+        // Resume with a *fresh cache* so the journaled trials provably
+        // come from the journal, not recomputation or cache hits.
         let empty_cache = Cache::open(&dir.join("cache2")).unwrap();
         let mut journal = Journal::open(&journal_path, job.job_hash).unwrap();
         let mut order = Vec::new();
@@ -1043,26 +1070,33 @@ mod tests {
         )
         .unwrap();
         assert!(resumed.complete);
-        assert!(resumed.stats.resumed_chunks >= 1);
+        assert_eq!(resumed.stats.resumed_trials, u64::from(CHUNK_SIZE));
+        assert_eq!(resumed.stats.cache_hits, 0);
         assert_eq!(resumed.stats.computed, 20 - u64::from(CHUNK_SIZE));
         assert_eq!(order, (0..20).collect::<Vec<u32>>());
         assert_eq!(resumed.verdicts, fresh.verdicts);
         assert_eq!(resumed.aggregate, fresh.aggregate);
     }
 
-    /// The durability rule: no chunk reaches the stream before its
-    /// journal record and its fresh cache entries are on disk. `emit`
-    /// reopens both files and finds every chunk it is handed — on an
-    /// empty cache (every entry fresh) and on a filled one (every trial
-    /// a hit), at 1 and 4 workers.
+    /// The durability rule: no chunk reaches the stream before its new
+    /// results are on disk — a completed trial in the cache log, a
+    /// quarantined one in the job's journal. `emit` reopens both files
+    /// and finds every verdict it is handed, with trial 5 poisoned — on
+    /// an empty cache (every entry fresh) and on a filled one (every
+    /// completed trial a hit, the poisoned one quarantined afresh under
+    /// a fresh journal), at 1 and 4 workers.
     #[test]
-    fn every_emitted_chunk_is_already_journaled_and_cached() {
+    fn every_emitted_verdict_is_already_durable() {
         let job = job();
+        let mut config = RunConfig::with_workers(1);
+        config.chaos = ChaosPlan::parse("poison=5").unwrap();
+        config.supervision.retry.backoff = Duration::from_millis(1);
         for workers in [1, 4] {
+            config.workers = workers;
             let dir = temp_dir(&format!("commit-order-w{workers}"));
             let cache_dir = dir.join("cache");
             let cache = Cache::open(&cache_dir).unwrap();
-            for (pass, expected_hits) in [("empty", 0), ("filled", 20)] {
+            for (pass, expected_hits) in [("empty", 0), ("filled", 19)] {
                 let path = dir.join(format!("{pass}.journal"));
                 let mut journal = Journal::open(&path, job.job_hash).unwrap();
                 let mut checked = 0;
@@ -1070,29 +1104,31 @@ mod tests {
                     &job,
                     &mut journal,
                     &cache,
-                    &RunConfig::with_workers(workers),
+                    &config,
                     RunHandles {
                         appends_so_far: &AtomicU64::new(0),
                         cancel: &AtomicBool::new(false),
                         progress: None,
                     },
                     &mut |chunk| {
-                        let index = chunk[0].index() / CHUNK_SIZE;
-                        let on_disk = Journal::open(&path, job.job_hash).unwrap();
-                        assert_eq!(
-                            on_disk.recovered().get(&index).map(Vec::as_slice),
-                            Some(chunk),
-                            "{pass} cache, {workers} workers: chunk {index} streamed unjournaled"
-                        );
+                        let journaled = Journal::open(&path, job.job_hash)
+                            .unwrap()
+                            .take_recovered();
                         let cached = Cache::open(&cache_dir).unwrap();
                         for verdict in chunk {
-                            let trial = verdict.completed().unwrap();
-                            let key = job.trial_key(job.exec.trial_seed(trial.index));
-                            assert_eq!(
-                                cached.lookup(key, trial.index).as_ref(),
-                                Some(trial),
-                                "{pass} cache, {workers} workers: trial {} streamed uncached",
-                                trial.index
+                            let index = verdict.index();
+                            let durable = match verdict {
+                                TrialVerdict::Completed(trial) => {
+                                    let key = job.trial_key(job.exec.trial_seed(index));
+                                    cached.lookup(key, index).as_ref() == Some(trial)
+                                }
+                                TrialVerdict::Quarantined(_) => {
+                                    journaled.get(&index) == Some(verdict)
+                                }
+                            };
+                            assert!(
+                                durable,
+                                "{pass} cache, {workers} workers: trial {index} streamed before it was durable"
                             );
                         }
                         checked += chunk.len();
@@ -1102,6 +1138,7 @@ mod tests {
                 assert!(outcome.complete);
                 assert_eq!(checked, 20);
                 assert_eq!(outcome.stats.cache_hits, expected_hits);
+                assert_eq!(outcome.stats.quarantined, 1);
             }
         }
     }
@@ -1268,29 +1305,24 @@ mod tests {
         let (first, _) = run_with(&dir, &config);
         assert_eq!(first.stats.quarantined, 1);
 
-        // Resume on the same journal *without* chaos: nothing re-runs,
-        // the quarantined verdict replays from the journal.
-        let job = job();
-        let mut journal =
-            Journal::open(&dir.join(format!("{}.journal", job.job_id())), job.job_hash).unwrap();
-        let cache = Cache::open(&dir.join("cache-fresh")).unwrap();
-        let resumed = run(
-            &job,
-            &mut journal,
-            &cache,
-            &RunConfig::with_workers(2),
-            RunHandles {
-                appends_so_far: &AtomicU64::new(0),
-                cancel: &AtomicBool::new(false),
-                progress: None,
-            },
-            &mut |_| {},
-        )
-        .unwrap();
+        // The journal holds its header and one record: trial 5's
+        // verdict and nothing else.
+        let text = std::fs::read_to_string(journal_path(&dir)).unwrap();
+        assert_eq!(text.lines().count(), 2, "{text}");
+        let journal = Journal::open(&journal_path(&dir), job().job_hash).unwrap();
         assert_eq!(
-            resumed.stats.computed, 0,
-            "all chunks came from the journal"
+            journal.recovered(),
+            &HashMap::from([(5, first.verdicts[5].clone())])
         );
+        drop(journal);
+
+        // Resume on the same state *without* chaos: nothing re-runs,
+        // the quarantined verdict replays from the journal and every
+        // other trial from the cache.
+        let (resumed, _) = run_fresh(&dir, 2);
+        assert_eq!(resumed.stats.computed, 0, "nothing was simulated");
+        assert_eq!(resumed.stats.resumed_trials, 1);
+        assert_eq!(resumed.stats.cache_hits, 19);
         assert_eq!(resumed.verdicts, first.verdicts);
     }
 
@@ -1307,6 +1339,65 @@ mod tests {
         assert!(
             chaotic.0.stats.leases_reclaimed >= 1,
             "the stalled chunk's lease must have been reclaimed"
+        );
+    }
+
+    /// The journal answers before the cache: once another job has cached
+    /// a completed result under the key of a trial this job quarantined,
+    /// resuming this job still replays its quarantine.
+    #[test]
+    fn a_journaled_quarantine_outranks_a_cached_result() {
+        let dir = temp_dir("journal-first");
+        let mut config = RunConfig::with_workers(2);
+        config.chaos = ChaosPlan::parse("poison=5").unwrap();
+        config.supervision.retry.backoff = Duration::from_millis(1);
+        let (first, _) = run_with(&dir, &config);
+
+        // A run with its own journal and no chaos, as another job
+        // sharing these trial keys would, caches trial 5's completed
+        // result.
+        let job = job();
+        let mut other = Journal::open(&dir.join("other.journal"), job.job_hash).unwrap();
+        let cache = Cache::open(&dir.join("cache")).unwrap();
+        let clean = run(
+            &job,
+            &mut other,
+            &cache,
+            &RunConfig::with_workers(2),
+            RunHandles {
+                appends_so_far: &AtomicU64::new(0),
+                cancel: &AtomicBool::new(false),
+                progress: None,
+            },
+            &mut |_| {},
+        )
+        .unwrap();
+        assert_eq!(clean.stats.computed, 1, "only trial 5 was not cached");
+        drop(cache);
+
+        let (resumed, _) = run_fresh(&dir, 2);
+        assert_eq!(resumed.verdicts, first.verdicts);
+        assert_eq!(resumed.stats.resumed_trials, 1);
+        assert_eq!(resumed.stats.cache_hits, 19);
+    }
+
+    /// A reclaimed lease leaves the table once, so it comes off the
+    /// `status` gauge once: the supervisor's expiry and the wedged
+    /// worker's refused commit must not both count it off.
+    #[test]
+    fn a_reclaimed_lease_leaves_the_progress_gauges_settled() {
+        let mut config = RunConfig::with_workers(2);
+        config.chaos = ChaosPlan::parse("timeout=12").unwrap();
+        config.supervision.trial_deadline = Duration::from_millis(150);
+        config.supervision.tick = Duration::from_millis(10);
+        let progress = JobProgress::default();
+        let (outcome, _) = run_observed(&temp_dir("stall-gauge"), &config, Some(&progress));
+        assert!(outcome.complete);
+        assert!(outcome.stats.leases_reclaimed >= 1);
+        assert_eq!(progress.chunks_leased.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            progress.chunks_done.load(Ordering::Relaxed),
+            progress.chunks_total.load(Ordering::Relaxed)
         );
     }
 

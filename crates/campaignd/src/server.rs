@@ -5,18 +5,18 @@
 //! CPU-bound simulation behind a local socket — connection scaling is
 //! not the bottleneck, worker scaling is). A `submit` handler runs the
 //! sharded [`crate::runner`] inside its own thread scope; the control
-//! ops answer inline. All connections share one daemon-wide
-//! result [`Cache`] and one journal directory, with a per-job lock so
-//! two concurrent submissions of the *same* job cannot interleave
-//! appends in one journal file.
+//! ops answer inline. All connections share one daemon-wide result
+//! [`Cache`] and one directory of quarantine journals, with a per-job
+//! lock so two concurrent submissions of the *same* job cannot
+//! interleave appends in one journal file.
 //!
 //! Shutdown is cooperative: the `shutdown` op (or
 //! [`ServerHandle::shutdown`]) raises a stop flag; in-flight jobs are
 //! cancelled at their next chunk boundary, which — by the resumability
-//! invariant — loses no journaled work. The `drain` op is the graceful
+//! invariant — loses no committed work. The `drain` op is the graceful
 //! variant (what the binary maps SIGTERM to): new submissions are
 //! refused with a *retryable* error, running jobs finish their leased
-//! chunks and checkpoint, and the accept loop exits once the last job
+//! chunks and commit them, and the accept loop exits once the last job
 //! has stopped. The accept loop polls with a short timeout rather than
 //! blocking forever, so drain completion is observed without needing a
 //! wake-up connection.
@@ -207,7 +207,7 @@ impl Server {
 
     /// Raises this daemon's drain flag (as the SIGTERM handler in the
     /// binary does): running jobs stop at their next chunk boundary
-    /// with their journals checkpointed, new jobs are refused, and
+    /// with their finished chunks committed, new jobs are refused, and
     /// [`Server::serve`] returns once the last job has stopped.
     pub fn begin_drain(&self) {
         begin_drain(&self.state);
@@ -385,8 +385,8 @@ fn submit(
         let mut running = state.running.lock().expect("running set");
         if running.contains_key(&job.job_hash) {
             // Transient by nature — the other submission will finish
-            // (or die), after which a resubmit resumes from its
-            // journal.
+            // (or die), after which a resubmit resumes from what it
+            // committed.
             let _ = writeln!(
                 writer,
                 "{}",
@@ -437,7 +437,7 @@ fn stream_job(
         chaos: state.config.chaos,
     };
     // A client hangup (or daemon shutdown/drain) cancels at the next
-    // chunk boundary; journaled chunks survive for the resume.
+    // chunk boundary; committed chunks survive for the resume.
     // Relaxed: a pure latch — workers may see it an iteration late,
     // which only delays the (already asynchronous) cancellation.
     let cancel = AtomicBool::new(false);

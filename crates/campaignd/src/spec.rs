@@ -13,7 +13,7 @@
 //!   scenario) hit cache for every trial they share, and an edit to a
 //!   referenced scenario file changes the hash and forces recompute.
 //! * **`job_hash`** additionally covers the policy, the campaign seed
-//!   and the trial count — it names the *sweep*, keys the checkpoint
+//!   and the trial count — it names the *sweep*, keys the job's
 //!   journal, and doubles as the job id on the wire. Resubmitting a
 //!   byte-identical job resumes it; changing anything (including the
 //!   scenario file's content) yields a fresh journal.

@@ -4,7 +4,7 @@
 //! client stream must still be byte-identical to a clean daemon's —
 //! at every worker count. Failures that persist past the retry budget
 //! (a poisoned trial) must degrade to a deterministic `Quarantined`
-//! verdict, never take the daemon down, and never lose journaled
+//! verdict, never take the daemon down, and never lose committed
 //! progress.
 
 use std::path::{Path, PathBuf};
@@ -124,8 +124,9 @@ fn a_poisoned_trial_quarantines_deterministically_and_spares_the_daemon() {
         // The daemon is alive and well after hosting three panics.
         assert!(daemon.client.ping(), "daemon died with the trial");
 
-        // Resubmitting resumes every chunk — including the poisoned
-        // trial's — from the journal, byte-identically.
+        // Resubmitting answers every completed trial from the cache and
+        // the poisoned trial's verdict from the journal,
+        // byte-identically.
         let replayed = resilient_lines(&daemon.client, workers);
         assert_eq!(replayed, streamed, "journal replay diverged");
 

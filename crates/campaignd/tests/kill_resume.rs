@@ -1,6 +1,6 @@
 //! Kill-and-resume determinism, end to end through the real daemon
 //! binary: a daemon told to crash (`std::process::abort`, the power-cut
-//! stand-in) after two journaled chunks dies mid-sweep; a fresh daemon
+//! stand-in) after two committed chunks dies mid-sweep; a fresh daemon
 //! on the same state directory resumes the job and streams **exactly**
 //! the bytes an uninterrupted daemon streams — at every worker count.
 
@@ -14,7 +14,7 @@ use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
 use tta_sim::{Scenario, Topology};
 
-/// An E10-shaped cell: 24 trials = 3 journal chunks of 8.
+/// An E10-shaped cell: 24 trials = 3 chunks of 8.
 fn job() -> JobSpec {
     JobSpec {
         topology: Topology::Star,
@@ -81,7 +81,7 @@ fn a_killed_sweep_resumes_to_the_exact_uninterrupted_bytes() {
     let (reference, ref_stats) = submit_lines(&daemon.client, Some(1));
     daemon.stop();
     std::fs::remove_dir_all(&ref_dir).expect("cleanup");
-    assert_eq!(ref_stats.resumed_chunks, 0);
+    assert_eq!(ref_stats.cache_hits, 0);
     assert_eq!(ref_stats.computed, 24);
     // accepted + 24 trials + summary.
     assert_eq!(reference.len(), 26);
@@ -89,8 +89,9 @@ fn a_killed_sweep_resumes_to_the_exact_uninterrupted_bytes() {
     for (tag, workers) in [("w1", Some(1)), ("w4", Some(4)), ("auto", None)] {
         let dir = scratch(tag);
 
-        // A daemon armed to abort after the second journal append dies
-        // mid-sweep; the client sees a truncated stream.
+        // A daemon armed to abort after the commit that makes its
+        // second chunk durable dies mid-sweep; the client sees a
+        // truncated stream.
         let doomed = Daemon::start(&dir, &["--chaos", "kill=2"]);
         let error = doomed
             .client
@@ -103,8 +104,9 @@ fn a_killed_sweep_resumes_to_the_exact_uninterrupted_bytes() {
         );
         doomed.reap();
 
-        // A fresh daemon on the same state directory resumes from the
-        // journal and streams the reference bytes exactly.
+        // A fresh daemon on the same state directory answers the
+        // committed trials from its cache log and streams the reference
+        // bytes exactly.
         let daemon = Daemon::start(&dir, &[]);
         let (resumed, stats) = submit_lines(&daemon.client, workers);
         daemon.stop();
@@ -115,9 +117,9 @@ fn a_killed_sweep_resumes_to_the_exact_uninterrupted_bytes() {
             "resumed stream diverged at workers {workers:?}"
         );
         assert!(
-            stats.resumed_chunks >= 2,
-            "expected at least the two crashed-past chunks journaled, got {}",
-            stats.resumed_chunks
+            stats.cache_hits >= 16,
+            "expected at least the two crashed-past chunks cached, got {} hits",
+            stats.cache_hits
         );
         assert_eq!(
             stats.resumed_trials + stats.computed + stats.cache_hits,

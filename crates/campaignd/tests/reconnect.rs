@@ -1,7 +1,7 @@
 //! Client-side resilience, end to end: a daemon that dies mid-stream
 //! (the `--chaos kill=2` power-cut hook) takes the connection
 //! with it; `submit_resilient` backs off, reconnects to the restarted
-//! daemon, resumes the job from its journal, and hands the caller the
+//! daemon, resumes the job from its cache log, and hands the caller the
 //! exact byte stream an uninterrupted daemon would have produced —
 //! with every already-observed line de-duplicated.
 
@@ -64,7 +64,7 @@ fn a_client_rides_out_a_daemon_restart_and_assembles_the_clean_bytes() {
     std::fs::remove_dir_all(&ref_dir).expect("cleanup");
     assert_eq!(reference.len(), 26);
 
-    // A doomed daemon aborts after journaling two chunks, mid-stream.
+    // A doomed daemon aborts after committing two chunks, mid-stream.
     let dir = scratch("crash");
     let (doomed, _) = start_daemon(&dir, &["--chaos", "kill=2"]);
 
@@ -101,9 +101,9 @@ fn a_client_rides_out_a_daemon_restart_and_assembles_the_clean_bytes() {
         "the assembled stream must be byte-identical to the clean run"
     );
     assert!(
-        result.stats.resumed_chunks >= 2,
-        "the restarted daemon should resume the journaled chunks, got {}",
-        result.stats.resumed_chunks
+        result.stats.cache_hits >= 16,
+        "the restarted daemon should answer the committed chunks from its cache, got {} hits",
+        result.stats.cache_hits
     );
     assert_eq!(result.trials.len(), 24);
     assert!(result.quarantined.is_empty());
