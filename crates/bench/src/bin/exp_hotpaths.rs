@@ -12,8 +12,10 @@
 //! `group/case` is one case of a family (a size, a node state, a
 //! topology); simulator runs are 400 slots each (`simulation_step/*`
 //! steps all 400; `run()` skips the rounds of a settled run), campaign
-//! runs 40 trials, daemon sweeps 1,024. `comparable` is `false` when
-//! the run used more threads than the host has CPUs.
+//! runs 40 trials, daemon sweeps 1,024. The `explore/small_shifting_5_nodes`
+//! rows, which CI's 2-thread speed floor reads, are each the fastest of
+//! five calls interleaved with the other thread count's. `comparable` is
+//! `false` when the run used more threads than the host has CPUs.
 
 use std::time::Duration;
 use tta_analysis::{clock_ratio_limit, figure3_series, max_frame_bits, max_rho};
@@ -51,6 +53,8 @@ const CACHE_LINE: &str = concat!(
 const CACHE_ENTRIES: u32 = 8192;
 /// Trials per timed daemon sweep: 128 chunks.
 const DAEMON_TRIALS: u32 = 1024;
+/// Interleaved 1- and 2-thread calls of the speed floor's explorer walk.
+const FLOOR_PAIRS: usize = 5;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -223,7 +227,8 @@ fn analysis(runs: &mut Runs) {
 /// The explorer's whole safety check on the paper's small-shifting
 /// config at 1, 2, 4 and 8 threads, and cut at depth 20 (the A2
 /// ablation's third strategy: a prefix of the 34 layers the full search
-/// walks). Every thread count must explore the same states.
+/// walks). Every thread count must explore the same states. Then the
+/// walk CI's 2-thread speed floor reads ([`explore_floor`]).
 fn explorer(runs: &mut Runs) {
     let config = ClusterConfig::paper(CouplerAuthority::SmallShifting);
     let mut one_thread = None;
@@ -253,6 +258,38 @@ fn explorer(runs: &mut Runs) {
             .states_explored;
     })
     .count("states", states);
+    explore_floor(runs, &ClusterConfig { nodes: 5, ..config });
+}
+
+/// The explorer on `config` (the 5-node small-shifting space, 931,986
+/// states) at 1 and 2 threads, in [`FLOOR_PAIRS`] interleaved pairs of
+/// calls: each row is its thread count's fastest call, as the explorer
+/// timed its walk. The 40,055-state rows' calls take tens of
+/// milliseconds, fill few work chunks per layer and run as one block
+/// per thread count, so a busy stretch of a shared host decides their
+/// ratio; these calls take about a second, and interleaving exposes
+/// both thread counts to the same stretches.
+fn explore_floor(runs: &mut Runs, config: &ClusterConfig) {
+    let thread_counts = [1usize, 2];
+    let mut fastest = [f64::INFINITY; 2];
+    let mut last = [None; 2];
+    for _ in 0..FLOOR_PAIRS {
+        for (slot, &threads) in thread_counts.iter().enumerate() {
+            let stats = verify_cluster_with(config, CheckStrategy::ParallelBfs { threads }).stats;
+            fastest[slot] = fastest[slot].min(stats.duration.as_secs_f64());
+            last[slot] = Some(stats);
+        }
+    }
+    let [one, two] = last.map(|stats| stats.expect("at least one pair"));
+    assert_eq!(
+        one.states_explored, two.states_explored,
+        "the explorer must agree with itself at 2 threads"
+    );
+    runs.record("explore/small_shifting_5_nodes", 1, fastest[0])
+        .count("states", one.states_explored)
+        .per_state("bytes_per_state", one.bytes_per_state());
+    runs.record("explore/small_shifting_5_nodes", 2, fastest[1])
+        .count("states", two.states_explored);
 }
 
 /// A trial record shaped like a campaign's: a full 64-bit seed, a

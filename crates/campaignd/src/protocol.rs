@@ -211,28 +211,29 @@ pub fn stats_line(stats: &RunStats) -> String {
     .render()
 }
 
-/// Parses a stats line back into [`RunStats`]. The supervision counters
-/// (`quarantined`, `panics_retried`, `leases_reclaimed`) default to
-/// zero when absent, so stats lines from older daemons still parse.
+/// Parses a stats line back into [`RunStats`]. Every counter reads 0
+/// when absent, so a daemon may retire a counter without breaking
+/// older clients, and clients parse the lines of older daemons; a
+/// counter that is present must be an unsigned integer.
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] if the line is not a stats line.
+/// Returns a [`SpecError`] naming the first counter whose value is not
+/// an unsigned integer.
 pub fn stats_from_json(value: &Json) -> Result<RunStats, SpecError> {
-    let field = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("stats needs integer \"{key}\"")))
+    let counter = |key: &str| match value.get(key) {
+        None => Ok(0),
+        Some(v) => v
+            .as_u64()
+            .ok_or_else(|| bad(format!("stats needs integer \"{key}\""))),
     };
-    let optional = |key: &str| value.get(key).and_then(Json::as_u64).unwrap_or(0);
     Ok(RunStats {
-        cache_hits: field("cache_hits")?,
-        computed: field("computed")?,
-        resumed_trials: field("resumed_trials")?,
-        quarantined: optional("quarantined"),
-        panics_retried: optional("panics_retried"),
-        leases_reclaimed: optional("leases_reclaimed"),
+        cache_hits: counter("cache_hits")?,
+        computed: counter("computed")?,
+        resumed_trials: counter("resumed_trials")?,
+        quarantined: counter("quarantined")?,
+        panics_retried: counter("panics_retried")?,
+        leases_reclaimed: counter("leases_reclaimed")?,
     })
 }
 
@@ -420,6 +421,66 @@ mod tests {
         let parsed = stats_from_json(&Json::parse(old).unwrap()).unwrap();
         assert_eq!(parsed.quarantined, 0);
         assert_eq!(parsed.panics_retried, 0);
+        // So does one from a daemon that still counted resumed chunks:
+        // the retired counter is ignored.
+        let chunks = concat!(
+            r#"{"type":"stats","cache_hits":16,"computed":8,"resumed_chunks":2,"#,
+            r#""resumed_trials":16,"quarantined":0,"panics_retried":0,"leases_reclaimed":0}"#
+        );
+        assert_eq!(
+            stats_from_json(&Json::parse(chunks).unwrap()).unwrap(),
+            RunStats {
+                cache_hits: 16,
+                computed: 8,
+                resumed_trials: 16,
+                ..RunStats::default()
+            }
+        );
+    }
+
+    /// A line missing any one counter parses with that counter at 0, so
+    /// retiring a counter breaks no client.
+    #[test]
+    fn every_stats_counter_reads_zero_when_absent() {
+        let stats = RunStats {
+            cache_hits: 3,
+            computed: 21,
+            resumed_trials: 8,
+            quarantined: 2,
+            panics_retried: 5,
+            leases_reclaimed: 1,
+        };
+        let Json::Obj(fields) = Json::parse(&stats_line(&stats)).unwrap() else {
+            panic!("a stats line is an object");
+        };
+        for dropped in fields.iter().map(|(key, _)| key).filter(|k| *k != "type") {
+            let kept = fields.iter().filter(|(key, _)| key != dropped).cloned();
+            let parsed = stats_from_json(&Json::Obj(kept.collect())).unwrap();
+            let mut expected = stats;
+            *match dropped.as_str() {
+                "cache_hits" => &mut expected.cache_hits,
+                "computed" => &mut expected.computed,
+                "resumed_trials" => &mut expected.resumed_trials,
+                "quarantined" => &mut expected.quarantined,
+                "panics_retried" => &mut expected.panics_retried,
+                "leases_reclaimed" => &mut expected.leases_reclaimed,
+                other => panic!("unexpected stats field {other}"),
+            } = 0;
+            assert_eq!(parsed, expected, "without {dropped}");
+        }
+    }
+
+    /// A counter that is present must be an unsigned integer, optional
+    /// or not.
+    #[test]
+    fn a_stats_counter_that_is_not_an_integer_is_an_error() {
+        for key in ["cache_hits", "quarantined", "leases_reclaimed"] {
+            for value in [r#""7""#, "-1", "1.5", "null"] {
+                let line = format!(r#"{{"type":"stats","computed":1,"{key}":{value}}}"#);
+                let e = stats_from_json(&Json::parse(&line).unwrap()).unwrap_err();
+                assert!(e.0.contains(key), "{line}: {e}");
+            }
+        }
     }
 
     #[test]

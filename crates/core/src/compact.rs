@@ -5,9 +5,9 @@
 //! per clone — while its information content is tiny: everything a
 //! reachable controller can be fits in 26 bits, and the shared coupler /
 //! monitor state in another 24. [`ClusterCodec`] packs the whole global
-//! state into a fixed `[u64; 9]` ([`CompactState`]), so the visited set
-//! stores 72 flat bytes per state with **zero** heap allocations on the
-//! encode path (the path that runs once per generated transition).
+//! state into a fixed `[u64; 9]` ([`CompactState`]) with **zero** heap
+//! allocations on the encode path (the path that runs once per
+//! generated transition).
 //!
 //! The per-node static fields (`node_id`, `slots_per_round`) are *not*
 //! encoded — they are constants of the [`ClusterConfig`] the codec is
@@ -26,9 +26,16 @@
 //! bits 24..26  cold-start rounds (< 3)
 //! ```
 //!
-//! Word 8 holds the shared state: both coupler buffers (5-bit id +
-//! 3-bit kind each), the saturating out-of-slot counter (3 bits) and
-//! the property monitor (5 bits, `0` = no victim).
+//! The controller words of an `n`-node cluster are words
+//! `0..ceil(n/2)`; word `ceil(n/2)` holds the shared state: both
+//! coupler buffers (5-bit id + 3-bit kind each), the saturating
+//! out-of-slot counter (3 bits) and the property monitor (5 bits, `0` =
+//! no victim). Every word past it is zero, so a state's live words form
+//! a prefix of at most `ceil(n/2) + 1` words — three on 4 nodes, four on
+//! 5 — which is all the word arena ([`tta_modelcheck::WordArena`])
+//! stores of it. On the small-shifting spaces of 4 and 5 nodes the
+//! shared word stays zero, and a state lives in its controller words
+//! alone.
 
 use crate::config::ClusterConfig;
 use crate::state::ClusterState;
@@ -37,25 +44,21 @@ use tta_modelcheck::StateCodec;
 use tta_protocol::{CliqueCounters, Controller, ProtocolState};
 use tta_types::{FrameKind, NodeId};
 
-/// Words in a [`CompactState`]: 8 controller words (two 26-bit lanes
-/// each, 16 nodes max — the bound [`ClusterConfig::validate`] enforces)
-/// plus one shared word.
+/// Words in a [`CompactState`]: up to 8 controller words (two 26-bit
+/// lanes each, 16 nodes max — the bound [`ClusterConfig::validate`]
+/// enforces) plus one shared word.
 const WORDS: usize = 9;
 
 /// Bits per packed controller.
 const CTRL_BITS: u32 = 26;
 
-/// Index of the shared (buffers / counter / monitor) word.
-const SHARED_WORD: usize = 8;
-
 /// A bit-packed [`ClusterState`]: fixed-size, `Copy`, no heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompactState([u64; WORDS]);
 
-/// Exposes the packed words to the delta-encoding visited set
-/// ([`tta_modelcheck::DeltaArena`]): a cluster step touches one or two
-/// of the nine words, so xor-deltas against the BFS parent store a
-/// fraction of the 72-byte full width.
+/// Exposes the packed words to the word arena
+/// ([`tta_modelcheck::WordArena`]), which stores only the live prefix of
+/// the nine: `ceil(n/2) + 1` words at most on `n` nodes.
 impl tta_modelcheck::WordEncoded for CompactState {
     const WORDS: usize = WORDS;
 
@@ -96,6 +99,12 @@ impl ClusterCodec {
             nodes: config.nodes as u8,
             slots_per_round: config.slots_per_round(),
         }
+    }
+
+    /// Index of the shared (buffers / counter / monitor) word: the one
+    /// after the last controller word.
+    fn shared_word(&self) -> usize {
+        usize::from(self.nodes).div_ceil(2)
     }
 
     fn pack_controller(c: &Controller) -> u64 {
@@ -151,7 +160,7 @@ impl StateCodec for ClusterCodec {
             words[i / 2] |= Self::pack_controller(controller) << (CTRL_BITS * (i as u32 % 2));
         }
         let buffers = state.coupler_buffers();
-        words[SHARED_WORD] = Self::pack_buffer(buffers[0])
+        words[self.shared_word()] = Self::pack_buffer(buffers[0])
             | Self::pack_buffer(buffers[1]) << 8
             | u64::from(state.out_of_slot_used()) << 16
             | state
@@ -169,7 +178,7 @@ impl StateCodec for ClusterCodec {
                 self.unpack_controller(i, lane & ((1 << CTRL_BITS) - 1))
             })
             .collect();
-        let shared = words[SHARED_WORD];
+        let shared = words[self.shared_word()];
         let victim = shared >> 19 & 0x1F;
         ClusterState::with_parts(
             nodes,
@@ -301,6 +310,83 @@ mod tests {
         assert_eq!(encodings.len(), states.len(), "encoding is injective");
         for s in &states {
             assert_eq!(&codec.decode(&codec.encode(s)), s, "round trip");
+        }
+    }
+
+    /// Words up to the last non-zero one.
+    fn live_prefix(encoded: &CompactState) -> usize {
+        encoded
+            .0
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |last| last + 1)
+    }
+
+    /// The live words of every encoded state form a prefix of
+    /// `ceil(n/2) + 1` words — the controller words, then the shared
+    /// word — at every cluster size the config accepts; the word arena's
+    /// footprint rests on this layout. Each size walks three BFS layers
+    /// from the initial state and from one whose coupler buffers hold
+    /// frames (so the shared word is live), checking every state it
+    /// generates and expanding the two widest of each layer: a full
+    /// layer of 16 nodes holds 10^5 states.
+    #[test]
+    fn live_words_are_a_prefix_of_controller_and_shared_words() {
+        for nodes in 2..=16 {
+            let config = ClusterConfig {
+                nodes,
+                ..ClusterConfig::paper(CouplerAuthority::FullShifting)
+            };
+            let model = ClusterModel::new(config);
+            let codec = ClusterCodec::new(&config);
+            let prefix = nodes.div_ceil(2) + 1;
+            let initial = model.initial_state();
+            let with_shared = |victim| {
+                ClusterState::with_parts(
+                    initial.nodes().to_vec(),
+                    [
+                        BufferedFrame {
+                            id: nodes as u16,
+                            kind: FrameKind::CState,
+                        },
+                        BufferedFrame {
+                            id: 1,
+                            kind: FrameKind::ColdStart,
+                        },
+                    ],
+                    5,
+                    victim,
+                )
+            };
+            let mut widest = 0;
+            let mut check = |state: &ClusterState| {
+                let encoded = codec.encode(state);
+                assert_eq!(&codec.decode(&encoded), state, "{nodes} nodes: round trip");
+                let live = live_prefix(&encoded);
+                assert!(
+                    live <= prefix,
+                    "{nodes} nodes: word {live} is live in {encoded:?}"
+                );
+                widest = widest.max(live);
+                live
+            };
+            check(&with_shared(Some(NodeId::new(nodes as u8 - 1))));
+            let mut frontier = vec![initial.clone(), with_shared(None)];
+            for state in &frontier {
+                check(state);
+            }
+            for _ in 0..3 {
+                let mut layer = Vec::new();
+                for state in &frontier {
+                    for (succ, _) in model.expand(state) {
+                        layer.push((check(&succ), succ));
+                    }
+                }
+                // Stable: ties keep generation order.
+                layer.sort_by_key(|&(live, _)| std::cmp::Reverse(live));
+                frontier = layer.into_iter().take(2).map(|(_, s)| s).collect();
+            }
+            assert_eq!(widest, prefix, "{nodes} nodes: the shared word went live");
         }
     }
 

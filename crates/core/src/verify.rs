@@ -64,10 +64,10 @@ pub fn verify_cluster(config: &ClusterConfig) -> VerificationReport {
 pub fn verify_cluster_with(config: &ClusterConfig, strategy: CheckStrategy) -> VerificationReport {
     let model = ClusterModel::new(*config);
     // Every strategy interns visited states through the bit-packing
-    // codec, delta-encoded against BFS parents: a step touches one or
-    // two of the nine packed words, so the visited set stores sparse
-    // xor-deltas (plus periodic keyframes) instead of 72 flat bytes per
-    // state — still zero heap allocation per visit.
+    // codec into the word arena, which keeps each state's live word
+    // prefix — the controller words, then the shared word: two or three
+    // of the nine on the paper's 4-node cluster — instead of 72 flat
+    // bytes, still with zero heap allocation per visit.
     let codec = ClusterCodec::new(config);
     let explorer = match strategy {
         CheckStrategy::Bfs => Explorer::new(),

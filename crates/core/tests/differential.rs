@@ -12,7 +12,7 @@
 
 use tta_core::{verify_cluster_with, CheckStrategy, ClusterConfig, ClusterModel, ClusterState};
 use tta_guardian::CouplerAuthority;
-use tta_modelcheck::{Explorer, Verdict};
+use tta_modelcheck::{ExploreStats, Explorer, StateCodec, Verdict};
 
 /// The configurations behind experiments E1–E4.
 fn experiment_configs() -> Vec<(&'static str, ClusterConfig)> {
@@ -117,9 +117,9 @@ fn compact_codec_agrees_with_identity_exploration() {
             compact_payload < identity_payload,
             "{name}: compact {compact_payload} bytes/state vs identity {identity_payload}"
         );
-        // The delta arena stores sparse xor-deltas, so per-state bytes
-        // sit *below* the 72-byte full width — but never below the
-        // per-state metadata floor (slot record + parent link).
+        // The word arena stores only each state's live words, so
+        // per-state bytes sit *below* the 72-byte full width — but never
+        // below the per-state floor (a parent link and an index slot).
         assert!(
             compact.stats.bytes_per_state() >= 12.0,
             "{name}: implausible accounting {}",
@@ -128,13 +128,23 @@ fn compact_codec_agrees_with_identity_exploration() {
     }
 }
 
+/// Everything `ExploreStats` records but wall time and the footprint.
+fn deterministic(stats: &ExploreStats) -> ExploreStats {
+    ExploreStats {
+        duration: std::time::Duration::ZERO,
+        visited_bytes: 0,
+        ..*stats
+    }
+}
+
 #[test]
-fn delta_trace_reconstruction_is_byte_identical() {
-    // Pin the delta arena's counterexample reconstruction: walking the
-    // delta chains back to keyframes must yield exactly the bytes the
-    // plain arena stored outright — state for state, and bit for bit
-    // through the packing codec. A 2-node full-shifting cluster
-    // violates the property within ~200 states, so this stays fast.
+fn word_arena_traces_are_byte_identical() {
+    // The word arena stores each state's live words and decodes by
+    // zero-filling the rest: its counterexample must be exactly the one
+    // the plain arena stored outright — state for state, and word for
+    // word through the packing codec — at every thread count. A 2-node
+    // full-shifting cluster violates the property within ~200 states,
+    // so this stays fast.
     let config = ClusterConfig {
         nodes: 2,
         ..ClusterConfig::paper(CouplerAuthority::FullShifting)
@@ -143,38 +153,57 @@ fn delta_trace_reconstruction_is_byte_identical() {
     let codec = tta_core::ClusterCodec::new(&config);
     let invariant = |s: &ClusterState| s.property_holds();
     let plain = Explorer::new().check_with_codec(&model, &codec, invariant);
-    let delta = Explorer::new().check_with_delta_codec(&model, &codec, invariant);
     assert_eq!(plain.verdict, Verdict::Violated);
-    assert_eq!(delta.verdict, Verdict::Violated);
     let plain_trace = plain.counterexample.expect("violated ⇒ trace");
-    let delta_trace = delta.counterexample.expect("violated ⇒ trace");
-    assert_eq!(delta_trace.states(), plain_trace.states());
-    use tta_modelcheck::StateCodec;
-    for (a, b) in plain_trace.states().iter().zip(delta_trace.states()) {
-        assert_eq!(codec.encode(a), codec.encode(b), "packed bytes diverged");
+    for threads in [1, 2, 4] {
+        let words = Explorer::new()
+            .threads(threads)
+            .check_with_delta_codec(&model, &codec, invariant);
+        assert_eq!(words.verdict, Verdict::Violated, "{threads} threads");
+        assert_eq!(
+            deterministic(&words.stats),
+            deterministic(&plain.stats),
+            "{threads} threads"
+        );
+        let trace = words.counterexample.expect("violated ⇒ trace");
+        assert_eq!(trace.states(), plain_trace.states(), "{threads} threads");
+        for (a, b) in plain_trace.states().iter().zip(trace.states()) {
+            assert_eq!(
+                codec.encode(a),
+                codec.encode(b),
+                "{threads} threads: packed words diverged"
+            );
+        }
     }
 }
 
 #[test]
-fn delta_storage_shrinks_the_visited_set() {
-    // Same exploration, two storage schemes: the delta arena must agree
+fn word_arena_shrinks_the_visited_set() {
+    // Same exploration, two storage schemes: the word arena must agree
     // with the plain arena on everything observable and undercut its
-    // memory accounting (this is the footprint the delta encoding was
-    // built to win; the plain arena stores 72 flat bytes per state
-    // before index overhead).
+    // memory accounting at every thread count (the plain arena stores
+    // 72 flat bytes per state before index overhead; the word arena
+    // the two live controller words of a 4-node small-shifting state).
     let config = ClusterConfig::paper(CouplerAuthority::SmallShifting);
     let model = ClusterModel::new(config);
     let codec = tta_core::ClusterCodec::new(&config);
     let invariant = |s: &ClusterState| s.property_holds();
     let plain = Explorer::new().check_with_codec(&model, &codec, invariant);
-    let delta = Explorer::new().check_with_delta_codec(&model, &codec, invariant);
-    assert_eq!(delta.verdict, plain.verdict);
-    assert_eq!(delta.stats.states_explored, plain.stats.states_explored);
-    assert_eq!(delta.stats.depth_reached, plain.stats.depth_reached);
-    assert!(
-        delta.stats.visited_bytes < plain.stats.visited_bytes,
-        "delta {} bytes vs plain {} bytes",
-        delta.stats.visited_bytes,
-        plain.stats.visited_bytes
-    );
+    for threads in [1, 2, 4] {
+        let words = Explorer::new()
+            .threads(threads)
+            .check_with_delta_codec(&model, &codec, invariant);
+        assert_eq!(words.verdict, plain.verdict, "{threads} threads");
+        assert_eq!(
+            deterministic(&words.stats),
+            deterministic(&plain.stats),
+            "{threads} threads"
+        );
+        assert!(
+            words.stats.visited_bytes < plain.stats.visited_bytes,
+            "{threads} threads: word arena {} bytes vs plain {} bytes",
+            words.stats.visited_bytes,
+            plain.stats.visited_bytes
+        );
+    }
 }

@@ -43,7 +43,7 @@ use crate::scc::{tarjan_in, NO_COMPONENT};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use tta_base::map_chunks;
-use tta_modelcheck::{StateCodec, Verdict};
+use tta_modelcheck::{StateCodec, Verdict, WordEncoded};
 
 /// Marks an unset parent link in the searches' scratch arrays.
 const UNSET: u32 = u32::MAX;
@@ -133,7 +133,11 @@ struct CycleWitness {
     cycle_ids: Vec<u32>,
 }
 
-impl<C: StateCodec> FairGraph<'_, C> {
+impl<C> FairGraph<'_, C>
+where
+    C: StateCodec,
+    C::Encoded: WordEncoded,
+{
     /// Checks `property` over this graph's fair executions: the
     /// one-property case of [`Self::check_all`], on the calling thread.
     #[must_use]

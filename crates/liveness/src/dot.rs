@@ -9,9 +9,13 @@
 
 use crate::graph::FairGraph;
 use std::io;
-use tta_modelcheck::StateCodec;
+use tta_modelcheck::{StateCodec, WordEncoded};
 
-impl<C: StateCodec> FairGraph<'_, C> {
+impl<C> FairGraph<'_, C>
+where
+    C: StateCodec,
+    C::Encoded: WordEncoded,
+{
     /// Renders the graph as Graphviz DOT. `label` produces node labels;
     /// `highlight` marks nodes to draw filled red (violations, targets).
     pub fn to_dot<L, H>(&self, name: &str, label: L, highlight: H) -> String

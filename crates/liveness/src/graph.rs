@@ -6,11 +6,11 @@
 //! anywhere), not just a frontier, so memory discipline matters even
 //! more than in the BFS checker. Graph construction is a walk on the
 //! safety checker's layer step ([`Explorer::walk`]) and its interning
-//! stack — [`StateCodec`] encodings stored once in a [`StateArena`], BFS
-//! parents as `u32` indices — and adds a CSR adjacency with one `u32`
-//! action-label bitmask per edge. States are expanded in id order, so
-//! each state's edges are appended as its CSR row directly: no global
-//! edge list, no sort.
+//! stack — [`StateCodec`] encodings stored once in a [`WordArena`], each
+//! as its live word prefix, BFS parents as `u32` indices — and adds a
+//! CSR adjacency with one `u32` action-label bitmask per edge. States
+//! are expanded in id order, so each state's edges are appended as its
+//! CSR row directly: no global edge list, no sort.
 //!
 //! Two details keep later verdicts sound:
 //!
@@ -32,7 +32,7 @@ use crate::fairness::{FairAction, MAX_FAIR_ACTIONS};
 use std::fmt;
 use std::time::Duration;
 use tta_modelcheck::{
-    Explorer, Flow, StateArena, StateCodec, Target, TransitionSystem, Walk, NO_PARENT,
+    Explorer, Flow, StateCodec, Target, TransitionSystem, Walk, WordArena, WordEncoded, NO_PARENT,
 };
 
 /// States per stolen chunk of a build wave. Graph construction labels
@@ -109,10 +109,11 @@ impl<'g> Topology<'g> {
 }
 
 /// The reachable state graph of a [`TransitionSystem`], interned through
-/// a [`StateCodec`], labeled with weak-fairness actions.
+/// a [`StateCodec`] whose encoding is [`WordEncoded`], labeled with
+/// weak-fairness actions.
 pub struct FairGraph<'c, C: StateCodec> {
     codec: &'c C,
-    arena: StateArena<C::Encoded>,
+    arena: WordArena<C::Encoded>,
     offsets: Vec<usize>,
     targets: Vec<u32>,
     labels: Vec<u32>,
@@ -129,15 +130,19 @@ pub struct FairGraph<'c, C: StateCodec> {
 impl<C: StateCodec> fmt::Debug for FairGraph<'_, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FairGraph")
-            .field("states", &self.state_count())
-            .field("edges", &self.edge_count())
+            .field("states", &self.arena.len())
+            .field("edges", &self.targets.len())
             .field("actions", &self.action_names)
             .field("truncated", &self.truncated)
             .finish_non_exhaustive()
     }
 }
 
-impl<'c, C: StateCodec> FairGraph<'c, C> {
+impl<'c, C> FairGraph<'c, C>
+where
+    C: StateCodec,
+    C::Encoded: WordEncoded,
+{
     /// Explores `system` breadth-first and builds the labeled graph,
     /// keeping at most `max_states` distinct states: the one-thread
     /// [`Self::build_with_threads`].
@@ -195,7 +200,7 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
             "at most {MAX_FAIR_ACTIONS} weak-fairness constraints per graph (got {})",
             fairness.len()
         );
-        let mut arena = StateArena::new();
+        let mut arena = WordArena::new();
         let mut rows = Rows {
             fairness,
             offsets: vec![0],
@@ -283,7 +288,7 @@ impl<'c, C: StateCodec> FairGraph<'c, C> {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn state(&self, id: u32) -> C::State {
-        self.codec.decode(self.arena.get(id))
+        self.codec.decode(&self.arena.decode(id))
     }
 
     /// Names of the registered fairness actions, bit order.
@@ -615,7 +620,7 @@ mod tests {
         let max_states = max_states.min(u64::from(u32::MAX - 1));
         let mut graph = FairGraph {
             codec,
-            arena: StateArena::new(),
+            arena: WordArena::new(),
             offsets: vec![0],
             targets: Vec::new(),
             labels: Vec::new(),
@@ -642,7 +647,7 @@ mod tests {
                 graph.truncated = true;
                 break;
             }
-            let id = graph.arena.insert_new_hashed(hash, encoded, NO_PARENT);
+            let id = graph.arena.insert_new_hashed(hash, &encoded, NO_PARENT);
             graph.initial.push(id);
         }
         let mut succs: Vec<u32> = Vec::new();
@@ -650,7 +655,7 @@ mod tests {
         while (cursor as usize) < graph.arena.len() {
             let id = cursor;
             cursor += 1;
-            let state = codec.decode(graph.arena.get(id));
+            let state = codec.decode(&graph.arena.decode(id));
             succs.clear();
             system.successors(&state, &mut succs);
             if succs.is_empty() {
@@ -671,7 +676,7 @@ mod tests {
                 let target = match graph.arena.lookup_hashed(hash, &encoded) {
                     Some(t) => Some(t),
                     None if (graph.arena.len() as u64) < max_states => {
-                        Some(graph.arena.insert_new_hashed(hash, encoded, id))
+                        Some(graph.arena.insert_new_hashed(hash, &encoded, id))
                     }
                     None => {
                         graph.truncated = true;

@@ -16,7 +16,7 @@
 //!   judgments (a node that *can* act infinitely often *must*);
 //! * [`FairGraph`] — the reachable graph built once on the safety
 //!   checker's layer step ([`tta_modelcheck::Explorer::walk`]) and its
-//!   [`tta_modelcheck::StateCodec`]/[`tta_modelcheck::StateArena`]
+//!   [`tta_modelcheck::StateCodec`]/[`tta_modelcheck::WordArena`]
 //!   interning, with per-edge action labels and a CSR adjacency, and a
 //!   Graphviz DOT renderer ([`FairGraph::to_dot`]);
 //! * an iterative (non-recursive, stack-safe) Tarjan SCC decomposition

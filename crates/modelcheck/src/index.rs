@@ -9,7 +9,7 @@
 //! load passes 3/4.
 //!
 //! A tag match is only a candidate: the arena confirms it with its own
-//! equality check (a direct compare, or a delta reconstruction), so
+//! equality check (comparing the stored state, or the stored words), so
 //! states whose hashes share all 32 tag bits — or all 64 — are still
 //! told apart exactly.
 

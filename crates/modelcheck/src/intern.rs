@@ -1,4 +1,5 @@
-//! The arena-interned visited set shared by both explorers.
+//! The plain interning visited set, and the [`Visited`] interface the
+//! layer step drives every arena through.
 //!
 //! A [`StateArena`] stores each distinct encoded state **exactly once**
 //! in a flat vector, with the BFS parent recorded as a `u32` arena
@@ -6,11 +7,12 @@
 //! through a compact hash index of 8 bytes per slot (a 32-bit tag of
 //! the encoding's Fx hash plus the state id), so the index never
 //! duplicates the encoded bytes the arena already owns, and a tag match
-//! is confirmed by comparing the stored state. The delta arena
-//! ([`crate::delta::DeltaArena`]) shares the same index.
+//! is confirmed by comparing the stored state. The word arena
+//! ([`crate::word::WordArena`]) shares the same index and stores only
+//! each state's live words.
 //!
-//! Parent indices are opaque to the arena: both explorers store arena
-//! ids, and [`NO_PARENT`] marks roots.
+//! Parent indices are opaque to the arena: every walk stores arena ids,
+//! and [`NO_PARENT`] marks roots.
 
 use crate::index::VisitedIndex;
 use std::hash::Hash;
@@ -18,9 +20,8 @@ use std::hash::Hash;
 /// Parent marker for initial states (no predecessor).
 pub const NO_PARENT: u32 = u32::MAX;
 
-/// The visited-set interface both explorers drive, implemented by the
-/// plain [`StateArena`] and the delta-encoding
-/// [`crate::delta::DeltaArena`].
+/// The visited-set interface the layer step drives, implemented by the
+/// plain [`StateArena`] and the [`crate::word::WordArena`].
 ///
 /// All methods take a caller-computed Fx hash so the hot loop hashes
 /// each encoding exactly once (the hash must be `fx_hash(&encoded)` —
@@ -47,7 +48,7 @@ pub trait Visited<E> {
     fn insert_new_hashed(&mut self, hash: u64, encoded: E, parent: u32) -> u32;
 
     /// Calls `f` with the encoded state stored at `id` (materializing it
-    /// first if the storage is not full-width).
+    /// first if the storage does not keep the encoding whole).
     fn with_encoded<R>(&self, id: u32, f: impl FnOnce(&E) -> R) -> R;
 
     /// Approximate resident bytes of the visited set.

@@ -22,9 +22,12 @@
 //! * [`StateCodec`] / [`StateArena`] — compact state interning: visited
 //!   sets store fixed-size encodings once, and parent links are `u32`
 //!   arena indices instead of per-state clones;
-//! * [`DeltaArena`] — optional delta-encoded visited-set storage
-//!   (sparse xor-deltas against BFS parents with periodic keyframes),
-//!   behind [`Explorer::check_with_delta_codec`].
+//! * [`WordArena`] — the flat visited set for [`WordEncoded`] encodings:
+//!   one row of words per state, as wide as the longest live (non-zero)
+//!   word prefix stored so far, confirmed by a slice compare. The
+//!   cluster checkers of `tta-core` and `tta-liveness` store their
+//!   states here (the safety check through
+//!   [`Explorer::check_with_delta_codec`]).
 //!
 //! # Example
 //!
@@ -52,7 +55,6 @@
 
 pub mod codec;
 mod counterexample;
-pub mod delta;
 mod explore;
 pub mod hashing;
 mod index;
@@ -60,13 +62,14 @@ pub mod intern;
 pub mod parallel;
 mod stats;
 mod system;
+pub mod word;
 
 pub use codec::{IdentityCodec, StateCodec};
 pub use counterexample::Trace;
-pub use delta::{DeltaArena, WordEncoded, KEY_INTERVAL, MAX_WORDS};
 pub use explore::{
     CheckOutcome, Explorer, Flow, Target, Verdict, Walk, Walked, DEFAULT_MAX_STATES,
 };
 pub use intern::{StateArena, Visited, NO_PARENT};
 pub use stats::ExploreStats;
 pub use system::{Invariant, TransitionSystem};
+pub use word::{WordArena, WordEncoded, MAX_WORDS};

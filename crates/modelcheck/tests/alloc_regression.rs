@@ -139,10 +139,10 @@ fn interned_exploration_does_not_allocate_per_state() {
 }
 
 #[test]
-fn delta_exploration_does_not_allocate_per_state() {
-    // The delta arena stores xor-deltas in one growing payload vector;
-    // reconstruction uses a fixed stack buffer. Its allocation profile
-    // must match the plain arena's: vector doublings and rehashes only.
+fn word_arena_exploration_does_not_allocate_per_state() {
+    // The word arena stores its rows in one growing vector; probes and
+    // decodes use a fixed stack buffer. Its allocation profile must
+    // match the plain arena's: vector doublings and rehashes only.
     let grid = Grid { bound: 100 };
     let warmup = Explorer::new().check_with_delta_codec(&grid, &PackCodec, |_: &(u32, u32)| true);
     assert_eq!(warmup.verdict, Verdict::Holds);
@@ -155,7 +155,7 @@ fn delta_exploration_does_not_allocate_per_state() {
     assert_eq!(outcome.stats.states_explored, 101 * 101);
     assert!(
         spent < 2_000,
-        "delta exploration of {} states allocated {spent} times — per-state allocation regression",
+        "word-arena exploration of {} states allocated {spent} times — per-state allocation regression",
         outcome.stats.states_explored
     );
 }

@@ -1,15 +1,17 @@
 //! Footprint regression test for the visited set.
 //!
 //! A 101 × 101 grid (10,201 states) explored through a one-word packing
-//! codec, with both arenas. Per state the plain arena holds the 8-byte
-//! encoding, a 4-byte parent link and its share of the 8-byte index
-//! slots; the delta arena adds an 8-byte slot record. At this size every
-//! vector, and the index, has 16,384 slots (1.6 per state), so the plain
-//! arena costs 32.1 B/state and the delta arena 45.0.
+//! codec, with both arenas. Per state each holds the 8-byte encoding (the
+//! word arena as a one-word row, with no per-state record beside it), a
+//! 4-byte parent link and its share of the 8-byte index slots. At this
+//! size every vector, and the index, has 16,384 slots (1.6 per state), so
+//! both arenas cost 32.1 B/state.
 //!
 //! The bounds below allow each structure up to 2 slots per state. A
 //! hash index of 32 bytes per bucket — a `(u64 hash, bucket)` map entry
-//! — costs over 32 B/state on its own and fails both.
+//! — costs over 32 B/state on its own and fails both, and so does an
+//! 8-byte record per state beside the rows, as the delta arena this one
+//! replaced kept (45.0 B/state here).
 
 use tta_modelcheck::{Explorer, StateCodec, TransitionSystem, Verdict};
 
@@ -65,11 +67,11 @@ fn plain_arena_stays_under_forty_bytes_per_state() {
 }
 
 #[test]
-fn delta_arena_stays_under_fifty_six_bytes_per_state() {
+fn word_arena_stays_under_forty_bytes_per_state() {
     let outcome = Explorer::new().check_with_delta_codec(&GRID, &PackCodec, |_: &(u32, u32)| true);
     assert_eq!(outcome.verdict, Verdict::Holds);
     assert_eq!(outcome.stats.states_explored, 101 * 101);
-    // 2 × (8 slot record + 4 parent + 8 payload + 8 index).
+    // 2 × (8 row + 4 parent + 8 index).
     let bytes = outcome.stats.bytes_per_state();
-    assert!(bytes <= 56.0, "delta arena costs {bytes:.1} B/state");
+    assert!(bytes <= 40.0, "word arena costs {bytes:.1} B/state");
 }
