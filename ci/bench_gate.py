@@ -9,11 +9,12 @@ comparable, seconds_per_iter, iters_per_second}` plus its named counts.
 
 * Ceilings. Each row below must exist in one of the snapshots, and its
   count must not exceed the limit. Footprints are a deterministic function
-  of the code (capacity-based accounting), so this runs on any runner. Each
-  limit sits between the value with the word arena, which stores each
-  state's live words only (45.8; 103.3 and 115.6 B/state), and the one
-  before it, with the delta arena and the fair graph's 72-byte states
-  (62.2; 195.0 and 162.1 B/state).
+  of the code, so this runs on any runner. Each limit sits above the value
+  with the word arena, which stores each state's live words only (33.1;
+  90.6 and 101.8 B/state counting the rows it holds, 45.8; 103.3 and 115.6
+  counting vector capacity), and below the one before it, with the delta
+  arena and the fair graph's 72-byte states (62.2; 195.0 and 162.1 B/state
+  by capacity).
 * Speed floor. On a host with at least 2 CPUs, every comparable row of a
   gated workload at 2 or more threads must run at least its floor's
   multiple of the 1-thread row's speed: 1.2x for the explorer, 1x (at

@@ -26,9 +26,8 @@
 //!   sweep.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_bench::{fmt_duration, heading, Runs};
+use tta_bench::{fmt_duration, heading, timed, Runs};
 use tta_conformance::{ExpectedVerdict, Scenario};
 use tta_core::{
     cluster_startup_fairness, narrate_lasso, node_integration_property, verify_cluster_liveness,
@@ -136,10 +135,7 @@ fn paper_table() {
     let mut violation: Option<(CouplerAuthority, LivenessReport)> = None;
     for authority in CouplerAuthority::all() {
         let config = ClusterConfig::paper(authority);
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let started = Instant::now();
-        let report = verify_cluster_liveness(&config);
-        let elapsed = started.elapsed();
+        let (report, elapsed) = timed(|| verify_cluster_liveness(&config));
         table.row([
             authority.to_string(),
             verdict_word(report.verdict).to_string(),
@@ -325,15 +321,12 @@ fn timed_runs<'c>(
     for _ in 0..runs {
         // Free the previous repetition's graph before building the next.
         drop(last.take());
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let started = Instant::now();
-        let graph =
-            FairGraph::build_with_threads(model, codec, fairness, DEFAULT_MAX_STATES, threads);
-        build_secs = build_secs.min(started.elapsed().as_secs_f64());
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let started = Instant::now();
-        let outcomes = graph.check_all(properties, threads);
-        check_secs = check_secs.min(started.elapsed().as_secs_f64());
+        let (graph, build) = timed(|| {
+            FairGraph::build_with_threads(model, codec, fairness, DEFAULT_MAX_STATES, threads)
+        });
+        build_secs = build_secs.min(build.as_secs_f64());
+        let (outcomes, check) = timed(|| graph.check_all(properties, threads));
+        check_secs = check_secs.min(check.as_secs_f64());
         last = Some((graph, outcomes));
     }
     let (graph, outcomes) = last.expect("at least one run");

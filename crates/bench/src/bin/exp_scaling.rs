@@ -11,9 +11,8 @@
 //! timed by `exp_hotpaths` (`explore/small_shifting`,
 //! `bounded_bfs_depth20/small_shifting`).
 
-use std::time::Instant;
 use tta_analysis::tables::Table;
-use tta_bench::{fmt_duration, heading};
+use tta_bench::{fmt_duration, heading, timed};
 use tta_core::{verify_cluster_with, CheckStrategy, ClusterConfig, FaultBudget, Verdict};
 use tta_guardian::CouplerAuthority;
 
@@ -58,16 +57,14 @@ fn main() {
                 nodes,
                 ..ClusterConfig::paper(authority)
             };
-            // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-            let started = Instant::now();
-            let report = verify_cluster_with(&config, strategy);
+            let (report, elapsed) = timed(|| verify_cluster_with(&config, strategy));
             table.row([
                 nodes.to_string(),
                 authority.to_string(),
                 format!("{:?}", report.verdict),
                 report.stats.states_explored.to_string(),
                 report.stats.depth_reached.to_string(),
-                fmt_duration(started.elapsed()),
+                fmt_duration(elapsed),
             ]);
         }
     }
@@ -85,9 +82,7 @@ fn main() {
             out_of_slot_budget: budget,
             ..ClusterConfig::paper(CouplerAuthority::FullShifting)
         };
-        // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-        let started = Instant::now();
-        let report = verify_cluster_with(&config, strategy);
+        let (report, elapsed) = timed(|| verify_cluster_with(&config, strategy));
         table.row([
             budget.to_string(),
             match report.verdict {
@@ -99,7 +94,7 @@ fn main() {
                 .counterexample_len()
                 .map_or_else(|| "—".into(), |l| l.to_string()),
             report.stats.states_explored.to_string(),
-            fmt_duration(started.elapsed()),
+            fmt_duration(elapsed),
         ]);
     }
     println!("{table}");

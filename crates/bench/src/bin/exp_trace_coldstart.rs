@@ -6,8 +6,7 @@
 //! buffered **cold-start frame**; a healthy node's clique-avoidance test
 //! then freezes it during startup/integration.
 
-use std::time::Instant;
-use tta_bench::{fmt_duration, heading};
+use tta_bench::{fmt_duration, heading, timed};
 use tta_core::{narrate_compressed, verify_cluster, ClusterConfig, ClusterModel, Verdict};
 
 fn main() {
@@ -15,10 +14,7 @@ fn main() {
     let config = ClusterConfig::paper_trace_cold_start();
     println!("configuration: {config}\n");
 
-    // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-    let started = Instant::now();
-    let report = verify_cluster(&config);
-    let elapsed = started.elapsed();
+    let (report, elapsed) = timed(|| verify_cluster(&config));
     assert_eq!(
         report.verdict,
         Verdict::Violated,

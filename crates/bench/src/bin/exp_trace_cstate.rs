@@ -6,8 +6,7 @@
 //! **C-state frame** instead ("The error may also be triggered by
 //! duplicating a C-state frame").
 
-use std::time::Instant;
-use tta_bench::{fmt_duration, heading};
+use tta_bench::{fmt_duration, heading, timed};
 use tta_core::{narrate_compressed, verify_cluster, ClusterConfig, ClusterModel, Verdict};
 
 fn main() {
@@ -17,10 +16,7 @@ fn main() {
     let config = ClusterConfig::paper_trace_cstate();
     println!("configuration: {config}\n");
 
-    // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-    let started = Instant::now();
-    let report = verify_cluster(&config);
-    let elapsed = started.elapsed();
+    let (report, elapsed) = timed(|| verify_cluster(&config));
     assert_eq!(
         report.verdict,
         Verdict::Violated,

@@ -19,7 +19,6 @@
 //!   counterexample length, full exploration statistics, seconds — to
 //!   `PATH` (default `verification.json`).
 
-use std::time::Instant;
 use tta_analysis::tables::Table;
 use tta_base::json::{json_obj, json_rounded, Json};
 use tta_bench::{fmt_secs, heading, write_snapshot};
@@ -57,12 +56,10 @@ fn verdict_word(verdict: Verdict) -> &'static str {
     }
 }
 
-/// One verification, timed.
-fn timed(config: &ClusterConfig) -> (VerificationReport, f64) {
-    // detlint: allow(DL02) reason=benchmark measurement; wall-clock is the quantity this binary reports
-    let started = Instant::now();
-    let report = verify_cluster(config);
-    (report, started.elapsed().as_secs_f64())
+/// One verification, timed in seconds.
+fn verify_timed(config: &ClusterConfig) -> (VerificationReport, f64) {
+    let (report, elapsed) = tta_bench::timed(|| verify_cluster(config));
+    (report, elapsed.as_secs_f64())
 }
 
 /// One snapshot row: `key: name` first, then the verdict, the
@@ -108,7 +105,7 @@ fn main() {
     ]);
     let mut rows = Vec::new();
     for authority in CouplerAuthority::all() {
-        let (report, seconds) = timed(&ClusterConfig::paper(authority));
+        let (report, seconds) = verify_timed(&ClusterConfig::paper(authority));
         let verdict = match report.verdict {
             Verdict::Holds => "holds".to_string(),
             Verdict::Violated => "VIOLATED".to_string(),
@@ -141,7 +138,7 @@ fn main() {
         ),
         ("cstate_duplication", ClusterConfig::paper_trace_cstate()),
     ] {
-        let (report, seconds) = timed(&config);
+        let (report, seconds) = verify_timed(&config);
         table.row([
             name.to_string(),
             report.stats.states_explored.to_string(),

@@ -2,8 +2,9 @@
 //!
 //! Experiment harness for the DSN 2004 reproduction: one `exp_*` binary
 //! per table/figure of the paper (see EXPERIMENTS.md for the index), plus
-//! [`Runs`], the one writer of the BENCH snapshots' rows, and
-//! [`seconds_per_iter`], the timer behind `exp_hotpaths`.
+//! [`Runs`], the one writer of the BENCH snapshots' rows, and the one
+//! clock every binary times with: [`timed`] for a single call and
+//! [`seconds_per_iter`], built on it, for `exp_hotpaths`' repeated ones.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -184,6 +185,16 @@ pub fn write_snapshot(path: &str, snapshot: &Json) {
     println!("\nwrote {path}");
 }
 
+/// Runs `f` once and returns its result with the wall-clock time it
+/// took. The workspace's one benchmark clock read: [`seconds_per_iter`]
+/// and every experiment binary's timing column go through it.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    // detlint: allow(DL02) reason=the one benchmark timer; wall-clock is the quantity the experiment binaries report
+    let started = Instant::now();
+    let result = f();
+    (result, started.elapsed())
+}
+
 /// Seconds one call of `f` takes. The batch size doubles until a batch
 /// runs for at least 10 ms, so the clock read is amortised even for
 /// nanosecond calls; the answer is the fastest of five batches of that
@@ -195,12 +206,12 @@ pub fn seconds_per_iter<R>(mut f: impl FnMut() -> R) -> f64 {
     const MIN_BATCH_SECONDS: f64 = 0.01;
     const BATCHES: usize = 5;
     let mut run_batch = |iters: u64| {
-        // detlint: allow(DL02) reason=the one hot-path timer; wall-clock is the quantity exp_hotpaths reports
-        let started = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(std::hint::black_box(&mut f)());
-        }
-        started.elapsed().as_secs_f64()
+        let ((), elapsed) = timed(|| {
+            for _ in 0..iters {
+                std::hint::black_box(std::hint::black_box(&mut f)());
+            }
+        });
+        elapsed.as_secs_f64()
     };
     let mut iters = 1u64;
     let mut best = run_batch(iters);

@@ -1,15 +1,17 @@
 //! The append-only job journal: crash-safe records of the verdicts a
 //! job quarantined.
 //!
-//! One journal file per job, named by the job hash. A completed trial's
-//! one durable record is its result-cache entry ([`crate::cache`]); the
-//! journal keeps what the cache cannot, the trials this job's retry
-//! budget gave up on, since those depend on the run's chaos and
-//! supervision, not on the trial key. After a clean sweep it is its
-//! header line alone. The runner's emitter appends one record per chunk
-//! that quarantined a trial, holding only those verdicts, as one batch
-//! with one `sync_data`, and streams none of those chunks before that
-//! sync returns. Each line carries its own FNV checksum, so a journal
+//! At most one journal file per job, named by the job hash. A completed
+//! trial's one durable record is its result-cache entry
+//! ([`crate::cache`]); the journal keeps what the cache cannot, the
+//! trials this job's retry budget gave up on, since those depend on the
+//! run's chaos and supervision, not on the trial key. So a clean sweep
+//! leaves no journal at all: the file, its directory and its header
+//! line are created by the first batch that quarantines a trial. The
+//! runner's emitter appends one record per chunk that quarantined a
+//! trial, holding only those verdicts, as one batch with one
+//! `sync_data`, and streams none of those chunks before that sync
+//! returns. Each line carries its own FNV checksum, so a journal
 //! torn mid-write by a crash degrades cleanly: on reopen, the valid
 //! prefix is kept, the torn tail is truncated away, and at most the
 //! quarantines of the one interrupted batch — none of them streamed —
@@ -40,8 +42,8 @@ use crate::runner::TrialVerdict;
 use crate::spec::{verdict_from_json, verdict_to_fields};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::io::{BufRead, BufReader, ErrorKind, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 use tta_base::hash::fnv1a64_extend;
 
 /// Trials per journaled chunk. Fixed (not tunable per job) so that a
@@ -141,24 +143,29 @@ pub(crate) fn header_line(job_hash: u64) -> String {
     ]))
 }
 
-/// An open, append-position journal for one job.
+/// A job's journal, positioned to append.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    path: PathBuf,
+    job_hash: u64,
+    /// The file, open at its end after a valid header; `None` until the
+    /// first append creates it.
+    file: Option<File>,
     /// Verdicts recovered from the valid prefix at open time, by trial
     /// index.
     recovered: HashMap<u32, TrialVerdict>,
 }
 
 impl Journal {
-    /// Opens (or creates) the journal for `job_hash` at `path`.
+    /// Opens the journal for `job_hash` at `path`, creating nothing: a
+    /// missing file is an empty journal, created by its first append.
     ///
     /// An existing file is scanned line by line; scanning stops at the
     /// first line that is not UTF-8 or fails to parse or checksum (a
     /// torn or damaged tail), and the file is truncated back to the
-    /// valid prefix. A file whose header names a different job or chunk
-    /// size is discarded entirely — it belongs to a different sweep
-    /// definition.
+    /// valid prefix. A file without a valid header, or whose header
+    /// names a different job or chunk size, is deleted: it belongs to a
+    /// different sweep definition.
     ///
     /// # Errors
     ///
@@ -166,17 +173,18 @@ impl Journal {
     /// error — corruption means less resumable work, never a failed
     /// open.
     pub fn open(path: &Path, job_hash: u64) -> std::io::Result<Journal> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
+        let mut journal = Journal {
+            path: path.to_path_buf(),
+            job_hash,
+            file: None,
+            recovered: HashMap::new(),
+        };
+        let mut file = match OpenOptions::new().read(true).write(true).open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(journal),
+            Err(e) => return Err(e),
+        };
 
-        let mut recovered = HashMap::new();
         let mut valid_len: u64 = 0;
         {
             let mut reader = BufReader::new(&mut file);
@@ -206,18 +214,21 @@ impl Journal {
                     let Some(record) = ChunkRecord::from_value(&body) else {
                         break;
                     };
-                    recovered.extend(record.trials.into_iter().map(|v| (v.index(), v)));
+                    journal
+                        .recovered
+                        .extend(record.trials.into_iter().map(|v| (v.index(), v)));
                 }
                 valid_len += n as u64;
             }
         }
 
-        file.set_len(valid_len)?;
-        file.seek(SeekFrom::Start(valid_len))?;
-        let mut journal = Journal { file, recovered };
         if valid_len == 0 {
-            journal.write_line(header_line(job_hash))?;
-            journal.file.sync_data()?;
+            drop(file);
+            std::fs::remove_file(path)?;
+        } else {
+            file.set_len(valid_len)?;
+            file.seek(SeekFrom::Start(valid_len))?;
+            journal.file = Some(file);
         }
         Ok(journal)
     }
@@ -246,7 +257,9 @@ impl Journal {
 
     /// Appends records, one line (and one write) each, then syncs once
     /// — once `append_batch` returns, a crash cannot lose any of them.
-    /// An empty batch writes and syncs nothing.
+    /// The first non-empty batch first creates the file (and its
+    /// directory) and writes its header; the one sync covers both. An
+    /// empty batch creates, writes and syncs nothing.
     ///
     /// # Errors
     ///
@@ -255,16 +268,27 @@ impl Journal {
         if records.is_empty() {
             return Ok(());
         }
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => {
+                if let Some(parent) = self.path.parent() {
+                    std::fs::create_dir_all(parent)?;
+                }
+                let mut file = File::create(&self.path)?;
+                write_line(&mut file, header_line(self.job_hash))?;
+                self.file.insert(file)
+            }
+        };
         for record in records {
-            self.write_line(record.to_line())?;
+            write_line(file, record.to_line())?;
         }
-        self.file.sync_data()
+        file.sync_data()
     }
+}
 
-    fn write_line(&mut self, mut line: String) -> std::io::Result<()> {
-        line.push('\n');
-        self.file.write_all(line.as_bytes())
-    }
+fn write_line(file: &mut File, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    file.write_all(line.as_bytes())
 }
 
 #[cfg(test)]
@@ -347,6 +371,42 @@ pub(crate) mod tests {
             text,
             "nothing truncated"
         );
+    }
+
+    #[test]
+    fn a_header_only_journal_from_an_earlier_build_still_opens() {
+        // Earlier builds wrote the header at open, so every job left
+        // one; it recovers nothing and takes records after it.
+        let path = temp_path("header-only");
+        std::fs::write(&path, format!("{PINNED_HEADER}\n")).unwrap();
+        let mut journal = Journal::open(&path, PINNED_JOB).unwrap();
+        assert!(journal.recovered().is_empty());
+        journal.append(&pinned_record()).unwrap();
+        drop(journal);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{PINNED_HEADER}\n{PINNED_RECORD}\n")
+        );
+    }
+
+    #[test]
+    fn only_the_first_record_creates_the_journal() {
+        let dir =
+            std::env::temp_dir().join(format!("campaignd-journal-lazy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("jobs").join("job.journal");
+        let mut journal = Journal::open(&path, PINNED_JOB).unwrap();
+        assert!(journal.recovered().is_empty());
+        journal.append_batch(&[]).unwrap();
+        assert!(!dir.exists(), "opening and an empty batch create nothing");
+        journal.append(&pinned_record()).unwrap();
+        drop(journal);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{PINNED_HEADER}\n{PINNED_RECORD}\n"),
+            "the first record brings the header"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -497,6 +557,7 @@ pub(crate) mod tests {
         // edited): nothing may be resumed.
         let journal = Journal::open(&path, 2).unwrap();
         assert!(journal.recovered().is_empty());
+        assert!(!path.exists(), "the other job's file is discarded");
     }
 
     /// Opens a journal over `damaged` bytes and checks the recovery

@@ -991,12 +991,9 @@ mod tests {
     fn output_is_identical_across_worker_counts() {
         let dir = temp_dir("w1");
         let base = run_fresh(&dir, 1);
-        // Every completed trial lives in the cache log alone: the
-        // journal of a clean run is its header line.
-        assert_eq!(
-            std::fs::read_to_string(journal_path(&dir)).unwrap(),
-            format!("{}\n", crate::journal::header_line(job().job_hash))
-        );
+        // Every completed trial lives in the cache log alone: a clean
+        // run leaves no journal.
+        assert!(!journal_path(&dir).exists());
         for workers in [2, 4, 8] {
             let other = run_fresh(&temp_dir(&format!("w{workers}")), workers);
             assert_eq!(other.0.verdicts, base.0.verdicts, "workers={workers}");
@@ -1007,6 +1004,27 @@ mod tests {
         assert_eq!(base.0.stats.computed, 20);
         assert_eq!(base.0.stats.cache_hits, 0);
         assert_eq!(base.0.stats.quarantined, 0);
+    }
+
+    #[test]
+    fn a_header_only_journal_from_an_earlier_build_resumes_to_the_same_verdicts() {
+        // Earlier builds wrote every job's journal header at open, so a
+        // clean job left its header line alone.
+        let dir = temp_dir("header-only");
+        let (clean, _) = run_fresh(&dir, 2);
+        let header = format!("{}\n", crate::journal::header_line(job().job_hash));
+        std::fs::write(journal_path(&dir), &header).unwrap();
+        let (resumed, _) = run_fresh(&dir, 2);
+        assert_eq!(resumed.verdicts, clean.verdicts);
+        assert_eq!(
+            (
+                resumed.stats.computed,
+                resumed.stats.cache_hits,
+                resumed.stats.resumed_trials
+            ),
+            (0, 20, 0)
+        );
+        assert_eq!(std::fs::read_to_string(journal_path(&dir)).unwrap(), header);
     }
 
     #[test]

@@ -37,8 +37,8 @@ use tta_guardian::sos::SosDomain;
 use tta_guardian::{CouplerAuthority, CouplerFaultMode};
 use tta_protocol::{HostChoices, RestartPolicy};
 use tta_sim::{
-    CouplerFaultEvent, FaultPersistence, FaultPlan, NodeFault, NodeFaultKind, RecoveryOutcome,
-    SimBuilder, Topology,
+    can_replay, FaultEvent, FaultPersistence, FaultPlan, FaultTarget, NodeFaultKind,
+    RecoveryOutcome, SimBuilder, Topology,
 };
 use tta_types::NodeId;
 
@@ -163,10 +163,12 @@ pub struct Scenario {
     pub out_of_slot_budget: FaultBudget,
     /// Checker constraint: prohibit replaying cold-start frames.
     pub forbid_cold_start_replay: bool,
-    /// Coupler faults injected into the simulated run.
-    pub coupler_faults: Vec<CouplerFaultEvent>,
-    /// Node (transmitter-side) faults injected into the simulated run.
-    pub node_faults: Vec<NodeFault>,
+    /// Faults injected into the simulated run: the `[[fault.coupler]]`
+    /// events, then the `[[fault.node]]` events, each in file order.
+    /// Unvalidated against the fault hypothesis: an inadmissible plan
+    /// still parses, and [`Self::sim_applicable`] says why the
+    /// simulator phase skips it.
+    pub faults: Vec<FaultEvent>,
     /// Additional named temporal properties (`[[property]]` sections),
     /// checked for non-vacuity by the lint engine.
     pub properties: Vec<PropertySpec>,
@@ -326,14 +328,12 @@ impl Scenario {
             Some(_) => return Err(ScenarioError::new("sim.start_delays must be an array")),
         };
 
-        let mut coupler_faults = Vec::new();
+        let mut faults = Vec::new();
         for table in doc.tables("fault.coupler") {
-            coupler_faults.push(parse_coupler_fault(table)?);
+            faults.push(parse_coupler_fault(table)?);
         }
-
-        let mut node_faults = Vec::new();
         for table in doc.tables("fault.node") {
-            node_faults.push(parse_node_fault(table, nodes)?);
+            faults.push(parse_node_fault(table, nodes)?);
         }
 
         let mut properties = Vec::new();
@@ -413,8 +413,7 @@ impl Scenario {
             restart_policy,
             out_of_slot_budget,
             forbid_cold_start_replay,
-            coupler_faults,
-            node_faults,
+            faults,
             properties,
             expect,
             base_dir: base_dir.to_path_buf(),
@@ -477,13 +476,10 @@ impl Scenario {
     /// The simulator run this scenario describes.
     #[must_use]
     pub fn sim_builder(&self) -> SimBuilder {
-        let mut plan = FaultPlan::none();
-        for fault in &self.coupler_faults {
-            plan = plan.with_coupler_fault(*fault);
-        }
-        for fault in &self.node_faults {
-            plan = plan.with_node_fault(*fault);
-        }
+        let plan = self
+            .faults
+            .iter()
+            .fold(FaultPlan::none(), |plan, fault| plan.with(*fault));
         let mut builder = SimBuilder::new(self.nodes)
             .topology(self.topology)
             .authority(self.authority)
@@ -507,33 +503,29 @@ impl Scenario {
     ///
     /// Returns the human-readable reason the plan cannot be simulated.
     pub fn sim_applicable(&self) -> Result<(), String> {
-        for fault in &self.coupler_faults {
-            if fault.mode == CouplerFaultMode::OutOfSlot
-                && !(self.topology.is_central() && self.authority.can_buffer_full_frames())
-            {
-                return Err(format!(
-                    "out_of_slot replay requires a full-shifting star coupler \
-                     (topology is {}, authority is {})",
-                    self.topology, self.authority
-                ));
-            }
+        if !can_replay(self.topology, self.authority)
+            && self.faults.iter().any(FaultEvent::is_replay)
+        {
+            return Err(format!(
+                "out_of_slot replay requires a full-shifting star coupler \
+                 (topology is {}, authority is {})",
+                self.topology, self.authority
+            ));
         }
-        // Mirror the FaultPlan builder's single-faulty-coupler check so
-        // an overlapping dual-channel plan skips the simulator phase
-        // with a reason instead of aborting inside `sim_builder`.
-        for (i, a) in self.coupler_faults.iter().enumerate() {
-            for b in &self.coupler_faults[i + 1..] {
-                if a.channel != b.channel
-                    && a.from_slot < b.envelope_end()
-                    && b.from_slot < a.envelope_end()
-                {
-                    return Err(
-                        "coupler fault envelopes on both channels overlap — the simulator \
-                         enforces the single-faulty-coupler hypothesis"
-                            .to_string(),
-                    );
-                }
-            }
+        // The FaultPlan builder's single-faulty-coupler check, so an
+        // overlapping dual-channel plan skips the simulator phase with
+        // a reason instead of aborting inside `sim_builder`.
+        let overlap = self
+            .faults
+            .iter()
+            .enumerate()
+            .any(|(i, a)| self.faults[i + 1..].iter().any(|b| a.overlaps(b)));
+        if overlap {
+            return Err(
+                "coupler fault envelopes on both channels overlap — the simulator \
+                 enforces the single-faulty-coupler hypothesis"
+                    .to_string(),
+            );
         }
         Ok(())
     }
@@ -551,30 +543,22 @@ impl Scenario {
         if self.topology != Topology::Star {
             return Err("the formal model covers only the star topology".into());
         }
-        if !self.node_faults.is_empty() {
+        if self
+            .faults
+            .iter()
+            .any(|f| matches!(f.target, FaultTarget::Node { .. }))
+        {
             return Err(
                 "the formal model speaks coupler faults only — node faults cannot \
                  be replayed through it"
                     .into(),
             );
         }
-        for (i, a) in self.coupler_faults.iter().enumerate() {
-            for b in &self.coupler_faults[i + 1..] {
-                if a.channel != b.channel && a.from_slot < b.to_slot && b.from_slot < a.to_slot {
-                    return Err(format!(
-                        "coupler faults on both channels overlap in slots {}..{} — \
-                         outside the model's single-fault hypothesis",
-                        a.from_slot.max(b.from_slot),
-                        a.to_slot.min(b.to_slot)
-                    ));
-                }
-            }
-        }
         Ok(())
     }
 }
 
-fn parse_coupler_fault(table: &Table) -> Result<CouplerFaultEvent, ScenarioError> {
+fn parse_coupler_fault(table: &Table) -> Result<FaultEvent, ScenarioError> {
     check_keys(
         Some(table),
         &[
@@ -617,9 +601,8 @@ fn parse_coupler_fault(table: &Table) -> Result<CouplerFaultEvent, ScenarioError
         )));
     }
     let persistence = parse_persistence(table, &where_)?;
-    Ok(CouplerFaultEvent {
-        channel,
-        mode,
+    Ok(FaultEvent {
+        target: FaultTarget::Coupler { channel, mode },
         from_slot,
         to_slot,
         persistence,
@@ -664,7 +647,7 @@ fn parse_persistence(table: &Table, where_: &str) -> Result<FaultPersistence, Sc
     }
 }
 
-fn parse_node_fault(table: &Table, nodes: usize) -> Result<NodeFault, ScenarioError> {
+fn parse_node_fault(table: &Table, nodes: usize) -> Result<FaultEvent, ScenarioError> {
     check_keys(
         Some(table),
         &[
@@ -784,9 +767,11 @@ fn parse_node_fault(table: &Table, nodes: usize) -> Result<NodeFault, ScenarioEr
         )));
     }
     let persistence = parse_persistence(table, &where_)?;
-    Ok(NodeFault {
-        node: NodeId::new(node),
-        kind,
+    Ok(FaultEvent {
+        target: FaultTarget::Node {
+            node: NodeId::new(node),
+            kind,
+        },
         from_slot,
         to_slot,
         persistence,
@@ -1019,8 +1004,14 @@ sim_disturbed = true
         assert_eq!(s.nodes, 4);
         assert_eq!(s.authority, CouplerAuthority::FullShifting);
         assert_eq!(s.out_of_slot_budget, FaultBudget::AtMost(1));
-        assert_eq!(s.coupler_faults.len(), 1);
-        assert_eq!(s.coupler_faults[0].mode, CouplerFaultMode::OutOfSlot);
+        assert_eq!(s.faults.len(), 1);
+        assert_eq!(
+            s.faults[0].target,
+            FaultTarget::Coupler {
+                channel: 0,
+                mode: CouplerFaultMode::OutOfSlot
+            }
+        );
         assert_eq!(s.expect.verdict, Some(ExpectedVerdict::Violated));
         assert_eq!(s.expect.trace_len, Some(10));
         assert_eq!(s.expect.sim_disturbed, Some(true));
@@ -1082,7 +1073,7 @@ sim_disturbed = true
                     period = 8\nduty = 2\n";
         let s = Scenario::parse(text, Path::new(".")).unwrap();
         assert_eq!(
-            s.coupler_faults[0].persistence,
+            s.faults[0].persistence,
             FaultPersistence::Intermittent { period: 8, duty: 2 }
         );
 
@@ -1136,7 +1127,7 @@ sim_disturbed = true
         assert_eq!(s.topology, Topology::Star);
         assert_eq!(s.authority, CouplerAuthority::SmallShifting);
         assert_eq!(s.out_of_slot_budget, FaultBudget::Unlimited);
-        assert!(s.coupler_faults.is_empty());
+        assert!(s.faults.is_empty());
         assert_eq!(s.expect, Expectations::default());
     }
 
@@ -1195,18 +1186,26 @@ sim_disturbed = true
                     from_slot = 100\nto_slot = 120\npersistence = \"intermittent\"\n\
                     period = 4\nduty = 1\n";
         let s = Scenario::parse(text, Path::new(".")).unwrap();
-        assert_eq!(s.node_faults.len(), 2);
-        assert_eq!(s.node_faults[0].node, NodeId::new(2));
+        assert_eq!(s.faults.len(), 2);
         assert_eq!(
-            s.node_faults[0].kind,
-            NodeFaultKind::Sos {
-                domain: SosDomain::Value,
-                magnitude: 0.5,
+            s.faults[0].target,
+            FaultTarget::Node {
+                node: NodeId::new(2),
+                kind: NodeFaultKind::Sos {
+                    domain: SosDomain::Value,
+                    magnitude: 0.5,
+                }
             }
         );
-        assert_eq!(s.node_faults[1].kind, NodeFaultKind::Babbling);
         assert_eq!(
-            s.node_faults[1].persistence,
+            s.faults[1].target,
+            FaultTarget::Node {
+                node: NodeId::new(1),
+                kind: NodeFaultKind::Babbling
+            }
+        );
+        assert_eq!(
+            s.faults[1].persistence,
             FaultPersistence::Intermittent { period: 4, duty: 1 }
         );
         assert!(s.sim_applicable().is_ok());
@@ -1221,8 +1220,11 @@ sim_disturbed = true
                           from_slot = 0\nto_slot = 10\n";
         let s = Scenario::parse(masquerade, Path::new(".")).unwrap();
         assert_eq!(
-            s.node_faults[0].kind,
-            NodeFaultKind::MasqueradeColdStart { claimed_slot: 3 }
+            s.faults[0].target,
+            FaultTarget::Node {
+                node: NodeId::new(0),
+                kind: NodeFaultKind::MasqueradeColdStart { claimed_slot: 3 }
+            }
         );
 
         let err = Scenario::parse(
@@ -1284,5 +1286,17 @@ sim_disturbed = true
         // would reject this plan: the phase must be skipped, not abort.
         let why = s.sim_applicable().unwrap_err();
         assert!(why.contains("single-faulty-coupler"), "{why}");
+    }
+
+    #[test]
+    fn coupler_events_come_ahead_of_node_events() {
+        let text = "[cluster]\nnodes = 4\n\
+                    [[fault.node]]\nnode = 1\nkind = \"mute\"\nfrom_slot = 1\nto_slot = 2\n\
+                    [[fault.coupler]]\nchannel = 1\nmode = \"silence\"\n\
+                    from_slot = 3\nto_slot = 4\n\
+                    [[fault.node]]\nnode = 2\nkind = \"mute\"\nfrom_slot = 5\nto_slot = 6\n";
+        let s = Scenario::parse(text, Path::new(".")).unwrap();
+        let starts: Vec<u64> = s.faults.iter().map(|f| f.from_slot).collect();
+        assert_eq!(starts, [3, 1, 5]);
     }
 }

@@ -18,10 +18,10 @@ use tta_core::{verify_cluster, Verdict};
 use tta_guardian::CouplerAuthority;
 use tta_modellint::{lint_scenario, AnalysisOptions, Severity};
 use tta_protocol::RestartPolicy;
-use tta_sim::{FaultPersistence, NodeFaultKind, RecoveryOutcome};
+use tta_sim::{FaultPersistence, FaultTarget, NodeFaultKind, RecoveryOutcome};
 
 use crate::eval::EvalContext;
-use crate::input::{FuzzEventKind, FuzzInput};
+use crate::input::FuzzInput;
 
 /// What the emitter needs to know about a find.
 #[derive(Debug)]
@@ -146,17 +146,17 @@ fn render_body(req: &EmitRequest<'_>, name: &str) -> Result<String, String> {
     render_policy(&mut out, req.ctx.policy);
 
     for event in &req.input.events {
-        match event.kind {
-            FuzzEventKind::Coupler { channel, mode } => {
+        match event.target {
+            FaultTarget::Coupler { channel, mode } => {
                 out.push_str("\n[[fault.coupler]]\n");
                 let _ = writeln!(out, "channel = {channel}");
                 let _ = writeln!(out, "mode = \"{mode}\"");
                 let _ = writeln!(out, "from_slot = {}", event.from_slot);
                 let _ = writeln!(out, "to_slot = {}", event.to_slot);
             }
-            FuzzEventKind::Node { node, kind } => {
+            FaultTarget::Node { node, kind } => {
                 out.push_str("\n[[fault.node]]\n");
-                let _ = writeln!(out, "node = {node}");
+                let _ = writeln!(out, "node = {}", node.index());
                 render_node_kind(&mut out, kind)?;
                 let _ = writeln!(out, "from_slot = {}", event.from_slot);
                 let _ = writeln!(out, "to_slot = {}", event.to_slot);
@@ -233,14 +233,15 @@ fn render_policy(out: &mut String, policy: RestartPolicy) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::FuzzEvent;
+    use tta_sim::FaultEvent;
+    use tta_types::NodeId;
 
     #[test]
     fn a_simple_sos_find_emits_a_self_checked_scenario() {
         let input = FuzzInput {
-            events: vec![FuzzEvent {
-                kind: FuzzEventKind::Node {
-                    node: 1,
+            events: vec![FaultEvent {
+                target: FaultTarget::Node {
+                    node: NodeId::new(1),
                     kind: NodeFaultKind::Sos {
                         domain: tta_guardian::sos::SosDomain::Time,
                         magnitude: 0.5,
@@ -282,9 +283,9 @@ mod tests {
         use tta_guardian::CouplerFaultMode;
         let mut events = Vec::new();
         let mut from_slot = 10;
-        let mut push = |kind, persistence| {
-            events.push(FuzzEvent {
-                kind,
+        let mut push = |target, persistence| {
+            events.push(FaultEvent {
+                target,
                 from_slot,
                 to_slot: from_slot + 15,
                 persistence,
@@ -295,7 +296,13 @@ mod tests {
         for domain in [SosDomain::Time, SosDomain::Value] {
             for magnitude in MAGNITUDES {
                 let kind = NodeFaultKind::Sos { domain, magnitude };
-                push(FuzzEventKind::Node { node: 1, kind }, intermittent);
+                push(
+                    FaultTarget::Node {
+                        node: NodeId::new(1),
+                        kind,
+                    },
+                    intermittent,
+                );
             }
         }
         for (node, kind, persistence) in [
@@ -312,16 +319,17 @@ mod tests {
             (3, NodeFaultKind::Babbling, FaultPersistence::Transient),
             (2, NodeFaultKind::Mute, FaultPersistence::Permanent),
         ] {
-            push(FuzzEventKind::Node { node, kind }, persistence);
+            let node = NodeId::new(node);
+            push(FaultTarget::Node { node, kind }, persistence);
         }
         for channel in [0, 1] {
             for mode in CouplerFaultMode::all()
                 .into_iter()
                 .filter(|m| m.is_faulty())
             {
-                push(FuzzEventKind::Coupler { channel, mode }, intermittent);
+                push(FaultTarget::Coupler { channel, mode }, intermittent);
                 push(
-                    FuzzEventKind::Coupler { channel, mode },
+                    FaultTarget::Coupler { channel, mode },
                     FaultPersistence::Transient,
                 );
             }
@@ -343,8 +351,20 @@ mod tests {
         let parsed = tta_conformance::Scenario::parse(&body, Path::new("scenarios"))
             .expect("the rendered body parses");
         let plan = input.plan();
-        assert_eq!(plan.coupler_faults().len(), 12, "no window may overlap");
-        assert_eq!(parsed.coupler_faults, plan.coupler_faults());
-        assert_eq!(parsed.node_faults, plan.node_faults());
+        assert_eq!(plan.events(), input.events, "no window may overlap");
+        // The file lists coupler events ahead of node events, and
+        // dispatch orders events only within a lane: compare lanes.
+        let in_lane = |events: &[FaultEvent], lane| {
+            events
+                .iter()
+                .filter(|e| e.target.lane() == lane)
+                .copied()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(parsed.faults.len(), plan.events().len());
+        for event in plan.events() {
+            let lane = event.target.lane();
+            assert_eq!(in_lane(&parsed.faults, lane), in_lane(plan.events(), lane));
+        }
     }
 }

@@ -12,9 +12,9 @@
 use tta_base::hash::fnv1a64;
 use tta_guardian::CouplerAuthority;
 use tta_protocol::RestartPolicy;
-use tta_sim::{RecoveryOutcome, SimBuilder, TimeSeries, Topology};
+use tta_sim::{can_replay, RecoveryOutcome, SimBuilder, TimeSeries, Topology};
 
-use crate::input::FuzzInput;
+use crate::input::{repaired, FuzzInput};
 
 /// The fixed cluster every candidate runs against.
 #[derive(Debug, Clone, Copy)]
@@ -116,9 +116,9 @@ fn log2_bucket(n: usize) -> u8 {
 }
 
 /// The candidate's fault plan with physically inadmissible events
-/// dropped, mirroring the simulator's applicability rule the way the
-/// campaign layer does for its replay scenario: an out-of-slot coupler
-/// fault *requires* full-frame buffering, so under any lesser
+/// dropped, by the simulator's applicability rule the way the campaign
+/// layer applies it to its replay scenario: an out-of-slot coupler
+/// fault *requires* a coupler that [`can_replay`], so under any lesser
 /// authority those events simply do not exist (rather than panicking
 /// the simulator). That asymmetry is the paper's point — full shifting
 /// is the only level that adds the replay fault to the fault space.
@@ -128,27 +128,8 @@ pub fn admissible_plan(
     ctx: &EvalContext,
     authority: CouplerAuthority,
 ) -> tta_sim::FaultPlan {
-    let replay_possible = ctx.topology.is_central() && authority.can_buffer_full_frames();
-    if replay_possible {
-        return input.plan();
-    }
-    let admissible = FuzzInput {
-        events: input
-            .events
-            .iter()
-            .copied()
-            .filter(|e| {
-                !matches!(
-                    e.kind,
-                    crate::input::FuzzEventKind::Coupler {
-                        mode: tta_guardian::CouplerFaultMode::OutOfSlot,
-                        ..
-                    }
-                )
-            })
-            .collect(),
-    };
-    admissible.plan()
+    let replays = can_replay(ctx.topology, authority);
+    repaired(input.events.iter().filter(|e| replays || !e.is_replay()))
 }
 
 /// Runs the candidate under one authority level, in-process.
@@ -237,9 +218,9 @@ impl Evaluator for LocalEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{FuzzEvent, FuzzEventKind};
     use tta_guardian::sos::SosDomain;
-    use tta_sim::{FaultPersistence, NodeFaultKind};
+    use tta_sim::{FaultEvent, FaultPersistence, FaultTarget, NodeFaultKind};
+    use tta_types::NodeId;
 
     #[test]
     fn the_empty_plan_is_contained_and_fully_available() {
@@ -258,9 +239,9 @@ mod tests {
         // An SOS sender after startup: under weak authority its
         // slightly-off-spec frames freeze healthy receivers.
         let nasty = FuzzInput {
-            events: vec![FuzzEvent {
-                kind: FuzzEventKind::Node {
-                    node: 1,
+            events: vec![FaultEvent {
+                target: FaultTarget::Node {
+                    node: NodeId::new(1),
                     kind: NodeFaultKind::Sos {
                         domain: SosDomain::Time,
                         magnitude: 0.5,

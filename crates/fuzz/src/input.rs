@@ -1,83 +1,40 @@
-//! The fuzzer's genotype: a flat, order-preserving list of fault
-//! events that lowers into a [`FaultPlan`].
+//! The fuzzer's genotype: a flat, order-preserving list of
+//! [`FaultEvent`]s that lowers into a [`FaultPlan`].
 //!
-//! [`FaultPlan`]'s builders *panic* on ill-formed plans (empty windows,
+//! [`FaultPlan::with`] *panics* on ill-formed plans (empty windows,
 //! out-of-range channels, dual-channel coupler overlap) because
 //! hand-written plans should fail loudly. A fuzzer cannot afford
-//! panics, so [`FuzzInput`] keeps the mutation-friendly representation
-//! and [`FuzzInput::plan`] performs the one repair mutation operators
-//! cannot locally guarantee: dropping coupler events that would violate
-//! the single-faulty-coupler hypothesis against an earlier kept event.
+//! panics, so [`FuzzInput`] keeps the mutation-friendly list and
+//! [`FuzzInput::plan`] performs the one repair mutation operators
+//! cannot locally guarantee: dropping events that
+//! [`overlap`](FaultEvent::overlaps) an earlier kept event.
 //! Everything else (window shape, persistence parameters) is a
 //! structural invariant the mutators maintain.
 
 use std::fmt::Write as _;
 use tta_guardian::sos::SosDomain;
-use tta_guardian::CouplerFaultMode;
-use tta_sim::{CouplerFaultEvent, FaultPersistence, FaultPlan, NodeFault, NodeFaultKind};
-use tta_types::NodeId;
+use tta_sim::{FaultEvent, FaultPlan, FaultTarget, NodeFaultKind};
 
-/// What one event injects: a coupler (channel-side) or node
-/// (transmitter-side) fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FuzzEventKind {
-    /// A star-coupler fault on one channel.
-    Coupler {
-        /// Affected channel (0 or 1).
-        channel: usize,
-        /// Fault mode during the window.
-        mode: CouplerFaultMode,
-    },
-    /// A node fault.
-    Node {
-        /// Dense index of the faulty node.
-        node: u8,
-        /// Kind of misbehavior.
-        kind: NodeFaultKind,
-    },
-}
-
-/// One fault event: a kind plus the window and persistence shared by
-/// every injectable fault in the simulator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FuzzEvent {
-    /// Coupler- or node-side fault.
-    pub kind: FuzzEventKind,
-    /// First absolute slot at which the fault is active.
-    pub from_slot: u64,
-    /// First absolute slot at which it is no longer active.
-    pub to_slot: u64,
-    /// Temporal persistence within (or beyond) the window.
-    pub persistence: FaultPersistence,
-}
-
-impl FuzzEvent {
-    /// First slot at which the event can never be active again.
-    #[must_use]
-    pub fn envelope_end(&self) -> u64 {
-        self.persistence.envelope_end(self.to_slot)
-    }
-
-    /// Renders the event as one deterministic journal token, e.g.
-    /// `coupler ch0 silence 10..50 transient`.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        match self.kind {
-            FuzzEventKind::Coupler { channel, mode } => {
-                let _ = write!(out, "coupler ch{channel} {mode}");
-            }
-            FuzzEventKind::Node { node, kind } => {
-                let _ = write!(out, "node {node} {}", node_kind_token(kind));
-            }
+/// Renders one event as a deterministic journal token, e.g.
+/// `coupler ch0 silence 10..50 transient` or `node 1 babbling 5..9
+/// permanent` (the node's index, not its letter).
+#[must_use]
+pub(crate) fn render_event(event: &FaultEvent) -> String {
+    let mut out = String::new();
+    match event.target {
+        FaultTarget::Coupler { channel, mode } => {
+            let _ = write!(out, "coupler ch{channel} {mode}");
         }
-        let _ = write!(
-            out,
-            " {}..{} {}",
-            self.from_slot, self.to_slot, self.persistence
-        );
-        out
+        FaultTarget::Node { node, kind } => {
+            let _ = write!(out, "node {} {}", node.index(), node_kind_token(kind));
+        }
     }
+    let _ = write!(
+        out,
+        " {}..{} {}",
+        event.from_slot, event.to_slot, event.persistence
+    );
+    out
 }
 
 /// The DSL spelling of a node fault kind (parameters rendered inline
@@ -107,7 +64,7 @@ pub fn node_kind_token(kind: NodeFaultKind) -> String {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FuzzInput {
     /// Events in injection order (first-match-wins in the simulator).
-    pub events: Vec<FuzzEvent>,
+    pub events: Vec<FaultEvent>,
 }
 
 impl FuzzInput {
@@ -117,47 +74,15 @@ impl FuzzInput {
         FuzzInput::default()
     }
 
-    /// Lowers into a [`FaultPlan`], dropping any coupler event whose
-    /// active envelope overlaps an earlier *kept* coupler event on the
-    /// other channel (the builder would panic on it: the simulator
-    /// enforces the single-faulty-coupler hypothesis). Node events are
-    /// unconstrained. Keeping earlier events mirrors the simulator's
-    /// first-match-wins dispatch, so repair never changes what an
-    /// already-admitted prefix means.
+    /// Lowers into a [`FaultPlan`], dropping every event that
+    /// [`overlaps`](FaultEvent::overlaps) an earlier *kept* one (the
+    /// builder would panic on it: the simulator enforces the
+    /// single-faulty-coupler hypothesis). Keeping earlier events
+    /// mirrors the simulator's first-match-wins dispatch, so repair
+    /// never changes what an already-admitted prefix means.
     #[must_use]
     pub fn plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        let mut kept: Vec<(usize, u64, u64)> = Vec::new();
-        for event in &self.events {
-            match event.kind {
-                FuzzEventKind::Coupler { channel, mode } => {
-                    let overlaps = kept.iter().any(|&(ch, from, end)| {
-                        ch != channel && event.from_slot < end && from < event.envelope_end()
-                    });
-                    if overlaps {
-                        continue;
-                    }
-                    kept.push((channel, event.from_slot, event.envelope_end()));
-                    plan = plan.with_coupler_fault(CouplerFaultEvent {
-                        channel,
-                        mode,
-                        from_slot: event.from_slot,
-                        to_slot: event.to_slot,
-                        persistence: event.persistence,
-                    });
-                }
-                FuzzEventKind::Node { node, kind } => {
-                    plan = plan.with_node_fault(NodeFault {
-                        node: NodeId::new(node),
-                        kind,
-                        from_slot: event.from_slot,
-                        to_slot: event.to_slot,
-                        persistence: event.persistence,
-                    });
-                }
-            }
-        }
-        plan
+        repaired(&self.events)
     }
 
     /// Deterministic multi-line rendering: one event per line, or
@@ -170,19 +95,34 @@ impl FuzzInput {
         }
         self.events
             .iter()
-            .map(FuzzEvent::render)
+            .map(render_event)
             .collect::<Vec<_>>()
             .join("\n")
     }
 }
 
+/// The plan of `events` without those that overlap an earlier kept one
+/// ([`FuzzInput::plan`]).
+pub(crate) fn repaired<'a>(events: impl IntoIterator<Item = &'a FaultEvent>) -> FaultPlan {
+    events.into_iter().fold(FaultPlan::none(), |plan, event| {
+        if plan.events().iter().any(|kept| kept.overlaps(event)) {
+            plan
+        } else {
+            plan.with(*event)
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tta_guardian::CouplerFaultMode;
+    use tta_sim::FaultPersistence;
+    use tta_types::NodeId;
 
-    fn coupler(channel: usize, from: u64, to: u64) -> FuzzEvent {
-        FuzzEvent {
-            kind: FuzzEventKind::Coupler {
+    fn coupler(channel: usize, from: u64, to: u64) -> FaultEvent {
+        FaultEvent {
+            target: FaultTarget::Coupler {
                 channel,
                 mode: CouplerFaultMode::Silence,
             },
@@ -230,5 +170,14 @@ mod tests {
         };
         assert_eq!(input.render(), "coupler ch0 silence 10..50 transient");
         assert_eq!(FuzzInput::empty().render(), "(no faults)");
+        let node = FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(2),
+                kind: NodeFaultKind::Babbling,
+            },
+            persistence: FaultPersistence::Permanent,
+            ..coupler(0, 5, 9)
+        };
+        assert_eq!(render_event(&node), "node 2 babbling 5..9 permanent");
     }
 }

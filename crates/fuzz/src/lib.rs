@@ -61,7 +61,7 @@ pub use eval::{
     admissible_plan, evaluate, evaluate_under, EvalContext, EvalSet, Evaluation, Evaluator,
     LocalEvaluator,
 };
-pub use input::{node_kind_token, FuzzEvent, FuzzEventKind, FuzzInput};
+pub use input::{node_kind_token, FuzzInput};
 pub use mutate::Mutator;
 pub use rng::FuzzRng;
 pub use shrink::{is_one_minimal, shrink};

@@ -10,9 +10,10 @@
 
 use tta_guardian::sos::SosDomain;
 use tta_guardian::CouplerFaultMode;
-use tta_sim::{FaultPersistence, NodeFaultKind};
+use tta_sim::{FaultEvent, FaultPersistence, FaultTarget, NodeFaultKind};
+use tta_types::NodeId;
 
-use crate::input::{FuzzEvent, FuzzEventKind, FuzzInput};
+use crate::input::FuzzInput;
 use crate::rng::FuzzRng;
 
 /// Magnitudes the SOS mutator draws from. A fixed palette keeps
@@ -46,9 +47,9 @@ impl Mutator {
     pub fn seed_corpus(&self) -> Vec<FuzzInput> {
         let from = self.slots / 8;
         let to = self.slots / 2;
-        let single = |kind| FuzzInput {
-            events: vec![FuzzEvent {
-                kind,
+        let single = |target| FuzzInput {
+            events: vec![FaultEvent {
+                target,
                 from_slot: from,
                 to_slot: to,
                 persistence: FaultPersistence::Transient,
@@ -56,32 +57,32 @@ impl Mutator {
         };
         let mut seeds = vec![
             FuzzInput::empty(),
-            single(FuzzEventKind::Coupler {
+            single(FaultTarget::Coupler {
                 channel: 0,
                 mode: CouplerFaultMode::Silence,
             }),
-            single(FuzzEventKind::Coupler {
+            single(FaultTarget::Coupler {
                 channel: 0,
                 mode: CouplerFaultMode::BadFrame,
             }),
-            single(FuzzEventKind::Node {
-                node: 1,
+            single(FaultTarget::Node {
+                node: NodeId::new(1),
                 kind: NodeFaultKind::Sos {
                     domain: SosDomain::Time,
                     magnitude: 0.5,
                 },
             }),
-            single(FuzzEventKind::Node {
-                node: 1,
+            single(FaultTarget::Node {
+                node: NodeId::new(1),
                 kind: NodeFaultKind::Babbling,
             }),
-            single(FuzzEventKind::Node {
-                node: 2,
+            single(FaultTarget::Node {
+                node: NodeId::new(2),
                 kind: NodeFaultKind::Mute,
             }),
         ];
         if self.allow_out_of_slot {
-            seeds.push(single(FuzzEventKind::Coupler {
+            seeds.push(single(FaultTarget::Coupler {
                 channel: 0,
                 mode: CouplerFaultMode::OutOfSlot,
             }));
@@ -172,24 +173,24 @@ impl Mutator {
             6 => {
                 let nodes = self.nodes;
                 let event = self.pick_event(child, rng);
-                match &mut event.kind {
-                    FuzzEventKind::Coupler { channel, .. } => *channel = 1 - *channel,
-                    FuzzEventKind::Node { node, .. } => {
-                        *node = rng.gen_range(nodes as u64) as u8;
+                match &mut event.target {
+                    FaultTarget::Coupler { channel, .. } => *channel = 1 - *channel,
+                    FaultTarget::Node { node, .. } => {
+                        *node = NodeId::new(rng.gen_range(nodes as u64) as u8);
                     }
                 }
             }
             // Change the fault mode / kind in place.
             7 => {
                 let event = self.pick_event(child, rng);
-                match &mut event.kind {
-                    FuzzEventKind::Coupler { mode, .. } => *mode = self.random_mode(rng),
-                    FuzzEventKind::Node { kind, .. } => *kind = self.random_kind(rng),
+                match &mut event.target {
+                    FaultTarget::Coupler { mode, .. } => *mode = self.random_mode(rng),
+                    FaultTarget::Node { kind, .. } => *kind = self.random_kind(rng),
                 }
             }
             // Splice: graft one event from another corpus entry.
             _ => {
-                let donors: Vec<&FuzzEvent> =
+                let donors: Vec<&FaultEvent> =
                     corpus.iter().flat_map(|input| &input.events).collect();
                 if !donors.is_empty() && child.events.len() < MAX_EVENTS {
                     child.events.push(**rng.pick(&donors));
@@ -198,7 +199,7 @@ impl Mutator {
         }
     }
 
-    fn pick_event<'a>(&self, child: &'a mut FuzzInput, rng: &mut FuzzRng) -> &'a mut FuzzEvent {
+    fn pick_event<'a>(&self, child: &'a mut FuzzInput, rng: &mut FuzzRng) -> &'a mut FaultEvent {
         let i = rng.gen_range(child.events.len() as u64) as usize;
         &mut child.events[i]
     }
@@ -238,23 +239,23 @@ impl Mutator {
         }
     }
 
-    fn random_event(&self, rng: &mut FuzzRng) -> FuzzEvent {
+    fn random_event(&self, rng: &mut FuzzRng) -> FaultEvent {
         let from_slot = 1 + rng.gen_range(self.slots / 2);
         let width = 1 + rng.gen_range(self.slots / 2);
         let to_slot = (from_slot + width).min(self.slots);
-        let kind = if rng.gen_bool(1, 2) {
-            FuzzEventKind::Coupler {
+        let target = if rng.gen_bool(1, 2) {
+            FaultTarget::Coupler {
                 channel: rng.gen_range(2) as usize,
                 mode: self.random_mode(rng),
             }
         } else {
-            FuzzEventKind::Node {
-                node: rng.gen_range(self.nodes as u64) as u8,
+            FaultTarget::Node {
+                node: NodeId::new(rng.gen_range(self.nodes as u64) as u8),
                 kind: self.random_kind(rng),
             }
         };
-        FuzzEvent {
-            kind,
+        FaultEvent {
+            target,
             from_slot,
             to_slot,
             persistence: FaultPersistence::Transient,
@@ -269,19 +270,20 @@ mod tests {
     fn well_formed(mutator: &Mutator, input: &FuzzInput) {
         assert!(input.events.len() <= MAX_EVENTS);
         for event in &input.events {
-            assert!(event.from_slot >= 1, "{}", event.render());
-            assert!(event.from_slot < event.to_slot, "{}", event.render());
-            assert!(event.to_slot <= mutator.slots, "{}", event.render());
+            let token = crate::input::render_event(event);
+            assert!(event.from_slot >= 1, "{token}");
+            assert!(event.from_slot < event.to_slot, "{token}");
+            assert!(event.to_slot <= mutator.slots, "{token}");
             if let FaultPersistence::Intermittent { period, duty } = event.persistence {
                 assert!(period >= 2 && (1..period).contains(&duty));
             }
-            match event.kind {
-                FuzzEventKind::Coupler { channel, mode } => {
+            match event.target {
+                FaultTarget::Coupler { channel, mode } => {
                     assert!(channel < 2);
                     assert!(mutator.allow_out_of_slot || mode != CouplerFaultMode::OutOfSlot);
                 }
-                FuzzEventKind::Node { node, .. } => {
-                    assert!((node as usize) < mutator.nodes);
+                FaultTarget::Node { node, .. } => {
+                    assert!(node.as_usize() < mutator.nodes);
                 }
             }
         }

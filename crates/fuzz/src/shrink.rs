@@ -159,13 +159,12 @@ pub fn is_one_minimal<F: FnMut(&FuzzInput) -> bool>(input: &FuzzInput, mut keeps
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{FuzzEvent, FuzzEventKind};
     use tta_guardian::CouplerFaultMode;
-    use tta_sim::FaultPersistence;
+    use tta_sim::{FaultEvent, FaultPersistence, FaultTarget};
 
-    fn event(channel: usize, from: u64, to: u64) -> FuzzEvent {
-        FuzzEvent {
-            kind: FuzzEventKind::Coupler {
+    fn event(channel: usize, from: u64, to: u64) -> FaultEvent {
+        FaultEvent {
+            target: FaultTarget::Coupler {
                 channel,
                 mode: CouplerFaultMode::Silence,
             },
@@ -183,7 +182,7 @@ mod tests {
         // Interesting: some channel-0 event covers slot 42.
         let keeps = |input: &FuzzInput| {
             input.events.iter().any(|e| {
-                matches!(e.kind, FuzzEventKind::Coupler { channel: 0, .. })
+                matches!(e.target, FaultTarget::Coupler { channel: 0, .. })
                     && (e.from_slot..e.to_slot).contains(&42)
             })
         };
@@ -223,7 +222,7 @@ mod tests {
             input
                 .events
                 .iter()
-                .any(|e| matches!(e.kind, FuzzEventKind::Coupler { channel: 0, .. }))
+                .any(|e| matches!(e.target, FaultTarget::Coupler { channel: 0, .. }))
         };
         assert!(!is_one_minimal(&input, keeps));
     }

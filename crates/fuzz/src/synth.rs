@@ -98,9 +98,9 @@ pub fn synthesize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{FuzzEvent, FuzzEventKind};
     use tta_guardian::sos::SosDomain;
-    use tta_sim::{FaultPersistence, NodeFaultKind};
+    use tta_sim::{FaultEvent, FaultPersistence, FaultTarget, NodeFaultKind};
+    use tta_types::NodeId;
 
     fn sos_corpus() -> Vec<FuzzInput> {
         // Node 0 is the cluster's least tolerant receiver, so as an SOS
@@ -110,9 +110,9 @@ mod tests {
         vec![
             FuzzInput::empty(),
             FuzzInput {
-                events: vec![FuzzEvent {
-                    kind: FuzzEventKind::Node {
-                        node: 0,
+                events: vec![FaultEvent {
+                    target: FaultTarget::Node {
+                        node: NodeId::new(0),
                         kind: NodeFaultKind::Sos {
                             domain: SosDomain::Time,
                             magnitude: 0.5,

@@ -11,20 +11,19 @@
 
 use proptest::prelude::*;
 
-use tta_fuzz::{
-    evaluate_under, is_one_minimal, shrink, EvalContext, FuzzEvent, FuzzEventKind, FuzzInput,
-};
+use tta_fuzz::{evaluate_under, is_one_minimal, shrink, EvalContext, FuzzInput};
 use tta_guardian::sos::SosDomain;
 use tta_guardian::{CouplerAuthority, CouplerFaultMode};
-use tta_sim::{FaultPersistence, NodeFaultKind, RecoveryOutcome};
+use tta_sim::{FaultEvent, FaultPersistence, FaultTarget, NodeFaultKind, RecoveryOutcome};
+use tta_types::NodeId;
 
-fn arb_event() -> impl Strategy<Value = FuzzEvent> {
-    let kind = prop_oneof![
+fn arb_event() -> impl Strategy<Value = FaultEvent> {
+    let target = prop_oneof![
         (
             0usize..2,
             prop::sample::select(vec![CouplerFaultMode::Silence, CouplerFaultMode::BadFrame,])
         )
-            .prop_map(|(channel, mode)| FuzzEventKind::Coupler { channel, mode }),
+            .prop_map(|(channel, mode)| FaultTarget::Coupler { channel, mode }),
         (
             0u8..4,
             prop::sample::select(vec![
@@ -36,7 +35,10 @@ fn arb_event() -> impl Strategy<Value = FuzzEvent> {
                 },
             ])
         )
-            .prop_map(|(node, kind)| FuzzEventKind::Node { node, kind }),
+            .prop_map(|(node, kind)| FaultTarget::Node {
+                node: NodeId::new(node),
+                kind
+            }),
     ];
     let persistence = prop_oneof![
         Just(FaultPersistence::Transient),
@@ -46,9 +48,9 @@ fn arb_event() -> impl Strategy<Value = FuzzEvent> {
             duty: duty.min(period - 1),
         }),
     ];
-    (kind, 1u64..300, 1u64..80, persistence).prop_map(|(kind, from, width, persistence)| {
-        FuzzEvent {
-            kind,
+    (target, 1u64..300, 1u64..80, persistence).prop_map(|(target, from, width, persistence)| {
+        FaultEvent {
+            target,
             from_slot: from,
             to_slot: from + width,
             persistence,
@@ -110,9 +112,9 @@ fn a_real_availability_cliff_shrinks_to_its_load_bearing_event() {
         evaluate_under(&FuzzInput::empty(), &ctx, CouplerAuthority::Passive).availability;
     let padded = FuzzInput {
         events: vec![
-            FuzzEvent {
-                kind: FuzzEventKind::Node {
-                    node: 0,
+            FaultEvent {
+                target: FaultTarget::Node {
+                    node: NodeId::new(0),
                     kind: NodeFaultKind::Sos {
                         domain: SosDomain::Time,
                         magnitude: 0.5,
@@ -125,8 +127,8 @@ fn a_real_availability_cliff_shrinks_to_its_load_bearing_event() {
             // Bystanders are coupler faults on purpose: a second *node*
             // fault would shrink the healthy-quorum denominator and
             // mask the cliff instead of padding it.
-            FuzzEvent {
-                kind: FuzzEventKind::Coupler {
+            FaultEvent {
+                target: FaultTarget::Coupler {
                     channel: 0,
                     mode: CouplerFaultMode::BadFrame,
                 },
@@ -134,8 +136,8 @@ fn a_real_availability_cliff_shrinks_to_its_load_bearing_event() {
                 to_slot: 250,
                 persistence: FaultPersistence::Transient,
             },
-            FuzzEvent {
-                kind: FuzzEventKind::Coupler {
+            FaultEvent {
+                target: FaultTarget::Coupler {
                     channel: 1,
                     mode: CouplerFaultMode::Silence,
                 },
@@ -157,11 +159,11 @@ fn a_real_availability_cliff_shrinks_to_its_load_bearing_event() {
     // The bystanders are gone and only the SOS sender remains.
     assert_eq!(shrunk.events.len(), 1);
     assert!(matches!(
-        shrunk.events[0].kind,
-        FuzzEventKind::Node {
-            node: 0,
+        shrunk.events[0].target,
+        FaultTarget::Node {
+            node,
             kind: NodeFaultKind::Sos { .. }
-        }
+        } if node == NodeId::new(0)
     ));
     // 1-minimality against the real, re-executing predicate: removing
     // the event or narrowing its window by one slot loses the cliff.
@@ -176,9 +178,9 @@ fn a_real_outcome_flip_survives_shrinking_with_both_outcomes_pinned() {
     let ctx = EvalContext::default();
     let padded = FuzzInput {
         events: vec![
-            FuzzEvent {
-                kind: FuzzEventKind::Node {
-                    node: 1,
+            FaultEvent {
+                target: FaultTarget::Node {
+                    node: NodeId::new(1),
                     kind: NodeFaultKind::Sos {
                         domain: SosDomain::Time,
                         magnitude: 0.5,
@@ -188,8 +190,8 @@ fn a_real_outcome_flip_survives_shrinking_with_both_outcomes_pinned() {
                 to_slot: 120,
                 persistence: FaultPersistence::Transient,
             },
-            FuzzEvent {
-                kind: FuzzEventKind::Coupler {
+            FaultEvent {
+                target: FaultTarget::Coupler {
                     channel: 0,
                     mode: CouplerFaultMode::BadFrame,
                 },

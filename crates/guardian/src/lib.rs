@@ -1,9 +1,8 @@
 //! # tta-guardian
 //!
-//! Bus-guardian models for the TTA: the fault modes of decentralized
-//! (per-node) guardians in the bus topology and centralized star couplers
-//! for the star topology, with the four authority levels the paper
-//! compares (Section 4.1):
+//! Bus-guardian models for the TTA: centralized star couplers for the
+//! star topology, with the four authority levels the paper compares
+//! (Section 4.1):
 //!
 //! * **Passive** — cannot stop frames, cannot shift frames in time;
 //! * **Time windows** — can open/close bus write access per slot;
@@ -20,10 +19,10 @@
 //! authority.
 //!
 //! For the simulator the crate additionally models slightly-off-
-//! specification defects and per-receiver acceptance ([`sos`]) and the
-//! fault modes of a local per-node guardian ([`local`]); the rules a
-//! guardian applies to each transmission live in the simulator's step
-//! (`tta_sim::Simulation`), next to the cluster state they read. The
+//! specification defects and per-receiver acceptance ([`sos`]); the
+//! rules a guardian, local or central, applies to each transmission
+//! live in the simulator's step (`tta_sim::Simulation`), next to the
+//! cluster state they read. The
 //! leaky-bucket bit buffer behind the Section 6 analysis is [`buffer`],
 //! and [`enhanced`] audits the §6 value-added functions against the
 //! eq. (3) buffer bound.
@@ -36,7 +35,6 @@ pub mod buffer;
 mod coupler;
 pub mod enhanced;
 mod fault;
-pub mod local;
 pub mod sos;
 
 pub use authority::CouplerAuthority;

@@ -131,11 +131,13 @@ impl<E: Eq + Hash> StateArena<E> {
     }
 
     /// Approximate resident bytes of the visited set: the interned
-    /// states themselves, the parent links, and the hash index.
+    /// states and parent links it holds (their length, as
+    /// [`WordArena::approx_bytes`](crate::WordArena::approx_bytes)
+    /// counts) and the hash index.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
-        let state_bytes = self.states.capacity() * std::mem::size_of::<E>();
-        let parent_bytes = self.parents.capacity() * std::mem::size_of::<u32>();
+        let state_bytes = self.states.len() * std::mem::size_of::<E>();
+        let parent_bytes = self.parents.len() * std::mem::size_of::<u32>();
         (state_bytes + parent_bytes + self.index.approx_bytes()) as u64
     }
 }

@@ -133,12 +133,13 @@ impl<E> WordArena<E> {
         &self.parents
     }
 
-    /// Approximate resident bytes of the visited set: the rows, the
-    /// parent links and the hash index.
+    /// Approximate resident bytes of the visited set: the rows and
+    /// parent links it holds (their length, not the capacity the last
+    /// doubling left) and the hash index, zeroed to its full size.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
-        let word_bytes = self.words.capacity() * std::mem::size_of::<u64>();
-        let parent_bytes = self.parents.capacity() * std::mem::size_of::<u32>();
+        let word_bytes = self.words.len() * std::mem::size_of::<u64>();
+        let parent_bytes = self.parents.len() * std::mem::size_of::<u32>();
         (word_bytes + parent_bytes + self.index.approx_bytes()) as u64
     }
 

@@ -3,9 +3,10 @@
 //! A 101 × 101 grid (10,201 states) explored through a one-word packing
 //! codec, with both arenas. Per state each holds the 8-byte encoding (the
 //! word arena as a one-word row, with no per-state record beside it), a
-//! 4-byte parent link and its share of the 8-byte index slots. At this
-//! size every vector, and the index, has 16,384 slots (1.6 per state), so
-//! both arenas cost 32.1 B/state.
+//! 4-byte parent link and its share of the 8-byte index slots. The rows
+//! and parents count as held (12 B/state) and the index at its full
+//! 16,384 slots (1.6 per state, 12.8 B/state), so both arenas cost
+//! 24.8 B/state.
 //!
 //! The bounds below allow each structure up to 2 slots per state. A
 //! hash index of 32 bytes per bucket — a `(u64 hash, bucket)` map entry

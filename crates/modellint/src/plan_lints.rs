@@ -13,57 +13,25 @@
 use crate::catalog;
 use tta_base::diag::{Diagnostic, Severity};
 use tta_conformance::Scenario;
-use tta_sim::FaultPersistence;
+use tta_sim::{FaultEvent, FaultPersistence, FaultTarget};
 
-/// A fault event flattened to what the plan lints need: its window, its
-/// persistence, and the dispatch *lane* it competes in. Coupler events
-/// on one channel and node events on one node each form a lane with
-/// first-match-wins dispatch; lanes never shadow each other.
-struct LintEvent {
-    label: String,
-    lane: (u8, u64),
-    from_slot: u64,
-    to_slot: u64,
-    persistence: FaultPersistence,
-}
-
-impl LintEvent {
-    fn active_at(&self, t: u64) -> bool {
-        self.persistence.active_at(self.from_slot, self.to_slot, t)
-    }
-
-    fn lane_name(&self) -> String {
-        match self.lane {
-            (0, channel) => format!("channel {channel}"),
-            (_, node) => format!("node {node}"),
-        }
-    }
-}
-
-fn flatten_events(scenario: &Scenario) -> Vec<LintEvent> {
-    let coupler = scenario
-        .coupler_faults
+/// Each event's label: `fault.coupler #i` or `fault.node #j`, counted
+/// per section in file order.
+fn labels(events: &[FaultEvent]) -> Vec<String> {
+    let (mut coupler, mut node) = (0, 0);
+    events
         .iter()
-        .enumerate()
-        .map(|(i, e)| LintEvent {
-            label: format!("fault.coupler #{}", i + 1),
-            lane: (0, e.channel as u64),
-            from_slot: e.from_slot,
-            to_slot: e.to_slot,
-            persistence: e.persistence,
-        });
-    let node = scenario
-        .node_faults
-        .iter()
-        .enumerate()
-        .map(|(i, e)| LintEvent {
-            label: format!("fault.node #{}", i + 1),
-            lane: (1, u64::from(e.node.index())),
-            from_slot: e.from_slot,
-            to_slot: e.to_slot,
-            persistence: e.persistence,
-        });
-    coupler.chain(node).collect()
+        .map(|event| match event.target {
+            FaultTarget::Coupler { .. } => {
+                coupler += 1;
+                format!("fault.coupler #{coupler}")
+            }
+            FaultTarget::Node { .. } => {
+                node += 1;
+                format!("fault.node #{node}")
+            }
+        })
+        .collect()
 }
 
 /// Runs every plan-level lint for a parsed scenario.
@@ -71,11 +39,10 @@ fn flatten_events(scenario: &Scenario) -> Vec<LintEvent> {
 pub fn lint_plan(target: &str, scenario: &Scenario) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let horizon = scenario.slots;
-    let events = flatten_events(scenario);
+    let events = &scenario.faults;
+    let labels = labels(events);
 
-    for event in &events {
-        let where_ = &event.label;
-
+    for (event, where_) in events.iter().zip(&labels) {
         // ── ML30: windows beyond the horizon ───────────────────────
         if event.from_slot >= horizon {
             diags.push(
@@ -139,23 +106,29 @@ pub fn lint_plan(target: &str, scenario: &Scenario) -> Vec<Diagnostic> {
         if event.from_slot >= horizon {
             continue; // already ML30 — never active at all
         }
-        let wins = (0..horizon).any(|t| first_active(&events, event.lane, t) == Some(index));
+        let lane = event.target.lane();
+        let wins = (0..horizon).any(|t| {
+            events
+                .iter()
+                .position(|e| e.target.lane() == lane && e.active_at(t))
+                == Some(index)
+        });
         if !wins {
             let earlier: Vec<&str> = events[..index]
                 .iter()
-                .filter(|e| e.lane == event.lane)
-                .map(|e| e.label.as_str())
+                .zip(&labels)
+                .filter(|(e, _)| e.target.lane() == lane)
+                .map(|(_, label)| label.as_str())
                 .collect();
             diags.push(
                 Diagnostic::new(
                     catalog::ML31,
                     target,
                     format!(
-                        "{}: never the first active match on {} at any slot in \
+                        "{}: never the first active match on {lane} at any slot in \
                          0..{horizon} — first-match-wins dispatch means it never \
                          takes effect",
-                        event.label,
-                        event.lane_name()
+                        labels[index]
                     ),
                 )
                 .note(format!(
@@ -228,13 +201,6 @@ pub fn lint_plan(target: &str, scenario: &Scenario) -> Vec<Diagnostic> {
     }
 
     diags
-}
-
-/// Index of the first event active in `lane` at slot `t`, mirroring the
-/// dispatch order of `FaultPlan::coupler_fault_at` /
-/// `FaultPlan::node_fault_at`.
-fn first_active(events: &[LintEvent], lane: (u8, u64), t: u64) -> Option<usize> {
-    events.iter().position(|e| e.lane == lane && e.active_at(t))
 }
 
 #[cfg(test)]

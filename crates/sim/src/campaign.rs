@@ -7,7 +7,9 @@
 //! `exp_fault_injection` uses this to regenerate the bus-vs-star
 //! containment comparison (experiment E9).
 
-use crate::inject::{CouplerFaultEvent, FaultPersistence, FaultPlan, NodeFault, NodeFaultKind};
+use crate::inject::{
+    can_replay, FaultEvent, FaultPersistence, FaultPlan, FaultTarget, NodeFaultKind,
+};
 use crate::report::{SimReport, SteadyState};
 use crate::sim::SimBuilder;
 use crate::topology::Topology;
@@ -65,7 +67,7 @@ impl Scenario {
     #[must_use]
     pub fn applicable(self, topology: Topology, authority: CouplerAuthority) -> bool {
         match self {
-            Scenario::CouplerReplay => topology.is_central() && authority.can_buffer_full_frames(),
+            Scenario::CouplerReplay => can_replay(topology, authority),
             _ => true,
         }
     }
@@ -634,71 +636,57 @@ impl Campaign {
             }
             claimed
         };
-        let plan = match scenario {
-            Scenario::FaultFree => FaultPlan::none(),
-            Scenario::SosSender => FaultPlan::none().with_node_fault(NodeFault {
-                node,
-                kind: NodeFaultKind::Sos {
+        let on_node = |kind| FaultTarget::Node { node, kind };
+        let on_coupler = |channel, mode| FaultTarget::Coupler { channel, mode };
+        let fault = match scenario {
+            Scenario::FaultFree => None,
+            // SOS senders misbehave after startup, as in the motivating
+            // experiments.
+            Scenario::SosSender => Some((
+                on_node(NodeFaultKind::Sos {
                     domain: if rng.gen_bool(0.5) {
                         SosDomain::Time
                     } else {
                         SosDomain::Value
                     },
                     magnitude: rng.gen_range(0.42..0.58),
-                },
-                // SOS senders misbehave after startup, as in the
-                // motivating experiments.
-                from_slot: 10 * self.nodes as u64 + onset,
-                to_slot: until(10 * self.nodes as u64 + onset),
-                persistence: FaultPersistence::Transient,
-            }),
-            Scenario::MasqueradeColdStart => FaultPlan::none().with_node_fault(NodeFault {
-                node,
-                kind: NodeFaultKind::MasqueradeColdStart {
+                }),
+                10 * self.nodes as u64 + onset,
+            )),
+            Scenario::MasqueradeColdStart => Some((
+                on_node(NodeFaultKind::MasqueradeColdStart {
                     claimed_slot: wrong_slot,
-                },
-                from_slot: onset,
-                to_slot: until(onset),
-                persistence: FaultPersistence::Transient,
-            }),
-            Scenario::InvalidCState => FaultPlan::none().with_node_fault(NodeFault {
-                node,
-                kind: NodeFaultKind::InvalidCState {
+                }),
+                onset,
+            )),
+            Scenario::InvalidCState => Some((
+                on_node(NodeFaultKind::InvalidCState {
                     claimed_slot: wrong_slot,
-                },
-                from_slot: onset,
-                to_slot: until(onset),
-                persistence: FaultPersistence::Transient,
-            }),
-            Scenario::Babbling => FaultPlan::none().with_node_fault(NodeFault {
-                node,
-                kind: NodeFaultKind::Babbling,
-                from_slot: onset,
-                to_slot: until(onset),
-                persistence: FaultPersistence::Transient,
-            }),
-            Scenario::CouplerReplay => FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-                channel: rng.gen_range(0..2),
-                mode: CouplerFaultMode::OutOfSlot,
-                from_slot: onset + 2,
-                to_slot: until(onset + 2),
-                persistence: FaultPersistence::Transient,
-            }),
-            Scenario::CouplerSilence => FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-                channel: rng.gen_range(0..2),
-                mode: CouplerFaultMode::Silence,
-                from_slot: onset,
-                to_slot: until(onset),
-                persistence: FaultPersistence::Transient,
-            }),
-            Scenario::CouplerNoise => FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-                channel: rng.gen_range(0..2),
-                mode: CouplerFaultMode::BadFrame,
-                from_slot: onset,
-                to_slot: until(onset),
-                persistence: FaultPersistence::Transient,
-            }),
+                }),
+                onset,
+            )),
+            Scenario::Babbling => Some((on_node(NodeFaultKind::Babbling), onset)),
+            Scenario::CouplerReplay => Some((
+                on_coupler(rng.gen_range(0..2), CouplerFaultMode::OutOfSlot),
+                onset + 2,
+            )),
+            Scenario::CouplerSilence => Some((
+                on_coupler(rng.gen_range(0..2), CouplerFaultMode::Silence),
+                onset,
+            )),
+            Scenario::CouplerNoise => Some((
+                on_coupler(rng.gen_range(0..2), CouplerFaultMode::BadFrame),
+                onset,
+            )),
         };
+        let plan = fault.map_or_else(FaultPlan::none, |(target, from_slot)| {
+            FaultPlan::none().with(FaultEvent {
+                target,
+                from_slot,
+                to_slot: until(from_slot),
+                persistence: FaultPersistence::Transient,
+            })
+        });
         let delays = (0..self.nodes)
             .map(|_| rng.gen_range(0..4 * self.nodes as u32))
             .collect();

@@ -10,8 +10,8 @@
 //! the real [`tta_protocol::Controller`] state machine, frames carry
 //! slightly-off-specification defects that heterogeneous receivers judge
 //! differently, local or central guardians filter traffic depending on
-//! the topology, and a fault plan injects node, guardian and coupler
-//! faults at chosen slots.
+//! the topology, and a fault plan injects node and coupler faults at
+//! chosen slots.
 //!
 //! The crate answers the motivating question of the paper empirically
 //! (experiment E9): which fault classes propagate in a **bus** topology
@@ -56,7 +56,7 @@ pub use campaign::{
 };
 pub use drift::{DriftExperiment, DriftReport};
 pub use inject::{
-    CouplerFaultEvent, FaultPersistence, FaultPlan, GuardianFaultEvent, NodeFault, NodeFaultKind,
+    can_replay, FaultEvent, FaultLane, FaultPersistence, FaultPlan, FaultTarget, NodeFaultKind,
 };
 pub use log::{SlotEvent, SlotLog};
 pub use metrics::{TimeSeries, TimeSeriesError};

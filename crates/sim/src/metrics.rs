@@ -194,7 +194,7 @@ impl fmt::Display for TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::{CouplerFaultEvent, FaultPersistence, FaultPlan};
+    use crate::inject::{FaultEvent, FaultPersistence, FaultPlan, FaultTarget};
     use crate::sim::SimBuilder;
     use crate::topology::Topology;
     use tta_guardian::{CouplerAuthority, CouplerFaultMode};
@@ -321,9 +321,11 @@ mod tests {
 
     #[test]
     fn replay_run_shows_freezes_in_the_series() {
-        let plan = FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-            channel: 0,
-            mode: CouplerFaultMode::OutOfSlot,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Coupler {
+                channel: 0,
+                mode: CouplerFaultMode::OutOfSlot,
+            },
             from_slot: 12,
             to_slot: 300,
             persistence: FaultPersistence::Transient,

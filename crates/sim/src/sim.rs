@@ -25,12 +25,11 @@
 //! reshaping authority repairs the defect before receivers see it and the
 //! chain never starts.
 
-use crate::inject::{FaultPlan, NodeFaultKind};
+use crate::inject::{can_replay, FaultPlan, NodeFaultKind};
 use crate::log::{SlotEvent, SlotLog};
 use crate::report::{RecoveryEpisode, SimReport};
 use crate::topology::Topology;
 use crate::trace::ClusterSnapshot;
-use tta_guardian::local::LocalGuardianFault;
 use tta_guardian::sos::{ReceiverTolerance, SosDefect};
 use tta_guardian::BufferedFrame;
 use tta_guardian::{CouplerAuthority, CouplerFaultMode};
@@ -531,11 +530,12 @@ impl Simulation {
                 membership: Some(self.own_view_with_self(node)),
             }),
         };
-        let fault = self.plan.node_fault_at(node, t).copied();
-        let tx = match fault.map(|f| f.kind) {
+        let round = self.slots_per_round();
+        let on_cadence = |from_slot: u64| (t - from_slot).is_multiple_of(round);
+        let tx = match self.plan.node_fault_at(node, t) {
             None => honest,
-            Some(NodeFaultKind::Mute) => None,
-            Some(NodeFaultKind::Sos { domain, magnitude }) => honest.map(|mut tx| {
+            Some((NodeFaultKind::Mute, _)) => None,
+            Some((NodeFaultKind::Sos { domain, magnitude }, _)) => honest.map(|mut tx| {
                 tx.defect = Some(SosDefect::new(domain, magnitude));
                 tx
             }),
@@ -544,31 +544,25 @@ impl Simulation {
             // claimed identity/state is wrong. Continuous transmission
             // would be babbling and be starved by the guardians' silence
             // gap instead.
-            Some(NodeFaultKind::MasqueradeColdStart { claimed_slot }) => {
-                let fault = fault.expect("fault is active");
-                (t - fault.from_slot)
-                    .is_multiple_of(self.slots_per_round())
-                    .then_some(Transmission {
-                        sender: node,
-                        kind: FrameKind::ColdStart,
-                        id: claimed_slot,
-                        defect: None,
-                        membership: None,
-                    })
+            Some((NodeFaultKind::MasqueradeColdStart { claimed_slot }, from_slot)) => {
+                on_cadence(from_slot).then_some(Transmission {
+                    sender: node,
+                    kind: FrameKind::ColdStart,
+                    id: claimed_slot,
+                    defect: None,
+                    membership: None,
+                })
             }
-            Some(NodeFaultKind::InvalidCState { claimed_slot }) => {
-                let fault = fault.expect("fault is active");
-                (t - fault.from_slot)
-                    .is_multiple_of(self.slots_per_round())
-                    .then_some(Transmission {
-                        sender: node,
-                        kind: FrameKind::CState,
-                        id: claimed_slot,
-                        defect: None,
-                        membership: Some(self.own_view_with_self(node)),
-                    })
+            Some((NodeFaultKind::InvalidCState { claimed_slot }, from_slot)) => {
+                on_cadence(from_slot).then_some(Transmission {
+                    sender: node,
+                    kind: FrameKind::CState,
+                    id: claimed_slot,
+                    defect: None,
+                    membership: Some(self.own_view_with_self(node)),
+                })
             }
-            Some(NodeFaultKind::Babbling) => Some(Transmission {
+            Some((NodeFaultKind::Babbling, _)) => Some(Transmission {
                 sender: node,
                 kind: FrameKind::Bad,
                 id: 0,
@@ -589,30 +583,19 @@ impl Simulation {
         members
     }
 
-    /// Guardian filtering: rate limiting (all healthy guardians), content
+    /// Guardian filtering: rate limiting (every guardian), content
     /// checks and signal reshaping (central guardians only).
     fn guard(&mut self, tx: Transmission, t: u64) -> Option<Transmission> {
-        let local_fault = match self.topology {
-            Topology::Bus => self.plan.guardian_fault_at(tx.sender, t),
-            Topology::Star => LocalGuardianFault::None,
-        };
-        if local_fault == LocalGuardianFault::StuckClosed {
-            return None;
-        }
-        let guardian_enforces = local_fault != LocalGuardianFault::StuckOpen;
-
         // Minimum-silence-gap enforcement: a port earns bus access only
         // after a full round of silence since its last *activity* —
         // attempts made while blocked reset the gap. Both local and
         // central guardians can enforce this without a global time base,
         // and it starves a babbling idiot completely after its first
         // grant (continuous activity never satisfies the gap).
-        if guardian_enforces {
-            if let Some(last) = self.last_admitted[tx.sender.as_usize()] {
-                if t.saturating_sub(last) < self.slots_per_round() {
-                    self.last_admitted[tx.sender.as_usize()] = Some(t);
-                    return None;
-                }
+        if let Some(last) = self.last_admitted[tx.sender.as_usize()] {
+            if t.saturating_sub(last) < self.slots_per_round() {
+                self.last_admitted[tx.sender.as_usize()] = Some(t);
+                return None;
             }
         }
 
@@ -656,14 +639,14 @@ impl Simulation {
     /// Applies the coupler fault for `channel` and maintains its replay
     /// buffer.
     fn couple(&mut self, content: ChannelContent, channel: usize, t: u64) -> ChannelContent {
-        let mode = self.plan.coupler_fault_at(channel, t);
-        let out = match mode {
+        let replays = can_replay(self.topology, self.authority);
+        let out = match self.plan.coupler_fault_at(channel, t) {
             CouplerFaultMode::None => content,
             CouplerFaultMode::Silence => ChannelContent::Silence,
             CouplerFaultMode::BadFrame => ChannelContent::Noise,
             CouplerFaultMode::OutOfSlot => {
                 assert!(
-                    self.topology.is_central() && self.authority.can_buffer_full_frames(),
+                    replays,
                     "out_of_slot coupler faults require a full-shifting star coupler"
                 );
                 self.log.record(t, SlotEvent::CouplerReplay { channel });
@@ -673,7 +656,7 @@ impl Simulation {
                 self.buffers[channel].map_or(ChannelContent::Silence, ChannelContent::Frame)
             }
         };
-        if self.topology.is_central() && self.authority.can_buffer_full_frames() {
+        if replays {
             if let ChannelContent::Frame(tx) = out {
                 if tx.kind != FrameKind::Bad {
                     self.buffers[channel] = Some(tx);
@@ -917,7 +900,7 @@ fn adopted_membership(channels: &[ChannelContent; 2]) -> Option<MembershipVector
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::{CouplerFaultEvent, FaultPersistence, NodeFault};
+    use crate::inject::{FaultEvent, FaultPersistence, FaultTarget};
 
     fn golden(topology: Topology, authority: CouplerAuthority) -> SimReport {
         SimBuilder::new(4)
@@ -956,11 +939,13 @@ mod tests {
     fn sos_fault_splits_bus_receivers() {
         // A value-domain SOS sender on the bus: tolerances straddle the
         // defect magnitude, receivers disagree, membership diverges.
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(0),
-            kind: NodeFaultKind::Sos {
-                domain: tta_guardian::sos::SosDomain::Value,
-                magnitude: 0.5,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(0),
+                kind: NodeFaultKind::Sos {
+                    domain: tta_guardian::sos::SosDomain::Value,
+                    magnitude: 0.5,
+                },
             },
             from_slot: 60,
             to_slot: 300,
@@ -984,11 +969,13 @@ mod tests {
 
     #[test]
     fn central_guardian_reshapes_sos_away() {
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(0),
-            kind: NodeFaultKind::Sos {
-                domain: tta_guardian::sos::SosDomain::Value,
-                magnitude: 0.5,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(0),
+                kind: NodeFaultKind::Sos {
+                    domain: tta_guardian::sos::SosDomain::Value,
+                    magnitude: 0.5,
+                },
             },
             from_slot: 60,
             to_slot: 300,
@@ -1019,9 +1006,11 @@ mod tests {
     #[test]
     fn masquerading_cold_start_disturbs_bus_startup() {
         // The faulty node claims someone else's round slot during startup.
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(3),
-            kind: NodeFaultKind::MasqueradeColdStart { claimed_slot: 2 },
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(3),
+                kind: NodeFaultKind::MasqueradeColdStart { claimed_slot: 2 },
+            },
             from_slot: 0,
             to_slot: 300,
             persistence: FaultPersistence::Transient,
@@ -1065,9 +1054,11 @@ mod tests {
 
     #[test]
     fn invalid_cstate_is_blocked_centrally() {
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(2),
-            kind: NodeFaultKind::InvalidCState { claimed_slot: 1 },
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(2),
+                kind: NodeFaultKind::InvalidCState { claimed_slot: 1 },
+            },
             from_slot: 0,
             to_slot: 400,
             persistence: FaultPersistence::Transient,
@@ -1092,9 +1083,11 @@ mod tests {
     fn coupler_replay_freezes_healthy_node_in_full_shifting_star() {
         // The paper's headline fault, executed: while nodes are still
         // integrating, replay buffered frames out of slot on channel 0.
-        let plan = FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-            channel: 0,
-            mode: CouplerFaultMode::OutOfSlot,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Coupler {
+                channel: 0,
+                mode: CouplerFaultMode::OutOfSlot,
+            },
             from_slot: 12,
             to_slot: 340,
             persistence: FaultPersistence::Transient,
@@ -1126,9 +1119,8 @@ mod tests {
         // carries the traffic; nobody freezes (the formal model's E1, run
         // as a simulation).
         for mode in [CouplerFaultMode::Silence, CouplerFaultMode::BadFrame] {
-            let plan = FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-                channel: 0,
-                mode,
+            let plan = FaultPlan::none().with(FaultEvent {
+                target: FaultTarget::Coupler { channel: 0, mode },
                 from_slot: 0,
                 to_slot: 400,
                 persistence: FaultPersistence::Transient,
@@ -1147,9 +1139,11 @@ mod tests {
 
     #[test]
     fn babbling_is_rate_limited_by_guardians() {
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(1),
-            kind: NodeFaultKind::Babbling,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(1),
+                kind: NodeFaultKind::Babbling,
+            },
             from_slot: 0,
             to_slot: 400,
             persistence: FaultPersistence::Transient,
@@ -1169,9 +1163,11 @@ mod tests {
 
     #[test]
     fn mute_node_does_not_disturb_the_others() {
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(2),
-            kind: NodeFaultKind::Mute,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(2),
+                kind: NodeFaultKind::Mute,
+            },
             from_slot: 0,
             to_slot: 400,
             persistence: FaultPersistence::Transient,
@@ -1218,10 +1214,9 @@ mod tests {
 
     /// A generated run: both topologies, every authority, every restart
     /// policy kind, 3–5 nodes, horizons on and off round multiples, and
-    /// up to two node faults (every kind), two coupler faults and one
-    /// guardian fault, each transient, intermittent or permanent.
+    /// up to two node faults (every kind) and two coupler faults, each
+    /// transient, intermittent or permanent.
     fn generated(seed: u64) -> Simulation {
-        use crate::inject::GuardianFaultEvent;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         use tta_guardian::sos::SosDomain;
 
@@ -1281,9 +1276,8 @@ mod tests {
                 _ => NodeFaultKind::Mute,
             };
             let (from_slot, to_slot, persistence) = fault(&mut rng);
-            plan = plan.with_node_fault(NodeFault {
-                node,
-                kind,
+            plan = plan.with(FaultEvent {
+                target: FaultTarget::Node { node, kind },
                 from_slot,
                 to_slot,
                 persistence,
@@ -1291,7 +1285,7 @@ mod tests {
         }
         // One channel, so the single-faulty-coupler hypothesis holds.
         let channel = rng.gen_range(0..2);
-        let replay = topology.is_central() && authority.can_buffer_full_frames();
+        let replay = can_replay(topology, authority);
         for _ in 0..rng.gen_range(0..=2) {
             let mode = match rng.gen_range(0..if replay { 3 } else { 2 }) {
                 0 => CouplerFaultMode::Silence,
@@ -1299,25 +1293,8 @@ mod tests {
                 _ => CouplerFaultMode::OutOfSlot,
             };
             let (from_slot, to_slot, persistence) = fault(&mut rng);
-            plan = plan.with_coupler_fault(CouplerFaultEvent {
-                channel,
-                mode,
-                from_slot,
-                to_slot,
-                persistence,
-            });
-        }
-        if topology == Topology::Bus && rng.gen_bool(0.2) {
-            let node = NodeId::new(rng.gen_range(0..nodes) as u8);
-            let mode = if rng.gen_bool(0.5) {
-                LocalGuardianFault::StuckOpen
-            } else {
-                LocalGuardianFault::StuckClosed
-            };
-            let (from_slot, to_slot, persistence) = fault(&mut rng);
-            plan = plan.with_guardian_fault(GuardianFaultEvent {
-                node,
-                mode,
+            plan = plan.with(FaultEvent {
+                target: FaultTarget::Coupler { channel, mode },
                 from_slot,
                 to_slot,
                 persistence,
@@ -1367,16 +1344,20 @@ mod tests {
         // second opens after cold-start traffic has been latched (same
         // onset as `coupler_replay_freezes_healthy_node_in_full_shifting_star`).
         let plan = FaultPlan::none()
-            .with_coupler_fault(CouplerFaultEvent {
-                channel: 0,
-                mode: CouplerFaultMode::OutOfSlot,
+            .with(FaultEvent {
+                target: FaultTarget::Coupler {
+                    channel: 0,
+                    mode: CouplerFaultMode::OutOfSlot,
+                },
                 from_slot: 2,
                 to_slot: 4,
                 persistence: FaultPersistence::Transient,
             })
-            .with_coupler_fault(CouplerFaultEvent {
-                channel: 0,
-                mode: CouplerFaultMode::OutOfSlot,
+            .with(FaultEvent {
+                target: FaultTarget::Coupler {
+                    channel: 0,
+                    mode: CouplerFaultMode::OutOfSlot,
+                },
                 from_slot: 12,
                 to_slot: 40,
                 persistence: FaultPersistence::Transient,

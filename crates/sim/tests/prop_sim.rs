@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use tta_guardian::sos::{ReceiverTolerance, SosDomain};
 use tta_guardian::{CouplerAuthority, CouplerFaultMode};
 use tta_sim::{
-    CouplerFaultEvent, FaultPersistence, FaultPlan, NodeFault, NodeFaultKind, SimBuilder, Topology,
+    FaultEvent, FaultPersistence, FaultPlan, FaultTarget, NodeFaultKind, SimBuilder, Topology,
 };
 use tta_types::NodeId;
 
@@ -68,11 +68,13 @@ proptest! {
         delays in arb_delays(4),
         onset in 0u64..40,
     ) {
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(1),
-            kind: NodeFaultKind::Sos {
-                domain: SosDomain::Value,
-                magnitude: 0.5,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(1),
+                kind: NodeFaultKind::Sos {
+                    domain: SosDomain::Value,
+                    magnitude: 0.5,
+                },
             },
             from_slot: onset,
             to_slot: SLOTS,
@@ -104,11 +106,13 @@ proptest! {
         onset in 20u64..200,
         faulty in 0u8..4,
     ) {
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(faulty),
-            kind: NodeFaultKind::Sos {
-                domain: if time_domain { SosDomain::Time } else { SosDomain::Value },
-                magnitude,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(faulty),
+                kind: NodeFaultKind::Sos {
+                    domain: if time_domain { SosDomain::Time } else { SosDomain::Value },
+                    magnitude,
+                },
             },
             from_slot: onset,
             to_slot: SLOTS,
@@ -136,9 +140,11 @@ proptest! {
         from in 0u64..60,
         delays in arb_delays(4),
     ) {
-        let plan = FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-            channel,
-            mode: if silence { CouplerFaultMode::Silence } else { CouplerFaultMode::BadFrame },
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Coupler {
+                channel,
+                mode: if silence { CouplerFaultMode::Silence } else { CouplerFaultMode::BadFrame },
+            },
             from_slot: from,
             to_slot: SLOTS,
             persistence: FaultPersistence::Transient,
@@ -173,9 +179,11 @@ proptest! {
         } else {
             NodeFaultKind::InvalidCState { claimed_slot: claimed }
         };
-        let plan = FaultPlan::none().with_node_fault(NodeFault {
-            node: NodeId::new(faulty),
-            kind,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(faulty),
+                kind,
+            },
             from_slot: onset,
             to_slot: SLOTS,
             persistence: FaultPersistence::Transient,
@@ -203,9 +211,11 @@ proptest! {
 /// protocol feature exists precisely for this situation.)
 #[test]
 fn founder_content_fault_recovers() {
-    let plan = FaultPlan::none().with_node_fault(NodeFault {
-        node: NodeId::new(0),
-        kind: NodeFaultKind::InvalidCState { claimed_slot: 2 },
+    let plan = FaultPlan::none().with(FaultEvent {
+        target: FaultTarget::Node {
+            node: NodeId::new(0),
+            kind: NodeFaultKind::InvalidCState { claimed_slot: 2 },
+        },
         from_slot: 13,
         to_slot: SLOTS,
         persistence: FaultPersistence::Transient,

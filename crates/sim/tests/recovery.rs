@@ -9,7 +9,9 @@
 use proptest::prelude::*;
 use tta_guardian::{CouplerAuthority, CouplerFaultMode};
 use tta_protocol::{ProtocolState, RestartPolicy};
-use tta_sim::{CouplerFaultEvent, FaultPersistence, FaultPlan, SimBuilder, SlotEvent, Topology};
+use tta_sim::{
+    FaultEvent, FaultPersistence, FaultPlan, FaultTarget, SimBuilder, SlotEvent, Topology,
+};
 
 const SLOTS: u64 = 400;
 
@@ -17,9 +19,11 @@ const SLOTS: u64 = 400;
 /// frame carries a cold-start frame and freezes a healthy node), closes
 /// at slot 60.
 fn transient_replay() -> FaultPlan {
-    FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-        channel: 0,
-        mode: CouplerFaultMode::OutOfSlot,
+    FaultPlan::none().with(FaultEvent {
+        target: FaultTarget::Coupler {
+            channel: 0,
+            mode: CouplerFaultMode::OutOfSlot,
+        },
         from_slot: 12,
         to_slot: 60,
         persistence: FaultPersistence::Transient,
@@ -180,9 +184,11 @@ proptest! {
         from in 5u64..40,
         len in 1u64..80,
     ) {
-        let plan = || FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-            channel: 0,
-            mode: CouplerFaultMode::BadFrame,
+        let plan = || FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Coupler {
+                channel: 0,
+                mode: CouplerFaultMode::BadFrame,
+            },
             from_slot: from,
             to_slot: from + len,
             persistence: FaultPersistence::Transient,

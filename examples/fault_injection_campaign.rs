@@ -12,8 +12,8 @@
 use tta::guardian::sos::SosDomain;
 use tta::guardian::CouplerAuthority;
 use tta::sim::{
-    Campaign, FaultPersistence, FaultPlan, NodeFault, NodeFaultKind, Scenario, SimBuilder,
-    SlotEvent, Topology,
+    Campaign, FaultEvent, FaultPersistence, FaultPlan, FaultTarget, NodeFaultKind, Scenario,
+    SimBuilder, SlotEvent, Topology,
 };
 use tta::types::NodeId;
 
@@ -43,11 +43,13 @@ fn main() {
 
     // --- 2. One concrete bus trial, step by step.
     println!("\n## 2. Anatomy of one SOS propagation on the bus\n");
-    let plan = FaultPlan::none().with_node_fault(NodeFault {
-        node: NodeId::new(0),
-        kind: NodeFaultKind::Sos {
-            domain: SosDomain::Value,
-            magnitude: 0.5,
+    let plan = FaultPlan::none().with(FaultEvent {
+        target: FaultTarget::Node {
+            node: NodeId::new(0),
+            kind: NodeFaultKind::Sos {
+                domain: SosDomain::Value,
+                magnitude: 0.5,
+            },
         },
         from_slot: 60,
         to_slot: 300,

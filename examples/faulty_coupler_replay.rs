@@ -11,7 +11,9 @@
 
 use tta::core::{narrate_compressed, verify_cluster, ClusterConfig, ClusterModel, Verdict};
 use tta::guardian::{CouplerAuthority, CouplerFaultMode};
-use tta::sim::{CouplerFaultEvent, FaultPersistence, FaultPlan, SimBuilder, SlotEvent, Topology};
+use tta::sim::{
+    FaultEvent, FaultPersistence, FaultPlan, FaultTarget, SimBuilder, SlotEvent, Topology,
+};
 
 fn main() {
     // --- 1. The model checker finds the failure and narrates it.
@@ -31,9 +33,11 @@ fn main() {
 
     // --- 2. The simulator executes the same fault against a starting cluster.
     println!("## 2. Simulator: replaying frames while nodes integrate\n");
-    let plan = FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-        channel: 0,
-        mode: CouplerFaultMode::OutOfSlot,
+    let plan = FaultPlan::none().with(FaultEvent {
+        target: FaultTarget::Coupler {
+            channel: 0,
+            mode: CouplerFaultMode::OutOfSlot,
+        },
         from_slot: 12,
         to_slot: 200,
         persistence: FaultPersistence::Transient,

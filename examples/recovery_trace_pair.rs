@@ -15,14 +15,16 @@
 use tta::guardian::{CouplerAuthority, CouplerFaultMode};
 use tta::protocol::RestartPolicy;
 use tta::sim::{
-    CouplerFaultEvent, FaultPersistence, FaultPlan, RecoveryOutcome, SimBuilder, SimReport,
+    FaultEvent, FaultPersistence, FaultPlan, FaultTarget, RecoveryOutcome, SimBuilder, SimReport,
     Topology,
 };
 
 fn run(policy: RestartPolicy) -> SimReport {
-    let plan = FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-        channel: 0,
-        mode: CouplerFaultMode::OutOfSlot,
+    let plan = FaultPlan::none().with(FaultEvent {
+        target: FaultTarget::Coupler {
+            channel: 0,
+            mode: CouplerFaultMode::OutOfSlot,
+        },
         from_slot: 16,
         to_slot: 64, // transient: the coupler is healthy again afterwards
         persistence: FaultPersistence::Transient,

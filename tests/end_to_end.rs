@@ -6,7 +6,7 @@ use tta::analysis;
 use tta::core::{verify_cluster, ClusterConfig, Verdict};
 use tta::guardian::{buffer, CouplerAuthority, CouplerFaultMode};
 use tta::sim::{
-    Campaign, CouplerFaultEvent, FaultPersistence, FaultPlan, Scenario, SimBuilder, Topology,
+    Campaign, FaultEvent, FaultPersistence, FaultPlan, FaultTarget, Scenario, SimBuilder, Topology,
 };
 use tta::types::constants::{LINE_ENCODING_BITS, N_FRAME_MIN_BITS};
 
@@ -22,9 +22,8 @@ fn checker_and_simulator_agree_on_passive_faults() {
     // Simulator: a persistent silence fault and a persistent noise fault
     // on channel 0 leave every healthy node running.
     for mode in [CouplerFaultMode::Silence, CouplerFaultMode::BadFrame] {
-        let plan = FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-            channel: 0,
-            mode,
+        let plan = FaultPlan::none().with(FaultEvent {
+            target: FaultTarget::Coupler { channel: 0, mode },
             from_slot: 0,
             to_slot: 400,
             persistence: FaultPersistence::Transient,
@@ -48,9 +47,11 @@ fn checker_violation_has_a_concrete_execution() {
     let checked = verify_cluster(&ClusterConfig::paper(CouplerAuthority::FullShifting));
     assert_eq!(checked.verdict, Verdict::Violated);
 
-    let plan = FaultPlan::none().with_coupler_fault(CouplerFaultEvent {
-        channel: 0,
-        mode: CouplerFaultMode::OutOfSlot,
+    let plan = FaultPlan::none().with(FaultEvent {
+        target: FaultTarget::Coupler {
+            channel: 0,
+            mode: CouplerFaultMode::OutOfSlot,
+        },
         from_slot: 12,
         to_slot: 400,
         persistence: FaultPersistence::Transient,
@@ -178,7 +179,7 @@ fn eq6_is_the_feasibility_knee() {
 #[test]
 fn live_guardian_blocks_and_reshapes_per_authority() {
     use tta::guardian::sos::SosDomain;
-    use tta::sim::{NodeFault, NodeFaultKind, SlotEvent};
+    use tta::sim::{NodeFaultKind, SlotEvent};
     use tta::types::NodeId;
 
     let faults = [
@@ -203,9 +204,11 @@ fn live_guardian_blocks_and_reshapes_per_authority() {
     ];
     for (authority, expected) in table {
         let observed = faults.map(|kind| {
-            let plan = FaultPlan::none().with_node_fault(NodeFault {
-                node: NodeId::new(3),
-                kind,
+            let plan = FaultPlan::none().with(FaultEvent {
+                target: FaultTarget::Node {
+                    node: NodeId::new(3),
+                    kind,
+                },
                 from_slot: 0,
                 to_slot: 300,
                 persistence: FaultPersistence::Transient,
