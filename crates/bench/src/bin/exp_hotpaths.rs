@@ -1,8 +1,9 @@
 //! Hot-path timings: the protocol, guardian-buffer, simulator and
 //! analysis calls the checker, the campaigns and the Section 6 design
 //! loops spend their time in, the explorer's whole safety check, the
-//! JSON codec and result-cache open a campaign daemon restarts through,
-//! and whole daemon sweeps, each timed per call by
+//! fuzzer's coverage probe and one scenario emission, the JSON codec
+//! and result-cache open a campaign daemon restarts through, and whole
+//! daemon sweeps, each timed per call by
 //! [`tta_bench::seconds_per_iter`].
 //!
 //! Usage: `exp_hotpaths [PATH]` — writes `PATH` (default
@@ -28,13 +29,17 @@ use tta_campaignd::protocol::trial_line;
 use tta_campaignd::runner::TrialVerdict;
 use tta_campaignd::spec::{JobSpec, ScenarioSource};
 use tta_core::{verify_cluster_with, CheckStrategy, ClusterConfig};
+use tta_fuzz::{emit_scenario, EmitRequest, EvalContext, FuzzInput};
 use tta_guardian::buffer::simulate_forwarding;
+use tta_guardian::sos::SosDomain;
 use tta_guardian::CouplerAuthority;
+use tta_modellint::{config_coverage, AnalysisOptions};
 use tta_protocol::{
     ChannelObservation, ChannelView, Controller, EagerStartPolicy, HostChoices, RestartPolicy,
 };
 use tta_sim::{
-    Campaign, FaultPlan, Outcome, RecoveryOutcome, Scenario, SimBuilder, Topology, TrialResult,
+    Campaign, FaultEvent, FaultPersistence, FaultPlan, FaultTarget, NodeFaultKind, Outcome,
+    RecoveryOutcome, Scenario, SimBuilder, Topology, TrialResult,
 };
 use tta_types::constants::{LINE_ENCODING_BITS, N_FRAME_MIN_BITS, X_FRAME_MAX_BITS};
 use tta_types::{FrameKind, NodeId};
@@ -55,6 +60,9 @@ const CACHE_ENTRIES: u32 = 8192;
 const DAEMON_TRIALS: u32 = 1024;
 /// Interleaved 1- and 2-thread calls of the speed floor's explorer walk.
 const FLOOR_PAIRS: usize = 5;
+/// The scenario `tta_fuzz --seed 7` emits for its availability cliff,
+/// which the `fuzz/emit` row re-emits.
+const SEED7_CLIFF: &str = include_str!("../../../../scenarios/fuzzed_cliff_passive_9b4f25a9.toml");
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -73,6 +81,7 @@ fn main() {
     simulator(&mut runs);
     analysis(&mut runs);
     explorer(&mut runs);
+    fuzz_analyses(&mut runs);
     campaign_storage(&mut runs);
     daemon(&mut runs);
     runs.write(&path);
@@ -290,6 +299,62 @@ fn explore_floor(runs: &mut Runs, config: &ClusterConfig) {
         .per_state("bytes_per_state", one.bytes_per_state());
     runs.record("explore/small_shifting_5_nodes", 2, fastest[1])
         .count("states", two.states_explored);
+}
+
+/// The fuzzer's model work outside its candidate runs: the startup
+/// coverage probe (one 2^14-state reachable-space analysis per
+/// authority, as `fuzz_with` runs it) and one emission of the seed-7
+/// cliff (its conformance run and the lint of the finished file).
+fn fuzz_analyses(runs: &mut Runs) {
+    let probe = AnalysisOptions {
+        max_states: 1 << 14,
+    };
+    let mut states = 0;
+    runs.time("modellint/coverage_probe", 1, || {
+        states = CouplerAuthority::all()
+            .into_iter()
+            .map(|authority| {
+                let config = ClusterConfig::paper(authority);
+                let target = format!("fuzz:{}", authority.token());
+                config_coverage(&target, &config, &probe).states as u64
+            })
+            .sum();
+    })
+    .count("states", states);
+
+    let input = FuzzInput {
+        events: vec![FaultEvent {
+            target: FaultTarget::Node {
+                node: NodeId::new(2),
+                kind: NodeFaultKind::Sos {
+                    domain: SosDomain::Time,
+                    magnitude: 0.5,
+                },
+            },
+            from_slot: 50,
+            to_slot: 51,
+            persistence: FaultPersistence::Transient,
+        }],
+    };
+    let ctx = EvalContext::default();
+    let request = EmitRequest {
+        input: &input,
+        authority: CouplerAuthority::Passive,
+        kind_word: "cliff",
+        description: "availability cliff under passive: 0.9650 -> 0.1000 (tta_fuzz seed 7)"
+            .to_string(),
+        ctx: &ctx,
+    };
+    let mut toml = String::new();
+    runs.time("fuzz/emit", 1, || {
+        toml = emit_scenario(&request)
+            .expect("the seed-7 cliff emits")
+            .toml;
+    });
+    assert_eq!(
+        toml, SEED7_CLIFF,
+        "the emission must reproduce the pinned scenario"
+    );
 }
 
 /// A trial record shaped like a campaign's: a full 64-bit seed, a

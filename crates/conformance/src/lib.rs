@@ -29,7 +29,7 @@ pub mod toml;
 
 pub use lift::{lift_snapshot, lift_trace};
 pub use oracle::{check_trace, Conformance, Divergence, NearMiss};
-pub use runner::{run_scenario, run_scenario_file, ScenarioOutcome};
+pub use runner::{run_scenario, run_scenario_file, ScenarioOutcome, SimOutcome};
 pub use scenario::{
     Expectations, ExpectedVerdict, PropertyKind, PropertySpec, Scenario, ScenarioError,
 };

@@ -21,6 +21,9 @@
 //!    vocabulary): every observed simulator step re-admitted through the
 //!    model's transition relation via [`crate::check_trace`].
 //! 4. An **agreement line** relating what the two engines concluded.
+//!
+//! The [`ScenarioOutcome`] also carries what the engines measured, pinned
+//! or not: the fuzzer's emitter writes a find's `[expect]` block from it.
 
 use crate::lift::lift_trace;
 use crate::oracle::check_trace;
@@ -29,7 +32,8 @@ use crate::snapshot::{compare_golden, render_verification, verdict_name};
 use std::fmt::Write as _;
 use std::path::Path;
 use tta_core::{
-    verify_cluster, verify_cluster_liveness, verify_cluster_recovery, ClusterModel, Verdict,
+    verify_cluster, verify_cluster_liveness, verify_cluster_recovery, ClusterModel, LivenessReport,
+    Verdict,
 };
 use tta_sim::RecoveryOutcome;
 
@@ -40,6 +44,19 @@ pub struct ScenarioOutcome {
     pub passed: bool,
     /// The full human-readable report, one line per check.
     pub report: String,
+    /// The bounded checker's verdict.
+    pub verdict: Verdict,
+    /// The simulator phase's classification; `None` when it was skipped.
+    pub sim: Option<SimOutcome>,
+}
+
+/// The simulator phase's classification of its run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimOutcome {
+    /// A healthy node froze or the cluster never started.
+    pub disturbed: bool,
+    /// [`RecoveryOutcome::classify`] of the run.
+    pub recovery: RecoveryOutcome,
 }
 
 /// Loads and runs the scenario at `path`.
@@ -121,56 +138,21 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
         }
     }
 
-    // Phase 1b: the liveness checker, when the scenario expects a
-    // liveness verdict. Unlike safety this must build the full reachable
-    // graph, so it only runs on demand.
+    // Phases 1b and 1c: the liveness checker (`listening ~> integrated`
+    // per node) and the recovery checker (`frozen ~> integrated` under
+    // restart fairness), each only when the scenario expects its
+    // verdict: unlike safety they build the full reachable graph.
     if let Some(expected) = scenario.expect.liveness {
-        let liveness = verify_cluster_liveness(&config);
-        r.check(
-            verdict_matches(liveness.verdict, expected),
-            format!(
-                "[liveness] listening ~> integrated: {} (expected {expected})",
-                verdict_name(liveness.verdict)
-            ),
-        );
-        if let Some(lasso) = &liveness.lasso {
-            let _ = writeln!(
-                r.text,
-                "[liveness] fair lasso: node {} starved, stem {} + cycle {} slots{}",
-                liveness
-                    .violating_node
-                    .map_or_else(|| "?".to_string(), |n| n.to_string()),
-                lasso.stem_len(),
-                lasso.cycle_len(),
-                if lasso.is_stutter() { " (stutter)" } else { "" }
-            );
-        }
+        let words = ["liveness", "listening ~> integrated", "starved"];
+        r.fair_check(words, &verify_cluster_liveness(&config), expected);
     }
-
-    // Phase 1c: the recovery checker, when the scenario expects a
-    // recovery verdict — `frozen ~> integrated` under restart fairness,
-    // on the same fair reachable graph construction as phase 1b.
     if let Some(expected) = scenario.expect.recovery {
-        let recovery = verify_cluster_recovery(&config);
-        r.check(
-            verdict_matches(recovery.verdict, expected),
-            format!(
-                "[recovery] frozen ~> integrated under restart fairness: {} (expected {expected})",
-                verdict_name(recovery.verdict)
-            ),
-        );
-        if let Some(lasso) = &recovery.lasso {
-            let _ = writeln!(
-                r.text,
-                "[recovery] fair lasso: node {} never reintegrates, stem {} + cycle {} slots{}",
-                recovery
-                    .violating_node
-                    .map_or_else(|| "?".to_string(), |n| n.to_string()),
-                lasso.stem_len(),
-                lasso.cycle_len(),
-                if lasso.is_stutter() { " (stutter)" } else { "" }
-            );
-        }
+        let words = [
+            "recovery",
+            "frozen ~> integrated under restart fairness",
+            "never reintegrates",
+        ];
+        r.fair_check(words, &verify_cluster_recovery(&config), expected);
     }
 
     // Phase 2: the simulator, when the plan is physically executable.
@@ -188,7 +170,10 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
         }
         Ok(()) => {
             let (report, snapshots) = scenario.sim_builder().build().run_traced();
-            let disturbed = !report.healthy_frozen().is_empty() || !report.cluster_started();
+            let sim = SimOutcome {
+                disturbed: !report.healthy_frozen().is_empty() || !report.cluster_started(),
+                recovery: RecoveryOutcome::classify(&report),
+            };
             let mut frozen: Vec<_> = report.healthy_frozen().to_vec();
             frozen.sort_unstable();
             frozen.dedup();
@@ -211,18 +196,20 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
             );
             if let Some(expected) = scenario.expect.sim_disturbed {
                 r.check(
-                    disturbed == expected,
-                    format!("[sim] disturbed: {disturbed} (expected {expected})"),
+                    sim.disturbed == expected,
+                    format!("[sim] disturbed: {} (expected {expected})", sim.disturbed),
                 );
             }
             if let Some(expected) = scenario.expect.recovery_outcome {
-                let outcome = RecoveryOutcome::classify(&report);
                 r.check(
-                    outcome == expected,
-                    format!("[sim] recovery outcome: {outcome} (expected {expected})"),
+                    sim.recovery == expected,
+                    format!(
+                        "[sim] recovery outcome: {} (expected {expected})",
+                        sim.recovery
+                    ),
                 );
             }
-            Some((disturbed, snapshots))
+            Some((sim, snapshots))
         }
     };
 
@@ -267,7 +254,8 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     }
 
     // Phase 4: cross-engine agreement.
-    if let Some((disturbed, _)) = sim_run {
+    let sim = sim_run.map(|(sim, _)| sim);
+    if let Some(SimOutcome { disturbed, .. }) = sim {
         let checker_violated = verification.verdict == Verdict::Violated;
         let agree = checker_violated == disturbed;
         let _ = writeln!(
@@ -292,6 +280,8 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     ScenarioOutcome {
         passed: r.passed,
         report: r.text,
+        verdict: verification.verdict,
+        sim,
     }
 }
 
@@ -319,6 +309,36 @@ impl Report {
         let _ = writeln!(self.text, "{line} ... {}", if ok { "ok" } else { "FAILED" });
         if !ok {
             self.passed = false;
+        }
+    }
+
+    /// Checks a fair-graph verdict against its expectation and narrates
+    /// the lasso of a violation: `[tag] property` names the check, `fate`
+    /// what befalls the violating node.
+    fn fair_check(
+        &mut self,
+        [tag, property, fate]: [&str; 3],
+        report: &LivenessReport,
+        expected: ExpectedVerdict,
+    ) {
+        self.check(
+            verdict_matches(report.verdict, expected),
+            format!(
+                "[{tag}] {property}: {} (expected {expected})",
+                verdict_name(report.verdict)
+            ),
+        );
+        if let Some(lasso) = &report.lasso {
+            let _ = writeln!(
+                self.text,
+                "[{tag}] fair lasso: node {} {fate}, stem {} + cycle {} slots{}",
+                report
+                    .violating_node
+                    .map_or_else(|| "?".to_string(), |n| n.to_string()),
+                lasso.stem_len(),
+                lasso.cycle_len(),
+                if lasso.is_stutter() { " (stutter)" } else { "" }
+            );
         }
     }
 }
@@ -386,6 +406,43 @@ sim_disturbed = false
         let scenario = Scenario::parse(&wrong, Path::new(".")).unwrap();
         let outcome = run_scenario(&scenario);
         assert!(!outcome.passed, "{}", outcome.report);
+    }
+
+    #[test]
+    fn outcome_carries_the_verdict_and_the_sim_classification() {
+        // An undisturbed holds, a disturbed holds (the pinned passive
+        // cliff: a time-domain SOS sender), a violated run, and a plan
+        // the simulator cannot execute.
+        let cliff = "[scenario]\nname = \"cliff\"\n[cluster]\nnodes = 4\n\
+             authority = \"passive\"\n[sim]\nslots = 400\n[[fault.node]]\nnode = 2\n\
+             kind = \"sos\"\ndomain = \"time\"\nmagnitude = 0.5\nfrom_slot = 50\n\
+             to_slot = 51\n";
+        let coldstart = "[scenario]\nname = \"coldstart\"\n[cluster]\nnodes = 4\n\
+             authority = \"full_shifting\"\n[model]\nout_of_slot_budget = 1\n\
+             [sim]\nslots = 400\n[[fault.coupler]]\nchannel = 0\nmode = \"out_of_slot\"\n\
+             from_slot = 12\nto_slot = 340\n";
+        let unsimulable = coldstart.replace("full_shifting", "passive");
+        let mut disturbed_runs = 0;
+        for text in [SMALL_SHIFTING_NOISE, cliff, coldstart, &unsimulable] {
+            let scenario = Scenario::parse(text, Path::new(".")).unwrap();
+            let outcome = run_scenario(&scenario);
+            assert_eq!(
+                outcome.verdict,
+                verify_cluster(&scenario.checker_config()).verdict,
+                "{}",
+                outcome.report
+            );
+            let expected = scenario.sim_applicable().is_ok().then(|| {
+                let report = scenario.sim_builder().build().run();
+                SimOutcome {
+                    disturbed: !report.healthy_frozen().is_empty() || !report.cluster_started(),
+                    recovery: RecoveryOutcome::classify(&report),
+                }
+            });
+            assert_eq!(outcome.sim, expected, "{}", outcome.report);
+            disturbed_runs += usize::from(expected.is_some_and(|sim| sim.disturbed));
+        }
+        assert_eq!(disturbed_runs, 2, "the cliff and the replay disturb");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! authority = "full_shifting"
 //!
 //! [model]
-//! out_of_slot_budget = 1          # or "unlimited"
+//! out_of_slot_budget = 1          # 0..=7, or "unlimited"
 //!
 //! [sim]
 //! slots = 400
@@ -32,7 +32,7 @@
 use crate::toml::{Document, Table, Value};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use tta_core::{ClusterConfig, ClusterModel, FaultBudget};
+use tta_core::{ClusterConfig, ClusterModel, FaultBudget, REPLAY_COUNTER_CAP};
 use tta_guardian::sos::SosDomain;
 use tta_guardian::{CouplerAuthority, CouplerFaultMode};
 use tta_protocol::{HostChoices, RestartPolicy};
@@ -279,11 +279,15 @@ impl Scenario {
         let out_of_slot_budget = match model.and_then(|t| t.get("out_of_slot_budget")) {
             None => FaultBudget::Unlimited,
             Some(Value::Str(s)) if s == "unlimited" => FaultBudget::Unlimited,
-            Some(Value::Int(n)) if (0..=255).contains(n) => FaultBudget::AtMost(*n as u8),
+            // The replay counter saturates at the cap: no larger budget runs out.
+            Some(Value::Int(n)) if (0..=i64::from(REPLAY_COUNTER_CAP)).contains(n) => {
+                FaultBudget::AtMost(*n as u8)
+            }
             Some(_) => {
-                return Err(ScenarioError::new(
-                    "model.out_of_slot_budget must be \"unlimited\" or an integer in 0..=255",
-                ))
+                return Err(ScenarioError::new(format!(
+                    "model.out_of_slot_budget must be \"unlimited\" or an integer in \
+                     0..={REPLAY_COUNTER_CAP}"
+                )))
             }
         };
         let forbid_cold_start_replay =
@@ -1036,6 +1040,22 @@ sim_disturbed = true
         let err =
             Scenario::parse("[cluster]\nnodes = 4\n[weird]\nx = 1\n", Path::new(".")).unwrap_err();
         assert!(err.to_string().contains("weird"), "{err}");
+    }
+
+    #[test]
+    fn replay_budgets_stop_at_the_counter_cap() {
+        let with_budget = |budget: &str| {
+            COLDSTART.replace(
+                "out_of_slot_budget = 1",
+                &format!("out_of_slot_budget = {budget}"),
+            )
+        };
+        let s = Scenario::parse(&with_budget("7"), Path::new(".")).unwrap();
+        assert_eq!(s.out_of_slot_budget, FaultBudget::AtMost(7));
+        for budget in ["8", "200", "255", "256", "-1"] {
+            let err = Scenario::parse(&with_budget(budget), Path::new(".")).unwrap_err();
+            assert!(err.to_string().contains("0..=7"), "{budget}: {err}");
+        }
     }
 
     #[test]

@@ -93,6 +93,7 @@ impl ClusterCodec {
     /// Panics if the configuration is invalid (see
     /// [`ClusterConfig::validate`]).
     #[must_use]
+    #[inline]
     pub fn new(config: &ClusterConfig) -> Self {
         config.validate();
         ClusterCodec {

@@ -1,5 +1,6 @@
 //! Cluster model configuration.
 
+use crate::model::REPLAY_COUNTER_CAP;
 use std::fmt;
 use tta_guardian::CouplerAuthority;
 use tta_protocol::HostChoices;
@@ -106,13 +107,23 @@ impl ClusterConfig {
     /// # Panics
     ///
     /// Panics if fewer than 2 or more than 16 nodes are configured (the
-    /// packed model state supports 16; the paper uses 4).
+    /// packed model state supports 16; the paper uses 4), or if the
+    /// replay budget is a number above [`REPLAY_COUNTER_CAP`]: the
+    /// model's replay counter saturates there, so such a budget would
+    /// never run out.
+    #[inline]
     pub fn validate(&self) {
         assert!(
             (2..=16).contains(&self.nodes),
             "cluster model supports 2..=16 nodes, got {}",
             self.nodes
         );
+        if let FaultBudget::AtMost(n) = self.out_of_slot_budget {
+            assert!(
+                n <= REPLAY_COUNTER_CAP,
+                "replay budget must be unlimited or in 0..={REPLAY_COUNTER_CAP}, got {n}"
+            );
+        }
     }
 }
 
@@ -174,6 +185,27 @@ mod tests {
     fn tiny_clusters_are_rejected() {
         ClusterConfig {
             nodes: 1,
+            ..ClusterConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    fn replay_budgets_up_to_the_counter_cap_validate() {
+        for n in 0..=REPLAY_COUNTER_CAP {
+            ClusterConfig {
+                out_of_slot_budget: FaultBudget::AtMost(n),
+                ..ClusterConfig::default()
+            }
+            .validate();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "0..=7, got 8")]
+    fn replay_budgets_past_the_counter_cap_are_rejected() {
+        ClusterConfig {
+            out_of_slot_budget: FaultBudget::AtMost(8),
             ..ClusterConfig::default()
         }
         .validate();

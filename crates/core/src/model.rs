@@ -11,9 +11,10 @@ use tta_types::{FrameKind, NodeId};
 
 /// Saturation cap for the out-of-slot counter under an unlimited budget;
 /// keeps the state space finite without affecting semantics (the counter
-/// is only compared against finite budgets below this cap). Exported so
-/// state-lifting code (the conformance oracle) saturates its replay count
-/// the same way.
+/// is only compared against finite budgets, which
+/// [`ClusterConfig::validate`] holds to at most this cap: a larger one
+/// would never run out). Exported so state-lifting code (the
+/// conformance oracle) saturates its replay count the same way.
 pub const REPLAY_COUNTER_CAP: u8 = 7;
 
 /// How a particular successor was produced: which coupler faults were
@@ -41,6 +42,7 @@ impl ClusterModel {
     /// Panics if the configuration is invalid (see
     /// [`ClusterConfig::validate`]).
     #[must_use]
+    #[inline]
     pub fn new(config: ClusterConfig) -> Self {
         config.validate();
         ClusterModel { config }

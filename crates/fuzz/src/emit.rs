@@ -1,20 +1,20 @@
 //! Regression-scenario emission: turns a shrunk find into a
 //! lint-clean scenario TOML with pinned `expect` blocks.
 //!
-//! Expectations are *measured, never guessed*: the emitter builds the
-//! scenario body, parses it through the real DSL, runs the checker for
-//! the verdict and the simulator for disturbance and recovery class,
-//! and only then writes the `[expect]` section. The finished text is
-//! then self-checked in process — re-parsed, linted at the same
-//! deny-warnings bar CI applies, and replayed through the full
-//! conformance runner — so a file only ever reaches `scenarios/` if it
-//! will pass both `tta_lint --deny warnings` and the scenario sweep.
+//! Expectations are *measured, never guessed*: the emitter parses the
+//! scenario body through the real DSL and runs it once through the
+//! conformance runner, which measures the checker's verdict and the
+//! simulator run's disturbance and recovery class, and self-checks the
+//! plan (counterexample re-admission, oracle). The `[expect]` section
+//! pins what that run measured, so a replay checks the same numbers;
+//! the finished text is re-parsed and linted at the deny-warnings bar
+//! CI applies before it may reach `scenarios/`.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
 use tta_base::hash::fnv1a64;
-use tta_core::{verify_cluster, Verdict};
+use tta_core::Verdict;
 use tta_guardian::CouplerAuthority;
 use tta_modellint::{lint_scenario, AnalysisOptions, Severity};
 use tta_protocol::RestartPolicy;
@@ -72,29 +72,29 @@ pub fn emit_scenario(req: &EmitRequest<'_>) -> Result<Emitted, String> {
     let body = render_body(req, &name)?;
     let scenario = tta_conformance::Scenario::parse(&body, Path::new("scenarios"))
         .map_err(|e| format!("emitted body does not parse: {e}"))?;
-    scenario
-        .sim_applicable()
-        .map_err(|why| format!("emitted plan is not simulable: {why}"))?;
 
-    // Measure the expectations.
-    let verdict = verify_cluster(&scenario.checker_config()).verdict;
-    let report = scenario.sim_builder().build().run();
-    let disturbed = !report.healthy_frozen().is_empty() || !report.cluster_started();
-    let outcome = RecoveryOutcome::classify(&report);
+    // One conformance run measures the expectations and self-checks.
+    let measured = tta_conformance::run_scenario(&scenario);
+    let report = &measured.report;
+    if !measured.passed {
+        return Err(format!("scenario does not replay cleanly:\n{report}"));
+    }
+    let sim = measured
+        .sim
+        .ok_or_else(|| format!("emitted plan is not simulable:\n{report}"))?;
 
     let mut toml = body;
     toml.push_str("\n[expect]\n");
-    match verdict {
+    match measured.verdict {
         Verdict::Holds => toml.push_str("verdict = \"holds\"\n"),
         Verdict::Violated => toml.push_str("verdict = \"violated\"\n"),
         // A truncated exploration pins nothing.
         Verdict::BudgetExhausted => {}
     }
-    let _ = writeln!(toml, "sim_disturbed = {disturbed}");
-    let _ = writeln!(toml, "recovery_outcome = \"{outcome}\"");
+    let _ = writeln!(toml, "sim_disturbed = {}", sim.disturbed);
+    let _ = writeln!(toml, "recovery_outcome = \"{}\"", sim.recovery);
 
-    // Self-check: the finished file must survive everything CI throws
-    // at scenarios/ — the lint gate and the conformance sweep.
+    // The finished file must clear the lint gate CI applies.
     let finished = tta_conformance::Scenario::parse(&toml, Path::new("scenarios"))
         .map_err(|e| format!("finished scenario does not parse: {e}"))?;
     let (diags, _) = lint_scenario(&name, &finished, &AnalysisOptions::default());
@@ -104,19 +104,12 @@ pub fn emit_scenario(req: &EmitRequest<'_>) -> Result<Emitted, String> {
             diag.code.id, diag.message
         ));
     }
-    let outcome_check = tta_conformance::run_scenario(&finished);
-    if !outcome_check.passed {
-        return Err(format!(
-            "scenario does not replay cleanly:\n{}",
-            outcome_check.report
-        ));
-    }
 
     Ok(Emitted {
         name,
         file_name,
         toml,
-        expected_outcome: outcome,
+        expected_outcome: sim.recovery,
     })
 }
 
@@ -171,10 +164,6 @@ fn render_node_kind(out: &mut String, kind: NodeFaultKind) -> Result<(), String>
     match kind {
         NodeFaultKind::Sos { domain, magnitude } => {
             out.push_str("kind = \"sos\"\n");
-            let domain = match domain {
-                tta_guardian::sos::SosDomain::Time => "time",
-                tta_guardian::sos::SosDomain::Value => "value",
-            };
             let _ = writeln!(out, "domain = \"{domain}\"");
             // The mutator's magnitude palette renders exactly; reject
             // anything that would not round-trip through TOML.
@@ -274,6 +263,34 @@ mod tests {
         })
         .expect("emission succeeds twice");
         assert_eq!(emitted.toml, again.toml);
+    }
+
+    #[test]
+    fn an_unsimulable_find_is_refused() {
+        // A passive coupler buffers no frame it could replay.
+        let input = FuzzInput {
+            events: vec![FaultEvent {
+                target: FaultTarget::Coupler {
+                    channel: 0,
+                    mode: tta_guardian::CouplerFaultMode::OutOfSlot,
+                },
+                from_slot: 12,
+                to_slot: 40,
+                persistence: FaultPersistence::Transient,
+            }],
+        };
+        let err = emit_scenario(&EmitRequest {
+            input: &input,
+            authority: CouplerAuthority::Passive,
+            kind_word: "cliff",
+            description: "unsimulable".to_string(),
+            ctx: &EvalContext::default(),
+        })
+        .expect_err("a plan the simulator cannot run pins nothing");
+        assert!(
+            err.contains("not simulable") && err.contains("[sim] SKIPPED"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! structural invariant the mutators maintain.
 
 use std::fmt::Write as _;
-use tta_guardian::sos::SosDomain;
 use tta_sim::{FaultEvent, FaultPlan, FaultTarget, NodeFaultKind};
 
 /// Renders one event as a deterministic journal token, e.g.
@@ -42,13 +41,7 @@ pub(crate) fn render_event(event: &FaultEvent) -> String {
 #[must_use]
 pub fn node_kind_token(kind: NodeFaultKind) -> String {
     match kind {
-        NodeFaultKind::Sos { domain, magnitude } => {
-            let domain = match domain {
-                SosDomain::Time => "time",
-                SosDomain::Value => "value",
-            };
-            format!("sos({domain}, {magnitude})")
-        }
+        NodeFaultKind::Sos { domain, magnitude } => format!("sos({domain}, {magnitude})"),
         NodeFaultKind::MasqueradeColdStart { claimed_slot } => {
             format!("masquerade_cold_start({claimed_slot})")
         }

@@ -16,7 +16,8 @@
 //!   fault kinds, add/remove events, and splice events between corpus
 //!   entries. Out-of-slot coupler faults are offered only when the
 //!   modellint coverage probe shows some authority level actually
-//!   admits replay steps.
+//!   admits replay steps. The probe is one truncated graph build per
+//!   authority, which tallies the fault modes while it expands.
 //! * **Coverage signal** ([`EvalSet`]) — every candidate runs through
 //!   the real simulator under all four authority levels; the corpus
 //!   admits signatures over `(RecoveryOutcome class, availability
@@ -28,9 +29,10 @@
 //!   window widths to a 1-minimal plan, re-executing the predicate at
 //!   every step.
 //! * **Emission** ([`emit_scenario`]) — each find becomes a scenario
-//!   TOML with *measured* `expect` blocks, self-checked in process
-//!   against the lint gate and the conformance runner before it is
-//!   allowed to exist.
+//!   TOML with *measured* `expect` blocks. One conformance run on the
+//!   scenario body measures them and self-checks the plan, and the
+//!   finished file must clear the lint gate before it is allowed to
+//!   exist.
 //! * **Synthesis** ([`synthesize`]) — inverse mode: the cheapest
 //!   [`tta_protocol::RestartPolicy`] (fewest restarts, then least
 //!   aggressive timing) keeping worst-case availability above a

@@ -1,7 +1,7 @@
 //! End-to-end acceptance: `seed 7` deterministically rediscovers the
-//! seeded availability cliff, shrinks it to a tiny plan, and emits a
-//! scenario that passes the lint gate and replays to the same recovery
-//! outcome in the conformance runner — the exact pipeline CI's
+//! seeded availability cliff, shrinks it to a tiny plan, and emits
+//! scenarios that pass the lint gate and replay to their pinned
+//! expectations in the conformance runner — the exact pipeline CI's
 //! fuzz-smoke job exercises through the `tta_fuzz` binary.
 
 use std::path::Path;
@@ -48,33 +48,55 @@ fn seed_seven_rediscovers_shrinks_and_pins_a_cliff() {
         cliff.input.events.len()
     );
 
-    // The emitted scenario parses, lints clean at the deny-warnings
-    // bar, and replays through the full conformance runner to the same
-    // pinned recovery outcome.
-    let scenario = Scenario::parse(&cliff.emitted.toml, Path::new("scenarios"))
-        .expect("emitted scenario parses");
-    let (diags, _) = lint_scenario(&cliff.emitted.name, &scenario, &AnalysisOptions::default());
-    for diag in &diags {
+    // Every emitted scenario, cliffs and flips, parses, lints clean at
+    // the deny-warnings bar, and replays from its finished TOML through
+    // the full conformance runner to the same pinned recovery outcome.
+    // Emission measures its expectations on the scenario body and does
+    // not replay the finished file, so this is the replay's guarantee.
+    assert!(
+        outcome
+            .finds
+            .iter()
+            .any(|f| matches!(f.kind, FindKind::Flip { .. })),
+        "seed 7 also finds an outcome flip"
+    );
+    for find in &outcome.finds {
+        let emitted = &find.emitted;
+        let scenario = Scenario::parse(&emitted.toml, Path::new("scenarios"))
+            .expect("emitted scenario parses");
+        let (diags, _) = lint_scenario(&emitted.name, &scenario, &AnalysisOptions::default());
+        for diag in &diags {
+            assert_eq!(
+                diag.severity,
+                Severity::Note,
+                "{} must lint clean: {} {}",
+                emitted.name,
+                diag.code.id,
+                diag.message
+            );
+        }
+        let replay = run_scenario(&scenario);
+        assert!(
+            replay.passed,
+            "conformance replay of {} failed:\n{}",
+            emitted.name, replay.report
+        );
         assert_eq!(
-            diag.severity,
-            Severity::Note,
-            "emitted scenario must lint clean: {} {}",
-            diag.code.id,
-            diag.message
+            replay.sim.map(|sim| sim.recovery),
+            Some(emitted.expected_outcome),
+            "{}: replayed recovery outcome drifted from the pinned one",
+            emitted.name
+        );
+        // The runner measured on a traced run; an untraced one, which
+        // skips the rounds of a settled run, classifies alike.
+        let report = scenario.sim_builder().build().run();
+        assert_eq!(
+            RecoveryOutcome::classify(&report),
+            emitted.expected_outcome,
+            "{}: the untraced run classifies differently",
+            emitted.name
         );
     }
-    let replay = run_scenario(&scenario);
-    assert!(
-        replay.passed,
-        "conformance replay failed:\n{}",
-        replay.report
-    );
-    let report = scenario.sim_builder().build().run();
-    assert_eq!(
-        RecoveryOutcome::classify(&report),
-        cliff.emitted.expected_outcome,
-        "replayed recovery outcome drifted from the pinned one"
-    );
 
     // Rerun-and-thread determinism of the same pipeline is pinned
     // separately (and more cheaply) by tests/determinism.rs.

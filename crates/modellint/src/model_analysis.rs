@@ -17,19 +17,28 @@
 //! * **Fairness usage** reuses the per-edge action labels the graph
 //!   already carries ([`FairGraph::action_usage`]): a constraint
 //!   labeling zero edges constrains no cycle.
-//! * **Coverage** re-expands every kept state through
-//!   [`ClusterModel::for_each_step`] and tallies which coupler fault
-//!   modes actually occur, per authority level — the evidence behind a
-//!   restrained-authority "Holds" row.
+//! * **Coverage** tallies which coupler fault modes actually drive
+//!   steps, per authority level — the evidence behind a
+//!   restrained-authority "Holds" row. The graph build expands the
+//!   model through [`FaultTally`], which counts the modes of every step
+//!   [`ClusterModel::for_each_step`] emits. The build never stops
+//!   early ([`FairGraph`]'s walk continues after every chunk), so it
+//!   expands each kept state exactly once, truncated graph or not, and
+//!   the tally covers every step out of the kept space, the steps into
+//!   states the budget drops included. No pass expands a state twice.
 
 use crate::catalog;
 use crate::predicates;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tta_base::diag::{Diagnostic, Severity};
 use tta_base::json::Json;
 use tta_conformance::{Expectations, PropertyKind, PropertySpec};
-use tta_core::{cluster_startup_fairness, ClusterCodec, ClusterConfig, ClusterModel, FaultBudget};
+use tta_core::{
+    cluster_startup_fairness, ClusterCodec, ClusterConfig, ClusterModel, ClusterState, FaultBudget,
+};
 use tta_guardian::CouplerFaultMode;
 use tta_liveness::FairGraph;
+use tta_modelcheck::TransitionSystem;
 
 /// Tunables for the reachable-space analyses.
 #[derive(Debug, Clone, Copy)]
@@ -115,19 +124,51 @@ fn mode_index(mode: CouplerFaultMode) -> usize {
         .expect("mode in all()")
 }
 
+/// The cluster model as the graph build expands it, tallying the two
+/// couplers' fault modes of every step it emits, in
+/// [`CouplerFaultMode::all`] order. Relaxed: the counts order nothing
+/// and are read only after the build's threads join.
+struct FaultTally(ClusterModel, [AtomicU64; 4]);
+
+impl TransitionSystem for FaultTally {
+    type State = ClusterState;
+
+    fn initial_states(&self) -> Vec<ClusterState> {
+        self.0.initial_states()
+    }
+
+    fn successors(&self, state: &ClusterState, out: &mut Vec<ClusterState>) {
+        let mut steps = [0; 4];
+        self.0.for_each_step(state, &mut |succ, info| {
+            for mode in info.faults {
+                steps[mode_index(mode)] += 1;
+            }
+            out.push(succ);
+        });
+        for (total, n) in self.1.iter().zip(steps) {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+}
+
 /// One predicate's tally over the kept states.
 struct Tally {
     name: String,
     predicate: predicates::Predicate,
+    /// Whether the predicate is an antecedent (the safety guard, an
+    /// expect antecedent, a declared leads-to antecedent), which the
+    /// evidence reports; consequents and goals stay out of it.
+    antecedent: bool,
     count: u64,
     first: Option<u32>,
 }
 
 impl Tally {
-    fn new(name: impl Into<String>, predicate: predicates::Predicate) -> Self {
+    fn new(name: String, predicate: predicates::Predicate, antecedent: bool) -> Self {
         Tally {
-            name: name.into(),
+            name,
             predicate,
+            antecedent,
             count: 0,
             first: None,
         }
@@ -151,10 +192,12 @@ pub fn analyze_config(
 ) -> (Vec<Diagnostic>, TargetEvidence) {
     let mut diags = Vec::new();
     let nodes = config.nodes;
-    let model = ClusterModel::new(*config);
+    let tally = FaultTally(ClusterModel::new(*config), Default::default());
     let codec = ClusterCodec::new(config);
     let fairness = cluster_startup_fairness(nodes);
-    let graph = FairGraph::build(&model, &codec, &fairness, opts.max_states);
+    let graph = FairGraph::build(&tally, &codec, &fairness, opts.max_states);
+    // The Relaxed sums, read now that the build's threads have joined.
+    let fault_steps = tally.1.map(AtomicU64::into_inner);
     let states = graph.state_count();
     let truncated = graph.is_truncated();
 
@@ -178,93 +221,57 @@ pub fn analyze_config(
     // ── assemble every predicate tally needed, then one pass ───────
     // Built-in: the paper's safety property only bites once a node is
     // integrated; `any_integrated` is its effective guard.
-    let mut tallies: Vec<Tally> = Vec::new();
-    let guard = Tally::new(
-        "any_integrated",
-        predicates::resolve("any_integrated", nodes).expect("catalog name"),
-    );
-    tallies.push(guard);
+    let catalog_tally = |name: String, key: &str| {
+        Tally::new(
+            name,
+            predicates::resolve(key, nodes).expect("catalog name"),
+            true,
+        )
+    };
+    let mut tallies = vec![catalog_tally("any_integrated".into(), "any_integrated")];
     // ML34: the antecedents underlying expect.liveness / expect.recovery
-    // (per-node `listening` / `frozen`, see tta-core::verify).
-    let check_liveness = expect.is_some_and(|e| e.liveness.is_some());
-    let check_recovery = expect.is_some_and(|e| e.recovery.is_some());
-    let liveness_base = tallies.len();
-    if check_liveness {
-        for i in 0..nodes {
-            tallies.push(Tally::new(
-                format!("node {i} listening"),
-                predicates::resolve(&format!("node{i}_listening"), nodes).expect("catalog name"),
-            ));
-        }
-    }
-    let recovery_base = tallies.len();
-    if check_recovery {
-        for i in 0..nodes {
-            tallies.push(Tally::new(
-                format!("node {i} frozen"),
-                predicates::resolve(&format!("node{i}_frozen"), nodes).expect("catalog name"),
-            ));
+    // (per-node `listening` / `frozen`, see tta-core::verify), as
+    // (first tally, expect key, antecedent shape).
+    let mut expect_antecedents = Vec::new();
+    for (key, shape, expected) in [
+        ("liveness", "listening", expect.and_then(|e| e.liveness)),
+        ("recovery", "frozen", expect.and_then(|e| e.recovery)),
+    ] {
+        if expected.is_some() {
+            expect_antecedents.push((tallies.len(), key, shape));
+            tallies.extend(
+                (0..nodes).map(|i| {
+                    catalog_tally(format!("node {i} {shape}"), &format!("node{i}_{shape}"))
+                }),
+            );
         }
     }
     // Declared [[property]] predicates. Unknown names are ML22 errors;
-    // known ones get a (spec index, role) → tally index mapping.
-    #[derive(Clone, Copy)]
-    struct SpecTallies {
-        main: Option<usize>,
-        consequent: Option<usize>,
-    }
-    let mut spec_tallies: Vec<SpecTallies> = Vec::new();
+    // known ones get a tally: per spec, (predicate, consequent) indices.
+    let mut spec_tallies: Vec<(Option<usize>, Option<usize>)> = Vec::new();
     for spec in properties {
-        let mut entry = SpecTallies {
-            main: None,
-            consequent: None,
-        };
-        match predicates::resolve(&spec.predicate, nodes) {
-            Some(p) => {
-                entry.main = Some(tallies.len());
-                tallies.push(Tally::new(spec.predicate.clone(), p));
-            }
-            None => diags.push(
-                Diagnostic::new(
-                    catalog::ML22,
-                    target,
-                    format!(
-                        "property `{}` names unknown predicate `{}`",
-                        spec.name, spec.predicate
-                    ),
-                )
-                .line(spec.line)
-                .help(known_names_help()),
-            ),
-        }
-        if let Some(consequent) = &spec.consequent {
-            match predicates::resolve(consequent, nodes) {
-                Some(p) => {
-                    entry.consequent = Some(tallies.len());
-                    tallies.push(Tally::new(consequent.clone(), p));
-                }
-                None => diags.push(
+        let mut resolve = |name: &String, antecedent: bool| {
+            let Some(p) = predicates::resolve(name, nodes) else {
+                diags.push(
                     Diagnostic::new(
                         catalog::ML22,
                         target,
-                        format!(
-                            "property `{}` names unknown predicate `{consequent}`",
-                            spec.name
-                        ),
+                        format!("property `{}` names unknown predicate `{name}`", spec.name),
                     )
                     .line(spec.line)
                     .help(known_names_help()),
-                ),
-            }
-        }
-        spec_tallies.push(entry);
+                );
+                return None;
+            };
+            tallies.push(Tally::new(name.clone(), p, antecedent));
+            Some(tallies.len() - 1)
+        };
+        let main = resolve(&spec.predicate, spec.kind == PropertyKind::LeadsTo);
+        let consequent = spec.consequent.as_ref().and_then(|c| resolve(c, false));
+        spec_tallies.push((main, consequent));
     }
 
     // ── pass A: predicate counting + guard bookkeeping ─────────────
-    let budget_cap = match config.out_of_slot_budget {
-        FaultBudget::AtMost(n) => Some(n),
-        FaultBudget::Unlimited => None,
-    };
     let mut max_replays_used = 0u8;
     let mut victim_states = 0u64;
     for id in 0..states as u32 {
@@ -285,25 +292,22 @@ pub fn analyze_config(
     let depth_of = |tally: &Tally| tally.first.map(|id| graph.bfs_depth(id));
 
     // Built-in safety-guard vacuity.
-    {
-        let guard = &tallies[0];
-        if guard.count == 0 {
-            diags.push(
-                Diagnostic::new(
-                    catalog::ML01,
-                    target,
-                    "the safety property's guard `any_integrated` is satisfied by zero \
-                     reachable states — no node ever integrates, so `no integrated node \
-                     freezes` holds vacuously",
-                )
-                .severity(zero_sev(Severity::Warning))
-                .note(space_note()),
-            );
-        }
+    if tallies[0].count == 0 {
+        diags.push(
+            Diagnostic::new(
+                catalog::ML01,
+                target,
+                "the safety property's guard `any_integrated` is satisfied by zero \
+                 reachable states — no node ever integrates, so `no integrated node \
+                 freezes` holds vacuously",
+            )
+            .severity(zero_sev(Severity::Warning))
+            .note(space_note()),
+        );
     }
 
     // ML34 over expect.liveness / expect.recovery antecedents.
-    let mut expect_vacuity = |base: usize, key: &str, shape: &str| {
+    for (base, key, shape) in expect_antecedents {
         let dead: Vec<String> = (0..nodes)
             .filter(|i| tallies[base + i].count == 0)
             .map(|i| format!("node {i}"))
@@ -323,18 +327,13 @@ pub fn analyze_config(
                 .note(space_note()),
             );
         }
-    };
-    if check_liveness {
-        expect_vacuity(liveness_base, "liveness", "listening");
-    }
-    if check_recovery {
-        expect_vacuity(recovery_base, "recovery", "frozen");
     }
 
     // ML01/ML02/ML03 over declared properties.
-    for (spec, entry) in properties.iter().zip(&spec_tallies) {
-        let Some(main_idx) = entry.main else { continue };
-        let main = &tallies[main_idx];
+    for (spec, &(main, consequent)) in properties.iter().zip(&spec_tallies) {
+        let Some(main) = main.map(|i| &tallies[i]) else {
+            continue;
+        };
         match spec.kind {
             PropertyKind::LeadsTo => {
                 if main.count == 0 {
@@ -367,16 +366,13 @@ pub fn analyze_config(
                                  reachable state — the leads-to degenerates to `GF({})`",
                                 spec.name,
                                 main.name,
-                                entry
-                                    .consequent
-                                    .map_or("consequent", |i| tallies[i].name.as_str())
+                                consequent.map_or("consequent", |i| tallies[i].name.as_str())
                             ),
                         )
                         .line(spec.line),
                     );
                 }
-                if let Some(con_idx) = entry.consequent {
-                    let con = &tallies[con_idx];
+                if let Some(con) = consequent.map(|i| &tallies[i]) {
                     if con.count == 0 && main.count > 0 {
                         diags.push(
                             Diagnostic::new(
@@ -484,15 +480,7 @@ pub fn analyze_config(
         }
     }
 
-    // ── coverage pass: which fault modes actually occur ────────────
-    let mut fault_steps = [0u64; 4];
-    for id in 0..states as u32 {
-        let state = graph.state(id);
-        model.for_each_step(&state, &mut |_, info| {
-            fault_steps[mode_index(info.faults[0])] += 1;
-            fault_steps[mode_index(info.faults[1])] += 1;
-        });
-    }
+    // ── ML10: admitted fault modes the build never took ────────────
     // Modes the authority admits on channel 0 (the faulty-channel slot
     // under symmetric reduction). Silence/BadFrame are always in the
     // model's vocabulary; OutOfSlot needs full-frame buffering and a
@@ -520,7 +508,7 @@ pub fn analyze_config(
     }
 
     // ── ML11: guards that never fire (informational) ───────────────
-    if let Some(cap) = budget_cap {
+    if let FaultBudget::AtMost(cap) = config.out_of_slot_budget {
         if cap > 0 && max_replays_used < cap {
             diags.push(
                 Diagnostic::new(
@@ -566,21 +554,11 @@ pub fn analyze_config(
     }
 
     // ── evidence for S6 ────────────────────────────────────────────
-    let mut antecedents: Vec<(String, u64, Option<usize>)> = Vec::new();
-    for (i, tally) in tallies.iter().enumerate() {
-        // Guard, expect antecedents and declared leads-to antecedents;
-        // skip consequent/goal tallies to keep the evidence focused.
-        let is_antecedent = i == 0
-            || (check_liveness && (liveness_base..liveness_base + nodes).contains(&i))
-            || (check_recovery && (recovery_base..recovery_base + nodes).contains(&i))
-            || spec_tallies
-                .iter()
-                .zip(properties)
-                .any(|(t, s)| t.main == Some(i) && s.kind == PropertyKind::LeadsTo);
-        if is_antecedent {
-            antecedents.push((tally.name.clone(), tally.count, depth_of(tally)));
-        }
-    }
+    let antecedents = tallies
+        .iter()
+        .filter(|tally| tally.antecedent)
+        .map(|tally| (tally.name.clone(), tally.count, depth_of(tally)))
+        .collect();
     let evidence = TargetEvidence {
         target: target.to_string(),
         states,
@@ -746,5 +724,128 @@ mod tests {
         assert!(!diags.iter().any(|d| d.code.id == "ML10"), "{diags:?}");
         // The victim latch never fires under passive — evidence note.
         assert!(diags.iter().any(|d| d.code.id == "ML11"));
+    }
+
+    /// States per chunk of a fair-graph build wave (`tta-liveness`'
+    /// `BUILD_CHUNK_STATES`).
+    const BUILD_CHUNK: u32 = 512;
+
+    /// A budget that ends the kept space inside a BFS layer and inside
+    /// one chunk of its parent layer, for every authority (asserted).
+    const MID_CHUNK_BUDGET: u64 = 25_000;
+
+    /// The 4-node graph `analyze_config` builds, through `model`.
+    fn fair_graph<'c, T: TransitionSystem<State = ClusterState> + Sync>(
+        model: &T,
+        codec: &'c ClusterCodec,
+        max_states: u64,
+        threads: usize,
+    ) -> FairGraph<'c, ClusterCodec> {
+        let fairness = cluster_startup_fairness(4);
+        FairGraph::build_with_threads(model, codec, &fairness, max_states, threads)
+    }
+
+    /// The coverage pass `analyze_config` ran before the build tallied
+    /// the fault modes: re-expand every kept state of the plain model's
+    /// graph and count the modes of every step.
+    fn re_expanded(config: &ClusterConfig, max_states: u64) -> (usize, [u64; 4]) {
+        let model = ClusterModel::new(*config);
+        let codec = ClusterCodec::new(config);
+        let graph = fair_graph(&model, &codec, max_states, 1);
+        let mut fault_steps = [0u64; 4];
+        for id in 0..graph.state_count() as u32 {
+            let state = graph.state(id);
+            model.for_each_step(&state, &mut |_, info| {
+                fault_steps[mode_index(info.faults[0])] += 1;
+                fault_steps[mode_index(info.faults[1])] += 1;
+            });
+        }
+        (graph.state_count(), fault_steps)
+    }
+
+    /// BFS parent of `v`: the first state, in id order, with an edge to
+    /// it.
+    fn parent(graph: &FairGraph<'_, ClusterCodec>, v: u32) -> u32 {
+        (0..v)
+            .find(|&p| graph.neighbors(p).any(|(to, _)| to == v))
+            .expect("a non-initial state has a parent")
+    }
+
+    /// The chunk `v` was expanded in: its offset into its BFS layer, in
+    /// build chunks.
+    fn chunk_of(graph: &FairGraph<'_, ClusterCodec>, v: u32) -> (usize, u32) {
+        let depth = graph.bfs_depth(v);
+        let mut first = v;
+        while first > 0 && graph.bfs_depth(first - 1) == depth {
+            first -= 1;
+        }
+        (depth, (v - first) / BUILD_CHUNK)
+    }
+
+    /// `analyze_config`'s states and fault tally against [`re_expanded`].
+    fn assert_tally_matches(authority: CouplerAuthority, max_states: u64) {
+        let config = ClusterConfig::paper(authority);
+        let (_, evidence) =
+            analyze_config("t", &config, &[], None, &AnalysisOptions { max_states });
+        let (states, fault_steps) = re_expanded(&config, max_states);
+        let at = format!("{authority}, budget {max_states}");
+        assert_eq!(evidence.states, states, "{at}");
+        assert_eq!(evidence.fault_steps, fault_steps, "{at}");
+    }
+
+    /// The default budget truncates only the full-shifting space, at
+    /// 2^20 states; a test of its own, so it runs beside the others.
+    #[test]
+    fn build_tally_equals_re_expanding_full_shifting_at_the_default_budget() {
+        let max_states = AnalysisOptions::default().max_states;
+        assert_tally_matches(CouplerAuthority::FullShifting, max_states);
+    }
+
+    #[test]
+    fn build_tally_equals_re_expanding_every_kept_state() {
+        for authority in CouplerAuthority::all() {
+            let mut budgets = vec![1 << 14, MID_CHUNK_BUDGET];
+            if authority != CouplerAuthority::FullShifting {
+                budgets.push(AnalysisOptions::default().max_states);
+            }
+            for max_states in budgets {
+                assert_tally_matches(authority, max_states);
+            }
+            let config = ClusterConfig::paper(authority);
+
+            // The mid-chunk budget cuts the space where the walk's last
+            // kept state and its first dropped one share a layer and a
+            // parent chunk.
+            let codec = ClusterCodec::new(&config);
+            let whole = fair_graph(&ClusterModel::new(config), &codec, 1 << 16, 1);
+            let cut = MID_CHUNK_BUDGET as u32;
+            assert!(whole.state_count() > cut as usize, "{authority}");
+            let (kept, dropped) = (parent(&whole, cut - 1), parent(&whole, cut));
+            assert_eq!(
+                whole.bfs_depth(cut - 1),
+                whole.bfs_depth(cut),
+                "{authority}: the budget ends a layer"
+            );
+            assert_eq!(
+                chunk_of(&whole, kept),
+                chunk_of(&whole, dropped),
+                "{authority}: the budget ends a chunk"
+            );
+        }
+
+        // Two threads expand every kept state once as well.
+        let config = ClusterConfig::paper(CouplerAuthority::FullShifting);
+        let codec = ClusterCodec::new(&config);
+        for max_states in [1 << 14, MID_CHUNK_BUDGET] {
+            let tally = FaultTally(ClusterModel::new(config), Default::default());
+            let graph = fair_graph(&tally, &codec, max_states, 2);
+            assert!(graph.is_truncated());
+            let expected = re_expanded(&config, max_states);
+            assert_eq!(
+                (graph.state_count(), tally.1.map(AtomicU64::into_inner)),
+                expected,
+                "2 threads, budget {max_states}"
+            );
+        }
     }
 }
