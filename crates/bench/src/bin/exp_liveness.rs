@@ -23,7 +23,9 @@
 //!   phase, at 1, 2 and 4 threads) and write the rows to `PATH`
 //!   (default `BENCH_liveness.json`) through [`tta_bench::Runs`], the
 //!   same writer and row shape as `exp_hotpaths`. `--threads` caps the
-//!   sweep.
+//!   sweep. The speed floor's rows, `liveness_build/small_shifting_5_nodes`
+//!   and `liveness_check/small_shifting_5_nodes`, time interleaved 1- and
+//!   2-thread calls on the 5-node cluster (skipped under `--threads 1`).
 
 use std::path::{Path, PathBuf};
 use tta_analysis::tables::Table;
@@ -36,6 +38,10 @@ use tta_core::{
 use tta_guardian::CouplerAuthority;
 use tta_liveness::{FairAction, FairGraph, LivenessOutcome, Property};
 use tta_modelcheck::DEFAULT_MAX_STATES;
+
+/// Interleaved 1- and 2-thread calls of the speed floor's fair-graph
+/// build and check.
+const FLOOR_PAIRS: usize = 5;
 
 fn main() {
     let mut artifacts: Option<PathBuf> = None;
@@ -296,7 +302,76 @@ fn bench_snapshot(path: &str, max_threads: Option<usize>) {
                 .count("sccs_examined", sccs_examined);
         }
     }
+    if cap >= 2 {
+        graph_floor(&mut runs);
+    }
     runs.write(path);
+}
+
+/// The fair-graph build and the check phase on the 5-node small-shifting
+/// cluster (931,986 states) at 1 and 2 threads, in [`FLOOR_PAIRS`]
+/// interleaved pairs of calls: each row is its thread count's fastest
+/// call, as the graph timed its build ([`FairGraph::build_time`]) and the
+/// check its phase ([`tta_liveness::LivenessStats::check_time`]). The
+/// 4-node small-shifting rows' calls take tens of milliseconds and run
+/// as one block per thread count, so a busy stretch of a shared host
+/// decides their ratio; these calls take about a second, and
+/// interleaving exposes both thread counts to the same stretches. The
+/// 2-thread calls must agree with the 1-thread ones on every state,
+/// edge, verdict, lasso and SCC count.
+fn graph_floor(runs: &mut Runs) {
+    let config = ClusterConfig {
+        nodes: 5,
+        ..ClusterConfig::paper(CouplerAuthority::SmallShifting)
+    };
+    let model = ClusterModel::new(config);
+    let codec = ClusterCodec::new(&config);
+    let fairness = cluster_startup_fairness(config.nodes);
+    let properties: Vec<Property<ClusterState>> =
+        (0..config.nodes).map(node_integration_property).collect();
+    let thread_counts = [1usize, 2];
+    let (mut build, mut check) = ([f64::INFINITY; 2], [f64::INFINITY; 2]);
+    let mut last = [None, None];
+    for _ in 0..FLOOR_PAIRS {
+        for (slot, &threads) in thread_counts.iter().enumerate() {
+            let graph = FairGraph::build_with_threads(
+                &model,
+                &codec,
+                &fairness,
+                DEFAULT_MAX_STATES,
+                threads,
+            );
+            let outcomes = graph.check_all(&properties, threads);
+            build[slot] = build[slot].min(graph.build_time().as_secs_f64());
+            check[slot] = check[slot].min(outcomes[0].stats.check_time.as_secs_f64());
+            last[slot] = Some((graph.state_count(), graph.edge_count(), outcomes));
+        }
+    }
+    let [one, two] = last.map(|run| run.expect("at least one pair"));
+    assert!(
+        one.0 == two.0 && one.1 == two.1 && same_outcomes(&one.2, &two.2),
+        "the fair graph and its checks must agree with themselves at 2 threads"
+    );
+    assert!(
+        one.2.iter().all(|o| o.verdict == Verdict::Holds),
+        "5-node small shifting: every node's integration holds"
+    );
+    let sccs_examined: u64 = one.2.iter().map(|o| o.stats.sccs_examined).sum();
+    for (slot, &threads) in thread_counts.iter().enumerate() {
+        runs.record(
+            "liveness_build/small_shifting_5_nodes",
+            threads,
+            build[slot],
+        )
+        .count("states", one.0 as u64)
+        .count("edges", one.1 as u64);
+        runs.record(
+            "liveness_check/small_shifting_5_nodes",
+            threads,
+            check[slot],
+        )
+        .count("sccs_examined", sccs_examined);
+    }
 }
 
 /// `runs` repetitions at `threads` threads of the fair-graph build and

@@ -32,8 +32,8 @@ use crate::snapshot::{compare_golden, render_verification, verdict_name};
 use std::fmt::Write as _;
 use std::path::Path;
 use tta_core::{
-    verify_cluster, verify_cluster_liveness, verify_cluster_recovery, ClusterModel, LivenessReport,
-    Verdict,
+    verify_cluster, verify_cluster_liveness, verify_cluster_liveness_and_recovery,
+    verify_cluster_recovery, ClusterModel, LivenessReport, Verdict,
 };
 use tta_sim::RecoveryOutcome;
 
@@ -141,18 +141,29 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     // Phases 1b and 1c: the liveness checker (`listening ~> integrated`
     // per node) and the recovery checker (`frozen ~> integrated` under
     // restart fairness), each only when the scenario expects its
-    // verdict: unlike safety they build the full reachable graph.
-    if let Some(expected) = scenario.expect.liveness {
+    // verdict: unlike safety they build the full reachable graph, and
+    // they share it when both run.
+    let (liveness, recovery) = match (scenario.expect.liveness, scenario.expect.recovery) {
+        (Some(_), Some(_)) => {
+            let (liveness, recovery) = verify_cluster_liveness_and_recovery(&config);
+            (Some(liveness), Some(recovery))
+        }
+        (liveness, recovery) => (
+            liveness.map(|_| verify_cluster_liveness(&config)),
+            recovery.map(|_| verify_cluster_recovery(&config)),
+        ),
+    };
+    if let (Some(expected), Some(report)) = (scenario.expect.liveness, &liveness) {
         let words = ["liveness", "listening ~> integrated", "starved"];
-        r.fair_check(words, &verify_cluster_liveness(&config), expected);
+        r.fair_check(words, report, expected);
     }
-    if let Some(expected) = scenario.expect.recovery {
+    if let (Some(expected), Some(report)) = (scenario.expect.recovery, &recovery) {
         let words = [
             "recovery",
             "frozen ~> integrated under restart fairness",
             "never reintegrates",
         ];
-        r.fair_check(words, &verify_cluster_recovery(&config), expected);
+        r.fair_check(words, report, expected);
     }
 
     // Phase 2: the simulator, when the plan is physically executable.

@@ -59,7 +59,7 @@ pub use tta_modelcheck::Verdict;
 pub use verify::{
     cluster_startup_fairness, find_startup_witness, node_integration_property,
     node_recovery_property, verify_cluster, verify_cluster_liveness,
-    verify_cluster_liveness_threaded, verify_cluster_liveness_with, verify_cluster_recovery,
-    verify_cluster_recovery_with, verify_cluster_with, CheckStrategy, LivenessReport,
-    VerificationReport,
+    verify_cluster_liveness_and_recovery, verify_cluster_liveness_threaded,
+    verify_cluster_liveness_with, verify_cluster_recovery, verify_cluster_recovery_with,
+    verify_cluster_with, CheckStrategy, LivenessReport, VerificationReport,
 };

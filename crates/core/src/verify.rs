@@ -5,7 +5,7 @@ use crate::config::ClusterConfig;
 use crate::model::ClusterModel;
 use crate::state::ClusterState;
 use tta_base::default_threads;
-use tta_liveness::{FairAction, FairGraph, Lasso, LivenessStats, Property};
+use tta_liveness::{FairAction, FairGraph, Lasso, LivenessOutcome, LivenessStats, Property};
 use tta_modelcheck::{ExploreStats, Explorer, Trace, Verdict, DEFAULT_MAX_STATES};
 use tta_protocol::ProtocolState;
 use tta_types::NodeId;
@@ -261,30 +261,64 @@ pub fn verify_cluster_recovery_with(config: &ClusterConfig, max_states: u64) -> 
     verify_each_node_with(config, max_states, 1, node_recovery_property)
 }
 
-/// Shared engine for the per-node leads-to checks: builds the fair
-/// reachable graph once and checks `property_for(node)` for every node
-/// in one [`FairGraph::check_all`] call, both at `threads` threads.
+/// [`verify_cluster_liveness`] and [`verify_cluster_recovery`] from one
+/// fair graph. Both check their per-node leads-to under
+/// [`cluster_startup_fairness`], so one graph build and one
+/// [`FairGraph::check_all`] over both property families serve both
+/// reports. Each report equals its own call's, but for the check time:
+/// both carry the wall time of the one check phase.
+#[must_use]
+pub fn verify_cluster_liveness_and_recovery(
+    config: &ClusterConfig,
+) -> (LivenessReport, LivenessReport) {
+    let families = [node_integration_property, node_recovery_property];
+    let [liveness, recovery] = verify_families_with(config, DEFAULT_MAX_STATES, 1, families);
+    (liveness, recovery)
+}
+
+/// Shared engine for the per-node leads-to checks:
+/// [`verify_families_with`] with one property family.
 fn verify_each_node_with(
     config: &ClusterConfig,
     max_states: u64,
     threads: usize,
-    property_for: impl Fn(usize) -> Property<ClusterState>,
+    property_for: fn(usize) -> Property<ClusterState>,
 ) -> LivenessReport {
+    let [report] = verify_families_with(config, max_states, threads, [property_for]);
+    report
+}
+
+/// Builds the fair reachable graph once and checks every family's
+/// `property_for(node)` for every node in one [`FairGraph::check_all`]
+/// call, both at `threads` threads: one report per family.
+fn verify_families_with<const F: usize>(
+    config: &ClusterConfig,
+    max_states: u64,
+    threads: usize,
+    families: [fn(usize) -> Property<ClusterState>; F],
+) -> [LivenessReport; F] {
     let model = ClusterModel::new(*config);
     let codec = ClusterCodec::new(config);
     let fairness = cluster_startup_fairness(config.nodes);
     let graph = FairGraph::build_with_threads(&model, &codec, &fairness, max_states, threads);
-    let properties: Vec<Property<ClusterState>> = (0..config.nodes).map(property_for).collect();
+    let properties: Vec<Property<ClusterState>> = families
+        .iter()
+        .flat_map(|property_for| (0..config.nodes).map(property_for))
+        .collect();
+    let mut outcomes = graph.check_all(&properties, threads).into_iter();
+    families.map(|_| family_report(config, outcomes.by_ref().take(config.nodes)))
+}
 
+/// One family's report from its per-node outcomes, in node order.
+fn family_report(
+    config: &ClusterConfig,
+    outcomes: impl Iterator<Item = LivenessOutcome<ClusterState>>,
+) -> LivenessReport {
     let mut per_node = Vec::with_capacity(config.nodes);
     let mut violating_node = None;
     let mut lasso = None;
     let mut stats: Option<LivenessStats> = None;
-    for (node, outcome) in graph
-        .check_all(&properties, threads)
-        .into_iter()
-        .enumerate()
-    {
+    for (node, outcome) in outcomes.enumerate() {
         if outcome.verdict == Verdict::Violated && violating_node.is_none() {
             violating_node = Some(NodeId::new(node as u8));
             lasso = outcome.lasso;
@@ -353,5 +387,29 @@ mod tests {
         let config = small(CouplerAuthority::Passive);
         let bounded = verify_cluster_with(&config, CheckStrategy::Bounded { depth: 3 });
         assert_eq!(bounded.verdict, Verdict::BudgetExhausted);
+    }
+
+    /// One graph for both families reports what the two calls report,
+    /// check time aside, lassos included.
+    #[test]
+    fn one_graph_serves_liveness_and_recovery() {
+        let config = small(CouplerAuthority::FullShifting);
+        let (liveness, recovery) = verify_cluster_liveness_and_recovery(&config);
+        assert_eq!(
+            (liveness.verdict, recovery.verdict),
+            (Verdict::Violated, Verdict::Violated)
+        );
+        for (both, alone) in [
+            (liveness, verify_cluster_liveness(&config)),
+            (recovery, verify_cluster_recovery(&config)),
+        ] {
+            assert_eq!(both.verdict, alone.verdict);
+            assert_eq!(both.per_node, alone.per_node);
+            assert_eq!(both.violating_node, alone.violating_node);
+            assert!(both.lasso.is_some() && both.lasso == alone.lasso);
+            let (mut a, b) = (both.stats, alone.stats);
+            (a.build_time, a.check_time) = (b.build_time, b.check_time);
+            assert_eq!(a, b);
+        }
     }
 }

@@ -171,11 +171,13 @@ where
     ///
     /// Each BFS layer is one *wave*. Workers steal fixed-size chunks of
     /// it, expand each state, label every generated edge and resolve its
-    /// target against the arena; the merge interns the chunks' new
-    /// states in wave order, and each expanded state's edges become its
-    /// CSR row with the targets resolved. Inserts happen in the order of
-    /// a sequential scan, so states, ids, parents, edges, labels and the
-    /// truncation flag are the same at every thread count.
+    /// target against the arena; the merge gives the chunks' new states
+    /// their ids in wave order (finding the states several chunks
+    /// proposed and filling the arena's index shard by shard, on the
+    /// same threads), and each expanded state's edges become its CSR row
+    /// with the targets resolved. Ids follow the order of a sequential
+    /// scan, so states, ids, parents, edges, labels and the truncation
+    /// flag are the same at every thread count.
     ///
     /// # Panics
     ///
@@ -606,17 +608,86 @@ mod tests {
         }
     }
 
+    /// A root fanning out to 1,100 leaves, each stepping to two of 550
+    /// grandchildren, which step back to the root and a leaf. The wave
+    /// of leaves fills three stolen chunks that propose the grandchildren
+    /// 1,235 times between them, each in two or three chunks: enough
+    /// for the merge's threaded steps.
+    struct Fan;
+    impl TransitionSystem for Fan {
+        type State = u32;
+        fn initial_states(&self) -> Vec<u32> {
+            vec![0]
+        }
+        fn successors(&self, s: &u32, out: &mut Vec<u32>) {
+            match *s {
+                0 => out.extend(1..=1100),
+                leaf if leaf <= 1100 => out.extend([1101 + leaf % 550, 1101 + leaf * 7 % 550]),
+                grandchild => out.extend([0, 1 + grandchild * 3 % 1100]),
+            }
+        }
+    }
+
+    /// A [`Fan`] state whose Fx hash is pinned into one index shard.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Pinned(u32);
+
+    impl std::hash::Hash for Pinned {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            // Fx hashes one word `w` to `w * SEED`, with `SEED` (the hash
+            // of 1) odd: writing the wanted hash times its inverse pins
+            // shard 5 and spreads the key bits from the value.
+            let seed = fx_hash(&1u64);
+            let mut inverse = seed;
+            for _ in 0..5 {
+                inverse = inverse.wrapping_mul(2u64.wrapping_sub(seed.wrapping_mul(inverse)));
+            }
+            let spread = u64::from(self.0).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 6;
+            state.write_u64(((5 << 58) | spread).wrapping_mul(inverse));
+        }
+    }
+
+    impl WordEncoded for Pinned {
+        const WORDS: usize = 1;
+        fn write_words(&self, out: &mut [u64]) {
+            out[0] = u64::from(self.0);
+        }
+        fn from_words(words: &[u64]) -> Self {
+            Pinned(words[0] as u32)
+        }
+    }
+
+    /// Encodes `u32` states as [`Pinned`].
+    #[derive(Debug)]
+    struct PinnedCodec;
+    impl StateCodec for PinnedCodec {
+        type State = u32;
+        type Encoded = Pinned;
+        fn encode(&self, s: &u32) -> Pinned {
+            Pinned(*s)
+        }
+        fn decode(&self, e: &Pinned) -> u32 {
+            e.0
+        }
+    }
+
+    static IDENTITY: IdentityCodec<u32> = IdentityCodec::new();
+
     /// The sequential scan the layer step replaced, kept as the
     /// independent reference: states in id order, each successor
     /// straight into the arena. Its roots are looked up before the
     /// budget is consulted, as its scan does.
-    fn reference_build<T: TransitionSystem<State = u32>>(
+    fn reference_build<T, C>(
         system: &T,
+        codec: &'static C,
         fairness: &[FairAction<u32>],
         max_states: u64,
-    ) -> FairGraph<'static, IdentityCodec<u32>> {
-        static CODEC: IdentityCodec<u32> = IdentityCodec::new();
-        let codec = &CODEC;
+    ) -> FairGraph<'static, C>
+    where
+        T: TransitionSystem<State = u32>,
+        C: StateCodec<State = u32>,
+        C::Encoded: WordEncoded,
+    {
         let max_states = max_states.min(u64::from(u32::MAX - 1));
         let mut graph = FairGraph {
             codec,
@@ -695,16 +766,21 @@ mod tests {
         graph
     }
 
-    fn assert_graphs_identical(
-        expected: &FairGraph<'static, IdentityCodec<u32>>,
-        built: &FairGraph<'static, IdentityCodec<u32>>,
-        at: &str,
-    ) {
+    fn assert_graphs_identical<C>(expected: &FairGraph<'_, C>, built: &FairGraph<'_, C>, at: &str)
+    where
+        C: StateCodec<State = u32>,
+        C::Encoded: WordEncoded,
+    {
         assert_eq!(built.state_count(), expected.state_count(), "{at}");
         assert_eq!(built.edge_count(), expected.edge_count(), "{at}");
         assert_eq!(built.edges_generated(), expected.edges_generated(), "{at}");
         assert_eq!(built.is_truncated(), expected.is_truncated(), "{at}");
         assert_eq!(built.initial(), expected.initial(), "{at}");
+        assert_eq!(
+            built.arena.approx_bytes(),
+            expected.arena.approx_bytes(),
+            "{at}"
+        );
         for v in 0..expected.state_count() as u32 {
             assert_eq!(built.state(v), expected.state(v), "{at}: state {v}");
             assert_eq!(
@@ -732,17 +808,21 @@ mod tests {
 
     /// The layer step builds the reference scan's graph bit for bit at
     /// 1, 2 and 4 threads, whole or cut anywhere by the budget.
-    fn assert_matches_reference<T: TransitionSystem<State = u32> + Sync>(
+    fn assert_matches_reference<T, C>(
         system: &T,
+        codec: &'static C,
         fairness: impl Fn() -> Vec<FairAction<u32>>,
-        budgets: &[u64],
-    ) {
-        static CODEC: IdentityCodec<u32> = IdentityCodec::new();
-        for &max_states in budgets {
-            let expected = reference_build(system, &fairness(), max_states);
+        budgets: impl IntoIterator<Item = u64>,
+    ) where
+        T: TransitionSystem<State = u32> + Sync,
+        C: StateCodec<State = u32> + Sync,
+        C::Encoded: WordEncoded + Send + Sync,
+    {
+        for max_states in budgets {
+            let expected = reference_build(system, codec, &fairness(), max_states);
             for threads in [1, 2, 4] {
                 let built =
-                    FairGraph::build_with_threads(system, &CODEC, &fairness(), max_states, threads);
+                    FairGraph::build_with_threads(system, codec, &fairness(), max_states, threads);
                 let at = format!("budget {max_states}, {threads} threads");
                 assert_graphs_identical(&expected, &built, &at);
             }
@@ -754,19 +834,45 @@ mod tests {
     fn every_thread_count_builds_the_reference_graph() {
         let forward = || vec![FairAction::new("forward", |a: &u32, b: &u32| b > a)];
         assert!(
-            reference_build(&WideFan, &forward(), 1 << 20).state_count() > 2 * BUILD_CHUNK_STATES,
+            reference_build(&WideFan, &IDENTITY, &forward(), 1 << 20).state_count()
+                > 2 * BUILD_CHUNK_STATES,
             "waves split"
         );
-        assert_matches_reference(&WideFan, forward, &[1 << 20]);
-        assert_matches_reference(&Diamond, forward, &[1 << 20]);
+        assert_matches_reference(&WideFan, &IDENTITY, forward, [1 << 20]);
+        assert_matches_reference(&Diamond, &IDENTITY, forward, [1 << 20]);
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "spawns real threads over a wide graph")]
     fn every_thread_count_matches_the_reference_under_truncation() {
-        assert!(reference_build(&WideFan, &[], 700).is_truncated());
-        assert_matches_reference(&WideFan, Vec::new, &[1, 2, 3, 700, 1501, 1502, 1600]);
-        assert_matches_reference(&Diamond, Vec::new, &[1, 2, 3, 4]);
+        assert!(reference_build(&WideFan, &IDENTITY, &[], 700).is_truncated());
+        assert_matches_reference(
+            &WideFan,
+            &IDENTITY,
+            Vec::new,
+            [1, 2, 3, 700, 1501, 1502, 1600],
+        );
+        assert_matches_reference(&Diamond, &IDENTITY, Vec::new, [1, 2, 3, 4]);
+    }
+
+    /// Waves whose chunks propose the same states, spread over the
+    /// index shards or all in one, whole and cut by the budget: at every
+    /// position near the ends of the waves (the root's, the leaves',
+    /// the grandchildren's) and at every fifth one between.
+    #[test]
+    #[cfg_attr(miri, ignore = "hundreds of builds are too slow interpreted")]
+    fn repeats_across_chunks_and_budget_cuts_match_the_reference() {
+        static PINNED: PinnedCodec = PinnedCodec;
+        let forward = || vec![FairAction::new("forward", |a: &u32, b: &u32| b > a)];
+        assert_eq!(
+            reference_build(&Fan, &IDENTITY, &[], 1 << 20).state_count(),
+            1651
+        );
+        let budgets = || {
+            (1..=1652).filter(|b| b % 5 == 0 || *b < 16 || (1095..=1115).contains(b) || *b > 1640)
+        };
+        assert_matches_reference(&Fan, &IDENTITY, forward, budgets());
+        assert_matches_reference(&Fan, &PINNED, forward, budgets().step_by(7));
     }
 
     /// A duplicate initial state is looked up before the budget is

@@ -15,7 +15,7 @@
 //!
 //! # The layer step
 //!
-//! Each layer is one two-phase step on [`tta_base::map_chunks`]:
+//! Each layer is one step on [`tta_base::map_chunks`]:
 //!
 //! 1. **Expand** — the layer is split into fixed-size chunks
 //!    ([`Explorer::chunk_states`] states each) that workers steal off a
@@ -23,39 +23,50 @@
 //!    shared, read-only arena, generates its successors, encodes and
 //!    hashes each once, and resolves where it lands ([`Target`]): in the
 //!    arena already, or a *proposal* — the chunk's first occurrence of a
-//!    state the arena lacks. Beside that, the [`Walk`] records what it needs:
-//!    the safety check the chunk's first violating proposal, the fair
-//!    graph of `tta-liveness` its labelled edges.
-//! 2. **Merge** — the calling thread takes the chunks in order and
-//!    resolves each proposal against the live arena (lookup, then the
-//!    state budget, then insert), then hands the walk the chunk with
-//!    its proposals' ids.
+//!    state the arena lacks. Beside that, the [`Walk`] records what it
+//!    needs: the safety check the chunk's first violating proposal, the
+//!    fair graph of `tta-liveness` its labelled edges. Last, the worker
+//!    groups its proposals by the arena index's hash shard.
+//! 2. **Merge** — a worker proved each proposal absent from the arena as
+//!    it stood when the layer began, so the merge looks none of them up
+//!    there. It only has to find the states that several chunks
+//!    proposed, in three steps:
+//!    1. per shard, in parallel: mark each proposal as its state's first
+//!       occurrence in layer order, or as a repeat of an earlier one;
+//!    2. on the calling thread, in layer order: give first occurrences
+//!       the next ids up to the state budget and append their rows and
+//!       parents to the arena, give each repeat its first occurrence's
+//!       id, and let the walk adopt each chunk;
+//!    3. per shard, in parallel: file the new states' `(hash, id)`
+//!       entries in the arena's index.
 //!
-//! Chunk boundaries depend only on the layer, and the merge interns
-//! proposals in layer order, so the arena's insertion sequence — ids,
-//! parents, the budget cut — is the one a plain sequential BFS makes, at
-//! every thread count and chunk size. The in-chunk filter keeps that: a
+//! Chunk boundaries depend only on the layer, and step 2 alone hands out
+//! ids, in layer order, so the arena's insertion sequence — ids, parents,
+//! the budget cut — is the one a plain sequential BFS makes, at every
+//! thread count and chunk size. The in-chunk filter keeps that: a
 //! dropped duplicate follows its first occurrence in layer order. On one
-//! thread the two phases alternate per chunk, inline: each chunk merges
-//! as soon as it is expanded, so a layer never buffers more than one
-//! chunk, and a later chunk finds in the arena what it would otherwise
-//! propose — the merge resolves either to the same id. The initial
-//! states enter as the successors of no state, through the same
-//! proposal and merge path, so a duplicate root is looked up before the
-//! budget is consulted.
+//! thread the same step runs on each chunk inline, as soon as it is
+//! expanded, so a layer never buffers more than one chunk, and a later
+//! chunk finds in the arena what it would otherwise propose; a lone
+//! chunk has no repeats, so step 1 has nothing to do. Layers with fewer
+//! than [`PARALLEL_MERGE_PROPOSALS`] proposals run steps 1 and 3 on the
+//! calling thread too. The initial states enter as the successors of no
+//! state, through the same proposal and merge path, so a duplicate root
+//! is looked up before the budget is consulted.
 //!
-//! The only cross-thread state is one chunk-claim counter per layer
-//! (modeled under loom in `tta-base`'s `tests/loom_merge.rs`). Visited
-//! states live in a [`Visited`] arena: one interned encoded state per
-//! distinct state, parents as `u32` indices (see [`crate::codec`],
-//! [`crate::intern`] and [`crate::word`]). The arena never decides an
-//! id: the merge does, in layer order, so both arenas produce the same
-//! ids, parents and traces.
+//! The only cross-thread state is one chunk-claim counter per pool call
+//! (modeled under loom in `tta-base`'s `tests/loom_merge.rs`), and in
+//! step 3 one uncontended lock per index shard, which lends the shard's
+//! table to the one task that fills it. Visited states live in a
+//! [`Visited`] arena: one interned encoded state per distinct state,
+//! parents as `u32` indices (see [`crate::codec`], [`crate::intern`] and
+//! [`crate::word`]). The arena never decides an id: the merge does, in
+//! layer order, so both arenas produce the same ids, parents and traces.
 
 use crate::codec::{IdentityCodec, StateCodec};
 use crate::counterexample::Trace;
 use crate::hashing::fx_hash;
-use crate::index::VisitedIndex;
+use crate::index::{id_of, map_shard_groups, shard_key, shard_of, Table, SHARDS};
 use crate::intern::{StateArena, Visited, NO_PARENT};
 use crate::stats::ExploreStats;
 use crate::system::{Invariant, TransitionSystem};
@@ -77,6 +88,19 @@ const DEFAULT_CHUNK_STATES: usize = 1024;
 /// Past the first layers most successors are already visited or were
 /// proposed by a neighbour, so a chunk rarely proposes more.
 const FILTER_ENTRIES_PER_STATE: usize = 2;
+
+/// Proposals a layer needs before its merge runs steps 1 and 3 on the
+/// worker threads, a default chunk's worth: below it, starting the
+/// threads costs about as much as the steps.
+const PARALLEL_MERGE_PROPOSALS: usize = DEFAULT_CHUNK_STATES;
+
+/// Index shards per task of the merge's parallel steps: 16 tasks to
+/// steal, so a thread held up by its neighbour leaves the rest to others.
+const MERGE_GROUP_SHARDS: usize = 4;
+
+/// `Merge::first` entry of a proposal that is its state's first
+/// occurrence in the layer.
+const FIRST: u32 = u32::MAX;
 
 /// Outcome of a check: `AG p` over all reachable states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,8 +156,9 @@ pub enum Flow {
 /// chunk once its proposals have ids. The safety check is one walk, the
 /// fair graph of `tta-liveness` the other.
 pub trait Walk<S>: Sync {
-    /// What a worker records for one chunk.
-    type Chunk: Default + Send;
+    /// What a worker records for one chunk. The merge's parallel steps
+    /// share the layer's chunks, records included, across its threads.
+    type Chunk: Default + Send + Sync;
 
     /// Records one expanded state — `None` for the initial states —
     /// with its successors: `succs[i]` landed at `targets[i]`. Runs on a
@@ -366,13 +391,13 @@ impl Explorer {
         // detlint: allow(DL02) reason=elapsed-time stats only; reported out-of-band, never part of the verification result
         let start = Instant::now();
         let mut stats = ExploreStats::default();
-        let mut ids = Vec::new();
+        let mut merge = Merge::default();
 
         // Layer 0: the initial states, as successors of no state.
         assert!(arena.is_empty(), "a walk starts from an empty arena");
         let initial = system.initial_states();
         let mut seed = Batch::with_capacity(initial.len());
-        let mut filter = VisitedIndex::with_capacity(initial.len());
+        let mut filter = Table::with_capacity(initial.len());
         let mut targets = Vec::with_capacity(initial.len());
         seed.propose(
             &mut filter,
@@ -382,8 +407,16 @@ impl Explorer {
             NO_PARENT,
             &mut targets,
         );
+        seed.group_by_shard();
         walk.expanded(&mut seed.record, None, &initial, &targets);
-        let mut flow = seed.merge(arena, walk, &mut ids, self.max_states, &mut stats);
+        let mut flow = merge.run(
+            std::slice::from_mut(&mut seed),
+            arena,
+            walk,
+            self.max_states,
+            1,
+            &mut stats,
+        );
         let roots = arena.len() as u32;
         stats.frontier_peak = u64::from(roots);
 
@@ -406,28 +439,29 @@ impl Explorer {
                 // next chunk's worker reads the grown arena, which only
                 // turns some of its proposals into finds.
                 for &first in &starts {
-                    let batch = expand(system, codec, &*arena, &*walk, chunk_of(first));
-                    flow =
-                        flow.max(batch.merge(arena, walk, &mut ids, self.max_states, &mut stats));
+                    let mut batch = expand(system, codec, &*arena, &*walk, chunk_of(first));
+                    let chunk = std::slice::from_mut(&mut batch);
+                    flow = flow.max(merge.run(chunk, arena, walk, self.max_states, 1, &mut stats));
                     if flow == Flow::Stop {
                         break;
                     }
                 }
             } else {
-                // Phase 1: expand stolen chunks against the read-only
-                // arena. Phase 2: adopt them in chunk order.
+                // Expand stolen chunks against the read-only arena, then
+                // merge the whole layer.
                 let shared: &V = arena;
                 let shared_walk: &W = walk;
-                let batches = map_chunks(&starts, 1, self.threads, &|_, first: &[u32]| {
+                let mut batches = map_chunks(&starts, 1, self.threads, &|_, first: &[u32]| {
                     expand(system, codec, shared, shared_walk, chunk_of(first[0]))
                 });
-                for batch in batches {
-                    flow =
-                        flow.max(batch.merge(arena, walk, &mut ids, self.max_states, &mut stats));
-                    if flow == Flow::Stop {
-                        break;
-                    }
-                }
+                flow = flow.max(merge.run(
+                    &mut batches,
+                    arena,
+                    walk,
+                    self.max_states,
+                    self.threads,
+                    &mut stats,
+                ));
             }
             if flow == Flow::Stop {
                 // The partial layer counts toward neither depth nor the
@@ -463,7 +497,6 @@ impl Default for Explorer {
 /// One successor surviving the expand phase's filters: everything the
 /// merge needs, with the encode and hash work already done.
 struct Proposal<E> {
-    hash: u64,
     encoded: E,
     parent: u32,
     /// Transitions the chunk generated up to and including `parent`'s:
@@ -474,6 +507,14 @@ struct Proposal<E> {
 /// One chunk's expand output, adopted by the merge in chunk order.
 struct Batch<E, K> {
     proposals: Vec<Proposal<E>>,
+    /// `hashes[p]` is proposal `p`'s Fx hash.
+    hashes: Vec<u64>,
+    /// The proposals' indices grouped by index shard, ascending within
+    /// each: shard `s` holds `by_shard[shard_starts[s]..shard_starts[s + 1]]`.
+    by_shard: Vec<u32>,
+    shard_starts: [u32; SHARDS + 1],
+    /// The layer position of proposal 0, set by the merge.
+    offset: usize,
     transitions: u64,
     record: K,
 }
@@ -483,6 +524,10 @@ impl<E: Eq + Hash, K: Default> Batch<E, K> {
     fn with_capacity(states: usize) -> Self {
         Batch {
             proposals: Vec::with_capacity(states),
+            hashes: Vec::with_capacity(states),
+            by_shard: Vec::new(),
+            shard_starts: [0; SHARDS + 1],
+            offset: 0,
             transitions: 0,
             record: K::default(),
         }
@@ -494,7 +539,7 @@ impl<E: Eq + Hash, K: Default> Batch<E, K> {
     /// in the arena, or proposed.
     fn propose<C, V>(
         &mut self,
-        filter: &mut VisitedIndex,
+        filter: &mut Table,
         codec: &C,
         arena: &V,
         succs: &[C::State],
@@ -516,63 +561,204 @@ impl<E: Eq + Hash, K: Default> Batch<E, K> {
                 } else if let Some(id) = arena.lookup_hashed(hash, &encoded) {
                     Target::Visited(id)
                 } else {
-                    let p = filter.insert(hash, self.proposals.len());
+                    let p = id_of(self.proposals.len());
+                    filter.insert(hash, p);
                     self.proposals.push(Proposal {
-                        hash,
                         encoded,
                         parent,
                         through: self.transitions,
                     });
+                    self.hashes.push(hash);
                     Target::Proposed(p)
                 };
             targets.push(target);
         }
     }
 
-    /// Phase 2 for one chunk: resolves its proposals in order against
-    /// the live arena — lookup, then the state budget, then insert — and
-    /// lets `walk` adopt it. Adds the chunk's transitions to `stats`,
-    /// through the first dropped proposal's state if the walk stops.
-    fn merge<S, V, W>(
-        self,
+    /// Groups the proposals by index shard (a counting sort), for the
+    /// merge's per-shard steps.
+    fn group_by_shard(&mut self) {
+        let mut starts = [0u32; SHARDS + 1];
+        for &hash in &self.hashes {
+            starts[shard_of(hash)] += 1;
+        }
+        let mut total = 0;
+        for start in &mut starts {
+            (*start, total) = (total, total + *start);
+        }
+        let mut next = starts;
+        self.by_shard.clear();
+        self.by_shard.resize(self.hashes.len(), 0);
+        for (p, &hash) in self.hashes.iter().enumerate() {
+            let slot = &mut next[shard_of(hash)];
+            self.by_shard[*slot as usize] = p as u32;
+            *slot += 1;
+        }
+        self.shard_starts = starts;
+    }
+}
+
+impl<E, K> Batch<E, K> {
+    /// The indices of the proposals in `shards`, by shard, ascending
+    /// within each.
+    fn in_shards(&self, shards: Range<usize>) -> &[u32] {
+        &self.by_shard
+            [self.shard_starts[shards.start] as usize..self.shard_starts[shards.end] as usize]
+    }
+}
+
+/// The merge of one layer's chunks (see the module docs), with buffers
+/// reused from layer to layer.
+#[derive(Default)]
+struct Merge {
+    /// `ids[g]`: the id of the layer's proposal `g`, counted in layer
+    /// order; `None` where the state budget dropped it.
+    ids: Vec<Option<u32>>,
+    /// `first[g]`: the layer position of the first occurrence of
+    /// proposal `g`'s state, or [`FIRST`] where `g` is it. Empty for a
+    /// lone chunk, which has no repeats.
+    first: Vec<u32>,
+}
+
+impl Merge {
+    /// Merges `batches`, one layer's chunks in order, into `arena`, and
+    /// lets `walk` adopt each one, on up to `threads` threads. Adds the
+    /// chunks' transitions to `stats`, through the first dropped
+    /// proposal's state of the chunk that stops the walk.
+    fn run<S, E, K, V, W>(
+        &mut self,
+        batches: &mut [Batch<E, K>],
         arena: &mut V,
         walk: &mut W,
-        ids: &mut Vec<Option<u32>>,
         max_states: u64,
+        threads: usize,
         stats: &mut ExploreStats,
     ) -> Flow
     where
+        E: Eq + Sync,
+        K: Default + Sync,
         V: Visited<E>,
         W: Walk<S, Chunk = K>,
     {
-        ids.clear();
-        let mut through = self.transitions;
-        for proposal in self.proposals {
-            let id = match arena.lookup_hashed(proposal.hash, &proposal.encoded) {
-                Some(id) => Some(id),
-                None if (arena.len() as u64) < max_states => {
-                    Some(arena.insert_new_hashed(proposal.hash, proposal.encoded, proposal.parent))
-                }
-                None => {
-                    through = through.min(proposal.through);
-                    None
-                }
-            };
-            ids.push(id);
+        let mut proposals = 0;
+        for batch in batches.iter_mut() {
+            batch.offset = proposals;
+            proposals += batch.proposals.len();
         }
-        let flow = walk.adopt(self.record, ids);
-        stats.transitions += if flow == Flow::Stop {
-            through
+        assert!(
+            proposals < FIRST as usize,
+            "a layer proposed {proposals} states, more than its u32 positions hold"
+        );
+        let (group, threads) = if threads > 1 && proposals >= PARALLEL_MERGE_PROPOSALS {
+            (MERGE_GROUP_SHARDS, threads)
         } else {
-            self.transitions
+            (SHARDS, 1)
         };
+
+        // Step 1: the repeats of states that earlier chunks proposed.
+        self.first.clear();
+        if batches.len() > 1 {
+            self.first.resize(proposals, FIRST);
+            let shared: &[Batch<E, K>] = batches;
+            for repeats in map_shard_groups(group, threads, &|shards| repeats_in(shared, shards)) {
+                for (at, first) in repeats {
+                    self.first[at as usize] = first;
+                }
+            }
+        }
+
+        // Step 2: ids in layer order, and each chunk's adoption.
+        self.ids.clear();
+        let mut flow = Flow::Continue;
+        for batch in batches.iter_mut() {
+            let mut through = batch.transitions;
+            // Taken, not drained: each chunk's proposals are freed as the
+            // arena grows, as in a merge that consumes its chunks.
+            for proposal in std::mem::take(&mut batch.proposals) {
+                let id = match self.first.get(self.ids.len()) {
+                    Some(&first) if first != FIRST => self.ids[first as usize],
+                    _ if (arena.len() as u64) < max_states => {
+                        Some(arena.append(proposal.encoded, proposal.parent))
+                    }
+                    _ => None,
+                };
+                if id.is_none() {
+                    through = through.min(proposal.through);
+                }
+                self.ids.push(id);
+            }
+            let adopted = walk.adopt(std::mem::take(&mut batch.record), &self.ids[batch.offset..]);
+            stats.transitions += if adopted == Flow::Stop {
+                through
+            } else {
+                batch.transitions
+            };
+            flow = flow.max(adopted);
+            if flow == Flow::Stop {
+                break;
+            }
+        }
+
+        // Step 3: index the new states, shard by shard. Chunks past a
+        // stop have no ids and stay out.
+        let (ids, first) = (&self.ids, &self.first);
+        let shared: &[Batch<E, K>] = batches;
+        arena
+            .index_mut()
+            .extend(group, threads, &|shard, table: &mut Table| {
+                for batch in shared {
+                    for &p in batch.in_shards(shard..shard + 1) {
+                        let at = batch.offset + p as usize;
+                        if first.get(at).is_some_and(|&f| f != FIRST) {
+                            // A repeat: its first occurrence files the state.
+                            continue;
+                        }
+                        if let Some(&Some(id)) = ids.get(at) {
+                            table.insert(shard_key(batch.hashes[p as usize]), id);
+                        }
+                    }
+                }
+            });
         flow
     }
 }
 
+/// Step 1 of the merge for the index shards `shards`: every proposal of
+/// `batches` in them whose state an earlier proposal in layer order
+/// holds, as its layer position and that first occurrence's.
+fn repeats_in<E: Eq, K>(batches: &[Batch<E, K>], shards: Range<usize>) -> Vec<(u32, u32)> {
+    let members: usize = batches
+        .iter()
+        .map(|batch| batch.in_shards(shards.clone()).len())
+        .sum();
+    // First occurrences as (chunk, proposal), indexed by `seen`.
+    let mut firsts: Vec<(u32, u32)> = Vec::with_capacity(members);
+    let mut seen = Table::with_capacity(members);
+    let mut repeats = Vec::new();
+    for (c, batch) in batches.iter().enumerate() {
+        for &p in batch.in_shards(shards.clone()) {
+            let key = shard_key(batch.hashes[p as usize]);
+            let encoded = &batch.proposals[p as usize].encoded;
+            let found = seen.find(key, |m| {
+                let (fc, fp) = firsts[m as usize];
+                batches[fc as usize].proposals[fp as usize].encoded == *encoded
+            });
+            if let Some(m) = found {
+                let (fc, fp) = firsts[m as usize];
+                let first = batches[fc as usize].offset + fp as usize;
+                repeats.push(((batch.offset + p as usize) as u32, first as u32));
+            } else {
+                seen.insert(key, id_of(firsts.len()));
+                firsts.push((c as u32, p));
+            }
+        }
+    }
+    repeats
+}
+
 /// Expand-phase worker: the states `chunk` of the current layer,
-/// batched against the shared (read-only) arena. Duplicates across
-/// chunks are resolved by the merge.
+/// batched against the shared (read-only) arena and grouped by index
+/// shard. Duplicates across chunks are resolved by the merge.
 fn expand<T, C, V, W>(
     system: &T,
     codec: &C,
@@ -587,7 +773,7 @@ where
     W: Walk<T::State>,
 {
     let mut batch = Batch::with_capacity(chunk.len());
-    let mut filter = VisitedIndex::with_capacity(FILTER_ENTRIES_PER_STATE * chunk.len());
+    let mut filter = Table::with_capacity(FILTER_ENTRIES_PER_STATE * chunk.len());
     let mut succs: Vec<T::State> = Vec::new();
     let mut targets = Vec::new();
     for id in chunk {
@@ -598,6 +784,7 @@ where
         batch.propose(&mut filter, codec, arena, &succs, id, &mut targets);
         walk.expanded(&mut batch.record, Some(&state), &succs, &targets);
     }
+    batch.group_by_shard();
     batch
 }
 
@@ -847,16 +1034,32 @@ mod tests {
     fn reference<T, I>(explorer: &Explorer, system: &T, invariant: I) -> CheckOutcome<T::State>
     where
         T: TransitionSystem,
+        T::State: Clone + Eq + Hash,
         I: Invariant<T::State>,
     {
-        let mut arena = StateArena::new();
+        reference_with(explorer, system, &IdentityCodec::new(), invariant)
+    }
+
+    /// The sequential reference's outcome for `explorer`'s budgets, its
+    /// states interned through `codec`.
+    fn reference_with<T, C, I>(
+        explorer: &Explorer,
+        system: &T,
+        codec: &C,
+        invariant: I,
+    ) -> CheckOutcome<T::State>
+    where
+        T: TransitionSystem,
+        C: StateCodec<State = T::State>,
+        I: Invariant<T::State>,
+    {
         drive_sequential(
             explorer.max_states,
             explorer.max_depth,
             system,
-            &IdentityCodec::new(),
+            codec,
             &invariant,
-            &mut arena,
+            &mut StateArena::new(),
         )
     }
 
@@ -1006,8 +1209,11 @@ mod tests {
     fn packing_codec_matches_identity() {
         let grid = Grid { bound: 9 };
         let invariant = |s: &(u32, u32)| s.0 + s.1 != 7;
-        let compact = Explorer::new().check_with_codec(&grid, &PackCodec, invariant);
+        let mut compact = Explorer::new().check_with_codec(&grid, &PackCodec, invariant);
         let identity = Explorer::new().check(&grid, invariant);
+        // The two encodings hash apart, so their states spread over the
+        // index shards, and size them, each in its own way.
+        compact.stats.visited_bytes = identity.stats.visited_bytes;
         assert_same(&compact, &identity, "packed vs identity");
     }
 
@@ -1163,27 +1369,175 @@ mod tests {
         assert_eq!(out.record.proposed, 3);
     }
 
-    /// Budget cuts landing anywhere in a layer — between a first
-    /// occurrence and its in-chunk duplicates, or on either — reproduce
-    /// the sequential reference's stats and traces exactly.
+    /// Budget cuts landing anywhere in a layer reproduce the sequential
+    /// reference's stats and traces exactly: on the grid, between a
+    /// first occurrence and its in-chunk duplicates, or on either; on
+    /// the fan, at every position — among the leaves (one chunk proposes
+    /// them all) and among the grandchildren (first occurrences and
+    /// their repeats in later chunks, through the threaded merge).
     #[test]
     #[cfg_attr(
         miri,
-        ignore = "400 runs are too slow interpreted; wide_fanout covers the threaded path"
+        ignore = "thousands of runs are too slow interpreted; threaded_merge_resolves_repeats_across_chunks covers the threads"
     )]
     fn budget_cuts_anywhere_match_the_reference() {
         let grid = Grid { bound: 1000 };
-        let invariant = |s: &(u32, u32)| s.0 * s.1 != 12;
-        for max_states in 1..=80 {
-            let expected = reference(&Explorer::new().max_states(max_states), &grid, invariant);
-            for (threads, chunk) in [(1, 1024), (1, 3), (2, 2), (2, 3), (4, 4)] {
+        let configs = [(1, 1024), (1, 3), (2, 2), (2, 3), (4, 4)];
+        assert_cuts_match(&grid, |s: &(u32, u32)| s.0 * s.1 != 12, 1..=80, &configs);
+        let configs = [(1, 256), (2, 64), (4, 100)];
+        assert_cuts_match(&FAN, |s: &u32| *s != 1100 + 1 + 549, 1..=1651, &configs);
+    }
+
+    /// Every budget in `budgets`, at every `(threads, chunk states)` of
+    /// `configs`, against the sequential reference.
+    fn assert_cuts_match<T, I>(
+        system: &T,
+        invariant: I,
+        budgets: std::ops::RangeInclusive<u64>,
+        configs: &[(usize, usize)],
+    ) where
+        T: TransitionSystem + Sync,
+        T::State: Clone + Eq + Hash + Send + Sync + std::fmt::Debug,
+        I: Invariant<T::State> + Sync + Copy,
+    {
+        for max_states in budgets {
+            let expected = reference(&Explorer::new().max_states(max_states), system, invariant);
+            for &(threads, chunk) in configs {
                 let outcome = Explorer::new()
                     .threads(threads)
                     .chunk_states(chunk)
                     .max_states(max_states)
-                    .check(&grid, invariant);
+                    .check(system, invariant);
                 let at = format!("budget {max_states}, {threads} threads, chunk {chunk}");
                 assert_same(&outcome, &expected, &at);
+            }
+        }
+    }
+
+    /// A root fanning out to `leaves` leaves, each stepping to two of
+    /// `leaves / 2` grandchildren: every grandchild is proposed by leaves
+    /// far apart in the layer, so by several chunks. Grandchildren step
+    /// back to leaves, which the next layer must find in the index the
+    /// merge filled.
+    struct Fan {
+        leaves: u32,
+    }
+
+    impl TransitionSystem for Fan {
+        type State = u32;
+
+        fn initial_states(&self) -> Vec<u32> {
+            vec![0]
+        }
+
+        fn successors(&self, s: &u32, out: &mut Vec<u32>) {
+            let (leaves, half) = (self.leaves, self.leaves / 2);
+            match *s {
+                0 => out.extend(1..=leaves),
+                leaf if leaf <= leaves => {
+                    out.extend([leaves + 1 + leaf % half, leaves + 1 + (leaf * 7) % half]);
+                }
+                grandchild => out.extend([0, 1 + grandchild * 3 % leaves]),
+            }
+        }
+    }
+
+    /// Layers big enough for the merge's parallel steps: the root's one
+    /// chunk proposes 1,100 leaves, and the leaves propose their 550
+    /// grandchildren 1,946 times in 128-state chunks (2,075 in 64-state
+    /// ones), each chunk once at most.
+    const FAN: Fan = Fan { leaves: 1100 };
+
+    /// A state of [`Fan`] whose hash is pinned into one index shard, so
+    /// a whole layer's proposals meet in one shard.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Pinned(u32);
+
+    impl Hash for Pinned {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            // Fx hashes one `u64` word `w` to `w * SEED`, and `SEED`
+            // (the hash of 1) is odd, so multiplying by its inverse
+            // writes exactly the hash wanted: shard 37, the key bits
+            // spread from the value.
+            let seed = fx_hash(&1u64);
+            let mut inverse = seed;
+            for _ in 0..5 {
+                inverse = inverse.wrapping_mul(2u64.wrapping_sub(seed.wrapping_mul(inverse)));
+            }
+            let spread = u64::from(self.0).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 6;
+            state.write_u64(((37 << 58) | spread).wrapping_mul(inverse));
+        }
+    }
+
+    impl WordEncoded for Pinned {
+        const WORDS: usize = 1;
+        fn write_words(&self, out: &mut [u64]) {
+            out[0] = u64::from(self.0);
+        }
+        fn from_words(words: &[u64]) -> Self {
+            Pinned(words[0] as u32)
+        }
+    }
+
+    /// Encodes [`Fan`] states as [`Pinned`].
+    #[derive(Debug)]
+    struct PinnedCodec;
+
+    impl StateCodec for PinnedCodec {
+        type State = u32;
+        type Encoded = Pinned;
+        fn encode(&self, s: &u32) -> Pinned {
+            Pinned(*s)
+        }
+        fn decode(&self, e: &Pinned) -> u32 {
+            e.0
+        }
+    }
+
+    #[test]
+    fn pinned_hashes_land_in_one_shard() {
+        let shards: std::collections::BTreeSet<usize> =
+            (0..3000).map(|s| shard_of(fx_hash(&Pinned(s)))).collect();
+        assert_eq!(shards.into_iter().collect::<Vec<_>>(), [37]);
+        assert!(fx_hash(&Pinned(1)) != fx_hash(&Pinned(2)));
+    }
+
+    /// The threaded merge on a layer of cross-chunk repeats, at two
+    /// threads: small enough for miri, which interprets it as its check
+    /// of the merge's shard steps on worker threads.
+    #[test]
+    fn threaded_merge_resolves_repeats_across_chunks() {
+        let invariant = |s: &u32| *s != 1100 + 1 + 549;
+        let explorer = Explorer::new().threads(2).chunk_states(128);
+        let expected = reference(&explorer, &FAN, invariant);
+        assert_eq!(expected.stats.states_explored, 1 + 1100 + 550);
+        // Both the leaves' layer and the grandchildren's merge threaded.
+        const { assert!(1100 >= PARALLEL_MERGE_PROPOSALS) };
+        assert_same(&explorer.check(&FAN, invariant), &expected, "2 threads");
+    }
+
+    /// Layers full of repeats across chunks, with every proposal in one
+    /// shard or spread over all of them, through either arena, at 1, 2
+    /// and 4 threads: the sequential reference's outcome exactly.
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "many interpreted runs; threaded_merge_resolves_repeats_across_chunks covers the threads"
+    )]
+    fn repeats_across_chunks_and_one_shard_match_the_reference() {
+        let invariants: [fn(&u32) -> bool; 2] = [|_| true, |s| *s != 1100 + 1 + 549];
+        for invariant in invariants {
+            let spread = reference(&Explorer::new(), &FAN, invariant);
+            let pinned = reference_with(&Explorer::new(), &FAN, &PinnedCodec, invariant);
+            for (threads, chunk) in [(1, 64), (1, 1024), (2, 64), (2, 100), (4, 16)] {
+                let explorer = Explorer::new().threads(threads).chunk_states(chunk);
+                let at = format!("{threads} threads, chunk {chunk}");
+                assert_same(&explorer.check(&FAN, invariant), &spread, &at);
+                let plain = explorer.check_with_codec(&FAN, &PinnedCodec, invariant);
+                assert_same(&plain, &pinned, &format!("one shard, {at}"));
+                let mut words = explorer.check_with_delta_codec(&FAN, &PinnedCodec, invariant);
+                words.stats.visited_bytes = pinned.stats.visited_bytes;
+                assert_same(&words, &pinned, &format!("one shard, word arena, {at}"));
             }
         }
     }

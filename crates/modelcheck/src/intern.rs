@@ -4,17 +4,21 @@
 //! A [`StateArena`] stores each distinct encoded state **exactly once**
 //! in a flat vector, with the BFS parent recorded as a `u32` arena
 //! index instead of an `Option<State>` clone. Deduplication goes
-//! through a compact hash index of 8 bytes per slot (a 32-bit tag of
-//! the encoding's Fx hash plus the state id), so the index never
-//! duplicates the encoded bytes the arena already owns, and a tag match
-//! is confirmed by comparing the stored state. The word arena
+//! through the sharded hash index of 8 bytes per slot (`index.rs`:
+//! a 32-bit tag of the encoding's Fx hash plus the state id, in 64
+//! tables that each grow on their own), so the index never duplicates
+//! the encoded bytes the arena already owns, and a tag match is
+//! confirmed by comparing the stored state. The word arena
 //! ([`crate::word::WordArena`]) shares the same index and stores only
 //! each state's live words.
 //!
-//! Parent indices are opaque to the arena: every walk stores arena ids,
-//! and [`NO_PARENT`] marks roots.
+//! Storing a state and indexing it are two steps: the layer step's
+//! merge appends a layer's new states in layer order ([`Visited::append`])
+//! and then fills the index shard by shard, in parallel
+//! ([`Visited::index_mut`]). Parent indices are opaque to the arena:
+//! every walk stores arena ids, and [`NO_PARENT`] marks roots.
 
-use crate::index::VisitedIndex;
+use crate::index::{id_of, VisitedIndex};
 use std::hash::Hash;
 
 /// Parent marker for initial states (no predecessor).
@@ -44,8 +48,27 @@ pub trait Visited<E> {
     /// Looks up an encoded state by its precomputed hash.
     fn lookup_hashed(&self, hash: u64, encoded: &E) -> Option<u32>;
 
-    /// Interns a state known to be absent, returning its new id.
-    fn insert_new_hashed(&mut self, hash: u64, encoded: E, parent: u32) -> u32;
+    /// Stores a state known to be absent under the next id, without
+    /// indexing it: lookups miss it until its `(hash, id)` entry is
+    /// added to [`Self::index_mut`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set already holds `u32::MAX` states: ids are
+    /// `u32`, and [`NO_PARENT`] is reserved.
+    fn append(&mut self, encoded: E, parent: u32) -> u32;
+
+    /// The hash index lookups go through, for the layer step's merge to
+    /// fill with the states it appended.
+    fn index_mut(&mut self) -> &mut VisitedIndex;
+
+    /// Interns a state known to be absent, returning its new id: append,
+    /// then index.
+    fn insert_new_hashed(&mut self, hash: u64, encoded: E, parent: u32) -> u32 {
+        let id = self.append(encoded, parent);
+        self.index_mut().insert(hash, id);
+        id
+    }
 
     /// Calls `f` with the encoded state stored at `id` (materializing it
     /// first if the storage does not keep the encoding whole).
@@ -124,7 +147,19 @@ impl<E: Eq + Hash> StateArena<E> {
     /// Panics if the arena already holds `u32::MAX` states: ids are
     /// `u32`, and [`NO_PARENT`] is reserved.
     pub fn insert_new_hashed(&mut self, hash: u64, encoded: E, parent: u32) -> u32 {
-        let id = self.index.insert(hash, self.states.len());
+        let id = self.append(encoded, parent);
+        self.index.insert(hash, id);
+        id
+    }
+
+    /// Stores an encoded state under the next id without indexing it
+    /// (see [`Visited::append`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena already holds `u32::MAX` states.
+    pub fn append(&mut self, encoded: E, parent: u32) -> u32 {
+        let id = id_of(self.states.len());
         self.states.push(encoded);
         self.parents.push(parent);
         id
@@ -155,8 +190,12 @@ impl<E: Eq + Hash> Visited<E> for StateArena<E> {
         StateArena::lookup_hashed(self, hash, encoded)
     }
 
-    fn insert_new_hashed(&mut self, hash: u64, encoded: E, parent: u32) -> u32 {
-        StateArena::insert_new_hashed(self, hash, encoded, parent)
+    fn append(&mut self, encoded: E, parent: u32) -> u32 {
+        StateArena::append(self, encoded, parent)
+    }
+
+    fn index_mut(&mut self) -> &mut VisitedIndex {
+        &mut self.index
     }
 
     fn with_encoded<R>(&self, id: u32, f: impl FnOnce(&E) -> R) -> R {

@@ -13,9 +13,10 @@
 //!   like SMV, it returns the **shortest** counterexample trace when the
 //!   property fails. Its one layer step runs on
 //!   [`tta_base::map_chunks`] at every thread count: workers steal
-//!   fixed-size frontier chunks off an atomic counter and the results
-//!   merge in chunk order, so every thread count explores bit for bit
-//!   alike. A depth bound ([`Explorer::max_depth`]) turns it into the
+//!   fixed-size frontier chunks off an atomic counter, and the merge
+//!   hands out ids in chunk order while its duplicate search and index
+//!   inserts run shard by shard on the same threads, so every thread
+//!   count explores bit for bit alike. A depth bound ([`Explorer::max_depth`]) turns it into the
 //!   bounded search of the A2 ablation, still with shortest traces;
 //! * [`Walk`] — the hook other state-space walks run on the same step
 //!   (the fair graph of `tta-liveness`);

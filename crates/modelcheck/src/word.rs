@@ -21,9 +21,13 @@
 //! The arena implements the same [`Visited`] interface as the plain
 //! [`crate::StateArena`] and shares its index, so the explorer drives
 //! both through one code path: ids, parents and traces are identical,
-//! and footprint is the only difference.
+//! and footprint is the only difference. The index is sharded
+//! (`index.rs`): it grows one 64th at a time, so a doubling never
+//! holds the whole old table beside the new one, and the layer step's
+//! merge appends a layer's rows in layer order, then fills the shards in
+//! parallel.
 
-use crate::index::VisitedIndex;
+use crate::index::{id_of, VisitedIndex};
 use crate::intern::Visited;
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -219,8 +223,21 @@ impl<E: WordEncoded> WordArena<E> {
     /// Panics if the arena already holds `u32::MAX` states: ids are
     /// `u32`, and [`crate::NO_PARENT`] is reserved.
     pub fn insert_new_hashed(&mut self, hash: u64, encoded: &E, parent: u32) -> u32 {
+        let id = self.append(encoded, parent);
+        self.index.insert(hash, id);
+        id
+    }
+
+    /// Stores an encoded state under the next id without indexing it
+    /// (see [`Visited::append`]), widening every row first if its live
+    /// prefix is longer than the current width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena already holds `u32::MAX` states.
+    pub fn append(&mut self, encoded: &E, parent: u32) -> u32 {
+        let id = id_of(self.parents.len());
         let (words, live) = words_of(encoded);
-        let id = self.index.insert(hash, self.parents.len());
         if live > self.width {
             self.widen(live);
         }
@@ -243,8 +260,12 @@ impl<E: WordEncoded> Visited<E> for WordArena<E> {
         WordArena::lookup_hashed(self, hash, encoded)
     }
 
-    fn insert_new_hashed(&mut self, hash: u64, encoded: E, parent: u32) -> u32 {
-        WordArena::insert_new_hashed(self, hash, &encoded, parent)
+    fn append(&mut self, encoded: E, parent: u32) -> u32 {
+        WordArena::append(self, &encoded, parent)
+    }
+
+    fn index_mut(&mut self) -> &mut VisitedIndex {
+        &mut self.index
     }
 
     fn with_encoded<R>(&self, id: u32, f: impl FnOnce(&E) -> R) -> R {

@@ -2,7 +2,8 @@
 //! two threads, counted on every thread.
 //!
 //! Each frontier chunk is expanded on a worker into one batched proposal
-//! vector, filtered through one chunk-local table, then merged. Those
+//! vector, filtered through one chunk-local table, grouped by index
+//! shard, then merged. Those
 //! per-chunk buffers are exactly what an O(n) regression would turn
 //! into per-state allocations, and they are allocated on the workers,
 //! so the counter here is process-wide. That only measures one test if
@@ -109,10 +110,10 @@ fn main() {
     assert_eq!(outcome.verdict, Verdict::Holds);
     assert_eq!(outcome.stats.states_explored, 101 * 101);
     // 10k states over ~200 layers and ~275 chunks: a few allocations
-    // per chunk (the proposal batch, the filter table, the successor
-    // buffer), per layer (the next frontier, the chunk-output slots)
-    // and per worker spawn land in the low thousands; one-allocation-
-    // per-state designs cost ≥ 10k.
+    // per chunk (the proposal batch, its hashes and shard grouping, the
+    // filter table, the successor buffer), per layer (the chunk-output
+    // slots, the merge's repeat table) and per worker spawn land in the
+    // low thousands; one-allocation-per-state designs cost ≥ 10k.
     assert!(
         spent < 4_000,
         "chunked exploration of {} states allocated {spent} times — per-state allocation regression",
